@@ -34,19 +34,12 @@ def panel_cumulative(f, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def panel_integral(f, lo: float, hi: float, cells: int = 64) -> float:
-    """Definite integral of ``f`` over [lo, hi] on a fixed linear panel
-    subdivision (deterministic alternative to adaptive quadrature)."""
-    nodes = np.linspace(lo, hi, cells + 1)
-    return float(panel_cumulative(f, nodes)[-1])
-
-
 def cumulative_values(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of sampled values ``y`` over ``x``.
+    """Cumulative integral of sampled values ``y`` over ``x``, starting at 0.
 
-    Composite Simpson on consecutive point triples (handles nonuniform
-    spacing); falls back to the trapezoid rule on the first interval of
-    each pair to keep the result defined at every node.
+    scipy's ``cumulative_simpson``: each interval is integrated with the
+    quadratic through it and a neighbouring node, so the result is defined
+    at every node and nonuniform spacing is allowed.
     """
     from scipy.integrate import cumulative_simpson
 

@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -67,7 +68,13 @@ def _need(mapping: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParameterError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:

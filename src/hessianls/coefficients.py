@@ -75,6 +75,9 @@ class RadialProfile:
     @classmethod
     def power_tail(cls, l: float, m: Optional[float] = None, A: float = 0.0,
                    r0: float = 1.0, scale: float = 1.0) -> "RadialProfile":
+        for name, value in (("l", l), ("m", m), ("A", A), ("r0", r0), ("scale", scale)):
+            if value is not None and not math.isfinite(value):
+                raise CoefficientError(f"power_tail needs a finite {name}, got {value}")
         if r0 <= 0:
             raise CoefficientError(f"power_tail needs r0 > 0, got {r0}")
         if scale <= 0:

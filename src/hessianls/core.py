@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Default relative tolerance for floating comparisons in invariant checks.
-REL_TOL = 1e-9
-
 # Hard ceiling on u before a solve is declared invalid; entire solutions
 # cannot reach this at finite radius for admissible coefficients.
 OVERFLOW_GUARD = 1e300
@@ -104,8 +101,8 @@ class ProblemParams:
             raise ParameterError(
                 f"gamma must satisfy 0 < gamma < k, got gamma={self.gamma}, k={self.k}"
             )
-        if not self.a > 0.0:
-            raise ParameterError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ParameterError(f"a must be positive and finite, got {self.a}")
 
     @property
     def cnk(self) -> int:
@@ -148,10 +145,10 @@ class RadialGrid:
 
     @classmethod
     def build(cls, r_max: float, r_lin: float = 10.0, nodes_per_decade: int = 48) -> "RadialGrid":
-        if r_max <= 0:
-            raise ParameterError(f"r_max must be positive, got {r_max}")
-        if r_lin <= 0:
-            raise ParameterError(f"r_lin must be positive, got {r_lin}")
+        if not 0 < r_max < math.inf:
+            raise ParameterError(f"r_max must be positive and finite, got {r_max}")
+        if not 0 < r_lin < math.inf:
+            raise ParameterError(f"r_lin must be positive and finite, got {r_lin}")
         if nodes_per_decade < 4:
             raise ParameterError("nodes_per_decade must be at least 4")
         r_lin = min(r_lin, r_max)

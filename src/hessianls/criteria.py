@@ -28,18 +28,16 @@ the same two-branch algebra shows I_osc < inf exactly when n > 2k and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._integrate import cumulative_values, fit_log_slope, panel_cumulative
-from .core import ProblemParams, RadialGrid
+from .core import ProblemParams
 from .coefficients import RadializedTriple, RadialProfile
+from .envelope import fine_nodes, flux_slope, growth_primitive, linear_growth_tables
 from .errors import ParameterError
-from .solver import linear_growth_tables
 
 LARGE = "Large"
 BOUNDED = "Bounded"
@@ -95,43 +93,17 @@ def tail_exponent_of(profile: RadialProfile) -> Optional[TailEstimate]:
 
 
 # ---------------------------------------------------------------------------
-# growth-envelope integrand and primitives
+# growth-envelope integrand and bounds
 # ---------------------------------------------------------------------------
 
 def keller_osserman_integrand(b_star, r: float, params: ProblemParams) -> float:
-    """J(r) with the inner integral evaluated by adaptive quadrature."""
+    """J(r), read from the envelope table on [0, r]."""
     if r < 0:
         raise ParameterError(f"radius must be nonnegative, got {r}")
     if r == 0.0:
         return 0.0
-    n, k = params.n, params.k
-    inner, _ = quad(lambda s: s ** (n - 1) * float(b_star(s)), 0.0, r, limit=200)
-    if inner <= 0.0:
-        return 0.0
-    return math.exp((math.log(n / params.cnk) + (k - n) * math.log(r)
-                     + math.log(inner)) / k)
-
-
-def _fine_nodes(r_max: float) -> np.ndarray:
-    grid = RadialGrid.build(r_max, r_lin=min(10.0, r_max), nodes_per_decade=48)
-    return grid.refined(4)
-
-
-def growth_primitive(params: ProblemParams, b_star, r, refine: int = 4):
-    """integral_0^r J(s) ds for scalar or array r (pure quadrature).
-
-    The requested radii are merged into the integration nodes, so the
-    primitive is evaluated exactly where asked rather than interpolated.
-    """
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    r_top = float(rr.max())
-    if r_top == 0.0:
-        out = np.zeros_like(rr)
-        return float(out[0]) if np.isscalar(r) else out
-    fine = np.union1d(_fine_nodes(r_top), rr[rr > 0])
-    fine, _, _, primitive = linear_growth_tables(params, b_star, fine, refine=1)
-    out = np.interp(rr, fine, primitive)
-    return float(out[0]) if np.isscalar(r) else out
+    _, integrand, _ = linear_growth_tables(params, b_star, fine_nodes(r))
+    return float(integrand[-1])
 
 
 def compute_b_tilde(b_star, s, params: ProblemParams):
@@ -306,9 +278,8 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
                      r_max: float):
     """[0, r_max] part of I_osc by stacked quadrature; also returns the
     outer integrand value at r_max (for the tail estimate)."""
-    n, k = params.n, params.k
-    fine = _fine_nodes(r_max)
-    _, _, _, prim = linear_growth_tables(params, triple.b_star, fine, refine=1)
+    fine = fine_nodes(r_max)
+    _, _, prim = linear_growth_tables(params, triple.b_star, fine)
     power = params.k * params.gamma / (params.k - params.gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         btilde = (1.0 + prim) ** power
@@ -317,14 +288,8 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
         # while the growth factor overflows; the product is then taken as
         # zero (the verdict never depends on this finite part).
         integrand = np.where(osc_vals == 0.0, 0.0,
-                             fine ** (n - 1) * osc_vals * btilde)
-    inner = cumulative_values(integrand, fine)
-    outer = np.zeros_like(fine)
-    pos = (fine > 0) & (inner > 0)
-    with np.errstate(divide="ignore"):
-        outer[pos] = np.exp((math.log(n / params.cnk)
-                             + (k - n) * np.log(fine[pos])
-                             + np.log(inner[pos])) / k)
+                             fine ** (params.n - 1) * osc_vals * btilde)
+    outer = flux_slope(params, fine, cumulative_values(integrand, fine))
     finite = float(cumulative_values(outer, fine)[-1])
     return finite, float(outer[-1])
 
@@ -369,7 +334,7 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
     parts (same policy as the main criteria: no improper quadrature)."""
     k, n, gam = params.k, params.n, params.gamma
     est_star = tail_exponent_of(triple.b_star)
-    fine = _fine_nodes(r_max)
+    fine = fine_nodes(r_max)
 
     star_vals = np.asarray(triple.b_star(fine)) ** (1.0 / k)
     moment_finite = float(cumulative_values(fine * star_vals, fine)[-1])

@@ -32,8 +32,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import core
-from ._integrate import cumulative_values, panel_cumulative
+from ._integrate import panel_cumulative
 from .core import OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
+# linear_growth_tables is unused here but stays bound for callers that
+# reach it as ``solver.linear_growth_tables`` (perfbench/tracing.py does).
+from .envelope import flux_slope, growth_primitive, linear_growth_tables  # noqa: F401
 from .errors import (BlowupGuardError, CoefficientError, DomainTooLargeError,
                      IntegrationError)
 
@@ -307,15 +310,6 @@ class BreakLine:
     __call__ = eval
 
 
-def _slope_functional(params: ProblemParams, r: float, inner: float) -> float:
-    """F[r, psi] = (n r^(k-n) / C(n,k) * integral_0^r s^(n-1) b psi^gamma)^(1/k)."""
-    if r <= 0.0 or inner <= 0.0:
-        return 0.0
-    n, k = params.n, params.k
-    return math.exp((math.log(n / params.cnk) + (k - n) * math.log(r)
-                     + math.log(inner)) / k)
-
-
 def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float,
                    max_segments: int = 1 << 18) -> BreakLine:
     """Construct the explicit epsilon-approximate break line on [0, r_end].
@@ -329,7 +323,7 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if r_end <= 0:
         raise ValueError(f"r_end must be positive, got {r_end}")
-    n, k, gam, a = params.n, params.k, params.gamma, params.a
+    k, gam, a = params.k, params.gamma, params.a
     probe_r = np.linspace(0.0, r_end, 1025)
     probe_b = np.asarray(b(probe_r))
     if np.any(probe_b <= 0.0):
@@ -356,7 +350,7 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float,
 
 def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
                 r_flat: float, segments: int) -> Optional[BreakLine]:
-    n, gam, a = params.n, params.gamma, params.a
+    a = params.a
     if r_flat >= r_end:
         radii = np.array([0.0, r_end])
         values = np.array([a, a])
@@ -369,9 +363,9 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     slopes = np.zeros(radii.size - 1)
     values[0] = a
     values[1] = a  # end of the flat head
-    inner = _flat_head_inner(params, b, r_flat)
+    inner = _segment_inner(params, b, 0.0, r_flat, a, 0.0, cells=32)
     for i in range(1, radii.size - 1):
-        slope_i = _slope_functional(params, radii[i], inner)
+        slope_i = float(flux_slope(params, radii[i], inner))
         slopes[i] = slope_i
         values[i + 1] = values[i] + slope_i * (radii[i + 1] - radii[i])
         if values[i + 1] >= 2.0 * a:
@@ -383,19 +377,11 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     return BreakLine(radii, values, slopes, epsilon, r_flat)
 
 
-def _flat_head_inner(params: ProblemParams, b, r_flat: float) -> float:
-    if r_flat <= 0.0:
-        return 0.0
-    n, gam, a = params.n, params.gamma, params.a
-    nodes = np.linspace(0.0, r_flat, 33)
-    return float(panel_cumulative(
-        lambda s: s ** (n - 1) * np.asarray(b(s)) * a ** gam, nodes)[-1])
-
-
 def _segment_inner(params: ProblemParams, b, lo: float, hi: float,
-                   value_lo: float, slope: float) -> float:
+                   value_lo: float, slope: float, cells: int = 2) -> float:
+    """integral_lo^hi s^(n-1) b(s) psi(s)^gamma for the linear piece psi."""
     n, gam = params.n, params.gamma
-    nodes = np.linspace(lo, hi, 3)
+    nodes = np.linspace(lo, hi, cells + 1)
     return float(panel_cumulative(
         lambda s: s ** (n - 1) * np.asarray(b(s))
         * (value_lo + slope * (s - lo)) ** gam, nodes)[-1])
@@ -406,63 +392,27 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b,
     """Largest sampled |dpsi/dr - F[r, psi]| over the line.
 
     Samples interior points of every segment (the defect vanishes at the
-    left endpoints by construction) including the flat head.
+    left endpoints by construction) including the flat head.  The flux
+    integral runs in one quadrature pass over two cells per sample.
     """
     n, gam = params.n, params.gamma
-    worst = 0.0
-    inner = 0.0
-    for i in range(line.radii.size - 1):
-        lo, hi = line.radii[i], line.radii[i + 1]
-        samples = np.linspace(lo, hi, samples_per_segment + 1)[1:]
-        run = inner
-        prev = lo
-        for r in samples:
-            run += _segment_inner(params, b, prev, r, line.eval(prev)
-                                  if prev > lo else line.values[i],
-                                  line.slopes[i])
-            prev = r
-            defect = abs(line.slopes[i] - _slope_functional(params, r, run))
-            worst = max(worst, defect)
-        inner += _segment_inner(params, b, lo, hi, line.values[i], line.slopes[i])
-    return worst
+    cells = 2 * samples_per_segment
+    lo = line.radii[:-1, None]
+    sub = lo + np.diff(line.radii)[:, None] * (np.arange(1, cells + 1) / cells)
+    sub[:, -1] = line.radii[1:]
+    nodes = np.concatenate([line.radii[:1], sub.ravel()])
+    inner = panel_cumulative(
+        lambda s: s ** (n - 1) * np.asarray(b(s)) * line.eval(s) ** gam, nodes)
+    slopes = np.repeat(line.slopes, samples_per_segment)
+    return float(np.max(np.abs(slopes - flux_slope(params, nodes[2::2], inner[2::2]))))
 
 
 # ---------------------------------------------------------------------------
 # comparison route 2: pure quadrature for the growth envelope
 # ---------------------------------------------------------------------------
 
-def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray,
-                         refine: int = 6):
-    """Tables for the linearized growth envelope on refined ``nodes``.
-
-    Returns (fine, inner, integrand, primitive) with
-
-        inner(s)   = integral_0^s t^(n-1) b(t) dt,
-        integrand  = ( n s^(k-n) inner(s) / C(n,k) )^(1/k),
-        primitive  = integral_0^r integrand ds,
-
-    computed by fixed-panel quadrature and composite Simpson (no ODE
-    stepping anywhere on this route, so it is an independent oracle for
-    the solver).
-    """
-    n, k = params.n, params.k
-    grid_like = RadialGrid(nodes) if nodes[0] == 0.0 else None
-    fine = grid_like.refined(refine) if grid_like is not None else np.asarray(nodes)
-    inner = panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)), fine)
-    integrand = np.zeros_like(fine)
-    pos = fine > 0.0
-    with np.errstate(divide="ignore"):
-        integrand[pos] = np.exp((math.log(n / params.cnk)
-                                 + (k - n) * np.log(fine[pos])
-                                 + np.log(inner[pos])) / k)
-    primitive = cumulative_values(integrand, fine)
-    return fine, inner, integrand, primitive
-
-
-def solve_linear_rhs(params: ProblemParams, b, grid: RadialGrid,
-                     refine: int = 6) -> np.ndarray:
+def solve_linear_rhs(params: ProblemParams, b, grid: RadialGrid) -> np.ndarray:
     """Solution of the comparison problem with frozen right-hand side
     (u^gamma replaced by 1): ubar(r) at the grid nodes, by nested
     quadrature only."""
-    fine, _, _, primitive = linear_growth_tables(params, b, grid.nodes, refine)
-    return np.interp(grid.nodes, fine, primitive)
+    return growth_primitive(params, b, grid.nodes)

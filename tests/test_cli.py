@@ -84,6 +84,12 @@ class TestProblemSpec:
             (lambda d: d["coefficient"].update(kind="mystery"), "kind"),
             (lambda d: d["coefficient"].update(l=2.0), "not a parameter"),
             (lambda d: d.update(grid={"r_max": -5.0}), "r_max"),
+            (lambda d: d.update(a=float("inf")), "spec.a: expected a finite number"),
+            (lambda d: d.update(grid={"r_max": float("inf")}),
+             "spec.grid.r_max: expected a finite number"),
+            (lambda d: d.update(coefficient={"kind": "power_tail", "l": float("nan")}),
+             "spec.coefficient.l: expected a finite number"),
+            (lambda d: d.update(a=10**400), "spec.a: expected a finite number, got 1000"),
         ],
     )
     def test_validation_messages_name_the_field(self, mutate, fragment):
@@ -156,6 +162,14 @@ class TestSolveCommand:
 
 
 class TestClassifyCommand:
+    def test_non_finite_spec_number_exits_invalid(self, tmp_path, capsys):
+        # json writes NaN for float("nan"); a NaN tail must never reach the
+        # classifier, where it compares false against every threshold.
+        raw = _constant_spec(coefficient={"kind": "power_tail", "l": float("nan")})
+        spec_path = _write(tmp_path, "spec.json", raw)
+        assert cli.main(["classify", spec_path]) == EXIT_INVALID
+        assert "spec.coefficient.l" in capsys.readouterr().err
+
     def test_counterexample_payload(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
         out_path = tmp_path / "classify.json"

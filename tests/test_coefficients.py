@@ -1,5 +1,7 @@
 """Radial profiles, sphere sampling, fields and radialized envelopes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,15 @@ class TestRadialProfile:
         q = 4.0 + 9.0
         assert b(r) == pytest.approx(4.0 * (q**-0.5 + 0.5 * q**-1.5), rel=1e-14)
         assert b.tail_exponent == 1.0  # min(l, m)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(l=math.nan), dict(l=math.inf), dict(l=1.0, m=math.nan, A=0.5),
+         dict(l=1.0, m=3.0, A=math.inf)],
+    )
+    def test_power_tail_rejects_non_finite(self, kwargs):
+        with pytest.raises(CoefficientError, match="finite"):
+            RadialProfile.power_tail(**kwargs)
 
     def test_power_tail_positivity_guard(self):
         # A large negative perturbation makes the profile dip below zero.

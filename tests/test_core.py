@@ -129,6 +129,8 @@ class TestProblemParams:
             dict(n=3, k=1, gamma=-0.5),
             dict(n=3, k=1, gamma=0.5, a=0.0),
             dict(n=3, k=1, gamma=0.5, a=-1.0),
+            dict(n=3, k=1, gamma=0.5, a=math.inf),
+            dict(n=3, k=1, gamma=0.5, a=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
@@ -170,6 +172,11 @@ class TestRadialGrid:
             RadialGrid.build(-1.0)
         with pytest.raises(ParameterError):
             RadialGrid.build(10.0, nodes_per_decade=2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                RadialGrid.build(bad)
+            with pytest.raises(ParameterError):
+                RadialGrid.build(10.0, r_lin=bad)
         with pytest.raises(ParameterError):
             RadialGrid(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ParameterError):

@@ -1,5 +1,8 @@
 """Existence classification, oscillation smallness, moment conditions."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from hessianls.criteria import (
     tail_exponent_of,
 )
 from hessianls.errors import ParameterError
-from hessianls.solver import solve_cauchy, solve_linear_rhs
+from hessianls.solver import solve_cauchy
 
 B_ONE = RadialProfile.constant(1.0)
 
@@ -107,14 +110,34 @@ class TestGrowthIntegrand:
         )
         assert growth_primitive(laplace_params, B_ONE, 2.0) == pytest.approx(4.0 / 6.0, rel=1e-9)
 
-    def test_primitive_matches_linear_solver(self, laplace_params):
-        b = RadialProfile.power_tail(1.0)
-        grid = RadialGrid.build(100.0, nodes_per_decade=16)
-        via_solver = solve_linear_rhs(laplace_params, b, grid)
-        via_primitive = growth_primitive(laplace_params, b, grid.nodes)
-        # Two independent discretizations of the same quadrature: they
-        # agree to their respective Simpson errors, not to rounding.
-        np.testing.assert_allclose(via_primitive, via_solver, rtol=1e-4, atol=1e-12)
+    @pytest.mark.parametrize("n,k,l", [(3, 1, 1.0), (5, 2, 1.0), (6, 3, 2.5)])
+    def test_power_tail_matches_mpmath(self, n, k, l):
+        # For b = (1 + r^2)^(-l/2) the inner integral is hypergeometric,
+        #   integral_0^r s^(n-1) b = r^n/n 2F1(l/2, n/2; n/2 + 1; -r^2),
+        # so J(r) = (r^k 2F1(...) / C(n,k))^(1/k); its primitive is taken
+        # by mpmath's adaptive quadrature at 20 digits.
+        params = ProblemParams(n=n, k=k, gamma=k / 2.0)
+        b = RadialProfile.power_tail(l)
+        with mpmath.workdps(20):
+            def j_ref(r):
+                f = mpmath.hyp2f1(l / 2.0, n / 2.0, n / 2.0 + 1, -r * r)
+                return (r ** k * f / math.comb(n, k)) ** (mpmath.mpf(1) / k)
+
+            for r_end in (7.0, 100.0):
+                j_exact = float(j_ref(mpmath.mpf(r_end)))
+                prim_exact = float(mpmath.quad(j_ref, [0, 1, 10, r_end]))
+                assert keller_osserman_integrand(b, r_end, params) == pytest.approx(
+                    j_exact, rel=1e-12)
+                assert growth_primitive(params, b, r_end) == pytest.approx(
+                    prim_exact, rel=1e-7)
+
+    def test_primitive_on_grid_with_near_coincident_nodes(self, laplace_params):
+        # 32 nodes per decade puts grid nodes one rounding error away from
+        # the integration nodes; merging both must not cost accuracy.
+        grid = RadialGrid.build(1e3, nodes_per_decade=32)
+        np.testing.assert_allclose(
+            growth_primitive(laplace_params, B_ONE, grid.nodes), grid.nodes**2 / 6.0,
+            rtol=1e-12, atol=1e-14)
 
 
 class TestBTilde:

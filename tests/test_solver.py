@@ -162,6 +162,19 @@ class TestEulerPolyline:
         assert line.eval(line.r_flat / 2) == laplace_params.a
         assert breakline_defect(line, laplace_params, B_ONE) < 1e-2
 
+    @pytest.mark.parametrize(
+        "n,k,gamma,counts",
+        [(3, 1, 0.5, (33, 257, 2049)), (4, 2, 1.0, (33, 257, 4097))],
+    )
+    def test_segment_counts_pinned(self, n, k, gamma, counts):
+        # Segments (flat head included) of the accepted partition for
+        # epsilon = 1e-2, 1e-3, 1e-4; b = 1 on [0, 1/2].
+        params = ProblemParams(n=n, k=k, gamma=gamma)
+        for epsilon, count in zip((1e-2, 1e-3, 1e-4), counts):
+            line = euler_polyline(params, B_ONE, r_end=0.5, epsilon=epsilon)
+            assert line.radii.size - 1 == count
+            assert breakline_defect(line, params, B_ONE) < epsilon
+
     def test_stays_in_box(self, laplace_params):
         line = euler_polyline(laplace_params, B_ONE, r_end=0.5, epsilon=1e-3)
         vals = line.eval(np.linspace(0, 0.5, 200))
