@@ -384,6 +384,9 @@ def _sweep_cell(payload):
     raw, base_dir, fit_rates = payload
     row = {col: "" for col in _SWEEP_COLUMNS}
     try:
+        # Raw values first, so a cell that fails validation still names itself.
+        row.update({col: raw.get(col, "") for col in ("n", "k", "gamma", "a")})
+        row.update({col: raw["coefficient"].get(col, "") for col in ("kind", "l", "m")})
         spec = ProblemSpec.from_dict(raw, base_dir=base_dir)
         row.update({"n": spec.params.n, "k": spec.params.k,
                     "gamma": spec.params.gamma, "a": spec.params.a,

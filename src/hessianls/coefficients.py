@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +30,14 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Probe radii used to certify positivity of closed-form profiles.
 _POSITIVITY_PROBES = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, 57)])
+
+
+def _one_per_point(values, count: int, source: str) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
+    if out.shape != (count,):
+        raise CoefficientError(f"{source} must return one value per point: "
+                               f"expected shape {(count,)}, got {out.shape}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,7 @@ class RadialProfile:
 
     @classmethod
     def from_callable(cls, func: Callable, tail_exponent: Optional[float] = None) -> "RadialProfile":
+        """Profile b(r) = func(r); ``func`` maps a 1-d array of radii to one value each."""
         return cls(kind="callable", func=func,
                    tail_exponent=None if tail_exponent is None else float(tail_exponent))
 
@@ -149,9 +159,7 @@ class RadialProfile:
         elif self.kind == "tabulated":
             out = self._eval_table(rr)
         elif self.kind == "callable":
-            out = np.asarray(self.func(rr), dtype=float)
-            if out.shape != rr.shape:
-                out = np.array([float(self.func(x)) for x in rr])
+            out = _one_per_point(self.func(rr), rr.size, "callable profile")
         elif self.kind == "zero":
             out = np.zeros_like(rr)
         else:  # pragma: no cover - constructors forbid this
@@ -160,43 +168,37 @@ class RadialProfile:
 
     __call__ = eval
 
+    @cached_property
+    def _log_table(self):
+        """log r, log b and the per-cell log-log flag of a tabulated profile."""
+        r_tab, b_tab = self.radii, self.values
+        with np.errstate(divide="ignore"):
+            log_r, log_b = np.log(r_tab), np.log(b_tab)
+        loggable = (r_tab[:-1] > 0) & (b_tab[:-1] > 0) & (b_tab[1:] > 0)
+        return log_r, log_b, loggable
+
     def _eval_table(self, rr: np.ndarray) -> np.ndarray:
-        r_tab = self.radii
-        b_tab = self.values
-        out = np.empty_like(rr)
+        r_tab, b_tab = self.radii, self.values
+        log_r, log_b, loggable = self._log_table
         beyond = rr > r_tab[-1]
+        if self.tail_exponent is None and np.any(beyond):
+            raise ProfileRangeError(
+                f"radius {float(rr[beyond][0]):g} beyond tabulated range "
+                f"{r_tab[-1]:g} and no tail exponent declared")
+        if np.any(rr < r_tab[0]):
+            raise ProfileRangeError(
+                f"radius {float(rr.min()):g} below tabulated range {r_tab[0]:g}")
+        lo = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
+        hi = lo + 1
+        # Non-log-log cells and points beyond the table give inf/nan here; both are replaced.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = (rr - r_tab[lo]) / (r_tab[hi] - r_tab[lo])
+            linear = b_tab[lo] + w * (b_tab[hi] - b_tab[lo])
+            lw = (np.log(rr) - log_r[lo]) / (log_r[hi] - log_r[lo])
+            loglog = np.exp(log_b[lo] + lw * (log_b[hi] - log_b[lo]))
+        out = np.where(loggable[lo], loglog, linear)
         if np.any(beyond):
-            if self.tail_exponent is None:
-                raise ProfileRangeError(
-                    f"radius {float(rr[beyond][0]):g} beyond tabulated range "
-                    f"{r_tab[-1]:g} and no tail exponent declared")
             out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-self.tail_exponent)
-        inside = ~beyond
-        ri = rr[inside]
-        if ri.size:
-            if ri.size and np.any(ri < r_tab[0]):
-                raise ProfileRangeError(
-                    f"radius {float(ri.min()):g} below tabulated range {r_tab[0]:g}")
-            idx = np.clip(np.searchsorted(r_tab, ri, side="right") - 1, 0, r_tab.size - 2)
-            lo_r, hi_r = r_tab[idx], r_tab[idx + 1]
-            lo_b, hi_b = b_tab[idx], b_tab[idx + 1]
-            w = np.where(hi_r > lo_r, (ri - lo_r) / np.where(hi_r > lo_r, hi_r - lo_r, 1.0), 0.0)
-            linear = lo_b + w * (hi_b - lo_b)
-            loggable = (lo_r > 0) & (lo_b > 0) & (hi_b > 0)
-            vals = linear
-            if np.any(loggable):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lw = np.where(loggable,
-                                  (np.log(np.maximum(ri, 1e-300)) - np.log(np.maximum(lo_r, 1e-300)))
-                                  / np.where(hi_r > lo_r, np.log(hi_r) - np.log(np.maximum(lo_r, 1e-300)), 1.0),
-                                  0.0)
-                    loglog = np.where(loggable,
-                                      np.exp(np.log(np.maximum(lo_b, 1e-300))
-                                             + lw * (np.log(np.maximum(hi_b, 1e-300))
-                                                     - np.log(np.maximum(lo_b, 1e-300)))),
-                                      0.0)
-                vals = np.where(loggable, loglog, linear)
-            out[inside] = vals
         return out
 
     @property
@@ -497,16 +499,6 @@ def triple_from_radial(profile: RadialProfile) -> RadializedTriple:
     return RadializedTriple(profile, profile, RadialProfile.zero())
 
 
-def _eval_field(field, points: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(field(points), dtype=float)
-        if vals.shape == (points.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(field(p)) for p in points])
-
-
 def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTriple:
     """Tabulate the spherical envelopes of ``field`` on ``grid``.
 
@@ -523,13 +515,13 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     nodes = grid.nodes
     star = np.empty(nodes.size)
     upper = np.empty(nodes.size)
-    center = _eval_field(field, np.zeros((1, dim)))[0]
+    center = _one_per_point(field(np.zeros((1, dim))), 1, "field")[0]
     if center <= 0:
         raise CoefficientError("field must be positive at the origin")
     star[0] = upper[0] = center
     for i in range(1, nodes.size):
         pts = nodes[i] * sphere_points(dim, sphere_count, radius_index=i)
-        vals = _eval_field(field, pts)
+        vals = _one_per_point(field(pts), sphere_count, "field")
         if np.any(vals <= 0):
             raise CoefficientError(f"field must be positive; found min {vals.min():g} "
                                    f"at radius {nodes[i]:g}")

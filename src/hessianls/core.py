@@ -174,15 +174,12 @@ class RadialGrid:
         (geometric inside log cells, linear near the origin)."""
         if factor <= 1:
             return self.nodes
-        out = [np.array([0.0])]
-        r = self.nodes
-        for lo, hi in zip(r[:-1], r[1:]):
-            if lo > 0 and hi / lo > 1.02:
-                seg = np.geomspace(lo, hi, factor + 1)[1:]
-            else:
-                seg = np.linspace(lo, hi, factor + 1)[1:]
-            out.append(seg)
-        return np.concatenate(out)
+        lo, hi = self.nodes[:-1], self.nodes[1:]
+        cells = np.linspace(lo, hi, factor + 1, axis=1)
+        with np.errstate(divide="ignore"):
+            geo = (lo > 0) & (hi / lo > 1.02)
+        cells[geo] = np.geomspace(lo[geo], hi[geo], factor + 1, axis=1)
+        return np.concatenate([[0.0], cells[:, 1:].ravel()])
 
 
 @dataclass

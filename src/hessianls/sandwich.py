@@ -27,7 +27,7 @@ from .coefficients import RadializedTriple
 from .core import ProblemParams, RadialCurve, RadialGrid
 from .criteria import (OscillationReport, bounded_solution_bound,
                        growth_primitive, oscillation_condition)
-from .errors import OrderingError, OscillationError
+from .errors import OrderingError, OscillationError, ParameterError
 from .solver import solve_cauchy, write_curve_csv
 
 
@@ -102,6 +102,9 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
     ordering fails anyway the OrderingError reports the violating radius
     and a suggested larger margin.
     """
+    for name, value in (("beta", beta), ("margin", margin)):
+        if value is not None and not np.isfinite(value):
+            raise ParameterError(f"{name} must be a finite number, got {value}")
     osc = oscillation_condition(triple, params, r_max=grid.r_max)
     if beta is None:
         if not osc.satisfied:

@@ -154,6 +154,10 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
     guard.direction = 1.0
 
     y0 = (float(series.u(r_s)), float(series.moment(r_s)))
+    if not np.all(np.isfinite(y0)):
+        raise BlowupGuardError(f"the series start at r = {r_s:g} overflows (u = {y0[0]:g}, "
+                               f"M = {y0[1]:g}); the coefficient or the center value is too large",
+                               r=r_s, u=y0[0], moment=y0[1])
     atol = np.array([abs_tol * max(1.0, params.a), max(rel_tol * 1e-2 * y0[1], 1e-290)])
     sol = solve_ivp(rhs, (r_s, grid.r_max), y0, method="RK45",
                     rtol=rel_tol, atol=atol, dense_output=True, events=[guard])

@@ -161,6 +161,14 @@ class TestSolveCommand:
         assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
 
 
+    def test_series_start_overflow_exit_code(self, tmp_path, capsys):
+        # The r^2 term of the series start overflows before any step.
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            k=3, coefficient={"kind": "constant", "value": 1e305}))
+        assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
+        assert "series start" in capsys.readouterr().err
+
+
 class TestClassifyCommand:
     def test_non_finite_spec_number_exits_invalid(self, tmp_path, capsys):
         # json writes NaN for float("nan"); a NaN tail must never reach the
@@ -234,6 +242,19 @@ class TestSandwichCommand:
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
         assert cli.main(["sandwich", spec_path, "--beta", "1.5"]) == EXIT_ORDERING
         assert "ordering" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, option", [
+        (["--beta", "nan"], "beta"),
+        (["--beta", "inf"], "beta"),
+        (["--margin", "nan"], "margin"),
+        (["--beta", "3", "--margin", "inf"], "margin"),
+    ])
+    def test_non_finite_option_exits_invalid(self, tmp_path, capsys, args, option):
+        spec_path = _write(tmp_path, "spec.json", _constant_spec())
+        out_dir = tmp_path / "sw"
+        assert cli.main(["sandwich", spec_path, "--out", str(out_dir), *args]) == EXIT_INVALID
+        assert f"error: {option} must be a finite number" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_anisotropic_auto_build(self, tmp_path, capsys):
         raw = {
@@ -345,6 +366,20 @@ class TestSweepCommand:
             rows = list(csv.DictReader(handle))
         assert rows[0]["error"] == ""
         assert "gamma" in rows[1]["error"]
+
+    def test_rejected_cell_row_names_the_cell(self, tmp_path):
+        spec_path = self._template(tmp_path)
+        out_path = tmp_path / "sweep.csv"
+        code = cli.main(
+            ["sweep", spec_path, "--vary", "l=nan,1", "--no-rates", "--out", str(out_path)]
+        )
+        assert code == EXIT_OK
+        with open(out_path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [rows[0][col] for col in ("n", "k", "gamma", "kind", "l")] == [
+            "3", "1", "0.5", "power_tail", "nan"]
+        assert rows[0]["error"].startswith("ParameterError: spec.coefficient.l")
+        assert rows[1]["l"] == "1.0" and rows[1]["error"] == ""
 
     def test_deterministic_across_job_counts(self, tmp_path, monkeypatch):
         spec_path = self._template(tmp_path)

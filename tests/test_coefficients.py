@@ -1,5 +1,6 @@
 """Radial profiles, sphere sampling, fields and radialized envelopes."""
 
+import bisect
 import math
 
 import numpy as np
@@ -120,6 +121,32 @@ class TestTabulatedProfile:
             RadialProfile.tabulated([0.0, 1.0], [0.0, 1.0])
         ok = RadialProfile.tabulated([0.0, 1.0], [0.0, 1.0], strictly_positive=False)
         assert ok(0.0) == 0.0
+
+    @staticmethod
+    def _reference(r_tab, b_tab, tail, x):
+        """Per-point table interpolation written out with bisect and math."""
+        if x > r_tab[-1]:
+            return b_tab[-1] * (x / r_tab[-1]) ** (-tail)
+        i = min(bisect.bisect_right(r_tab, x) - 1, len(r_tab) - 2)
+        r0, r1, b0, b1 = r_tab[i], r_tab[i + 1], b_tab[i], b_tab[i + 1]
+        if r0 > 0 and b0 > 0 and b1 > 0:
+            t = (math.log(x) - math.log(r0)) / (math.log(r1) - math.log(r0))
+            return math.exp(math.log(b0) + t * (math.log(b1) - math.log(b0)))
+        return b0 + (x - r0) / (r1 - r0) * (b1 - b0)
+
+    def test_matches_per_point_reference(self):
+        # Starts at r = 0, has zero values (cells with a zero end are
+        # linear), positive log-log cells and a declared tail.
+        r_tab = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0, 100.0]
+        b_tab = [2.0, 1.5, 0.0, 0.0, 0.7, 1.2, 0.3, 0.31, 0.02, 0.01]
+        b = RadialProfile.tabulated(r_tab, b_tab, tail_exponent=1.5,
+                                    strictly_positive=False)
+        rng = np.random.default_rng(3)
+        inside = rng.uniform(np.array(r_tab[:-1]), np.array(r_tab[1:]), (4, 9)).ravel()
+        probe = np.concatenate([r_tab, inside, [100.0 * (1 + 1e-12), 150.0, 1e4]])
+        expected = [self._reference(r_tab, b_tab, 1.5, float(x)) for x in probe]
+        np.testing.assert_allclose(b(probe), expected, rtol=1e-13, atol=0.0)
+        assert [b(float(x)) for x in probe] == list(b(probe))
 
     def test_csv_roundtrip_exact(self, tmp_path):
         r_tab = np.geomspace(0.31, 977.0, 33)
@@ -279,6 +306,38 @@ class TestRadialize:
         grid = RadialGrid.build(10.0)
         with pytest.raises(CoefficientError):
             radialize(field, grid, sphere_count=8)
+
+    def test_field_contract(self):
+        # A field returns one value per point; anything else is rejected
+        # with both shapes named, and the field's own errors propagate.
+        grid = RadialGrid.build(10.0)
+
+        class Field:
+            dim = 3
+
+            def __init__(self, fn):
+                self.fn = fn
+
+            def __call__(self, points):
+                return self.fn(points)
+
+        with pytest.raises(CoefficientError, match=r"expected shape \(1,\), got \(1, 1\)"):
+            radialize(Field(lambda p: np.ones((len(p), 1))), grid, sphere_count=32)
+        with pytest.raises(CoefficientError, match=r"expected shape \(32,\), got \(\)"):
+            radialize(Field(lambda p: np.ones(1) if len(p) == 1 else 2.0), grid,
+                      sphere_count=32)
+        with pytest.raises(ZeroDivisionError):
+            radialize(Field(lambda p: 1.0 / 0.0), grid, sphere_count=32)
+
+    def test_callable_contract(self):
+        b = RadialProfile.from_callable(lambda r: 2.0 + 0.0 * np.asarray(r))
+        np.testing.assert_array_equal(b(np.array([0.0, 1.0])), [2.0, 2.0])
+        assert b(1.0) == 2.0
+        flat = RadialProfile.from_callable(lambda r: 2.0)
+        with pytest.raises(CoefficientError, match=r"expected shape \(3,\), got \(\)"):
+            flat(np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(CoefficientError, match=r"expected shape \(1,\), got \(\)"):
+            flat(1.0)
 
     def test_triple_from_radial(self):
         b = RadialProfile.power_tail(2.0)

@@ -191,6 +191,20 @@ class TestRadialGrid:
         for r in g.nodes:
             assert np.any(np.isclose(fine, r, rtol=1e-13, atol=1e-300))
 
+    @pytest.mark.parametrize("r_max, r_lin, npd", [
+        (5.0, 10.0, 8), (1e3, 10.0, 16), (1e4, 10.0, 48), (1e6, 0.5, 32), (37.0, 10.0, 96),
+    ])
+    @pytest.mark.parametrize("factor", [2, 4, 7])
+    def test_refined_matches_per_cell_loop(self, r_max, r_lin, npd, factor):
+        # Reference: geometric sub-nodes in cells with lo > 0 and
+        # hi/lo > 1.02, linear ones elsewhere, one cell at a time.
+        g = RadialGrid.build(r_max, r_lin=r_lin, nodes_per_decade=npd)
+        expected = [np.array([0.0])]
+        for lo, hi in zip(g.nodes[:-1], g.nodes[1:]):
+            space = np.geomspace if lo > 0 and hi / lo > 1.02 else np.linspace
+            expected.append(space(lo, hi, factor + 1)[1:])
+        np.testing.assert_array_equal(g.refined(factor), np.concatenate(expected))
+
     def test_refined_factor_one_is_identity(self):
         g = RadialGrid.build(100.0)
         assert g.refined(1) is g.nodes
