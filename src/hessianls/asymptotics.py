@@ -87,10 +87,6 @@ class FitResult:
     window: tuple
     npoints: int
 
-    def to_dict(self) -> dict:
-        return {"exponent": self.exponent, "stderr": self.stderr,
-                "window": list(self.window), "npoints": self.npoints}
-
 
 def fit_exponent(r, values, lo: Optional[float] = None,
                  hi: Optional[float] = None) -> FitResult:
@@ -126,22 +122,12 @@ class RatesReport:
     status: str  # "ok" | "inconclusive"
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_expected": self.alpha_expected,
-            "fits": {name: fit.to_dict() for name, fit in self.fits.items()},
-            "amplitude_ratio": self.amplitude_ratio,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
 
-
-def verify_rates(curve: RadialCurve, params: ProblemParams, l: float,
-                 stderr_cap: float = MAX_FIT_STDERR) -> RatesReport:
+def verify_rates(curve: RadialCurve, params: ProblemParams, l: float) -> RatesReport:
     """Fit the growth rates of a solved curve over its last two decades.
 
     The report is "inconclusive" (never a hard failure) when any fit has
-    standard error above ``stderr_cap``, or when a derivative is not
+    standard error above ``MAX_FIT_STDERR``, or when a derivative is not
     positive on the window (possible outside the unbounded regime).
     """
     alpha = expected_rate(params, l)
@@ -159,8 +145,8 @@ def verify_rates(curve: RadialCurve, params: ProblemParams, l: float,
             continue
         fit = fit_exponent(r, values, lo=lo, hi=hi)
         fits[name] = fit
-        if fit.stderr > stderr_cap:
-            notes.append(f"{name} fit stderr {fit.stderr:.3g} exceeds {stderr_cap:g}")
+        if fit.stderr > MAX_FIT_STDERR:
+            notes.append(f"{name} fit stderr {fit.stderr:.3g} exceeds {MAX_FIT_STDERR:g}")
             status = "inconclusive"
     window = (r >= lo) & (r <= hi) & (r > 0)
     scaled = curve.u[window] / r[window] ** alpha

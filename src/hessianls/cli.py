@@ -30,11 +30,11 @@ import numpy as np
 
 from . import verify as verify_mod
 from .asymptotics import expected_rate, verify_rates
-from .coefficients import (RadialProfile, load_profile_csv, make_builtin_field,
+from .coefficients import (BUILTIN_FIELDS, RadialProfile, load_profile_csv,
                            radialize, triple_from_radial)
 from .core import ProblemParams, RadialGrid, gamma_k_membership
 from .criteria import (INCONCLUSIVE, classify_existence, jensen_conditions,
-                       oscillation_condition, tail_exponent_of)
+                       oscillation_condition)
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
@@ -54,10 +54,6 @@ JOBS_ENV = "HESSIANLS_JOBS"
 # ---------------------------------------------------------------------------
 # specification parsing
 # ---------------------------------------------------------------------------
-
-_RADIAL_KINDS = ("constant", "power_tail", "tabulated")
-_FIELD_KINDS = ("builtin_field",)
-
 
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
@@ -81,6 +77,35 @@ def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+_REQUIRED = object()  # a parameter without a default
+
+# Every coefficient a spec can name: the radial kinds by "kind", the
+# non-radial builtin fields by "name".  Each maps to its constructor and its
+# parameters, name -> (coercion, default).  A None default marks an optional
+# parameter: absent or null, it stays out of the canonical spec and the
+# constructor's own default applies.
+_RADIAL_KINDS = {
+    "constant": (RadialProfile.constant, {"value": (_as_number, 1.0)}),
+    "power_tail": (RadialProfile.power_tail, {
+        "l": (_as_number, _REQUIRED), "m": (_as_number, None), "A": (_as_number, 0.0),
+        "r0": (_as_number, 1.0), "scale": (_as_number, 1.0)}),
+    "tabulated": (load_profile_csv, {
+        "path": (_as_str, _REQUIRED), "tail_exponent": (_as_number, None)}),
+}
+_BUILTIN_FIELDS = {
+    "counterexample": (BUILTIN_FIELDS["counterexample"], {}),
+    "anisotropic_power": (BUILTIN_FIELDS["anisotropic_power"], {
+        "l": (_as_number, _REQUIRED), "m": (_as_number, _REQUIRED),
+        "amp": (_as_number, 1.0), "dim": (_as_int, 3)}),
+}
 
 
 @dataclass(frozen=True)
@@ -127,63 +152,32 @@ class ProblemSpec:
         return cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
                    tolerances=tolerances, base_dir=base_dir)
 
-    _COEFF_KEYS = {
-        "constant": {"kind", "value"},
-        "power_tail": {"kind", "l", "m", "A", "r0", "scale"},
-        "tabulated": {"kind", "path", "tail_exponent"},
-        "builtin_field": {"kind", "name", "l", "m", "amp", "dim"},
-    }
-
-    @classmethod
-    def _canonical_coefficient(cls, raw) -> dict:
+    @staticmethod
+    def _canonical_coefficient(raw) -> dict:
+        path = "spec.coefficient"
         if not isinstance(raw, dict):
-            raise ParameterError("spec.coefficient: expected an object")
-        kind = _need(raw, "kind", "spec.coefficient")
-        allowed = cls._COEFF_KEYS.get(kind)
-        if allowed is not None:
-            extra = sorted(set(raw) - allowed)
-            if extra:
-                raise ParameterError(
-                    f"spec.coefficient.{extra[0]}: not a parameter of kind {kind!r}")
-        if kind == "constant":
-            return {"kind": "constant",
-                    "value": _as_number(raw.get("value", 1.0),
-                                        "spec.coefficient.value")}
-        if kind == "power_tail":
-            out = {"kind": "power_tail",
-                   "l": _as_number(_need(raw, "l", "spec.coefficient"),
-                                   "spec.coefficient.l"),
-                   "A": _as_number(raw.get("A", 0.0), "spec.coefficient.A"),
-                   "r0": _as_number(raw.get("r0", 1.0), "spec.coefficient.r0"),
-                   "scale": _as_number(raw.get("scale", 1.0),
-                                       "spec.coefficient.scale")}
-            if out["A"] != 0.0 or "m" in raw:
-                out["m"] = _as_number(_need(raw, "m", "spec.coefficient"),
-                                      "spec.coefficient.m")
-            return out
-        if kind == "tabulated":
-            out = {"kind": "tabulated",
-                   "path": str(_need(raw, "path", "spec.coefficient"))}
-            if raw.get("tail_exponent") is not None:
-                out["tail_exponent"] = _as_number(raw["tail_exponent"],
-                                                  "spec.coefficient.tail_exponent")
-            return out
+            raise ParameterError(f"{path}: expected an object")
+        kind = _as_str(_need(raw, "kind", path), f"{path}.kind")
         if kind == "builtin_field":
-            name = str(_need(raw, "name", "spec.coefficient"))
-            out = {"kind": "builtin_field", "name": name}
-            if name == "anisotropic_power":
-                out["l"] = _as_number(_need(raw, "l", "spec.coefficient"),
-                                      "spec.coefficient.l")
-                out["m"] = _as_number(_need(raw, "m", "spec.coefficient"),
-                                      "spec.coefficient.m")
-                out["amp"] = _as_number(raw.get("amp", 1.0), "spec.coefficient.amp")
-                out["dim"] = _as_int(raw.get("dim", 3), "spec.coefficient.dim")
-            elif name != "counterexample":
-                raise ParameterError(f"spec.coefficient.name: unknown builtin "
-                                     f"field {name!r}")
-            return out
-        raise ParameterError(f"spec.coefficient.kind: unknown kind {kind!r} "
-                             f"(expected one of {_RADIAL_KINDS + _FIELD_KINDS})")
+            name = _as_str(_need(raw, "name", path), f"{path}.name")
+            out = {"kind": kind, "name": name}
+            if name not in _BUILTIN_FIELDS:
+                raise ParameterError(f"{path}.name: unknown builtin field {name!r}")
+            table, owner = _BUILTIN_FIELDS[name][1], f"builtin field {name!r}"
+        elif kind in _RADIAL_KINDS:
+            out = {"kind": kind}
+            table, owner = _RADIAL_KINDS[kind][1], f"kind {kind!r}"
+        else:
+            raise ParameterError(f"{path}.kind: unknown kind {kind!r} (expected one "
+                                 f"of {(*_RADIAL_KINDS, 'builtin_field')})")
+        extra = sorted(set(raw) - set(out) - set(table))
+        if extra:
+            raise ParameterError(f"{path}.{extra[0]}: not a parameter of {owner}")
+        for key, (coerce, default) in table.items():
+            value = _need(raw, key, path) if default is _REQUIRED else raw.get(key, default)
+            if value is not None or default is not None:
+                out[key] = coerce(value, f"{path}.{key}")
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -204,31 +198,23 @@ class ProblemSpec:
         return self.coefficient["kind"] in _RADIAL_KINDS
 
     def radial_profile(self) -> RadialProfile:
-        c = self.coefficient
-        kind = c["kind"]
-        if kind == "constant":
-            return RadialProfile.constant(c["value"])
-        if kind == "power_tail":
-            return RadialProfile.power_tail(l=c["l"], m=c.get("m"), A=c["A"],
-                                            r0=c["r0"], scale=c["scale"])
-        if kind == "tabulated":
-            path = c["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(self.base_dir, path)
-            return load_profile_csv(path, tail_exponent=c.get("tail_exponent"))
-        raise ParameterError(f"spec.coefficient: kind {kind!r} is not a radial "
-                             f"profile; use classify/sandwich for fields")
+        kwargs = dict(self.coefficient)
+        kind = kwargs.pop("kind")
+        if kind not in _RADIAL_KINDS:
+            raise ParameterError(f"spec.coefficient: kind {kind!r} is not a radial "
+                                 f"profile; use classify/sandwich for fields")
+        if "path" in kwargs:  # relative to the spec file (join keeps absolute paths)
+            kwargs["path"] = os.path.join(self.base_dir, kwargs["path"])
+        return _RADIAL_KINDS[kind][0](**kwargs)
 
     def make_field(self):
-        c = dict(self.coefficient)
-        kind = c.pop("kind")
-        if kind != "builtin_field":
+        kwargs = dict(self.coefficient)
+        if kwargs.pop("kind") != "builtin_field":
             raise ParameterError("spec.coefficient: not a non-radial field")
-        name = c.pop("name")
-        fieldobj = make_builtin_field(name, **c)
-        if getattr(fieldobj, "dim", None) != self.params.n:
+        fieldobj = _BUILTIN_FIELDS[kwargs.pop("name")][0](**kwargs)
+        if fieldobj.dim != self.params.n:
             raise ParameterError(
-                f"spec.coefficient: field dimension {getattr(fieldobj, 'dim', None)} "
+                f"spec.coefficient: field dimension {fieldobj.dim} "
                 f"does not match n = {self.params.n}")
         return fieldobj
 
@@ -262,9 +248,6 @@ def _out_path(args_out, spec_path, suffix):
 
 def cmd_solve(args) -> int:
     spec = load_spec(args.spec)
-    if not spec.is_radial():
-        raise ParameterError("spec.coefficient: solve needs a radial coefficient "
-                             "(constant, power_tail or tabulated)")
     profile = spec.radial_profile()
     grid = spec.grid()
     curve = solve_cauchy(spec.params, profile, grid,
@@ -302,12 +285,11 @@ def cmd_classify(args) -> int:
                                  r_max=spec.grid_cfg["r_max"])
     osc = oscillation_condition(triple, spec.params, r_max=spec.grid_cfg["r_max"])
     jensen = jensen_conditions(triple, spec.params, r_max=spec.grid_cfg["r_max"])
-    est_star = tail_exponent_of(triple.b_star)
     thresholds = {
-        "l": None if est_star is None else est_star.exponent,
+        "l": verdict.tail_exponent,
         "m": osc.tail_osc,
         "m_star": osc.m_star,
-        "existence_threshold": 2.0 * spec.params.k,
+        "existence_threshold": verdict.threshold,
     }
     payload = {
         "existence_verdict": verdict.to_dict(),
@@ -365,15 +347,16 @@ _SWEEP_COLUMNS = ("n", "k", "gamma", "a", "kind", "l", "m", "verdict",
                   "fit_stderr", "amplitude_ratio", "error")
 
 
-def _apply_override(raw: dict, name: str, value: float) -> dict:
+def _apply_override(raw: dict, name: str, value) -> dict:
+    """The spec ``raw`` with ``name`` set to ``value``; validation is left
+    to ProblemSpec.from_dict, as for a spec file."""
     out = json.loads(json.dumps(raw))
     if name in _TOP_LEVEL_VARY:
-        out[name] = int(value) if name in ("n", "k") else value
+        out[name] = value
     elif name in _COEFF_VARY:
         out.setdefault("coefficient", {})[name] = value
     elif name in _GRID_VARY:
-        out.setdefault("grid", {})[name] = (int(value) if name == "nodes_per_decade"
-                                            else value)
+        out.setdefault("grid", {})[name] = value
     else:
         raise ParameterError(f"--vary {name}: unknown parameter (allowed: "
                              f"{_TOP_LEVEL_VARY + _COEFF_VARY + _GRID_VARY})")
@@ -401,15 +384,15 @@ def _sweep_cell(payload):
         row["verdict"] = verdict.verdict
         row["osc_status"] = osc.status
         row["m_star"] = "" if osc.m_star is None else f"{osc.m_star:.17g}"
-        est = tail_exponent_of(triple.b_star)
+        tail = verdict.tail_exponent  # not None when the verdict is Large
         if (fit_rates and verdict.verdict == "Large" and spec.is_radial()
-                and est is not None and est.exponent <= spec.params.k - 1):
-            alpha = expected_rate(spec.params, est.exponent)
+                and tail <= spec.params.k - 1):
+            alpha = expected_rate(spec.params, tail)
             row["alpha_expected"] = f"{alpha:.17g}"
             curve = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
                                  rel_tol=spec.tolerances["rel"],
                                  abs_tol=spec.tolerances["abs"])
-            rates = verify_rates(curve, spec.params, est.exponent)
+            rates = verify_rates(curve, spec.params, tail)
             if "u" in rates.fits:
                 row["alpha_fitted"] = f"{rates.fits['u'].exponent:.17g}"
                 row["fit_stderr"] = f"{rates.fits['u'].stderr:.17g}"
@@ -417,6 +400,15 @@ def _sweep_cell(payload):
     except Exception as exc:  # noqa: BLE001 - per-cell failures stay in-row
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _spec_literal(text: str):
+    """A --vary value read as a spec file would hold it: an integer literal
+    is an int, anything else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _parse_vary(items):
@@ -427,7 +419,7 @@ def _parse_vary(items):
         name, _, values = item.partition("=")
         name = name.strip()
         try:
-            vals = [float(v) for v in values.split(",") if v.strip() != ""]
+            vals = [_spec_literal(v) for v in values.split(",") if v.strip() != ""]
         except ValueError:
             raise ParameterError(f"--vary {item!r}: values must be numbers") from None
         if not vals:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,9 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Probe radii used to certify positivity of closed-form profiles.
 _POSITIVITY_PROBES = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, 57)])
+
+# Oscillation at most this fraction of the b_* scale counts as zero.
+OSC_NEGLIGIBLE_REL_TOL = 1e-12
 
 
 def _one_per_point(values, count: int, source: str) -> np.ndarray:
@@ -417,8 +420,8 @@ class AnisotropicPowerField:
 
     l: float
     m: float
-    amp: float
-    dim: int
+    amp: float = 1.0
+    dim: int = 3
 
     def __post_init__(self):
         if self.dim < 2:
@@ -459,9 +462,8 @@ class AnisotropicPowerField:
 
 
 BUILTIN_FIELDS = {
-    "counterexample": lambda **kw: QuadraticRootField(weights=(2.0, 1.0, 1.0), shift=1.0, amp=8.0),
-    "anisotropic_power": lambda **kw: AnisotropicPowerField(
-        l=float(kw["l"]), m=float(kw["m"]), amp=float(kw.get("amp", 1.0)), dim=int(kw.get("dim", 3))),
+    "counterexample": partial(QuadraticRootField, weights=(2.0, 1.0, 1.0), shift=1.0, amp=8.0),
+    "anisotropic_power": AnisotropicPowerField,
 }
 
 
@@ -482,15 +484,15 @@ class RadializedTriple:
     b_upper: RadialProfile
     b_osc: RadialProfile
 
-    def osc_negligible(self, rel_tol: float = 1e-12) -> bool:
-        """True when the oscillation is zero to within rel_tol of the
-        envelope scale (i.e. the field is radial for all practical
+    def osc_negligible(self) -> bool:
+        """True when the oscillation is zero to within OSC_NEGLIGIBLE_REL_TOL
+        of the envelope scale (i.e. the field is radial for all practical
         purposes)."""
         if self.b_osc.is_zero():
             return True
         if self.b_osc.kind == "tabulated" and self.b_star.kind == "tabulated":
             scale = float(np.max(self.b_star.values))
-            return bool(np.max(self.b_osc.values) <= rel_tol * scale)
+            return bool(np.max(self.b_osc.values) <= OSC_NEGLIGIBLE_REL_TOL * scale)
         return False
 
 

@@ -28,14 +28,14 @@ the same two-branch algebra shows I_osc < inf exactly when n > 2k and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._integrate import cumulative_values, fit_log_slope, panel_cumulative
 from .core import ProblemParams
-from .coefficients import RadializedTriple, RadialProfile
+from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
 from .envelope import fine_nodes, flux_slope, growth_primitive, linear_growth_tables
 from .errors import ParameterError
 
@@ -45,7 +45,6 @@ INCONCLUSIVE = "Inconclusive"
 
 _FIT_DECADES = 2.0
 _MIN_FIT_NODES = 20
-_ZERO_OSC_REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,7 @@ class CriterionVerdict:
     evidence: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tail_exponent": self.tail_exponent,
-            "threshold": self.threshold,
-            "finite_part": self.finite_part,
-            "evidence": list(self.evidence),
-        }
+        return asdict(self)
 
 
 def classify_existence(b_star, params: ProblemParams,
@@ -215,15 +208,7 @@ class OscillationReport:
         return self.status == "satisfied"
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "integral": self.integral,
-            "finite_part": self.finite_part,
-            "m_star": self.m_star,
-            "tail_star": self.tail_star,
-            "tail_osc": self.tail_osc,
-            "evidence": list(self.evidence),
-        }
+        return asdict(self)
 
 
 def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
@@ -231,11 +216,11 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
     """Decide whether the oscillation b^* - b_* is small enough for the
     sandwich construction (finite I_osc)."""
     k, n, gam = params.k, params.n, params.gamma
-    if triple.osc_negligible(_ZERO_OSC_REL_TOL):
+    if triple.osc_negligible():
         return OscillationReport(
             "satisfied", 0.0, 0.0, None, None, None,
             ["oscillation is zero to relative tolerance "
-             f"{_ZERO_OSC_REL_TOL:g}: coefficient is radial"])
+             f"{OSC_NEGLIGIBLE_REL_TOL:g}: coefficient is radial"])
     est_star = tail_exponent_of(triple.b_star)
     est_osc = tail_exponent_of(triple.b_osc)
     if est_star is None or est_osc is None:
@@ -321,11 +306,7 @@ class JensenReport:
     })
 
     def to_dict(self) -> dict:
-        return {
-            "radial_moment": dict(self.radial_moment),
-            "oscillation_moment_bound": dict(self.oscillation_moment_bound),
-            "implied_by": dict(self.implied_by),
-        }
+        return asdict(self)
 
 
 def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
@@ -349,7 +330,7 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
             "finite_part": moment_finite,
         }
 
-    if triple.osc_negligible(_ZERO_OSC_REL_TOL):
+    if triple.osc_negligible():
         osc_bound = {"status": "convergent", "tail_exponent": None,
                      "finite_part": 0.0,
                      "note": "oscillation vanishes"}

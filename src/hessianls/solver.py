@@ -43,6 +43,10 @@ from .errors import (BlowupGuardError, CoefficientError, DomainTooLargeError,
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
 
+_CONSERVATION_REFINE = 2          # grid refinement of the conservation quadrature
+_DEFECT_SAMPLES_PER_SEGMENT = 8   # break-line defect samples per segment
+_MAX_BREAKLINE_SEGMENTS = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # series start
@@ -232,8 +236,7 @@ def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
     return float(np.max(np.abs(lhs - rhs) / rhs))
 
 
-def conservation_defect(curve: RadialCurve, params: ProblemParams, b,
-                        refine: int = 2) -> float:
+def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """Relative mismatch between the propagated moment M and its defining
     integral recomputed from the solution by quadrature.
 
@@ -252,7 +255,7 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b,
         u_s, _ = curve.dense(s)
         return s ** (n - 1) * np.asarray(b(s)) * u_s ** gam
 
-    fine = curve.grid.refined(refine)
+    fine = curve.grid.refined(_CONSERVATION_REFINE)
     m_quad = panel_cumulative(integrand, fine)
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
     r = curve.grid.nodes[1:]
@@ -314,8 +317,7 @@ class BreakLine:
     __call__ = eval
 
 
-def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float,
-                   max_segments: int = 1 << 18) -> BreakLine:
+def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> BreakLine:
     """Construct the explicit epsilon-approximate break line on [0, r_end].
 
     The construction doubles the uniform partition until the sampled
@@ -346,10 +348,10 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float,
             if defect < epsilon:
                 return line
         segments *= 2
-        if segments > max_segments:
+        if segments > _MAX_BREAKLINE_SEGMENTS:
             raise IntegrationError(
                 f"break line did not reach defect < {epsilon:g} within "
-                f"{max_segments} segments")
+                f"{_MAX_BREAKLINE_SEGMENTS} segments")
 
 
 def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
@@ -391,8 +393,7 @@ def _segment_inner(params: ProblemParams, b, lo: float, hi: float,
         * (value_lo + slope * (s - lo)) ** gam, nodes)[-1])
 
 
-def breakline_defect(line: BreakLine, params: ProblemParams, b,
-                     samples_per_segment: int = 8) -> float:
+def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
     """Largest sampled |dpsi/dr - F[r, psi]| over the line.
 
     Samples interior points of every segment (the defect vanishes at the
@@ -400,14 +401,14 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b,
     integral runs in one quadrature pass over two cells per sample.
     """
     n, gam = params.n, params.gamma
-    cells = 2 * samples_per_segment
+    cells = 2 * _DEFECT_SAMPLES_PER_SEGMENT
     lo = line.radii[:-1, None]
     sub = lo + np.diff(line.radii)[:, None] * (np.arange(1, cells + 1) / cells)
     sub[:, -1] = line.radii[1:]
     nodes = np.concatenate([line.radii[:1], sub.ravel()])
     inner = panel_cumulative(
         lambda s: s ** (n - 1) * np.asarray(b(s)) * line.eval(s) ** gam, nodes)
-    slopes = np.repeat(line.slopes, samples_per_segment)
+    slopes = np.repeat(line.slopes, _DEFECT_SAMPLES_PER_SEGMENT)
     return float(np.max(np.abs(slopes - flux_slope(params, nodes[2::2], inner[2::2]))))
 
 

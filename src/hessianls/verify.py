@@ -13,7 +13,7 @@ is observable here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class InvariantResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def _check(results, name, fn):

@@ -16,6 +16,7 @@ from hessianls.cli import (
     EXIT_VERIFY,
     ProblemSpec,
 )
+from hessianls.coefficients import BUILTIN_FIELDS
 from hessianls.errors import IntegrationError, ParameterError
 
 
@@ -36,6 +37,19 @@ def _constant_spec(**over):
     }
     spec.update(over)
     return spec
+
+
+# The parameters of every coefficient kind and builtin field (as the README
+# lists them), each with a minimal valid coefficient object.
+_COEFFICIENT_KEYS = {
+    "constant": ({"kind": "constant"}, {"value"}),
+    "power_tail": ({"kind": "power_tail", "l": 1.0}, {"l", "m", "A", "r0", "scale"}),
+    "tabulated": ({"kind": "tabulated", "path": "b.csv"}, {"path", "tail_exponent"}),
+    "counterexample": ({"kind": "builtin_field", "name": "counterexample"}, {"name"}),
+    "anisotropic_power": ({"kind": "builtin_field", "name": "anisotropic_power",
+                           "l": 1.0, "m": 8.0}, {"name", "l", "m", "amp", "dim"}),
+}
+_ALL_COEFFICIENT_KEYS = set().union(*(keys for _, keys in _COEFFICIENT_KEYS.values()))
 
 
 def _counterexample_spec(r_max=100.0):
@@ -98,6 +112,22 @@ class TestProblemSpec:
         with pytest.raises(ParameterError) as exc:
             ProblemSpec.from_dict(raw)
         assert fragment in str(exc.value)
+
+    def test_parameter_table_matches_documented_keys(self):
+        assert set(cli._BUILTIN_FIELDS) == set(BUILTIN_FIELDS)
+        tables = {**{kind: set(params) for kind, (_, params) in cli._RADIAL_KINDS.items()},
+                  **{name: {"name", *params}
+                     for name, (_, params) in cli._BUILTIN_FIELDS.items()}}
+        assert tables == {owner: keys for owner, (_, keys) in _COEFFICIENT_KEYS.items()}
+
+    @pytest.mark.parametrize("owner,key", [
+        (owner, key) for owner, (_, keys) in _COEFFICIENT_KEYS.items()
+        for key in sorted(_ALL_COEFFICIENT_KEYS - keys)])
+    def test_foreign_coefficient_key_rejected(self, tmp_path, capsys, owner, key):
+        coefficient = dict(_COEFFICIENT_KEYS[owner][0], **{key: 1.0})
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(coefficient=coefficient))
+        assert cli.main(["classify", spec_path]) == EXIT_INVALID
+        assert f"error: spec.coefficient.{key}: not a parameter of" in capsys.readouterr().err
 
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
@@ -380,6 +410,24 @@ class TestSweepCommand:
             "3", "1", "0.5", "power_tail", "nan"]
         assert rows[0]["error"].startswith("ParameterError: spec.coefficient.l")
         assert rows[1]["l"] == "1.0" and rows[1]["error"] == ""
+
+    @pytest.mark.parametrize("vary, first_n, error", [
+        ("n=3.5,4", "3.5", "spec.n: expected an integer, got 3.5"),
+        ("n=4.0,4", "4.0", "spec.n: expected an integer, got 4.0"),
+        ("nodes_per_decade=16.7,16", "4",
+         "spec.grid.nodes_per_decade: expected an integer, got 16.7"),
+    ], ids=["n-fraction", "n-float-literal", "nodes-fraction"])
+    def test_vary_values_read_as_spec_literals(self, tmp_path, vary, first_n, error):
+        # A non-integer n or node count is rejected in-row, never truncated;
+        # the valid cell is the row the unvaried template gives.
+        spec_path = self._template(tmp_path, n=4, k=2, gamma=1.0)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", vary, "--no-rates",
+                         "--out", str(out_path)]) == EXIT_OK
+        rejected, valid = out_path.read_text().splitlines()[1:]
+        assert rejected.startswith(f"{first_n},2,1.0,")
+        assert rejected.endswith(f",ParameterError: {error}")
+        assert valid == "4,2,1.0,1.0,power_tail,1.0,,Large,satisfied,,,,,,"
 
     def test_deterministic_across_job_counts(self, tmp_path, monkeypatch):
         spec_path = self._template(tmp_path)

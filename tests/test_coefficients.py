@@ -81,6 +81,20 @@ class TestRadialProfile:
     def test_power_tail_positive_everywhere(self, l, r):
         assert RadialProfile.power_tail(l)(r) > 0.0
 
+    @pytest.mark.parametrize("profile", [
+        RadialProfile.constant(2.5),
+        RadialProfile.power_tail(1.3),
+        RadialProfile.power_tail(1.3, m=4.7, A=0.6, r0=0.8, scale=2.0),
+        RadialProfile.from_callable(lambda r: 3.0 * (1.0 + r * r) ** -0.65),
+        RadialProfile.tabulated([0.0, 0.5, 2.0, 9.0, 40.0], [2.0, 1.5, 0.4, 0.1, 0.02],
+                                tail_exponent=1.5),
+    ], ids=["constant", "power_tail", "power_tail-perturbed", "callable", "tabulated"])
+    def test_scalar_call_equals_array_call(self, profile):
+        # Bit for bit: numpy's scalar power can differ by an ulp from its
+        # array loop, so a scalar fast path must still take the array route.
+        r = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 400)])
+        assert [profile(float(x)) for x in r] == list(profile(r))
+
 
 class TestTabulatedProfile:
     def test_loglog_interpolation_exact_on_powers(self):
@@ -255,6 +269,8 @@ class TestFields:
         assert isinstance(field, QuadraticRootField)
         field = make_builtin_field("anisotropic_power", l=1.0, m=8.0, amp=0.5, dim=5)
         assert isinstance(field, AnisotropicPowerField)
+        assert make_builtin_field("anisotropic_power", l=1.0, m=8.0) == \
+            AnisotropicPowerField(l=1.0, m=8.0, amp=1.0, dim=3)
         with pytest.raises(CoefficientError):
             make_builtin_field("no_such_field")
 
