@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import csv
 import itertools
 import json
 import math
@@ -38,8 +40,8 @@ from .criteria import (INCONCLUSIVE, classify_existence, jensen_conditions,
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
-from .solver import (conservation_defect, residual_max, solve_cauchy,
-                     write_curve_csv)
+from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, conservation_defect,
+                     residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -87,11 +89,16 @@ def _as_str(value, path: str) -> str:
 
 _REQUIRED = object()  # a parameter without a default
 
-# Every coefficient a spec can name: the radial kinds by "kind", the
-# non-radial builtin fields by "name".  Each maps to its constructor and its
-# parameters, name -> (coercion, default).  A None default marks an optional
-# parameter: absent or null, it stays out of the canonical spec and the
-# constructor's own default applies.
+# Every section of a spec is a table name -> (coercion, default).  A None
+# default marks an optional parameter: absent or null, it stays out of the
+# canonical spec and the constructor's own default applies.
+_TOP_LEVEL = {"n": (_as_int, _REQUIRED), "k": (_as_int, _REQUIRED),
+              "gamma": (_as_number, _REQUIRED), "a": (_as_number, 1.0)}
+_GRID = {"r_lin": (_as_number, 10.0), "r_max": (_as_number, 1e4),
+         "nodes_per_decade": (_as_int, 48)}
+_TOLERANCES = {"rel": (_as_number, DEFAULT_REL_TOL), "abs": (_as_number, DEFAULT_ABS_TOL)}
+# The coefficient a spec names: a radial kind by "kind", a non-radial builtin
+# field by "name"; each maps to its constructor and its parameter table.
 _RADIAL_KINDS = {
     "constant": (RadialProfile.constant, {"value": (_as_number, 1.0)}),
     "power_tail": (RadialProfile.power_tail, {
@@ -106,6 +113,29 @@ _BUILTIN_FIELDS = {
         "l": (_as_number, _REQUIRED), "m": (_as_number, _REQUIRED),
         "amp": (_as_number, 1.0), "dim": (_as_int, 3)}),
 }
+# The names --vary takes: every numeric key of every table, mapped to its
+# section (None for the top level).
+_VARY_SECTIONS = {key: section for section, tables in (
+    (None, [_TOP_LEVEL]), ("grid", [_GRID]), ("tolerances", [_TOLERANCES]),
+    ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
+    for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
+_MIN_REL_TOL = 100 * sys.float_info.epsilon  # scipy clamps a smaller rtol up to this
+
+
+def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
+    """``raw`` read through ``table``: unknown keys rejected, defaults filled
+    in, values coerced; the ``fixed`` keys are allowed and left to the caller."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{path}: expected an object")
+    extra = sorted(set(raw) - set(fixed) - set(table))
+    if extra:
+        raise ParameterError(f"{path}.{extra[0]}: not a parameter of {owner}")
+    out = {}
+    for key, (coerce, default) in table.items():
+        value = _need(raw, key, path) if default is _REQUIRED else raw.get(key, default)
+        if value is not None or default is not None:
+            out[key] = coerce(value, f"{path}.{key}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,37 +150,33 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "ProblemSpec":
-        if not isinstance(raw, dict):
-            raise ParameterError("spec: expected a JSON object")
-        n = _as_int(_need(raw, "n", "spec"), "spec.n")
-        k = _as_int(_need(raw, "k", "spec"), "spec.k")
-        gamma = _as_number(_need(raw, "gamma", "spec"), "spec.gamma")
-        a = _as_number(raw.get("a", 1.0), "spec.a")
+        top = _read_section(raw, _TOP_LEVEL, "spec", "the spec",
+                            fixed=("coefficient", "grid", "tolerances"))
+        coefficient = cls._canonical_coefficient(_need(raw, "coefficient", "spec"))
+        grid_cfg = _read_section(raw.get("grid", {}), _GRID, "spec.grid", "the grid")
+        tolerances = _read_section(raw.get("tolerances", {}), _TOLERANCES,
+                                   "spec.tolerances", "the tolerances")
         try:
-            params = ProblemParams(n=n, k=k, gamma=gamma, a=a)
+            params = ProblemParams(**top)
         except ParameterError as exc:
             raise ParameterError(f"spec: {exc}") from None
-        coefficient = cls._canonical_coefficient(_need(raw, "coefficient", "spec"))
-        grid_raw = raw.get("grid", {})
-        if not isinstance(grid_raw, dict):
-            raise ParameterError("spec.grid: expected an object")
-        grid_cfg = {
-            "r_lin": _as_number(grid_raw.get("r_lin", 10.0), "spec.grid.r_lin"),
-            "r_max": _as_number(grid_raw.get("r_max", 1e4), "spec.grid.r_max"),
-            "nodes_per_decade": _as_int(grid_raw.get("nodes_per_decade", 48),
-                                        "spec.grid.nodes_per_decade"),
-        }
-        if grid_cfg["r_max"] <= 0:
-            raise ParameterError("spec.grid.r_max: must be positive")
-        tol_raw = raw.get("tolerances", {})
-        if not isinstance(tol_raw, dict):
-            raise ParameterError("spec.tolerances: expected an object")
-        tolerances = {
-            "rel": _as_number(tol_raw.get("rel", 1e-8), "spec.tolerances.rel"),
-            "abs": _as_number(tol_raw.get("abs", 1e-12), "spec.tolerances.abs"),
-        }
-        return cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
+        try:
+            RadialGrid.check(**grid_cfg)
+        except ParameterError as exc:
+            raise ParameterError(f"spec.grid: {exc}") from None
+        if not _MIN_REL_TOL <= tolerances["rel"] < 1.0:
+            raise ParameterError(f"spec.tolerances.rel: must lie in [{_MIN_REL_TOL:.3g}, 1), "
+                                 f"got {tolerances['rel']}")
+        if tolerances["abs"] <= 0.0:
+            raise ParameterError(f"spec.tolerances.abs: must be positive, got {tolerances['abs']}")
+        spec = cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
                    tolerances=tolerances, base_dir=base_dir)
+        try:  # a radial profile is cheap to build, so its own checks run here too
+            if spec.is_radial():
+                spec.radial_profile()
+        except CoefficientError as exc:
+            raise CoefficientError(f"spec.coefficient: {exc}") from None
+        return spec
 
     @staticmethod
     def _canonical_coefficient(raw) -> dict:
@@ -160,24 +186,16 @@ class ProblemSpec:
         kind = _as_str(_need(raw, "kind", path), f"{path}.kind")
         if kind == "builtin_field":
             name = _as_str(_need(raw, "name", path), f"{path}.name")
-            out = {"kind": kind, "name": name}
             if name not in _BUILTIN_FIELDS:
                 raise ParameterError(f"{path}.name: unknown builtin field {name!r}")
-            table, owner = _BUILTIN_FIELDS[name][1], f"builtin field {name!r}"
+            head, table, owner = ({"kind": kind, "name": name}, _BUILTIN_FIELDS[name][1],
+                                  f"builtin field {name!r}")
         elif kind in _RADIAL_KINDS:
-            out = {"kind": kind}
-            table, owner = _RADIAL_KINDS[kind][1], f"kind {kind!r}"
+            head, table, owner = {"kind": kind}, _RADIAL_KINDS[kind][1], f"kind {kind!r}"
         else:
             raise ParameterError(f"{path}.kind: unknown kind {kind!r} (expected one "
                                  f"of {(*_RADIAL_KINDS, 'builtin_field')})")
-        extra = sorted(set(raw) - set(out) - set(table))
-        if extra:
-            raise ParameterError(f"{path}.{extra[0]}: not a parameter of {owner}")
-        for key, (coerce, default) in table.items():
-            value = _need(raw, key, path) if default is _REQUIRED else raw.get(key, default)
-            if value is not None or default is not None:
-                out[key] = coerce(value, f"{path}.{key}")
-        return out
+        return {**head, **_read_section(raw, table, path, owner, fixed=head)}
 
     def to_dict(self) -> dict:
         return {
@@ -230,7 +248,7 @@ def load_spec(path) -> ProblemSpec:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ParameterError(f"spec file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an undecodable file or an over-long integer
         raise ParameterError(f"spec file {path} is not valid JSON: {exc}") from None
     return ProblemSpec.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -338,10 +356,6 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_VARY = ("n", "k", "gamma", "a")
-_COEFF_VARY = ("l", "m", "A", "amp", "r0", "scale", "value")
-_GRID_VARY = ("r_max", "nodes_per_decade")
-
 _SWEEP_COLUMNS = ("n", "k", "gamma", "a", "kind", "l", "m", "verdict",
                   "osc_status", "m_star", "alpha_expected", "alpha_fitted",
                   "fit_stderr", "amplitude_ratio", "error")
@@ -350,16 +364,12 @@ _SWEEP_COLUMNS = ("n", "k", "gamma", "a", "kind", "l", "m", "verdict",
 def _apply_override(raw: dict, name: str, value) -> dict:
     """The spec ``raw`` with ``name`` set to ``value``; validation is left
     to ProblemSpec.from_dict, as for a spec file."""
-    out = json.loads(json.dumps(raw))
-    if name in _TOP_LEVEL_VARY:
-        out[name] = value
-    elif name in _COEFF_VARY:
-        out.setdefault("coefficient", {})[name] = value
-    elif name in _GRID_VARY:
-        out.setdefault("grid", {})[name] = value
-    else:
+    if name not in _VARY_SECTIONS:
         raise ParameterError(f"--vary {name}: unknown parameter (allowed: "
-                             f"{_TOP_LEVEL_VARY + _COEFF_VARY + _GRID_VARY})")
+                             f"{tuple(_VARY_SECTIONS)})")
+    out = json.loads(json.dumps(raw))
+    section = _VARY_SECTIONS[name]
+    (out.setdefault(section, {}) if section else out)[name] = value
     return out
 
 
@@ -439,15 +449,9 @@ def _job_count(args_jobs) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec_path = args.spec
-    try:
-        with open(spec_path) as handle:
-            raw = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"spec template {spec_path}: {exc}") from None
-    ProblemSpec.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(spec_path)))
+    template = load_spec(args.spec)
+    raw, base_dir = template.to_dict(), template.base_dir
     vary = _parse_vary(args.vary)
-    base_dir = os.path.dirname(os.path.abspath(spec_path))
     combos = list(itertools.product(*[vals for _, vals in vary])) if vary else [()]
     payloads = []
     for combo in combos:
@@ -461,15 +465,11 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in _SWEEP_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as handle:
+        writer = csv.DictWriter(handle, _SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 

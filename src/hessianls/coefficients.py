@@ -249,8 +249,14 @@ def save_profile_csv(profile: RadialProfile, path) -> None:
 
 def load_profile_csv(path, tail_exponent: Optional[float] = None,
                      strictly_positive: bool = True) -> RadialProfile:
-    """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`.
+
+    A missing or unreadable file and a cell or row numpy cannot parse raise
+    CoefficientError naming the file (and numpy's row and column)."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise CoefficientError(f"profile CSV {path}: {exc}") from None
     if data.shape[1] != 2:
         raise CoefficientError(f"profile CSV must have two columns, got {data.shape[1]}")
     return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent, strictly_positive)

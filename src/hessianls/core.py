@@ -14,6 +14,7 @@ direction and sigma_j has the limit C(n, j) * u''(0)^j.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .errors import ParameterError
 # Hard ceiling on u before a solve is declared invalid; entire solutions
 # cannot reach this at finite radius for admissible coefficients.
 OVERFLOW_GUARD = 1e300
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def binomial(n: int, k: int) -> int:
@@ -80,7 +83,7 @@ class ProblemParams:
     """Admissible data for the radial Cauchy problem.
 
     n : space dimension, n >= 3
-    k : Hessian order, 1 <= k <= n
+    k : Hessian order, 1 <= k <= n; n and C(n, k) lie within the float range
     gamma : sublinear exponent, 0 < gamma < k
     a : center value u(0) = a > 0
     """
@@ -97,6 +100,17 @@ class ProblemParams:
             raise ParameterError(f"n must be >= 3, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
+        # log C(n, k) = log C(n, j), j = min(k, n - k), summed over the factors
+        # (n - i) / (i + 1), never the integer itself: each factor is >= 1 and
+        # the sum passes the bound after at most 515 of them, however large n is.
+        log_cnk = 0.0
+        for i in range(min(self.k, self.n - self.k)):
+            log_cnk += math.log(self.n - i) - math.log(i + 1)
+            if log_cnk > _LOG_FLOAT_MAX:
+                break
+        if log_cnk > _LOG_FLOAT_MAX or self.n > sys.float_info.max:
+            raise ParameterError(f"n and C(n, k) must lie within the float range, "
+                                 f"got n={self.n}, k={self.k}")
         if not (0.0 < self.gamma < self.k):
             raise ParameterError(
                 f"gamma must satisfy 0 < gamma < k, got gamma={self.gamma}, k={self.k}"
@@ -145,12 +159,7 @@ class RadialGrid:
 
     @classmethod
     def build(cls, r_max: float, r_lin: float = 10.0, nodes_per_decade: int = 48) -> "RadialGrid":
-        if not 0 < r_max < math.inf:
-            raise ParameterError(f"r_max must be positive and finite, got {r_max}")
-        if not 0 < r_lin < math.inf:
-            raise ParameterError(f"r_lin must be positive and finite, got {r_lin}")
-        if nodes_per_decade < 4:
-            raise ParameterError("nodes_per_decade must be at least 4")
+        cls.check(r_max, r_lin, nodes_per_decade)
         r_lin = min(r_lin, r_max)
         n_lin = max(8, nodes_per_decade)
         lin = np.linspace(0.0, r_lin, n_lin + 1)
@@ -161,6 +170,16 @@ class RadialGrid:
         log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
         log_part[-1] = r_max
         return cls(np.concatenate([lin, log_part]), r_lin=r_lin, nodes_per_decade=nodes_per_decade)
+
+    @staticmethod
+    def check(r_max: float, r_lin: float, nodes_per_decade: int) -> None:
+        """Raise ParameterError unless :meth:`build` accepts these arguments."""
+        if not 0 < r_max < math.inf:
+            raise ParameterError(f"r_max must be positive and finite, got {r_max}")
+        if not 0 < r_lin < math.inf:
+            raise ParameterError(f"r_lin must be positive and finite, got {r_lin}")
+        if nodes_per_decade < 4:
+            raise ParameterError(f"nodes_per_decade must be at least 4, got {nodes_per_decade}")
 
     @property
     def r_max(self) -> float:

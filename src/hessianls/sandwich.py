@@ -28,7 +28,7 @@ from .core import ProblemParams, RadialCurve, RadialGrid
 from .criteria import (OscillationReport, bounded_solution_bound,
                        growth_primitive, oscillation_condition)
 from .errors import OrderingError, OscillationError, ParameterError
-from .solver import solve_cauchy, write_curve_csv
+from .solver import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, solve_cauchy, write_curve_csv
 
 
 def supersolution_envelope(params: ProblemParams, b_star, beta: float, r):
@@ -93,7 +93,8 @@ class SandwichReport:
 def build_sandwich(triple: RadializedTriple, params: ProblemParams,
                    grid: RadialGrid, beta: Optional[float] = None,
                    margin: Optional[float] = None,
-                   rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> SandwichReport:
+                   rel_tol: float = DEFAULT_REL_TOL,
+                   abs_tol: float = DEFAULT_ABS_TOL) -> SandwichReport:
     """Solve both envelope problems and certify the ordering v <= w.
 
     With ``beta`` unset the oscillation-smallness condition must hold; it

@@ -1,10 +1,16 @@
 """Command-line interface: spec parsing, subcommands, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessianls import cli
 from hessianls.cli import (
@@ -17,7 +23,7 @@ from hessianls.cli import (
     ProblemSpec,
 )
 from hessianls.coefficients import BUILTIN_FIELDS
-from hessianls.errors import IntegrationError, ParameterError
+from hessianls.errors import CoefficientError, IntegrationError, ParameterError
 
 
 def _write(tmp_path, name, payload):
@@ -37,6 +43,29 @@ def _constant_spec(**over):
     }
     spec.update(over)
     return spec
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _documented_schema():
+    """The README's key tables: ({section: {key: default, None if required}},
+    {coefficient kind or field name: keys}, names --vary accepts)."""
+    text = README.read_text().split("## Command line")[1].split("\n## ")[0]
+    sections, coefficients = {}, {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and len(cells) == 4 and cells[1].startswith("`"):
+            section = None if cells[0] == "top level" else cells[0].strip("`")
+            default = None if cells[2] == "required" else float(cells[2])
+            sections.setdefault(section, {})[cells[1].strip("`")] = default
+        elif line.startswith("| `") and len(cells) == 2:
+            keys = set(re.findall(r"`(\w+)`", cells[1]))
+            if cells[0].startswith("`builtin_field`"):
+                keys.add("name")
+            coefficients[re.findall(r"`(\w+)`", cells[0])[-1]] = keys
+    vary = text.split("the numeric keys of the tables above:")[1].split(";")[0]
+    return sections, coefficients, set(re.findall(r"`(\w+)`", vary))
 
 
 # The parameters of every coefficient kind and builtin field (as the README
@@ -61,6 +90,59 @@ def _counterexample_spec(r_max=100.0):
         "coefficient": {"kind": "builtin_field", "name": "counterexample"},
         "grid": {"r_max": r_max, "nodes_per_decade": 16},
     }
+
+
+# Values a mutated spec key can take: in range, out of range, the wrong type
+# or not finite.  Radii and node counts stay small, so no drawn spec builds a
+# large grid.
+_BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1]),
+                        st.just({}), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+_KEY_VALUES = {
+    "n": st.integers(-1, 12), "k": st.integers(-1, 12),
+    "gamma": st.floats(-1.0, 13.0), "a": st.floats(-1.0, 1e3),
+    "value": st.floats(-1.0, 1e3), "l": st.floats(-3.0, 8.0), "m": st.floats(-3.0, 12.0),
+    "A": st.floats(-2.0, 2.0), "r0": st.floats(-1.0, 10.0), "scale": st.floats(-1.0, 10.0),
+    "amp": st.floats(-1.0, 2.0), "dim": st.integers(-1, 6),
+    "r_lin": st.floats(-1.0, 1e3), "r_max": st.floats(-1.0, 1e3),
+    "nodes_per_decade": st.integers(-2, 32),
+    "rel": st.floats(-1.0, 2.0) | st.sampled_from([0.0, 1e-15, 2.2e-14, 2.3e-14, 1.0]),
+    "abs": st.floats(-1.0, 1.0) | st.just(0.0),
+}
+# (n, k) with C(n, k) near or beyond the float range, or n itself beyond it.
+_LARGE_NK = [(1029, 514), (1030, 515), (2000, 1000), (10**6, 1), (10**6, 10**6),
+             (10**400, 1), (10**400, 10**400)]
+_SECTION_KEYS = {None: ("n", "k", "gamma", "a"), "grid": ("r_lin", "r_max", "nodes_per_decade"),
+                 "tolerances": ("rel", "abs")}
+_BASE_COEFFICIENTS = [
+    {"kind": "constant", "value": 1.0}, {"kind": "power_tail", "l": 1.5, "m": 4.0, "A": 0.5},
+    {"kind": "builtin_field", "name": "anisotropic_power", "l": 1.0, "m": 8.0},
+    {"kind": "builtin_field", "name": "counterexample"}]
+
+
+@st.composite
+def _mutated_specs(draw):
+    coefficient = dict(draw(st.sampled_from(_BASE_COEFFICIENTS)))
+    owner = coefficient.get("name", coefficient["kind"])
+    own_keys = tuple(sorted(_COEFFICIENT_KEYS[owner][1] - {"name"}))
+    raw = _constant_spec(coefficient=coefficient, tolerances={})
+    raw["n"], raw["k"] = draw(st.sampled_from([(3, 1)] * 7 + _LARGE_NK))
+    for _ in range(draw(st.integers(1, 2))):
+        section = draw(st.sampled_from([None, "coefficient", "grid", "tolerances"]))
+        target = raw if section is None else raw[section]
+        if not isinstance(target, dict):
+            continue
+        keys = own_keys if section == "coefficient" else _SECTION_KEYS[section]
+        key = draw(st.sampled_from(keys)) if keys else "value"
+        mutation = draw(st.sampled_from(["range"] * 6 + ["type", "unknown key", "section"]))
+        if mutation == "range":
+            target[key] = draw(_KEY_VALUES[key])
+        elif mutation == "type":
+            target[key] = draw(_BAD_VALUES)
+        elif mutation == "unknown key":
+            target[key + "x"] = 1.0
+        elif section is not None:
+            raw[section] = draw(_BAD_VALUES)
+    return raw
 
 
 class TestProblemSpec:
@@ -114,11 +196,19 @@ class TestProblemSpec:
         assert fragment in str(exc.value)
 
     def test_parameter_table_matches_documented_keys(self):
+        sections, coefficients, vary = _documented_schema()
         assert set(cli._BUILTIN_FIELDS) == set(BUILTIN_FIELDS)
         tables = {**{kind: set(params) for kind, (_, params) in cli._RADIAL_KINDS.items()},
                   **{name: {"name", *params}
                      for name, (_, params) in cli._BUILTIN_FIELDS.items()}}
         assert tables == {owner: keys for owner, (_, keys) in _COEFFICIENT_KEYS.items()}
+        assert tables == coefficients
+        spec_tables = {None: cli._TOP_LEVEL, "grid": cli._GRID, "tolerances": cli._TOLERANCES}
+        assert sections == {
+            section: {key: None if default is cli._REQUIRED else default
+                      for key, (_, default) in table.items()}
+            for section, table in spec_tables.items()}
+        assert vary == set(cli._VARY_SECTIONS)
 
     @pytest.mark.parametrize("owner,key", [
         (owner, key) for owner, (_, keys) in _COEFFICIENT_KEYS.items()
@@ -128,6 +218,24 @@ class TestProblemSpec:
         spec_path = _write(tmp_path, "spec.json", _constant_spec(coefficient=coefficient))
         assert cli.main(["classify", spec_path]) == EXIT_INVALID
         assert f"error: spec.coefficient.{key}: not a parameter of" in capsys.readouterr().err
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(raw=_mutated_specs())
+    def test_mutated_spec_parses_or_names_the_field(self, tmp_path_factory, raw):
+        try:
+            spec = ProblemSpec.from_dict(raw)
+        except (ParameterError, CoefficientError) as exc:
+            assert str(exc).startswith("spec"), str(exc)
+            return
+        if not spec.is_radial():
+            return
+        spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["classify", str(spec_path), "--strict"])
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
 
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
@@ -207,6 +315,21 @@ class TestClassifyCommand:
         spec_path = _write(tmp_path, "spec.json", raw)
         assert cli.main(["classify", spec_path]) == EXIT_INVALID
         assert "spec.coefficient.l" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, fragment", [
+        (None, "not found"),
+        ("r,b\n0,1\n2,x\n", "could not convert string 'x' to float64 at row 1, column 2"),
+        ("r,b\n0,1\n2,0.5,3\n", "number of columns changed from 2 to 3 at row 2"),
+    ], ids=["missing", "non-numeric", "ragged"])
+    def test_unreadable_table_exits_invalid(self, tmp_path, capsys, content, fragment):
+        if content is not None:
+            (tmp_path / "b.csv").write_text(content)
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "tabulated", "path": "b.csv"}))
+        assert cli.main(["classify", spec_path]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec.coefficient: profile CSV {tmp_path / 'b.csv'}: ")
+        assert fragment in err
 
     def test_counterexample_payload(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
@@ -426,8 +549,18 @@ class TestSweepCommand:
                          "--out", str(out_path)]) == EXIT_OK
         rejected, valid = out_path.read_text().splitlines()[1:]
         assert rejected.startswith(f"{first_n},2,1.0,")
-        assert rejected.endswith(f",ParameterError: {error}")
+        assert next(csv.reader([rejected]))[-1] == f"ParameterError: {error}"
         assert valid == "4,2,1.0,1.0,power_tail,1.0,,Large,satisfied,,,,,,"
+
+    def test_error_with_comma_stays_in_error_column(self, tmp_path):
+        spec_path = self._template(tmp_path, n=4, k=2, gamma=1.0)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "n=3.5,4", "--no-rates",
+                         "--out", str(out_path)]) == EXIT_OK
+        with open(out_path, newline="") as handle:
+            rejected = next(csv.DictReader(handle))
+        assert rejected["error"] == "ParameterError: spec.n: expected an integer, got 3.5"
+        assert None not in rejected  # DictReader's key for fields beyond the header
 
     def test_deterministic_across_job_counts(self, tmp_path, monkeypatch):
         spec_path = self._template(tmp_path)
@@ -460,6 +593,19 @@ class TestSweepCommand:
         assert cli.main(["sweep", spec_path, "--vary", "l=x,y"]) == EXIT_INVALID
         capsys.readouterr()
 
+    def test_vary_accepts_every_numeric_spec_key(self, tmp_path, capsys):
+        spec_path = self._template(tmp_path)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "r_lin=5,10", "--vary", "rel=1e-9",
+                         "--vary", "abs=1e-13", "--no-rates", "--out", str(out_path)]) == EXIT_OK
+        with open(out_path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 and all(row["error"] == "" for row in rows)
+        assert cli.main(["sweep", spec_path, "--vary", "bogus=1"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in cli._VARY_SECTIONS)
+        assert "'tail_exponent'" in err and "'path'" not in err
+
     def test_bad_jobs_env(self, tmp_path, monkeypatch, capsys):
         spec_path = self._template(tmp_path)
         monkeypatch.setenv(cli.JOBS_ENV, "many")
@@ -477,6 +623,30 @@ class TestTopLevelErrors:
         path.write_text("{not json")
         assert cli.main(["classify", str(path)]) == EXIT_INVALID
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    @pytest.mark.parametrize("over, message", [
+        ({"gama": 0.5}, "spec.gama: not a parameter of the spec"),
+        ({"grid": {"rmax": 50}}, "spec.grid.rmax: not a parameter of the grid"),
+        ({"tolerance": {"rel": 1e-8}}, "spec.tolerance: not a parameter of the spec"),
+        ({"tolerances": {"abs": -1}}, "spec.tolerances.abs: must be positive"),
+        ({"tolerances": {"rel": 0}}, "spec.tolerances.rel: must lie in [2.22e-14, 1)"),
+        ({"tolerances": {"rel": 1e-15}}, "spec.tolerances.rel: must lie in"),
+        ({"grid": {"r_lin": 0}}, "spec.grid: r_lin must be positive"),
+        ({"n": 2000, "k": 1000}, "spec: n and C(n, k) must lie within the float range"),
+    ], ids=["top-typo", "grid-typo", "section-typo", "abs-negative", "rel-zero",
+            "rel-clamped", "r_lin-zero", "binomial-overflow"])
+    def test_spec_rejected_when_read(self, tmp_path, capsys, command, over, message):
+        # Every subcommand rejects the same specs, before any work is done.
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(**over))
+        assert cli.main([command, spec_path]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_overlong_integer_literal(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": ' + "1" * 5000 + "}")
+        assert cli.main(["classify", str(path)]) == EXIT_INVALID
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_invalid_params_exit(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _constant_spec(gamma=1.0))

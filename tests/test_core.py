@@ -1,6 +1,7 @@
 """Combinatorics, radial sigma_j collapse, parameter/grid validation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,11 +132,19 @@ class TestProblemParams:
             dict(n=3, k=1, gamma=0.5, a=-1.0),
             dict(n=3, k=1, gamma=0.5, a=math.inf),
             dict(n=3, k=1, gamma=0.5, a=math.nan),
+            dict(n=2000, k=1000, gamma=0.5),  # C(n, k) ~ 2e600
+            dict(n=10**400, k=1, gamma=0.5),
+            dict(n=10**400, k=10**400, gamma=0.5),  # C(n, k) = 1, but n is no float
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             ProblemParams(**{"a": 1.0, **kwargs})
+
+    def test_binomial_within_float_range(self):
+        assert ProblemParams(n=1029, k=514, gamma=0.5).cnk < sys.float_info.max
+        with pytest.raises(ParameterError, match=r"C\(n, k\) .* float range, got n=1030, k=515"):
+            ProblemParams(n=1030, k=515, gamma=0.5)
 
     def test_non_integer_orders_rejected(self):
         with pytest.raises(ParameterError):
