@@ -15,7 +15,6 @@ two decades of the grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,7 +65,7 @@ def exact_power_solution(params: ProblemParams, l: float) -> PowerSolution:
     k, n, gam = params.k, params.n, params.gamma
     if not 0.0 <= l <= k - 1.0:
         raise ParameterError(f"exact power solutions need 0 <= l <= k-1, got l={l}")
-    alpha = (2.0 * k - l) / (k - gam)
+    alpha = expected_rate(params, l)
     shape = n + (alpha - 2.0) * k
     # alpha > 1 and n >= k make this positive; assert rather than branch
     assert shape > 0.0, "degenerate shape factor despite admissible l"
@@ -134,12 +133,12 @@ def verify_rates(curve: RadialCurve, params: ProblemParams, l: float) -> RatesRe
     r = curve.grid.nodes
     hi = float(r.max())
     lo = hi / 100.0
+    window = (r >= lo) & (r <= hi)  # lo > 0, so r > 0 on the window
     fits = {}
     notes = []
     status = "ok"
     for name, values in (("u", curve.u), ("du", curve.du), ("d2u", curve.d2u)):
-        mask = (r >= lo) & (r <= hi)
-        if np.any(values[mask] <= 0):
+        if np.any(values[window] <= 0):
             notes.append(f"{name} is not positive on the fit window; skipping")
             status = "inconclusive"
             continue
@@ -148,7 +147,6 @@ def verify_rates(curve: RadialCurve, params: ProblemParams, l: float) -> RatesRe
         if fit.stderr > MAX_FIT_STDERR:
             notes.append(f"{name} fit stderr {fit.stderr:.3g} exceeds {MAX_FIT_STDERR:g}")
             status = "inconclusive"
-    window = (r >= lo) & (r <= hi) & (r > 0)
     scaled = curve.u[window] / r[window] ** alpha
     amplitude_ratio = float(scaled.max() / scaled.min())
     return RatesReport(alpha_expected=alpha, fits=fits,

@@ -399,7 +399,7 @@ def _sweep_cell(payload):
                 and tail <= spec.params.k - 1):
             alpha = expected_rate(spec.params, tail)
             row["alpha_expected"] = f"{alpha:.17g}"
-            curve = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
+            curve = solve_cauchy(spec.params, triple.b_star, spec.grid(),
                                  rel_tol=spec.tolerances["rel"],
                                  abs_tol=spec.tolerances["abs"])
             rates = verify_rates(curve, spec.params, tail)

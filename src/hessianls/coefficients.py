@@ -255,6 +255,8 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None,
     CoefficientError naming the file (and numpy's row and column)."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except FileNotFoundError:
+        raise CoefficientError(f"profile CSV {path}: file not found") from None
     except (OSError, ValueError) as exc:
         raise CoefficientError(f"profile CSV {path}: {exc}") from None
     if data.shape[1] != 2:

@@ -72,10 +72,7 @@ def sigma_j_radial(j, d2u, du_over_r, n):
         raise ParameterError(f"sigma_j_radial requires 1 <= j <= n, got j={j}, n={n}")
     c_pure = binomial_or_zero(n - 1, j)
     c_mixed = binomial_or_zero(n - 1, j - 1)
-    t = np.asarray(du_over_r) if isinstance(du_over_r, np.ndarray) else du_over_r
-    if j == 1:
-        return c_pure * t + c_mixed * d2u
-    return c_pure * t ** j + c_mixed * d2u * t ** (j - 1)
+    return c_pure * du_over_r ** j + c_mixed * d2u * du_over_r ** (j - 1)
 
 
 @dataclass(frozen=True)

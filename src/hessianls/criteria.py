@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._integrate import cumulative_values, fit_log_slope, panel_cumulative
+from ._integrate import cumulative_values, panel_cumulative
+from .asymptotics import fit_exponent
 from .core import ProblemParams
 from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
 from .envelope import fine_nodes, flux_slope, growth_primitive, linear_growth_tables
@@ -42,9 +43,6 @@ from .errors import ParameterError
 LARGE = "Large"
 BOUNDED = "Bounded"
 INCONCLUSIVE = "Inconclusive"
-
-_FIT_DECADES = 2.0
-_MIN_FIT_NODES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -66,29 +64,26 @@ class TailEstimate:
 
 def tail_exponent_of(profile: RadialProfile) -> Optional[TailEstimate]:
     """Declared tail exponent if available, else a log-log least-squares
-    fit over the last two decades of a tabulated profile.
+    fit of a tabulated profile's positive samples in
+    :func:`~hessianls.asymptotics.fit_exponent`'s window (the last two
+    decades of those samples).
 
-    Returns None when neither route applies (no declared tail and not
-    enough positive tabulated range), which callers surface as an
+    Returns None when neither route applies (no declared tail and too few
+    positive samples in that window), which callers surface as an
     Inconclusive verdict rather than guessing.
     """
     if profile.tail_exponent is not None:
         return TailEstimate(float(profile.tail_exponent), 0.0, "declared")
     if profile.kind != "tabulated":
         return None
-    r = profile.radii
-    b = profile.values
-    keep = (r > 0) & (b > 0)
-    r, b = r[keep], b[keep]
-    if r.size < _MIN_FIT_NODES:
+    keep = (profile.radii > 0) & (profile.values > 0)
+    if not keep.any():
         return None
-    hi = r[-1]
-    lo = hi / 10.0 ** _FIT_DECADES
-    window = r >= lo
-    if np.count_nonzero(window) < _MIN_FIT_NODES:
+    try:
+        fit = fit_exponent(profile.radii[keep], profile.values[keep])
+    except ParameterError:  # too few positive samples in the window
         return None
-    slope, stderr, _ = fit_log_slope(r[window], b[window])
-    return TailEstimate(-slope, stderr, "fitted")
+    return TailEstimate(-fit.exponent, fit.stderr, "fitted")
 
 
 # ---------------------------------------------------------------------------

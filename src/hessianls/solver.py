@@ -12,10 +12,14 @@ the equivalent first-order system in (u, M),
     M'(r) = r^(n-1) b(r) u(r)^gamma,
 
 whose right-hand side is smooth for r > 0, and starts from a fourth-order
-series on a short initial interval where the (u, M) form is 0/0.  The
-second derivative is recovered algebraically from the equation itself,
-which keeps the reported curve an exact pointwise solution of the
-nonlinear relation between (u, u', u'').
+series on a short initial interval where the (u, M) form is 0/0.  Node
+values of (u, M) come from the solve's dense evaluator and u' from the
+flux transform F(r, M) above.  The second derivative is recovered
+algebraically from the equation itself, so the sigma_k residual
+(``residual_max``, the ``sigma_k_residual`` CSV column) is zero by
+construction, up to rounding; it checks nothing about the integration.
+:func:`conservation_defect` is the solve's runtime check: it recomputes M
+from u by quadrature and compares it with the M implied by u'.
 
 For admissible data (b positive and continuous, 0 < gamma < k) solutions
 are entire: they cannot blow up at a finite radius.  Hitting the overflow
@@ -54,7 +58,7 @@ _MAX_BREAKLINE_SEGMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class _SeriesStart:
-    """Fourth-order expansion of (u, u', M) about the origin.
+    """Fourth-order expansion of (u, M) about the origin.
 
     u(r) = a + c2 r^2/2 + c2 e r^4/4 + O(r^6) with c2 = (b(0) a^gamma /
     C(n,k))^(1/k); the r^4 term carries the quadratic variation of b and
@@ -69,17 +73,12 @@ class _SeriesStart:
     n: int
 
     def u(self, r):
-        r2 = np.asarray(r) ** 2 if isinstance(r, np.ndarray) else r * r
+        r2 = r * r
         return self.a + 0.5 * self.c2 * r2 + 0.25 * self.c2 * self.e * r2 * r2
-
-    def du(self, r):
-        r2 = np.asarray(r) ** 2 if isinstance(r, np.ndarray) else r * r
-        return self.c2 * np.asarray(r) * (1.0 + self.e * r2)
 
     def moment(self, r):
         rn = np.asarray(r) ** self.n
-        r2 = np.asarray(r) ** 2 if isinstance(r, np.ndarray) else r * r
-        return self.m0 * rn + self.m2 * rn * r2
+        return self.m0 * rn + self.m2 * rn * (r * r)
 
 
 def _series_start(params: ProblemParams, b, r_probe: float) -> _SeriesStart:
@@ -137,8 +136,7 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
         raise CoefficientError(f"coefficient must be positive and finite on the grid "
                                f"(fails near r = {bad:g})")
     n, k, gam = params.n, params.k, params.gamma
-    cnk = params.cnk
-    log_scale = math.log(n / cnk) / k
+    log_scale = math.log(n / params.cnk) / k
 
     series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
     r_s = _series_radius(params, grid, series.c2)
@@ -176,23 +174,6 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
             f"adaptive integration failed at r = {sol.t[-1]:g}: {sol.message}",
             r=float(sol.t[-1]), u=float(sol.y[0, -1]), moment=float(sol.y[1, -1]))
 
-    head = nodes <= r_s
-    u = np.empty_like(nodes)
-    du = np.empty_like(nodes)
-    moment = np.empty_like(nodes)
-    u[head] = series.u(nodes[head])
-    du[head] = series.du(nodes[head])
-    moment[head] = series.moment(nodes[head])
-    if np.any(~head):
-        tail_vals = sol.sol(nodes[~head])
-        u[~head] = tail_vals[0]
-        moment[~head] = tail_vals[1]
-        with np.errstate(divide="ignore"):
-            du[~head] = np.exp(log_scale + ((k - n) * np.log(nodes[~head])
-                                            + np.log(tail_vals[1])) / k)
-
-    d2u = _recover_d2u(params, b, nodes, u, du, series.c2)
-
     def dense(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         uu = np.empty_like(rr)
@@ -206,6 +187,10 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
             mm[~low] = vals[1]
         return uu, mm
 
+    # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
+    u, moment = dense(nodes)
+    du = flux_slope(params, nodes, moment)
+    d2u = _recover_d2u(params, b, nodes, u, du, series.c2)
     return RadialCurve(grid=grid, u=u, du=du, d2u=d2u, dense=dense)
 
 
@@ -227,13 +212,21 @@ def _recover_d2u(params: ProblemParams, b, r: np.ndarray, u: np.ndarray,
 # curve checks and export
 # ---------------------------------------------------------------------------
 
-def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
-    """Largest relative defect of sigma_k(u'', u'/r) against b u^gamma."""
-    r = curve.grid.nodes
+def _sigma_k_defect(curve: RadialCurve, params: ProblemParams, b):
+    """(sigma_k(u'', u'/r) - b u^gamma, b u^gamma) at the curve's nodes."""
     t = curve.du_over_r()
     lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u, t, params.n))
-    rhs = np.asarray(b(r)) * curve.u ** params.gamma
-    return float(np.max(np.abs(lhs - rhs) / rhs))
+    rhs = np.asarray(b(curve.grid.nodes)) * curve.u ** params.gamma
+    return lhs - rhs, rhs
+
+
+def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
+    """Largest relative defect of sigma_k(u'', u'/r) against b u^gamma.
+
+    Zero up to rounding for solver curves, whose u'' is recovered from the
+    equation; :func:`conservation_defect` is the solve's runtime check."""
+    defect, rhs = _sigma_k_defect(curve, params, b)
+    return float(np.max(np.abs(defect) / rhs))
 
 
 def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
@@ -269,10 +262,7 @@ def write_curve_csv(curve: RadialCurve, path, params: ProblemParams, b) -> None:
     Floats carry 17 significant digits so the file round-trips exactly.
     """
     r = curve.grid.nodes
-    t = curve.du_over_r()
-    lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u, t, params.n))
-    rhs = np.asarray(b(r)) * curve.u ** params.gamma
-    resid = lhs - rhs
+    resid, _ = _sigma_k_defect(curve, params, b)
     with open(path, "w", newline="") as handle:
         handle.write("r,u,du,d2u,sigma_k_residual\n")
         for i in range(r.size):

@@ -330,6 +330,8 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: spec.coefficient: profile CSV {tmp_path / 'b.csv'}: ")
         assert fragment in err
+        if content is None:
+            assert err.count(str(tmp_path / "b.csv")) == 1
 
     def test_counterexample_payload(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hessianls.asymptotics import fit_exponent
 from hessianls.coefficients import (
     RadialProfile,
     RadializedTriple,
@@ -65,6 +66,20 @@ class TestTailExponent:
         assert est.source == "fitted"
         assert est.exponent == pytest.approx(2.6, abs=1e-3)
         assert est.stderr < 1e-3
+
+    def test_fit_uses_positive_samples_only(self):
+        # b = 0 at r = 0 and beyond the last positive sample: the window is
+        # the last two decades of the positive samples, not of all radii
+        # (which would end at 3e3 and give about 1.93 here).
+        r = np.concatenate([[0.0], np.geomspace(0.1, 1e3, 81), [1.5e3, 2e3, 3e3]])
+        pos = (r > 0) & (r <= 1e3)
+        b = np.zeros_like(r)
+        b[pos] = r[pos] ** -2.0 * (1.0 + 0.2 * np.sin(np.log(r[pos])))
+        est = tail_exponent_of(RadialProfile.tabulated(r, b, strictly_positive=False))
+        ref = fit_exponent(r[pos], b[pos])
+        assert (est.exponent, est.stderr) == (-ref.exponent, ref.stderr)
+        assert ref.window == (10.0, 1000.0)
+        assert abs(est.exponent + fit_exponent(r, b).exponent) > 0.05
 
     def test_none_for_short_table(self):
         b = RadialProfile.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])

@@ -5,6 +5,7 @@ import pytest
 
 from hessianls.coefficients import RadialProfile
 from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
+from hessianls.envelope import flux_slope
 from hessianls.errors import (
     BlowupGuardError,
     CoefficientError,
@@ -55,6 +56,20 @@ class TestSolveCauchy:
         b = RadialProfile.power_tail(1.0)
         curve = solve_cauchy(hessian2_params, b, grid)
         assert gamma_k_membership(curve, hessian2_params).all()
+
+    @pytest.mark.parametrize("kind", ["power_tail", "tabulated"])
+    def test_nodes_come_from_the_dense_evaluator(self, hessian2_params, kind):
+        # One evaluator: node u and M are the dense output at the nodes, and
+        # u' is the flux transform of that M, bit for bit.
+        b = RadialProfile.power_tail(1.0)
+        if kind == "tabulated":
+            r = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 120)])
+            b = RadialProfile.tabulated(r, b(r), tail_exponent=1.0)
+        grid = RadialGrid.build(1e3, nodes_per_decade=24)
+        curve = solve_cauchy(hessian2_params, b, grid)
+        u, moment = curve.dense(grid.nodes)
+        np.testing.assert_array_equal(curve.u, u)
+        np.testing.assert_array_equal(curve.du, flux_slope(hessian2_params, grid.nodes, moment))
 
     def test_series_start_expansion(self, laplace_params):
         # For k = 1, n = 3, gamma = 1/2, b = 1, a = 1 the center expansion
