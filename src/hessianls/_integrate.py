@@ -37,14 +37,36 @@ def panel_cumulative(f, nodes: np.ndarray) -> np.ndarray:
 def cumulative_values(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative integral of sampled values ``y`` over ``x``, starting at 0.
 
-    scipy's ``cumulative_simpson``: each interval is integrated with the
-    quadratic through it and a neighbouring node, so the result is defined
-    at every node and nonuniform spacing is allowed.
+    Cumulative Simpson on a nonuniform grid (the rule and the operation
+    order of scipy's ``cumulative_simpson``): each interval is integrated
+    with the quadratic through it and a neighbouring node, the right one
+    for even intervals, the left one for odd intervals and the last.  Two
+    samples fall back to the trapezoid.
     """
-    from scipy.integrate import cumulative_simpson
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.asarray(x, dtype=float))
+    if y.size < 3:
+        parts = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        ahead = _simpson_pieces(y, dx)
+        behind = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        parts = np.empty(dx.size)
+        parts[:-1:2] = ahead[::2]
+        parts[1::2] = behind[::2]
+        parts[-1] = behind[-1]
+    out = np.empty(y.size)
+    out[0] = 0.0
+    np.cumsum(parts, out=out[1:])
+    return out
 
-    out = cumulative_simpson(y, x=x, initial=0.0)
-    return np.asarray(out)
+
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the quadratic through x_i, x_i+1, x_i+2."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
 
 
 def fit_log_slope(r: np.ndarray, y: np.ndarray):

@@ -119,7 +119,9 @@ _VARY_SECTIONS = {key: section for section, tables in (
     (None, [_TOP_LEVEL]), ("grid", [_GRID]), ("tolerances", [_TOLERANCES]),
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
-_MIN_REL_TOL = 100 * sys.float_info.epsilon  # scipy clamps a smaller rtol up to this
+# The stepper runs at rel / 10, which at this bound is ten rounding units of
+# ln u and ln M; a smaller rel asks for more than the arithmetic can give.
+_MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import RadialGrid
 from .errors import CoefficientError, ProfileRangeError
@@ -204,6 +204,82 @@ class RadialProfile:
             out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-self.tail_exponent)
         return out
 
+    def log_in_log_radius(self) -> Callable[[float], float]:
+        """The float function s -> ln b(e^s), for stepping in s = ln r.
+
+        Plain floats throughout: constant and power_tail use their formula,
+        a tabulated profile its cell's rule (linear in s inside a log-log
+        cell, linear in r otherwise, the declared tail beyond the last
+        radius), a callable profile calls ``func`` on one point.  Agrees
+        with ``log(eval(r))`` to rounding; a non-positive value raises
+        CoefficientError, a radius outside a table ProfileRangeError."""
+        exp, log = math.exp, math.log
+
+        def positive_log(value: float, s: float) -> float:
+            if not value > 0.0:
+                raise CoefficientError(f"coefficient must be positive, got {value:g} "
+                                       f"at r = {exp(s):g}")
+            return log(value)
+
+        if self.kind == "constant":
+            log_value = log(self.value)
+            return lambda s: log_value
+        if self.kind == "power_tail":
+            r0_sq, scale, amp = self.r0 ** 2, self.scale, self.A
+            half_l = self.l / 2.0
+            half_m = half_l if self.m is None else self.m / 2.0
+            log_scale = log(scale)
+
+            def log_power(s):
+                r = exp(s)
+                q = r0_sq + r * r
+                if amp == 0.0:
+                    return log_scale - half_l * log(q)
+                return positive_log(scale * (q ** -half_l + amp * q ** -half_m), s)
+            return log_power
+        if self.kind == "tabulated":
+            log_r, log_b, loggable = self._log_table
+            lr, lb, flags = log_r.tolist(), log_b.tolist(), loggable.tolist()
+            rt, bt = self.radii.tolist(), self.values.tolist()
+            last, tail = len(rt) - 1, self.tail_exponent
+            slopes = [(lb[i + 1] - lb[i]) / (lr[i + 1] - lr[i]) if flags[i] else 0.0
+                      for i in range(last)]
+
+            def log_table(s):
+                i = bisect_right(lr, s) - 1
+                if i >= last:
+                    if s > lr[last]:
+                        if tail is None:
+                            raise ProfileRangeError(
+                                f"radius {exp(s):g} beyond tabulated range {rt[last]:g} "
+                                f"and no tail exponent declared")
+                        return lb[last] - tail * (s - lr[last])
+                    i = last - 1
+                elif i < 0:
+                    raise ProfileRangeError(
+                        f"radius {exp(s):g} below tabulated range {rt[0]:g}")
+                if flags[i]:
+                    return lb[i] + (s - lr[i]) * slopes[i]
+                w = (exp(s) - rt[i]) / (rt[i + 1] - rt[i])
+                return positive_log(bt[i] + w * (bt[i + 1] - bt[i]), s)
+            return log_table
+        if self.kind == "callable":
+            func = self.func
+
+            def log_callable(s):
+                value = _one_per_point(func(np.array([exp(s)])), 1, "callable profile")[0]
+                return positive_log(float(value), s)
+            return log_callable
+        raise CoefficientError(f"profile of kind {self.kind!r} has no logarithm")
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Positive radii where the profile may have a kink: the radii of a
+        table (its last one starts the tail), none for closed forms."""
+        if self.kind == "tabulated":
+            return self.radii[self.radii > 0.0]
+        return np.empty(0)
+
     @property
     def range_max(self) -> Optional[float]:
         """Largest radius with tabulated data, or None for closed forms."""
@@ -270,6 +346,71 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None,
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
+# Cephes ndtri: rational approximations of the normal quantile on
+# |y - 1/2| <= 3/8 (P0/Q0) and, with z = sqrt(-2 ln y), on 2 <= z < 8
+# (P1/Q1) and 8 <= z <= 64 (P2/Q2); Q polynomials have a leading 1.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
+    """Horner's rule, highest power first (cephes polevl / p1evl)."""
+    out = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def ndtri(p) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise on (0, 1).
+
+    The cephes algorithm, operation for operation, so sphere samples match
+    those drawn with scipy.special.ndtri.  The two logarithms of the tail
+    branch use libm's ``math.log``: the envelope tails of the golden
+    sandwich are ill-conditioned enough that one ulp there shows."""
+    p = np.asarray(p, dtype=float)
+    y = np.where(p > 1.0 - _EXP_M2, 1.0 - p, p)
+    out = np.empty(p.shape)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    xc = yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, True))
+    out[central] = xc * _SQRT_2PI
+    x = np.sqrt(-2.0 * np.fromiter(map(math.log, y[~central].tolist()), float))
+    x0 = x - np.fromiter(map(math.log, x.tolist()), float) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True)
+    far = x >= 8.0   # p below exp(-32)
+    if far.any():
+        x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _polevl(z[far], _NDTRI_Q2, True)
+    out[~central] = np.where(p[~central] > 1.0 - _EXP_M2, x0 - x1, x1 - x0)
+    return out
+
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """van der Corput radical inverse of integer indices in the given base."""
@@ -281,6 +422,16 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
         out += (idx % base) / denom
         idx //= base
     return out
+
+
+@lru_cache(maxsize=32)
+def _halton(count: int, dim: int) -> np.ndarray:
+    """(count, dim) radical inverses of 1..count in the first ``dim`` prime
+    bases; independent of the radius, so computed once per (count, dim)."""
+    idx = np.arange(1, count + 1, dtype=np.int64)
+    table = np.column_stack([_radical_inverse(idx, p) for p in _PRIMES[:dim]])
+    table.setflags(write=False)
+    return table
 
 
 def _phase(radius_index: int, lane: int) -> float:
@@ -306,20 +457,18 @@ def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
         raise CoefficientError(f"sphere sampling needs dim >= 2, got {dim}")
     if count < 1:
         raise CoefficientError("count must be positive")
-    idx = np.arange(1, count + 1, dtype=np.int64)
     if dim == 3:
-        z = 2.0 * ((_radical_inverse(idx, 2) + _phase(radius_index, 0)) % 1.0) - 1.0
+        idx = np.arange(1, count + 1, dtype=np.int64)
+        z = 2.0 * ((_halton(count, 1)[:, 0] + _phase(radius_index, 0)) % 1.0) - 1.0
         z = np.clip(z, -1.0 + 1e-12, 1.0 - 1e-12)
         theta = 2.0 * math.pi * ((idx / _GOLDEN + _phase(radius_index, 1)) % 1.0)
         rho = np.sqrt(1.0 - z * z)
         return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
     if dim > len(_PRIMES):
         raise CoefficientError(f"sphere sampling supports dim <= {len(_PRIMES)}")
-    coords = np.empty((count, dim))
-    for j in range(dim):
-        u = (_radical_inverse(idx, _PRIMES[j]) + _phase(radius_index, j)) % 1.0
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        coords[:, j] = ndtri(u)
+    phases = np.array([_phase(radius_index, j) for j in range(dim)])
+    u = np.clip((_halton(count, dim) + phases) % 1.0, 1e-12, 1.0 - 1e-12)
+    coords = ndtri(u)
     norms = np.linalg.norm(coords, axis=1)
     norms = np.where(norms == 0.0, 1.0, norms)
     return coords / norms[:, None]

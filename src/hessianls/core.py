@@ -204,7 +204,9 @@ class RadialCurve:
 
     Solver output satisfies u(0) = a, u'(0) = 0, u nondecreasing and
     positive.  ``dense`` (optional) evaluates (u, M) between nodes, where
-    M is the flux integral the solver propagates alongside u.
+    M is the flux integral the solver propagates alongside u; a solver's
+    evaluator also carries the stepper's counts (``rhs_evals``,
+    ``accepted``, ``rejected``) and its handoff radius ``r_handoff``.
     """
 
     grid: RadialGrid

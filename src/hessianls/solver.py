@@ -12,31 +12,40 @@ the equivalent first-order system in (u, M),
     M'(r) = r^(n-1) b(r) u(r)^gamma,
 
 whose right-hand side is smooth for r > 0, and starts from a fourth-order
-series on a short initial interval where the (u, M) form is 0/0.  Node
-values of (u, M) come from the solve's dense evaluator and u' from the
-flux transform F(r, M) above.  The second derivative is recovered
+series on a short initial interval where the (u, M) form is 0/0.  Beyond
+it the system is stepped in logarithmic variables against s = ln r,
+
+    d ln u / ds = r u'(r) / u,    d ln M / ds = r^n b(r) u^gamma / M,
+
+by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
+from the profile's float closure; a tabulated profile is integrated node
+to node, so no step straddles a kink.  Node values of (u, M) come from
+the pair's continuous extension (the solve's dense evaluator) and u' from
+the flux transform F(r, M) above.  The second derivative is recovered
 algebraically from the equation itself, so the sigma_k residual
 (``residual_max``, the ``sigma_k_residual`` CSV column) is zero by
 construction, up to rounding; it checks nothing about the integration.
 :func:`conservation_defect` is the solve's runtime check: it recomputes M
-from u by quadrature and compares it with the M implied by u'.
+from u by quadrature and compares it with the propagated M.
 
 For admissible data (b positive and continuous, 0 < gamma < k) solutions
-are entire: they cannot blow up at a finite radius.  Hitting the overflow
-guard therefore raises, it is never a normal outcome.
+are entire: they cannot blow up at a finite radius.  Passing the overflow
+guard on u, or the float range on M, therefore raises; it is never a
+normal outcome.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import core
 from ._integrate import panel_cumulative
+from .coefficients import RadialProfile
 from .core import OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
 # linear_growth_tables is unused here but stays bound for callers that
 # reach it as ``solver.linear_growth_tables`` (perfbench/tracing.py does).
@@ -104,10 +113,164 @@ def _series_radius(params: ProblemParams, grid: RadialGrid, c2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) stepper
+# ---------------------------------------------------------------------------
+
+# The DOPRI5 tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.5): nodes C, stage weights A, fifth-order weights
+# B (the last stage is the next step's first), error weights E = B - Bhat
+# and the coefficients D of the free fourth-order continuous extension.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
+_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
+                                -10690763975 / 1880347072, 701980252875 / 199316789632,
+                                -1453857185 / 822651844, 69997945 / 29380423)
+
+_LOG_GUARD = math.log(OVERFLOW_GUARD)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_MIN_STEP = 1e-12   # relative to max(1, |s|): a smaller step is a failed solve
+
+
+def _exp(x: float) -> float:
+    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
+
+
+class _DenseOutput:
+    """(u, M) at any radius of a solve, and what the solve cost.
+
+    Below the handoff radius ``r_handoff`` the series start; beyond it the
+    DOPRI5 continuous extension of each accepted step in s = ln r.  The
+    counters ``rhs_evals``, ``accepted`` and ``rejected`` describe the
+    stepper's work."""
+
+    def __init__(self, series: _SeriesStart, r_handoff: float, starts, widths,
+                 coeffs, rhs_evals: int, rejected: int):
+        self.series = series
+        self.r_handoff = r_handoff
+        self._starts = np.asarray(starts)
+        self._widths = np.asarray(widths)
+        self._coeffs = np.asarray(coeffs).reshape(len(starts), 2, 5)
+        self.rhs_evals = rhs_evals
+        self.accepted = len(starts)
+        self.rejected = rejected
+
+    def __call__(self, r):
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        uu = np.empty_like(rr)
+        mm = np.empty_like(rr)
+        low = rr <= self.r_handoff
+        uu[low] = self.series.u(rr[low])
+        mm[low] = self.series.moment(rr[low])
+        if np.any(~low):
+            s = np.log(rr[~low])
+            step = np.clip(np.searchsorted(self._starts, s, side="right") - 1,
+                           0, self._starts.size - 1)
+            theta = ((s - self._starts[step]) / self._widths[step])[:, None]
+            back = 1.0 - theta
+            c = self._coeffs[step]
+            logs = c[..., 0] + theta * (c[..., 1] + back * (c[..., 2] + theta * (
+                c[..., 3] + back * c[..., 4])))
+            uu[~low] = np.exp(logs[:, 0])
+            mm[~low] = np.exp(logs[:, 1])
+        return uu, mm
+
+
+def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
+    """Integrate y = (ln u, ln M) with y' = f(s, ln u, ln M) up to each of
+    ``stops`` in turn (increasing; the last one is the end); no step
+    crosses a stop.
+
+    The error of a step is the RMS over both components of its embedded
+    estimate, each scaled by ``tol`` (a relative error in u and M), plus
+    ``abs_u``/u for ln u: an absolute floor of ``abs_u`` on u.  Returns the
+    step starts, widths and dense-output coefficients, the number of RHS
+    calls and of rejected steps.  Raises BlowupGuardError when u passes
+    OVERFLOW_GUARD or M the float range, IntegrationError when the step
+    falls below _MIN_STEP.
+    """
+    exp = math.exp
+    x, z = y
+    fx, fz = f(s, x, z)
+    evals, rejected = 1, 0
+    scale = math.hypot(fx, fz) / (tol * math.sqrt(2.0))
+    h = (0.01 / scale) ** 0.2 if scale > 0.0 else stops[-1] - s
+    starts, widths, coeffs = [], [], []
+    for stop in stops:
+        while s < stop:
+            if h < _MIN_STEP * max(1.0, abs(s)):
+                raise IntegrationError(
+                    f"adaptive integration failed at r = {exp(s):g}: the step size fell "
+                    f"below {_MIN_STEP:g} in ln r", r=exp(s), u=_exp(x), moment=_exp(z))
+            last = s + h >= stop
+            step = stop - s if last else h
+            try:
+                x2, z2 = f(s + _C2 * step, x + step * _A21 * fx, z + step * _A21 * fz)
+                x3, z3 = f(s + _C3 * step, x + step * (_A31 * fx + _A32 * x2),
+                           z + step * (_A31 * fz + _A32 * z2))
+                x4, z4 = f(s + _C4 * step, x + step * (_A41 * fx + _A42 * x2 + _A43 * x3),
+                           z + step * (_A41 * fz + _A42 * z2 + _A43 * z3))
+                x5, z5 = f(s + _C5 * step,
+                           x + step * (_A51 * fx + _A52 * x2 + _A53 * x3 + _A54 * x4),
+                           z + step * (_A51 * fz + _A52 * z2 + _A53 * z3 + _A54 * z4))
+                x6, z6 = f(stop if last else s + step,
+                           x + step * (_A61 * fx + _A62 * x2 + _A63 * x3 + _A64 * x4
+                                       + _A65 * x5),
+                           z + step * (_A61 * fz + _A62 * z2 + _A63 * z3 + _A64 * z4
+                                       + _A65 * z5))
+                x_new = x + step * (_B1 * fx + _B3 * x3 + _B4 * x4 + _B5 * x5 + _B6 * x6)
+                z_new = z + step * (_B1 * fz + _B3 * z3 + _B4 * z4 + _B5 * z5 + _B6 * z6)
+                x7, z7 = f(stop if last else s + step, x_new, z_new)
+                evals += 6
+                ex = step * (_E1 * fx + _E3 * x3 + _E4 * x4 + _E5 * x5 + _E6 * x6 + _E7 * x7)
+                ez = step * (_E1 * fz + _E3 * z3 + _E4 * z4 + _E5 * z5 + _E6 * z6 + _E7 * z7)
+                sx = tol + abs_u * _exp(-max(x, x_new))
+                err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ez / tol) ** 2))
+            except OverflowError:   # a trial stage left the float range: too long a step
+                evals += 6
+                err = math.inf
+            if not err <= 1.0:
+                rejected += 1
+                h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
+                continue
+            starts.append(s)
+            widths.append(step)
+            for y0, y1, k1, k3, k4, k5, k6, k7 in ((x, x_new, fx, x3, x4, x5, x6, x7),
+                                                   (z, z_new, fz, z3, z4, z5, z6, z7)):
+                rise = y1 - y0
+                bend = step * k1 - rise
+                coeffs += (y0, rise, bend, rise - step * k7 - bend,
+                           step * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6
+                                   + _D7 * k7))
+            s = stop if last else s + step
+            x, z, fx, fz = x_new, z_new, x7, z7
+            if x > _LOG_GUARD:
+                raise BlowupGuardError(
+                    f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
+                    f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
+                    f"for this coefficient", r=exp(s), u=_exp(x), moment=_exp(z))
+            if z > _LOG_FLOAT_MAX:
+                raise BlowupGuardError(
+                    f"the flux integral M exceeded the float range at r = {exp(s):g} "
+                    f"(u = {_exp(x):.3g}); the requested r_max = {exp(stops[-1]):g} is "
+                    f"too large for this coefficient", r=exp(s), u=_exp(x), moment=math.inf)
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+            # a step cut short by a stop says little about the next one
+            h = max(step * grow, h * min(grow, 1.0)) if last else step * grow
+    return starts, widths, coeffs, evals, rejected
+
+
+# ---------------------------------------------------------------------------
 # main solver
 # ---------------------------------------------------------------------------
 
-def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
+def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
                  rel_tol: float = DEFAULT_REL_TOL,
                  abs_tol: float = DEFAULT_ABS_TOL) -> RadialCurve:
     """Integrate the Cauchy problem u(0) = a, u'(0) = 0 out to the grid end.
@@ -115,14 +278,14 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
     Parameters
     ----------
     params : ProblemParams
-    b : callable
-        Radial coefficient profile, positive and continuous; must accept
-        scalars and ndarrays.
+    b : RadialProfile
+        Radial coefficient profile, positive and continuous.
     grid : RadialGrid
         Output nodes.  Integration runs adaptively; the grid only selects
         where the curve is reported.
     rel_tol, abs_tol : float
-        Tolerances for the embedded Runge-Kutta pair.
+        Relative tolerance on u and M (the stepper runs at rel_tol / 10)
+        and an absolute floor abs_tol * max(1, a) on the error of u.
 
     Returns
     -------
@@ -136,56 +299,33 @@ def solve_cauchy(params: ProblemParams, b, grid: RadialGrid,
         raise CoefficientError(f"coefficient must be positive and finite on the grid "
                                f"(fails near r = {bad:g})")
     n, k, gam = params.n, params.k, params.gamma
-    log_scale = math.log(n / params.cnk) / k
 
     series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
     r_s = _series_radius(params, grid, series.c2)
+    # M(r_s) / r_s^n: M itself may underflow for large n
+    u_s, m_scaled = series.u(r_s), series.m0 + series.m2 * r_s * r_s
+    if not (math.isfinite(u_s) and 0.0 < m_scaled < math.inf):
+        moment = m_scaled * r_s ** n
+        raise BlowupGuardError(f"the series start at r = {r_s:g} overflows (u = {u_s:g}, "
+                               f"M = {moment:g}); the coefficient or the center value is "
+                               f"too large", r=r_s, u=u_s, moment=moment)
+    s_s = math.log(r_s)
+    y0 = (math.log(u_s), math.log(m_scaled) + n * s_s)
 
-    def slope(r: float, moment: float) -> float:
-        if moment <= 0.0:
-            return 0.0
-        return math.exp(log_scale + ((k - n) * math.log(r) + math.log(moment)) / k)
+    # d ln u / ds = r u' / u and d ln M / ds = r^n b u^gamma / M with s = ln r
+    log_b = b.log_in_log_radius()
+    exp = math.exp
+    c_u = math.log(n / params.cnk) / k
+    p_u = (2 * k - n) / k
 
-    def rhs(r, y):
-        u, moment = y
-        return (slope(r, moment), r ** (n - 1) * float(b(r)) * u ** gam)
+    def rhs(s, x, z):
+        return exp(c_u + p_u * s + z / k - x), exp(n * s + log_b(s) + gam * x - z)
 
-    def guard(r, y):
-        return y[0] - OVERFLOW_GUARD
-    guard.terminal = True
-    guard.direction = 1.0
-
-    y0 = (float(series.u(r_s)), float(series.moment(r_s)))
-    if not np.all(np.isfinite(y0)):
-        raise BlowupGuardError(f"the series start at r = {r_s:g} overflows (u = {y0[0]:g}, "
-                               f"M = {y0[1]:g}); the coefficient or the center value is too large",
-                               r=r_s, u=y0[0], moment=y0[1])
-    atol = np.array([abs_tol * max(1.0, params.a), max(rel_tol * 1e-2 * y0[1], 1e-290)])
-    sol = solve_ivp(rhs, (r_s, grid.r_max), y0, method="RK45",
-                    rtol=rel_tol, atol=atol, dense_output=True, events=[guard])
-    if sol.status == 1:
-        r_stop = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-        raise BlowupGuardError(
-            f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = {r_stop:g}; "
-            f"the requested r_max = {grid.r_max:g} is too large for this coefficient",
-            r=r_stop, u=float(sol.y[0, -1]), moment=float(sol.y[1, -1]))
-    if sol.status != 0:
-        raise IntegrationError(
-            f"adaptive integration failed at r = {sol.t[-1]:g}: {sol.message}",
-            r=float(sol.t[-1]), u=float(sol.y[0, -1]), moment=float(sol.y[1, -1]))
-
-    def dense(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        uu = np.empty_like(rr)
-        mm = np.empty_like(rr)
-        low = rr <= r_s
-        uu[low] = series.u(rr[low])
-        mm[low] = series.moment(rr[low])
-        if np.any(~low):
-            vals = sol.sol(rr[~low])
-            uu[~low] = vals[0]
-            mm[~low] = vals[1]
-        return uu, mm
+    s_end = math.log(grid.r_max)
+    kinks = [math.log(r) for r in b.breakpoints.tolist() if r_s < r < grid.r_max]
+    starts, widths, coeffs, evals, rejected = _dopri5(
+        rhs, s_s, y0, kinks + [s_end], rel_tol / 10.0, abs_tol * max(1.0, params.a))
+    dense = _DenseOutput(series, r_s, starts, widths, coeffs, evals, rejected)
 
     # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
     u, moment = dense(nodes)
@@ -242,7 +382,7 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    n, gam, cnk = params.n, params.gamma, params.cnk
+    n, gam = params.n, params.gamma
 
     def integrand(s):
         u_s, _ = curve.dense(s)
@@ -251,8 +391,7 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     fine = curve.grid.refined(_CONSERVATION_REFINE)
     m_quad = panel_cumulative(integrand, fine)
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
-    r = curve.grid.nodes[1:]
-    m_curve = cnk * curve.du[1:] ** params.k * r ** (n - params.k) / n
+    _, m_curve = curve.dense(curve.grid.nodes[1:])
     return float(np.max(np.abs(m_quad[pos] - m_curve) / m_curve))
 
 

@@ -306,6 +306,14 @@ class TestSolveCommand:
         assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
         assert "series start" in capsys.readouterr().err
 
+    def test_flux_overflow_exit_code(self, tmp_path, capsys):
+        # gamma near k: M leaves the float range near r = 1.1e3, long
+        # before u reaches the overflow guard; the message names M.
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            n=6, k=3, gamma=2.9, grid={"r_max": 37450.0}))
+        assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
+        assert "flux integral M exceeded the float range" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_non_finite_spec_number_exits_invalid(self, tmp_path, capsys):

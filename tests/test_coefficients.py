@@ -95,6 +95,35 @@ class TestRadialProfile:
         r = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 400)])
         assert [profile(float(x)) for x in r] == list(profile(r))
 
+    @pytest.mark.parametrize("profile", [
+        RadialProfile.constant(2.5),
+        RadialProfile.power_tail(1.3),
+        RadialProfile.power_tail(1.3, m=4.7, A=0.6, r0=0.8, scale=2.0),
+        RadialProfile.from_callable(lambda r: 3.0 * (1.0 + r * r) ** -0.65),
+        RadialProfile.tabulated([0.0, 0.5, 2.0, 9.0, 40.0], [2.0, 1.5, 0.4, 0.1, 0.02],
+                                tail_exponent=1.5),
+    ], ids=["constant", "power_tail", "power_tail-perturbed", "callable", "tabulated"])
+    def test_log_closure_matches_log_of_eval(self, profile):
+        # The solver's float closure s -> ln b(e^s) against the array path,
+        # nodes of the table included.
+        r = np.unique(np.concatenate([np.geomspace(1e-3, 1e5, 400), [0.5, 2.0, 9.0, 40.0]]))
+        log_b = profile.log_in_log_radius()
+        got = np.array([log_b(math.log(x)) for x in r])
+        want = np.log(profile(r))
+        np.testing.assert_array_less(np.abs(got - want), 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_log_closure_rejects_what_eval_rejects(self):
+        table = RadialProfile.tabulated([1.0, 2.0], [1.0, 0.5])
+        with pytest.raises(ProfileRangeError, match="beyond tabulated range"):
+            table.log_in_log_radius()(math.log(3.0))
+        with pytest.raises(ProfileRangeError, match="below tabulated range"):
+            table.log_in_log_radius()(math.log(0.5))
+        dip = RadialProfile.from_callable(lambda r: 1.0 - np.asarray(r))
+        with pytest.raises(CoefficientError, match="must be positive"):
+            dip.log_in_log_radius()(math.log(2.0))
+        with pytest.raises(CoefficientError):
+            RadialProfile.zero().log_in_log_radius()
+
 
 class TestTabulatedProfile:
     def test_loglog_interpolation_exact_on_powers(self):

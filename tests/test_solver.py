@@ -1,8 +1,11 @@
 """Cauchy solver, break-line construction and growth quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hessianls import cli
 from hessianls.coefficients import RadialProfile
 from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
 from hessianls.envelope import flux_slope
@@ -154,6 +157,51 @@ class TestSolveCauchy:
         )
         with pytest.raises(IntegrationError):
             solve_cauchy(laplace_params, spike, grid)
+
+    def test_gamma_near_k_corner_solves_finite(self):
+        # gamma = 29k/30: u reaches 8.5e98 and M 4.4e302 by r = 1e3, and
+        # every reported quantity stays finite without a floating warning.
+        params = ProblemParams(n=6, k=3, gamma=2.9)
+        grid = RadialGrid.build(1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = solve_cauchy(params, B_ONE, grid)
+            _, moment = curve.dense(grid.nodes)
+        for values in (curve.u, curve.du, curve.d2u, moment):
+            assert np.all(np.isfinite(values))
+        assert curve.u[-1] == pytest.approx(8.48e98, rel=1e-2)
+        assert moment[-1] > 1e302
+
+    def test_flux_guard_names_the_moment(self):
+        # Further out M passes the largest float while u is near 1e101.
+        params = ProblemParams(n=6, k=3, gamma=2.9)
+        with pytest.raises(BlowupGuardError, match="flux integral M") as exc:
+            solve_cauchy(params, B_ONE, RadialGrid.build(37450.0))
+        assert 1e3 < exc.value.r < 37450.0
+        assert exc.value.moment == np.inf and np.isfinite(exc.value.u)
+
+    def test_overflow_guard_names_u(self):
+        params = ProblemParams(n=3, k=1, gamma=0.5, a=1.0)
+        b = RadialProfile.from_callable(lambda r: np.exp(np.minimum(np.asarray(r), 690.0)))
+        with pytest.raises(BlowupGuardError, match="solution exceeded the overflow guard"):
+            solve_cauchy(params, b, RadialGrid.build(1000.0, nodes_per_decade=16))
+
+    def test_smallest_accepted_rel_solves(self):
+        # The criterion-2 problem at the smallest rel the CLI accepts.
+        params = ProblemParams(n=4, k=2, gamma=1.0)
+        b = RadialProfile.power_tail(1.0)
+        grid = RadialGrid.build(1e5)
+        tight = solve_cauchy(params, b, grid, rel_tol=cli._MIN_REL_TOL)
+        default = solve_cauchy(params, b, grid)
+        np.testing.assert_allclose(tight.u, default.u, rtol=1e-7)
+
+    def test_stepper_counts(self, hessian2_params):
+        # FSAL: one RHS call to start, six per attempted step.
+        curve = solve_cauchy(hessian2_params, RadialProfile.power_tail(1.0),
+                             RadialGrid.build(1e4))
+        dense = curve.dense
+        assert dense.accepted > 0
+        assert dense.rhs_evals == 1 + 6 * (dense.accepted + dense.rejected)
 
     def test_curve_csv_roundtrip(self, laplace_params, tmp_path):
         grid = RadialGrid.build(50.0, nodes_per_decade=12)
