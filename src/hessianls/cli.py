@@ -50,8 +50,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_ORDERING = 4
 EXIT_VERIFY = 5
 
-JOBS_ENV = "HESSIANLS_JOBS"
-
 
 # ---------------------------------------------------------------------------
 # specification parsing
@@ -122,6 +120,7 @@ _VARY_SECTIONS = {key: section for section, tables in (
 # The stepper runs at rel / 10, which at this bound is ten rounding units of
 # ln u and ln M; a smaller rel asks for more than the arithmetic can give.
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -166,6 +165,9 @@ class ProblemSpec:
             RadialGrid.check(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
+        if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > _LOG_FLOAT_MAX:
+            raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
+                                 f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
         if not _MIN_REL_TOL <= tolerances["rel"] < 1.0:
             raise ParameterError(f"spec.tolerances.rel: must lie in [{_MIN_REL_TOL:.3g}, 1), "
                                  f"got {tolerances['rel']}")
@@ -440,16 +442,6 @@ def _parse_vary(items):
     return out
 
 
-def _job_count(args_jobs) -> int:
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"{JOBS_ENV}={env!r}: expected an integer") from None
-    return max(1, args_jobs or 1)
-
-
 def cmd_sweep(args) -> int:
     template = load_spec(args.spec)
     raw, base_dir = template.to_dict(), template.base_dir
@@ -461,7 +453,7 @@ def cmd_sweep(args) -> int:
         for (name, _), value in zip(vary, combo):
             cell = _apply_override(cell, name, value)
         payloads.append((cell, base_dir, not args.no_rates))
-    jobs = _job_count(args.jobs)
+    jobs = max(1, args.jobs)
     if jobs > 1 and len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
@@ -519,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parameter range; repeatable")
     p_sweep.add_argument("--out", default=None, help="output CSV (default stdout)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help=f"parallel workers (env {JOBS_ENV} overrides)")
+                         help="parallel workers")
     p_sweep.add_argument("--no-rates", action="store_true",
                          help="skip the solve-based rate fits")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -323,8 +323,7 @@ def save_profile_csv(profile: RadialProfile, path) -> None:
             writer.writerow([f"{r:.17g}", f"{b:.17g}"])
 
 
-def load_profile_csv(path, tail_exponent: Optional[float] = None,
-                     strictly_positive: bool = True) -> RadialProfile:
+def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfile:
     """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`.
 
     A missing or unreadable file and a cell or row numpy cannot parse raise
@@ -337,7 +336,7 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None,
         raise CoefficientError(f"profile CSV {path}: {exc}") from None
     if data.shape[1] != 2:
         raise CoefficientError(f"profile CSV must have two columns, got {data.shape[1]}")
-    return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent, strictly_positive)
+    return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +473,7 @@ def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
     return coords / norms[:, None]
 
 
-def ray_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
+def ray_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic unit directions: the 2*dim signed axes first, then
     quasi-uniform fill from :func:`sphere_points`."""
     axes = []
@@ -487,7 +486,7 @@ def ray_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     axes = np.array(axes)
     if count <= axes.shape[0]:
         return axes[:count]
-    extra = sphere_points(dim, count - axes.shape[0], radius_index=1000 + seed)
+    extra = sphere_points(dim, count - axes.shape[0], radius_index=1000)
     return np.vstack([axes, extra])
 
 

@@ -141,7 +141,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     r_lin: float = 10.0
-    nodes_per_decade: int = 48
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -161,12 +160,12 @@ class RadialGrid:
         n_lin = max(8, nodes_per_decade)
         lin = np.linspace(0.0, r_lin, n_lin + 1)
         if r_max <= r_lin:
-            return cls(lin, r_lin=r_lin, nodes_per_decade=nodes_per_decade)
+            return cls(lin, r_lin=r_lin)
         decades = math.log10(r_max / r_lin)
         n_log = max(2, math.ceil(nodes_per_decade * decades))
         log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
         log_part[-1] = r_max
-        return cls(np.concatenate([lin, log_part]), r_lin=r_lin, nodes_per_decade=nodes_per_decade)
+        return cls(np.concatenate([lin, log_part]), r_lin=r_lin)
 
     @staticmethod
     def check(r_max: float, r_lin: float, nodes_per_decade: int) -> None:

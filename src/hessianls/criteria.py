@@ -33,11 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._integrate import cumulative_values, panel_cumulative
+from ._integrate import cumulative_values
 from .asymptotics import fit_exponent
 from .core import ProblemParams
 from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
-from .envelope import fine_nodes, flux_slope, growth_primitive, linear_growth_tables
+from .envelope import (fine_nodes, flux_integral, flux_slope, growth_primitive,
+                       linear_growth_tables)
 from .errors import ParameterError
 
 LARGE = "Large"
@@ -259,10 +260,8 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
     """[0, r_max] part of I_osc by stacked quadrature; also returns the
     outer integrand value at r_max (for the tail estimate)."""
     fine = fine_nodes(r_max)
-    _, _, prim = linear_growth_tables(params, triple.b_star, fine)
-    power = params.k * params.gamma / (params.k - params.gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        btilde = (1.0 + prim) ** power
+        btilde = compute_b_tilde(triple.b_star, fine, params)
         osc_vals = np.asarray(triple.b_osc(fine))
         # In extreme-exponent regimes the oscillation underflows to zero
         # while the growth factor overflows; the product is then taken as
@@ -332,8 +331,7 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
         return JensenReport(radial_moment, osc_bound)
 
     est_osc = tail_exponent_of(triple.b_osc)
-    inner1 = panel_cumulative(
-        lambda s: s ** (n - 1) * np.asarray(triple.b_star(s)) ** (1.0 / k), fine)
+    inner1 = flux_integral(params, lambda s: np.asarray(triple.b_star(s)) ** (1.0 / k), fine)
     ratio = np.zeros_like(fine)
     ratio[1:] = inner1[1:] / fine[1:] ** (n - 1)
     double = cumulative_values(ratio, fine)

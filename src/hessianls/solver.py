@@ -39,26 +39,24 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import core
-from ._integrate import panel_cumulative
 from .coefficients import RadialProfile
 from .core import OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
-# linear_growth_tables is unused here but stays bound for callers that
-# reach it as ``solver.linear_growth_tables`` (perfbench/tracing.py does).
-from .envelope import flux_slope, growth_primitive, linear_growth_tables  # noqa: F401
-from .errors import (BlowupGuardError, CoefficientError, DomainTooLargeError,
-                     IntegrationError)
+# The quadrature-only comparison routes live in envelope; their names stay
+# bound here for callers that reach them as ``solver.*`` (the package
+# namespace, verify, and perfbench/tracing.py, which also wraps
+# ``solver.linear_growth_tables``).
+from .envelope import (BreakLine, breakline_defect, euler_polyline,  # noqa: F401
+                       flux_integral, flux_slope, linear_growth_tables, solve_linear_rhs)
+from .errors import BlowupGuardError, CoefficientError, IntegrationError
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
 
-_CONSERVATION_REFINE = 2          # grid refinement of the conservation quadrature
-_DEFECT_SAMPLES_PER_SEGMENT = 8   # break-line defect samples per segment
-_MAX_BREAKLINE_SEGMENTS = 1 << 18
+_CONSERVATION_REFINE = 2   # grid refinement of the conservation quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +380,8 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    n, gam = params.n, params.gamma
-
-    def integrand(s):
-        u_s, _ = curve.dense(s)
-        return s ** (n - 1) * np.asarray(b(s)) * u_s ** gam
-
     fine = curve.grid.refined(_CONSERVATION_REFINE)
-    m_quad = panel_cumulative(integrand, fine)
+    m_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
     _, m_curve = curve.dense(curve.grid.nodes[1:])
     return float(np.max(np.abs(m_quad[pos] - m_curve) / m_curve))
@@ -409,144 +401,8 @@ def write_curve_csv(curve: RadialCurve, path, params: ProblemParams, b) -> None:
                          f"{curve.d2u[i]:.17g},{resid[i]:.17g}\n")
 
 
-def read_curve_csv(path, grid_kwargs: Optional[dict] = None) -> RadialCurve:
+def read_curve_csv(path) -> RadialCurve:
     """Read a curve written by :func:`write_curve_csv`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    grid = RadialGrid(data[:, 0], **(grid_kwargs or {}))
+    grid = RadialGrid(data[:, 0])
     return RadialCurve(grid=grid, u=data[:, 1], du=data[:, 2], d2u=data[:, 3])
-
-
-# ---------------------------------------------------------------------------
-# comparison route 1: explicit break-line (Euler polygon)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BreakLine:
-    """Piecewise-linear epsilon-approximate solution on [0, R].
-
-    Flat at the center value out to ``r_flat`` (chosen so the slope
-    functional stays below epsilon there), then explicit Euler segments on
-    a uniform partition.  ``slopes[i]`` is the slope on
-    (radii[i], radii[i+1]].
-    """
-
-    radii: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    epsilon: float
-    r_flat: float
-
-    def eval(self, r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.clip(np.searchsorted(self.radii, rr, side="right") - 1, 0,
-                      self.radii.size - 2)
-        out = self.values[idx] + self.slopes[idx] * (rr - self.radii[idx])
-        return float(out[0]) if np.isscalar(r) else out
-
-    __call__ = eval
-
-
-def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> BreakLine:
-    """Construct the explicit epsilon-approximate break line on [0, r_end].
-
-    The construction doubles the uniform partition until the sampled
-    defect |dpsi/dr - F[r, psi]| is below epsilon on every segment.  The
-    line must stay inside the box [a, 2a]; leaving it raises
-    DomainTooLargeError (the box is only guaranteed for small r_end).
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if r_end <= 0:
-        raise ValueError(f"r_end must be positive, got {r_end}")
-    k, gam, a = params.k, params.gamma, params.a
-    probe_r = np.linspace(0.0, r_end, 1025)
-    probe_b = np.asarray(b(probe_r))
-    if np.any(probe_b <= 0.0):
-        raise CoefficientError("coefficient must be positive on [0, r_end]")
-    b_max = float(probe_b.max())
-    # flat head: F is below epsilon as long as r <= r_flat by the crude
-    # bound F <= r (b_max (2a)^gamma / C(n,k))^(1/k)
-    r_flat = params.cnk ** (1.0 / k) * epsilon / (b_max ** (1.0 / k) * (2.0 * a) ** (gam / k))
-    r_flat = min(r_flat, r_end)
-
-    segments = 16
-    while True:
-        line = _build_line(params, b, r_end, epsilon, r_flat, segments)
-        if line is not None:
-            defect = breakline_defect(line, params, b)
-            if defect < epsilon:
-                return line
-        segments *= 2
-        if segments > _MAX_BREAKLINE_SEGMENTS:
-            raise IntegrationError(
-                f"break line did not reach defect < {epsilon:g} within "
-                f"{_MAX_BREAKLINE_SEGMENTS} segments")
-
-
-def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
-                r_flat: float, segments: int) -> Optional[BreakLine]:
-    a = params.a
-    if r_flat >= r_end:
-        radii = np.array([0.0, r_end])
-        values = np.array([a, a])
-        slopes = np.array([0.0])
-        return BreakLine(radii, values, slopes, epsilon, r_flat)
-    radii = np.concatenate([[0.0], np.linspace(r_flat, r_end, segments + 1)])
-    if r_flat == 0.0:
-        radii = radii[1:]
-    values = np.empty_like(radii)
-    slopes = np.zeros(radii.size - 1)
-    values[0] = a
-    values[1] = a  # end of the flat head
-    inner = _segment_inner(params, b, 0.0, r_flat, a, 0.0, cells=32)
-    for i in range(1, radii.size - 1):
-        slope_i = float(flux_slope(params, radii[i], inner))
-        slopes[i] = slope_i
-        values[i + 1] = values[i] + slope_i * (radii[i + 1] - radii[i])
-        if values[i + 1] >= 2.0 * a:
-            raise DomainTooLargeError(
-                f"break line left the box [a, 2a] at r = {radii[i + 1]:g}; "
-                f"choose a smaller right endpoint than {r_end:g}")
-        inner += _segment_inner(params, b, radii[i], radii[i + 1],
-                                values[i], slope_i)
-    return BreakLine(radii, values, slopes, epsilon, r_flat)
-
-
-def _segment_inner(params: ProblemParams, b, lo: float, hi: float,
-                   value_lo: float, slope: float, cells: int = 2) -> float:
-    """integral_lo^hi s^(n-1) b(s) psi(s)^gamma for the linear piece psi."""
-    n, gam = params.n, params.gamma
-    nodes = np.linspace(lo, hi, cells + 1)
-    return float(panel_cumulative(
-        lambda s: s ** (n - 1) * np.asarray(b(s))
-        * (value_lo + slope * (s - lo)) ** gam, nodes)[-1])
-
-
-def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
-    """Largest sampled |dpsi/dr - F[r, psi]| over the line.
-
-    Samples interior points of every segment (the defect vanishes at the
-    left endpoints by construction) including the flat head.  The flux
-    integral runs in one quadrature pass over two cells per sample.
-    """
-    n, gam = params.n, params.gamma
-    cells = 2 * _DEFECT_SAMPLES_PER_SEGMENT
-    lo = line.radii[:-1, None]
-    sub = lo + np.diff(line.radii)[:, None] * (np.arange(1, cells + 1) / cells)
-    sub[:, -1] = line.radii[1:]
-    nodes = np.concatenate([line.radii[:1], sub.ravel()])
-    inner = panel_cumulative(
-        lambda s: s ** (n - 1) * np.asarray(b(s)) * line.eval(s) ** gam, nodes)
-    slopes = np.repeat(line.slopes, _DEFECT_SAMPLES_PER_SEGMENT)
-    return float(np.max(np.abs(slopes - flux_slope(params, nodes[2::2], inner[2::2]))))
-
-
-# ---------------------------------------------------------------------------
-# comparison route 2: pure quadrature for the growth envelope
-# ---------------------------------------------------------------------------
-
-def solve_linear_rhs(params: ProblemParams, b, grid: RadialGrid) -> np.ndarray:
-    """Solution of the comparison problem with frozen right-hand side
-    (u^gamma replaced by 1): ubar(r) at the grid nodes, by nested
-    quadrature only."""
-    return growth_primitive(params, b, grid.nodes)

@@ -81,6 +81,13 @@ _COEFFICIENT_KEYS = {
 _ALL_COEFFICIENT_KEYS = set().union(*(keys for _, keys in _COEFFICIENT_KEYS.values()))
 
 
+def _large_n_spec(n):
+    """Overrides of :func:`_constant_spec` for dimension ``n`` at r_max = 1e4,
+    where n = 78 is the largest dimension whose weight s^(n-1) stays finite."""
+    return {"n": n, "k": 3, "gamma": 1.0, "coefficient": {"kind": "power_tail", "l": 1.5},
+            "grid": {"r_max": 1e4}}
+
+
 def _counterexample_spec(r_max=100.0):
     return {
         "n": 3,
@@ -572,14 +579,13 @@ class TestSweepCommand:
         assert rejected["error"] == "ParameterError: spec.n: expected an integer, got 3.5"
         assert None not in rejected  # DictReader's key for fields beyond the header
 
-    def test_deterministic_across_job_counts(self, tmp_path, monkeypatch):
+    def test_deterministic_across_job_counts(self, tmp_path):
         spec_path = self._template(tmp_path)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         args = ["sweep", spec_path, "--vary", "l=1.0,2.0,3.0", "--no-rates"]
         assert cli.main(args + ["--out", str(serial)]) == EXIT_OK
-        monkeypatch.setenv(cli.JOBS_ENV, "2")
-        assert cli.main(args + ["--out", str(parallel)]) == EXIT_OK
+        assert cli.main(args + ["--out", str(parallel), "--jobs", "2"]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_rate_fit_columns(self, tmp_path):
@@ -616,12 +622,6 @@ class TestSweepCommand:
         assert all(repr(name) in err for name in cli._VARY_SECTIONS)
         assert "'tail_exponent'" in err and "'path'" not in err
 
-    def test_bad_jobs_env(self, tmp_path, monkeypatch, capsys):
-        spec_path = self._template(tmp_path)
-        monkeypatch.setenv(cli.JOBS_ENV, "many")
-        assert cli.main(["sweep", spec_path, "--no-rates"]) == EXIT_INVALID
-        capsys.readouterr()
-
 
 class TestTopLevelErrors:
     def test_missing_spec_file(self, tmp_path, capsys):
@@ -644,13 +644,22 @@ class TestTopLevelErrors:
         ({"tolerances": {"rel": 1e-15}}, "spec.tolerances.rel: must lie in"),
         ({"grid": {"r_lin": 0}}, "spec.grid: r_lin must be positive"),
         ({"n": 2000, "k": 1000}, "spec: n and C(n, k) must lie within the float range"),
+        (_large_n_spec(79), "spec.n: s^(n-1) overflows the float range on [0, r_max] "
+                            "for n = 79, r_max = 10000"),
     ], ids=["top-typo", "grid-typo", "section-typo", "abs-negative", "rel-zero",
-            "rel-clamped", "r_lin-zero", "binomial-overflow"])
+            "rel-clamped", "r_lin-zero", "binomial-overflow", "weight-overflow"])
     def test_spec_rejected_when_read(self, tmp_path, capsys, command, over, message):
         # Every subcommand rejects the same specs, before any work is done.
         spec_path = _write(tmp_path, "spec.json", _constant_spec(**over))
         assert cli.main([command, spec_path]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_largest_n_for_r_max_classifies(self, tmp_path, capsys):
+        # (n - 1) ln r_max just below ln of the largest float: s^(n-1) stays finite
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(**_large_n_spec(78)))
+        assert cli.main(["classify", spec_path]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["existence_verdict"]
+        assert verdict["finite_part"] == pytest.approx(15835.68, rel=1e-6)
 
     def test_overlong_integer_literal(self, tmp_path, capsys):
         path = tmp_path / "long.json"
