@@ -345,6 +345,11 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfi
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
+# radialize draws its radii in blocks of at most this many sphere
+# coordinates (rows * count * dim), so its transient arrays stay a few
+# hundred kB whatever the sphere count.
+_BLOCK_COORDS = 32768
+
 # Cephes ndtri: rational approximations of the normal quantile on
 # |y - 1/2| <= 3/8 (P0/Q0) and, with z = sqrt(-2 ln y), on 2 <= z < 8
 # (P1/Q1) and 8 <= z <= 64 (P2/Q2); Q polynomials have a leading 1.
@@ -378,37 +383,66 @@ _SQRT_2PI = 2.50662827463100050242
 
 
 def _polevl(x: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
-    """Horner's rule, highest power first (cephes polevl / p1evl)."""
+    """Horner's rule, highest power first (cephes polevl / p1evl), in place
+    on one fresh array."""
     out = x + coef[0] if leading_one else np.full_like(x, coef[0])
     for c in coef[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
 def ndtri(p) -> np.ndarray:
-    """Inverse of the standard normal CDF, elementwise on (0, 1).
+    """Inverse of the standard normal CDF, elementwise on (0, 1), any shape.
 
     The cephes algorithm, operation for operation, so sphere samples match
-    those drawn with scipy.special.ndtri.  The two logarithms of the tail
+    those drawn with scipy.special.ndtri.  Each branch gathers its elements
+    by index and does its arithmetic in place in cephes' order, so a large
+    block costs a handful of array passes.  The two logarithms of the tail
     branch use libm's ``math.log``: the envelope tails of the golden
     sandwich are ill-conditioned enough that one ulp there shows."""
     p = np.asarray(p, dtype=float)
-    y = np.where(p > 1.0 - _EXP_M2, 1.0 - p, p)
-    out = np.empty(p.shape)
+    flat = p.ravel()
+    upper = flat > 1.0 - _EXP_M2
+    y = flat.copy()
+    high = np.flatnonzero(upper)
+    y[high] = 1.0 - flat[high]
     central = y > _EXP_M2
-    yc = y[central] - 0.5
+    out = np.empty(flat.shape)
+    mid = np.flatnonzero(central)
+    yc = y[mid]
+    yc -= 0.5
     y2 = yc * yc
-    xc = yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, True))
-    out[central] = xc * _SQRT_2PI
-    x = np.sqrt(-2.0 * np.fromiter(map(math.log, y[~central].tolist()), float))
-    x0 = x - np.fromiter(map(math.log, x.tolist()), float) / x
+    xc = _polevl(y2, _NDTRI_P0)
+    xc *= y2
+    xc /= _polevl(y2, _NDTRI_Q0, True)
+    xc *= yc
+    xc += yc
+    xc *= _SQRT_2PI
+    out[mid] = xc
+    tail = np.flatnonzero(~central)
+    x = np.fromiter(map(math.log, y[tail].tolist()), float)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = np.fromiter(map(math.log, x.tolist()), float)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
     z = 1.0 / x
-    x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True)
-    far = x >= 8.0   # p below exp(-32)
-    if far.any():
-        x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _polevl(z[far], _NDTRI_Q2, True)
-    out[~central] = np.where(p[~central] > 1.0 - _EXP_M2, x0 - x1, x1 - x0)
-    return out
+    x1 = _polevl(z, _NDTRI_P1)
+    x1 *= z
+    x1 /= _polevl(z, _NDTRI_Q1, True)
+    far = np.flatnonzero(x >= 8.0)   # p below exp(-32)
+    if far.size:
+        zf = z[far]
+        x1f = _polevl(zf, _NDTRI_P2)
+        x1f *= zf
+        x1f /= _polevl(zf, _NDTRI_Q2, True)
+        x1[far] = x1f
+    xt = x1 - x0
+    flip = np.flatnonzero(upper[tail])
+    xt[flip] = x0[flip] - x1[flip]
+    out[tail] = xt
+    return out.reshape(p.shape)
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -433,15 +467,43 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return table
 
 
-def _phase(radius_index: int, lane: int) -> float:
-    """Deterministic per-radius rotation in [0, 1)."""
-    x = (radius_index + 1) * (_GOLDEN ** -(lane + 1))
-    return x - math.floor(x)
+def _sphere_table(dim: int, count: int, first: int, stop: int) -> np.ndarray:
+    """(stop - first, count, dim) table: row j holds the first ``count``
+    sphere points of radius index first + j (see :func:`sphere_points`).
+
+    The rotation of radius index i in lane j is the fractional part of
+    (i + 1) * golden^-(j + 1), with the lane factor a Python float."""
+    if dim < 2:
+        raise CoefficientError(f"sphere sampling needs dim >= 2, got {dim}")
+    if count < 1:
+        raise CoefficientError("count must be positive")
+    if dim > len(_PRIMES):
+        raise CoefficientError(f"sphere sampling supports dim <= {len(_PRIMES)}")
+    lanes = 2 if dim == 3 else dim
+    factors = np.array([_GOLDEN ** -(j + 1) for j in range(lanes)])
+    phases = np.arange(first + 1, stop + 1, dtype=np.int64)[:, None] * factors
+    phases -= np.floor(phases)
+    if dim == 3:
+        # spiral: bit-reversed latitudes, golden-angle longitudes
+        idx = np.arange(1, count + 1, dtype=np.int64)
+        z = _halton(count, 1)[:, 0] + phases[:, :1]
+        z -= z >= 1.0
+        z = np.clip(2.0 * z - 1.0, -1.0 + 1e-12, 1.0 - 1e-12)
+        theta = 2.0 * math.pi * ((idx / _GOLDEN + phases[:, 1:]) % 1.0)
+        rho = np.sqrt(1.0 - z * z)
+        return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=-1)
+    u = _halton(count, dim) + phases[:, None, :]
+    u -= u >= 1.0   # the fractional part: u < 2, so u - 1 is exact
+    coords = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12, out=u))
+    norms = np.linalg.norm(coords, axis=-1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    coords /= norms
+    return coords
 
 
 def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
     """First ``count`` points of a deterministic quasi-uniform sequence on
-    the unit sphere in ``dim`` dimensions.
+    the unit sphere in ``dim`` dimensions, as a (count, dim) array.
 
     Prefixes are nested: the first N points of the sequence for a given
     (dim, radius_index) are unchanged when count grows, so envelope minima
@@ -450,27 +512,11 @@ def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
     dim == 3 uses a spiral placement (bit-reversed latitudes, golden-angle
     longitudes); higher dimensions map a Halton sequence through the
     normal quantile and normalize.  ``radius_index`` rotates the sequence
-    so neighbouring radii do not share identical directions.
+    so neighbouring radii do not share identical directions.  This is the
+    one-radius row of the table :func:`radialize` draws a block of radii
+    from, so both give the same points bit for bit.
     """
-    if dim < 2:
-        raise CoefficientError(f"sphere sampling needs dim >= 2, got {dim}")
-    if count < 1:
-        raise CoefficientError("count must be positive")
-    if dim == 3:
-        idx = np.arange(1, count + 1, dtype=np.int64)
-        z = 2.0 * ((_halton(count, 1)[:, 0] + _phase(radius_index, 0)) % 1.0) - 1.0
-        z = np.clip(z, -1.0 + 1e-12, 1.0 - 1e-12)
-        theta = 2.0 * math.pi * ((idx / _GOLDEN + _phase(radius_index, 1)) % 1.0)
-        rho = np.sqrt(1.0 - z * z)
-        return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
-    if dim > len(_PRIMES):
-        raise CoefficientError(f"sphere sampling supports dim <= {len(_PRIMES)}")
-    phases = np.array([_phase(radius_index, j) for j in range(dim)])
-    u = np.clip((_halton(count, dim) + phases) % 1.0, 1e-12, 1.0 - 1e-12)
-    coords = ndtri(u)
-    norms = np.linalg.norm(coords, axis=1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return coords / norms[:, None]
+    return _sphere_table(dim, count, radius_index, radius_index + 1)[0]
 
 
 def ray_directions(dim: int, count: int) -> np.ndarray:
@@ -664,6 +710,11 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     deterministic sequence, rotated per radius.  The minimum over the
     sample overestimates b_* and the maximum underestimates b^*, and both
     converge monotonically as the count doubles.
+
+    The radii go in blocks of at most _BLOCK_COORDS coordinates (at least
+    one radius each): one sphere table, one field call on the block's
+    (radii * sphere_count, dim) points and a per-radius min and max.  The
+    envelopes equal those of a one-radius-at-a-time loop bit for bit.
     """
     if sphere_count < 32:
         raise CoefficientError(f"sphere_count must be >= 32, got {sphere_count}")
@@ -677,14 +728,19 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     if center <= 0:
         raise CoefficientError("field must be positive at the origin")
     star[0] = upper[0] = center
-    for i in range(1, nodes.size):
-        pts = nodes[i] * sphere_points(dim, sphere_count, radius_index=i)
-        vals = _one_per_point(field(pts), sphere_count, "field")
-        if np.any(vals <= 0):
-            raise CoefficientError(f"field must be positive; found min {vals.min():g} "
-                                   f"at radius {nodes[i]:g}")
-        star[i] = vals.min()
-        upper[i] = vals.max()
+    rows = max(1, _BLOCK_COORDS // (sphere_count * dim))
+    for first in range(1, nodes.size, rows):
+        stop = min(first + rows, nodes.size)
+        pts = nodes[first:stop, None, None] * _sphere_table(dim, sphere_count, first, stop)
+        vals = _one_per_point(field(pts.reshape(-1, dim)), pts.shape[0] * sphere_count,
+                              "field").reshape(-1, sphere_count)
+        bad = np.flatnonzero(np.any(vals <= 0, axis=1))
+        if bad.size:
+            row = bad[0]
+            raise CoefficientError(f"field must be positive; found min {vals[row].min():g} "
+                                   f"at radius {nodes[first + row]:g}")
+        star[first:stop] = vals.min(axis=1)
+        upper[first:stop] = vals.max(axis=1)
     osc = np.maximum(upper - star, 0.0)
     tail_star = getattr(field, "tail_star", None)
     tail_upper = getattr(field, "tail_upper", None)

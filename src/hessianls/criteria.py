@@ -103,9 +103,13 @@ def keller_osserman_integrand(b_star, r: float, params: ProblemParams) -> float:
 
 def compute_b_tilde(b_star, s, params: ProblemParams):
     """Worst-case growth factor (1 + integral_0^s J)^(k gamma/(k-gamma))."""
-    prim = growth_primitive(params, b_star, s)
+    return _b_tilde(params, growth_primitive(params, b_star, s))
+
+
+def _b_tilde(params: ProblemParams, primitive):
+    """The growth factor of :func:`compute_b_tilde` from integral_0^s J."""
     power = params.k * params.gamma / (params.k - params.gamma)
-    return (1.0 + prim) ** power
+    return (1.0 + primitive) ** power
 
 
 def bounded_solution_bound(params: ProblemParams, b_star, r):
@@ -261,7 +265,9 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
     outer integrand value at r_max (for the tail estimate)."""
     fine = fine_nodes(r_max)
     with np.errstate(over="ignore", invalid="ignore"):
-        btilde = compute_b_tilde(triple.b_star, fine, params)
+        # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
+        # itself; its primitive is the J table's last column on ``fine``.
+        btilde = _b_tilde(params, linear_growth_tables(params, triple.b_star, fine)[2])
         osc_vals = np.asarray(triple.b_osc(fine))
         # In extreme-exponent regimes the oscillation underflows to zero
         # while the growth factor overflows; the product is then taken as

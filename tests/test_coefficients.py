@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hessianls import coefficients
 from hessianls.coefficients import (
     AnisotropicPowerField,
     QuadraticRootField,
     RadialProfile,
     load_profile_csv,
     make_builtin_field,
+    ndtri,
     radialize,
     ray_directions,
     save_profile_csv,
@@ -242,6 +244,13 @@ class TestSphereSampling:
         with pytest.raises(CoefficientError):
             sphere_points(3, 0)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16])
+    def test_points_are_rows_of_the_table(self, dim):
+        table = coefficients._sphere_table(dim, 64, 0, 40)
+        assert table.shape == (40, 64, dim)
+        for i in range(40):
+            np.testing.assert_array_equal(sphere_points(dim, 64, radius_index=i), table[i])
+
     def test_ray_directions_axes_first(self):
         rays = ray_directions(3, 16)
         assert rays.shape == (16, 3)
@@ -304,6 +313,50 @@ class TestFields:
             make_builtin_field("no_such_field")
 
 
+def _per_radius_sphere_points(dim, count, i):
+    """The sampler one radius at a time: per-lane phases from Python floats,
+    then (for dim != 3) the normal quantile of a (count, dim) array."""
+    def phase(lane):
+        x = (i + 1) * (coefficients._GOLDEN ** -(lane + 1))
+        return x - math.floor(x)
+
+    if dim == 3:
+        idx = np.arange(1, count + 1, dtype=np.int64)
+        z = 2.0 * ((coefficients._halton(count, 1)[:, 0] + phase(0)) % 1.0) - 1.0
+        z = np.clip(z, -1.0 + 1e-12, 1.0 - 1e-12)
+        theta = 2.0 * math.pi * ((idx / coefficients._GOLDEN + phase(1)) % 1.0)
+        rho = np.sqrt(1.0 - z * z)
+        return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+    phases = np.array([phase(j) for j in range(dim)])
+    u = np.clip((coefficients._halton(count, dim) + phases) % 1.0, 1e-12, 1.0 - 1e-12)
+    coords = ndtri(u)
+    norms = np.linalg.norm(coords, axis=1)
+    norms = np.where(norms == 0.0, 1.0, norms)
+    return coords / norms[:, None]
+
+
+def _per_radius_envelopes(field, nodes, count):
+    star, upper = np.empty(nodes.size), np.empty(nodes.size)
+    star[0] = upper[0] = field(np.zeros((1, field.dim)))[0]
+    for i in range(1, nodes.size):
+        vals = field(nodes[i] * _per_radius_sphere_points(field.dim, count, i))
+        star[i], upper[i] = vals.min(), vals.max()
+    return star, upper, np.maximum(upper - star, 0.0)
+
+
+class CountingField:
+    """Wraps a field and records the size of every call."""
+
+    def __init__(self, field):
+        self.field = field
+        self.dim = field.dim
+        self.sizes = []
+
+    def __call__(self, points):
+        self.sizes.append(len(points))
+        return self.field(points)
+
+
 class TestRadialize:
     def test_radial_field_collapses(self):
         # A purely radial field gives b_* = b^* and negligible oscillation.
@@ -346,6 +399,58 @@ class TestRadialize:
         assert np.all(fine.b_star.values <= coarse.b_star.values + 1e-15)
         assert np.all(fine.b_upper.values >= coarse.b_upper.values - 1e-15)
 
+    # (r_max, nodes_per_decade) per sphere count: every grid has more radii
+    # than one block of that count holds, for every dim below.
+    BLOCK_GRIDS = {32: (1e3, 256), 256: (1e3, 48), 2048: (1e2, 16)}
+
+    @pytest.mark.parametrize("count", sorted(BLOCK_GRIDS))
+    @pytest.mark.parametrize("field", [
+        AnisotropicPowerField(l=1.5, m=3.0, amp=0.7, dim=2),
+        AnisotropicPowerField(l=1.5, m=3.0, amp=0.7, dim=4),
+        AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5),
+        AnisotropicPowerField(l=2.0, m=5.0, amp=1.0, dim=7),
+        AnisotropicPowerField(l=1.5, m=3.0, amp=0.7, dim=16),
+        make_builtin_field("counterexample"),
+    ], ids=["aniso-2", "aniso-4", "aniso-5", "aniso-7", "aniso-16", "counterexample-3"])
+    def test_blocks_match_per_radius_loop(self, field, count):
+        r_max, nodes_per_decade = self.BLOCK_GRIDS[count]
+        grid = RadialGrid.build(r_max, nodes_per_decade=nodes_per_decade)
+        assert len(grid) - 1 > coefficients._BLOCK_COORDS // (count * field.dim)
+        triple = radialize(field, grid, sphere_count=count)
+        star, upper, osc = _per_radius_envelopes(field, grid.nodes, count)
+        np.testing.assert_array_equal(triple.b_star.values, star)
+        np.testing.assert_array_equal(triple.b_upper.values, upper)
+        np.testing.assert_array_equal(triple.b_osc.values, osc)
+
+    @pytest.mark.parametrize("dim, count", [(3, 256), (7, 256), (5, 2048), (2, 32)])
+    def test_one_field_call_per_block(self, dim, count):
+        field = CountingField(AnisotropicPowerField(l=1.5, m=3.0, amp=0.7, dim=dim))
+        grid = RadialGrid.build(1e3, nodes_per_decade=48)
+        radialize(field, grid, sphere_count=count)
+        radii = len(grid) - 1
+        rows = max(1, coefficients._BLOCK_COORDS // (count * dim))
+        assert field.sizes[0] == 1   # the centre
+        assert len(field.sizes) == 1 + math.ceil(radii / rows)
+        assert all(size <= rows * count for size in field.sizes)
+        assert sum(field.sizes) == 1 + radii * count
+
+    def test_negative_field_names_its_radius(self):
+        # b = 2 - |x| first reaches zero at the first node with r >= 2,
+        # which sits inside a block, not at its start.
+        class Cone:
+            dim = 4
+
+            def __call__(self, points):
+                return 2.0 - np.linalg.norm(points, axis=1)
+
+        grid = RadialGrid.build(1e2, nodes_per_decade=48)
+        first_bad = int(np.argmax(grid.nodes >= 2.0))
+        assert (first_bad - 1) % (coefficients._BLOCK_COORDS // (256 * 4)) != 0
+        radius = grid.nodes[first_bad]
+        with pytest.raises(CoefficientError, match=rf"found min {2.0 - radius:g} "
+                                                   rf"at radius {radius:g}$"):
+            radialize(Cone(), grid)
+
     def test_rejects_small_sample(self):
         field = QuadraticRootField(weights=(2.0, 1.0, 1.0))
         grid = RadialGrid.build(10.0)
@@ -368,7 +473,8 @@ class TestRadialize:
 
         with pytest.raises(CoefficientError, match=r"expected shape \(1,\), got \(1, 1\)"):
             radialize(Field(lambda p: np.ones((len(p), 1))), grid, sphere_count=32)
-        with pytest.raises(CoefficientError, match=r"expected shape \(32,\), got \(\)"):
+        # 48 radii of 32 points fit one block: the field sees 1536 points.
+        with pytest.raises(CoefficientError, match=r"expected shape \(1536,\), got \(\)"):
             radialize(Field(lambda p: np.ones(1) if len(p) == 1 else 2.0), grid,
                       sphere_count=32)
         with pytest.raises(ZeroDivisionError):

@@ -31,6 +31,20 @@ def test_ndtri_matches_scipy_bit_for_bit():
 def test_ndtri_keeps_the_shape():
     p = np.array([[0.1, 0.5], [0.9, 0.999]])
     np.testing.assert_array_equal(ndtri(p), scipy_ndtri(p))
+    # a (rows, count, dim) block as radialize passes it, with both tails
+    # and the branch edges exp(-2) and exp(-32) on each side
+    rng = np.random.default_rng(7)
+    block = rng.random((5, 64, 7))
+    edges = [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0),
+             np.nextafter(np.exp(-2.0), 0.0), np.nextafter(np.exp(-2.0), 1.0),
+             np.nextafter(np.exp(-32.0), 0.0), np.nextafter(np.exp(-32.0), 1.0),
+             1e-12, 1.0 - 1e-12, 1e-300, 0.5]
+    block[2, :len(edges), 3] = edges
+    block[4, -len(edges):, 0] = edges[::-1]
+    got = ndtri(block)
+    assert got.shape == block.shape
+    np.testing.assert_array_equal(got, scipy_ndtri(block))
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(scipy_ndtri(block)))
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 301])
