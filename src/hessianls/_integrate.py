@@ -10,26 +10,37 @@ from __future__ import annotations
 
 import numpy as np
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+_GAUSS_X, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def panel_cumulative(f, nodes: np.ndarray) -> np.ndarray:
-    """Cumulative integral of ``f`` along ``nodes``.
-
-    Returns an array c with c[i] = integral from nodes[0] to nodes[i],
-    using a 12-point Gauss-Legendre panel per cell.  ``f`` must accept an
-    ndarray of evaluation points.
-    """
-    nodes = np.asarray(nodes, dtype=float)
+def panel_points(nodes: np.ndarray):
+    """(half, pts): the half-width of every cell of ``nodes`` and its 12
+    Gauss-Legendre points, shape (cells, 12); ``GAUSS_WEIGHTS`` weighs them
+    per unit half-width."""
     lo = nodes[:-1]
     half = 0.5 * (nodes[1:] - lo)
     mid = lo + half
-    # all panel points at once: shape (cells, 12)
-    pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
+    return half, mid[:, None] + half[:, None] * _GAUSS_X[None, :]
+
+
+def panel_cumulative(f, nodes: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Cumulative integral of ``f`` along ``nodes``, plus ``start``.
+
+    Returns an array c with c[i] = start + integral from nodes[0] to
+    nodes[i], using a 12-point Gauss-Legendre panel per cell.  ``f`` must
+    accept an ndarray of evaluation points.  ``start`` enters as the first
+    term of the running sum, so a node range integrated in consecutive
+    pieces, each started from the last value of the one before, adds its
+    cells in the order of one pass.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    half, pts = panel_points(nodes)
     vals = f(pts.ravel()).reshape(pts.shape)
-    per_cell = half * (vals @ _GAUSS_W)
+    per_cell = half * (vals @ GAUSS_WEIGHTS)
+    if start:
+        per_cell[0] += start
     out = np.empty(nodes.size)
-    out[0] = 0.0
+    out[0] = start
     np.cumsum(per_cell, out=out[1:])
     return out
 

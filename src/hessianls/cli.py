@@ -121,6 +121,15 @@ _VARY_SECTIONS = {key: section for section, tables in (
 # ln u and ln M; a smaller rel asks for more than the arithmetic can give.
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
+# as nodes_per_decade times the decades from r_lin to r_max (at least one);
+# the J tables refine it 4x with 12 Gauss points per cell, about 19 MB per
+# table at the budget.  classify and sandwich sample at most
+# _MAX_SPHERE_COUNT points per sphere.  The goldens and benchmarks ask for
+# at most about 250 nodes and 256 points, and the widest grid the spec fuzz
+# can draw (32 per decade from a subnormal r_lin to 1e3) holds about 10500.
+_MAX_GRID_NODES = 50_000
+_MAX_SPHERE_COUNT = 1 << 14
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -165,6 +174,7 @@ class ProblemSpec:
             RadialGrid.check(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
+        _check_grid_budget(**grid_cfg)
         if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > _LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
@@ -246,6 +256,26 @@ class ProblemSpec:
         return radialize(self.make_field(), self.grid(), sphere_count=sphere_count)
 
 
+def _check_grid_budget(r_lin: float, r_max: float, nodes_per_decade: int) -> None:
+    """Reject a grid beyond _MAX_GRID_NODES before it is built."""
+    if nodes_per_decade > _MAX_GRID_NODES:
+        raise ParameterError(f"spec.grid.nodes_per_decade: at most {_MAX_GRID_NODES}, "
+                             f"got {nodes_per_decade}")
+    decades = math.log10(r_max) - math.log10(min(r_lin, r_max))  # r_max / r_lin may overflow
+    if nodes_per_decade * decades > _MAX_GRID_NODES:
+        raise ParameterError(
+            f"spec.grid.r_max: r_lin = {r_lin:g} to r_max = {r_max:g} spans {decades:.4g} "
+            f"decades, {nodes_per_decade * decades:.4g} grid nodes at {nodes_per_decade} "
+            f"per decade; the budget is {_MAX_GRID_NODES}")
+
+
+def _sphere_count(args) -> int:
+    if args.sphere_count > _MAX_SPHERE_COUNT:
+        raise ParameterError(f"--sphere-count: at most {_MAX_SPHERE_COUNT}, "
+                             f"got {args.sphere_count}")
+    return args.sphere_count
+
+
 def load_spec(path) -> ProblemSpec:
     try:
         with open(path) as handle:
@@ -301,8 +331,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
-    triple = spec.triple(sphere_count=args.sphere_count)
+    triple = spec.triple(sphere_count=sphere_count)
     verdict = classify_existence(triple.b_star, spec.params,
                                  r_max=spec.grid_cfg["r_max"])
     osc = oscillation_condition(triple, spec.params, r_max=spec.grid_cfg["r_max"])
@@ -330,8 +361,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
+    sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
-    triple = spec.triple(sphere_count=args.sphere_count)
+    triple = spec.triple(sphere_count=sphere_count)
     grid = spec.grid()
     report = build_sandwich(triple, spec.params, grid, beta=args.beta,
                             margin=args.margin,

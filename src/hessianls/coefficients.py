@@ -326,17 +326,36 @@ def save_profile_csv(profile: RadialProfile, path) -> None:
 def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfile:
     """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`.
 
-    A missing or unreadable file and a cell or row numpy cannot parse raise
-    CoefficientError naming the file (and numpy's row and column)."""
+    The first line is the header and blank lines are skipped.  A missing or
+    unreadable file, a row without exactly two cells and a cell that is not
+    a number raise CoefficientError naming the file and the line (counted
+    from 1, the header being line 1), and for a cell its column."""
+    rows = []
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader, None)
+            for cells in reader:
+                if not any(cell.strip() for cell in cells):
+                    continue
+                where = f"profile CSV {path}: line {reader.line_num}"
+                if len(cells) != 2:
+                    raise CoefficientError(f"{where}: expected 2 columns, got {len(cells)}")
+                rows.append([_csv_number(cell, f"{where}, column {column}")
+                             for column, cell in enumerate(cells, start=1)])
     except FileNotFoundError:
         raise CoefficientError(f"profile CSV {path}: file not found") from None
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CoefficientError(f"profile CSV {path}: {exc}") from None
-    if data.shape[1] != 2:
-        raise CoefficientError(f"profile CSV must have two columns, got {data.shape[1]}")
+    data = np.array(rows, dtype=float).reshape(-1, 2)
     return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent)
+
+
+def _csv_number(cell: str, where: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise CoefficientError(f"{where}: {cell!r} is not a number") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,9 +116,10 @@ class ProblemParams:
         if not 0.0 < self.a < math.inf:
             raise ParameterError(f"a must be positive and finite, got {self.a}")
 
-    @property
+    @cached_property
     def cnk(self) -> int:
-        """C(n, k), the sigma_k of the identity spectrum."""
+        """C(n, k), the sigma_k of the identity spectrum (an exact integer,
+        computed on first use)."""
         return math.comb(self.n, self.k)
 
     @property

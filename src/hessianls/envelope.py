@@ -4,7 +4,9 @@ The criteria, bounds and break lines are all one transform of a flux
 integral, F(r, inner) = (n r^(k-n) inner / C(n,k))^(1/k) with inner =
 integral_0^r s^(n-1) b psi^gamma: psi = 1 gives the envelope integrand J,
 psi = btilde the oscillation integrand, psi = a break line its slope.
-:func:`flux_integral` is the only Gauss-panel integral of the package.
+:func:`flux_integral` is the package's Gauss-panel integral; only the
+break line's Euler recurrence, which needs each segment's integral before
+it can place the next segment, sums the same panel points in plain floats.
 Tables use fixed Gauss panels and composite Simpson (no ODE stepping), so
 they are an independent oracle for the solver, and so are the two
 comparison routes built here: the explicit break line
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import cumulative_values, panel_cumulative
+from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
 from .core import ProblemParams, RadialGrid
 from .errors import CoefficientError, DomainTooLargeError, IntegrationError
 
@@ -31,6 +33,10 @@ _MERGE_GAP = 1e-3
 
 _DEFECT_SAMPLES_PER_SEGMENT = 8   # break-line defect samples per segment
 _MAX_BREAKLINE_SEGMENTS = 1 << 18
+# The break line and its defect tabulate their Gauss points in blocks of at
+# most this many segments, so a line near _MAX_BREAKLINE_SEGMENTS keeps its
+# transient arrays at a few MB.
+_BLOCK_SEGMENTS = 1024
 
 
 def flux_slope(params: ProblemParams, r, inner) -> np.ndarray:
@@ -45,14 +51,15 @@ def flux_slope(params: ProblemParams, r, inner) -> np.ndarray:
     return out
 
 
-def flux_integral(params: ProblemParams, b, nodes, psi=None) -> np.ndarray:
-    """integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma at every node r, with
-    one 12-point Gauss panel per cell; ``psi`` None stands for psi = 1."""
+def flux_integral(params: ProblemParams, b, nodes, psi=None, start: float = 0.0) -> np.ndarray:
+    """start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma at every node r,
+    with one 12-point Gauss panel per cell; ``psi`` None stands for psi = 1."""
     n = params.n
     if psi is None:
-        return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)), nodes)
+        return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)), nodes, start)
     gam = params.gamma
-    return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)) * psi(s) ** gam, nodes)
+    return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)) * psi(s) ** gam,
+                            nodes, start)
 
 
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
@@ -168,6 +175,11 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
 
 def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
                 r_flat: float, segments: int) -> BreakLine:
+    """One doubling round: b is evaluated once per block of segments, then
+    the Euler recurrence runs in plain floats over each segment's 24 Gauss
+    points (slope from the inner integral, box check, inner += the
+    segment's integral).  The slope is F in flux_slope's order of
+    operations, with libm's log and exp in place of numpy's."""
     a = params.a
     if r_flat >= r_end:
         radii = np.array([0.0, r_end])
@@ -177,24 +189,49 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     radii = np.concatenate([[0.0], np.linspace(r_flat, r_end, segments + 1)])
     if r_flat == 0.0:
         radii = radii[1:]
-    values = np.empty_like(radii)
-    slopes = np.zeros(radii.size - 1)
-    values[0] = a
-    values[1] = a  # end of the flat head
+    k, gam, box = params.k, params.gamma, 2.0 * a
     inner = float(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
                                 lambda s: np.full_like(s, a))[-1])
-    for i in range(1, radii.size - 1):
-        slope_i = float(flux_slope(params, radii[i], inner))
-        slopes[i] = slope_i
-        values[i + 1] = values[i] + slope_i * (radii[i + 1] - radii[i])
-        if values[i + 1] >= 2.0 * a:
-            raise DomainTooLargeError(
-                f"break line left the box [a, 2a] at r = {radii[i + 1]:g}; "
-                f"choose a smaller right endpoint than {r_end:g}")
-        lo, value_lo = radii[i], values[i]
-        inner += float(flux_integral(params, b, np.linspace(lo, radii[i + 1], 3),
-                                     lambda s: value_lo + slope_i * (s - lo))[-1])
-    return BreakLine(radii, values, slopes, epsilon, r_flat)
+    # the terms of log F that do not depend on inner, at every segment start
+    log_heads = (math.log(params.n / params.cnk) + (k - params.n) * np.log(radii[1:-1])).tolist()
+    steps = np.diff(radii).tolist()
+    values = [a, a]  # the center and the end of the flat head
+    slopes = [0.0]
+    for first in range(1, radii.size - 1, _BLOCK_SEGMENTS):
+        stop = min(first + _BLOCK_SEGMENTS, radii.size - 1)
+        offsets, weights = _segment_rows(params, b, radii[first:stop + 1])
+        for i, offset_row, weight_row in zip(range(first, stop), offsets, weights):
+            slope = math.exp((log_heads[i - 1] + math.log(inner)) / k) if inner > 0.0 else 0.0
+            value_lo = values[i]
+            value = value_lo + slope * steps[i]
+            if value >= box:
+                raise DomainTooLargeError(
+                    f"break line left the box [a, 2a] at r = {radii[i + 1]:g}; "
+                    f"choose a smaller right endpoint than {r_end:g}")
+            slopes.append(slope)
+            values.append(value)
+            piece = 0.0
+            for weight, offset in zip(weight_row, offset_row):
+                piece += weight * (value_lo + slope * offset) ** gam
+            inner += piece
+    return BreakLine(radii, np.array(values), np.array(slopes), epsilon, r_flat)
+
+
+def _segment_rows(params: ProblemParams, b, radii: np.ndarray):
+    """Per segment of ``radii``, split at its midpoint into two Gauss panels:
+    the offsets s - lo of its 24 points from the segment start and their
+    weights w half s^(n-1) b(s), as lists of 24-element rows."""
+    lo = radii[:-1]
+    nodes = np.empty(2 * lo.size + 1)
+    nodes[:-1:2] = lo
+    nodes[1::2] = (radii[1:] - lo) / 2 + lo  # the midpoint np.linspace(lo, hi, 3) gives
+    nodes[-1] = radii[-1]
+    half, pts = panel_points(nodes)
+    s = pts.ravel()
+    weights = (s ** (params.n - 1) * np.asarray(b(s))).reshape(pts.shape) \
+        * (half[:, None] * GAUSS_WEIGHTS)
+    rows = (lo.size, 2 * GAUSS_WEIGHTS.size)
+    return (pts.reshape(rows) - lo[:, None]).tolist(), weights.reshape(rows).tolist()
 
 
 def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
@@ -202,13 +239,25 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
 
     Samples interior points of every segment (the defect vanishes at the
     left endpoints by construction) including the flat head.  The flux
-    integral runs in one quadrature pass over two cells per sample.
+    integral runs over two cells per sample, in blocks of segments, each
+    block's running integral started from the last one's; psi at a Gauss
+    point is taken from the segment the cell lies in.
     """
     cells = 2 * _DEFECT_SAMPLES_PER_SEGMENT
-    lo = line.radii[:-1, None]
-    sub = lo + np.diff(line.radii)[:, None] * (np.arange(1, cells + 1) / cells)
-    sub[:, -1] = line.radii[1:]
-    nodes = np.concatenate([line.radii[:1], sub.ravel()])
-    inner = flux_integral(params, b, nodes, line.eval)
-    slopes = np.repeat(line.slopes, _DEFECT_SAMPLES_PER_SEGMENT)
-    return float(np.max(np.abs(slopes - flux_slope(params, nodes[2::2], inner[2::2]))))
+    fractions = np.arange(1, cells + 1) / cells
+    radii, values, slopes = line.radii, line.values, line.slopes
+    points = cells * GAUSS_WEIGHTS.size  # Gauss points per segment
+    inner, worst = 0.0, []
+    for first in range(0, slopes.size, _BLOCK_SEGMENTS):
+        stop = min(first + _BLOCK_SEGMENTS, slopes.size)
+        lo = radii[first:stop, None]
+        sub = lo + np.diff(radii[first:stop + 1])[:, None] * fractions
+        sub[:, -1] = radii[first + 1:stop + 1]
+        nodes = np.concatenate([radii[first:first + 1], sub.ravel()])
+        block = flux_integral(params, b, nodes, lambda s: (
+            values[first:stop, None] + slopes[first:stop, None] * (s.reshape(-1, points) - lo)
+        ).ravel(), inner)
+        inner = float(block[-1])
+        sampled = np.repeat(slopes[first:stop], _DEFECT_SAMPLES_PER_SEGMENT)
+        worst.append(np.max(np.abs(sampled - flux_slope(params, nodes[2::2], block[2::2]))))
+    return float(np.max(worst))

@@ -244,6 +244,43 @@ class TestProblemSpec:
         assert code in (EXIT_OK, EXIT_INCONCLUSIVE), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
 
+    @pytest.mark.parametrize("grid, fragment", [
+        ({"nodes_per_decade": 10**6}, "spec.grid.nodes_per_decade: at most 50000, got 1000000"),
+        ({"nodes_per_decade": 10**400}, "spec.grid.nodes_per_decade: at most 50000"),
+        ({"r_lin": 1e-300, "r_max": 1e300, "nodes_per_decade": 100},
+         "spec.grid.r_max: r_lin = 1e-300 to r_max = 1e+300 spans 600 decades, 6e+04 grid nodes"),
+        ({"r_lin": 5e-324, "r_max": 1e308, "nodes_per_decade": 80}, "spec.grid.r_max: "),
+    ], ids=["dense", "beyond-float", "wide", "widest"])
+    def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,
+                                                        grid, fragment):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli.RadialGrid, "build", no_build)
+        raw = _constant_spec(grid=grid)
+        with pytest.raises(ParameterError, match=re.escape(fragment)):
+            ProblemSpec.from_dict(raw)
+        assert cli.main(["classify", _write(tmp_path, "spec.json", raw)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+    def test_grid_budget_admits_the_widest_default_grid(self):
+        # n = 3 admits r_max up to about 1e154 (s^2 stays finite): at 48 nodes
+        # per decade from r_lin = 10 that is 7200 nodes
+        raw = _constant_spec(grid={"r_max": 1e154, "nodes_per_decade": 48})
+        assert ProblemSpec.from_dict(raw).grid_cfg["r_max"] == 1e154
+
+    @pytest.mark.parametrize("command", ["classify", "sandwich"])
+    def test_sphere_count_beyond_the_budget_is_rejected(self, monkeypatch, tmp_path, capsys,
+                                                        command):
+        def no_radialize(*args, **kwargs):
+            raise AssertionError("the field was radialized")
+
+        monkeypatch.setattr(cli, "radialize", no_radialize)
+        spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
+        argv = [command, spec_path, "--sphere-count", str(10**9)]
+        assert cli.main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --sphere-count: at most 16384, got 1000000000\n"
+
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
         raw["n"] = 4  # counterexample field lives in dimension 3
@@ -333,8 +370,8 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("content, fragment", [
         (None, "not found"),
-        ("r,b\n0,1\n2,x\n", "could not convert string 'x' to float64 at row 1, column 2"),
-        ("r,b\n0,1\n2,0.5,3\n", "number of columns changed from 2 to 3 at row 2"),
+        ("r,b\n0,1\n2,x\n", "line 3, column 2: 'x' is not a number"),
+        ("r,b\n0,1\n2,0.5,3\n", "line 3: expected 2 columns, got 3"),
     ], ids=["missing", "non-numeric", "ragged"])
     def test_unreadable_table_exits_invalid(self, tmp_path, capsys, content, fragment):
         if content is not None:

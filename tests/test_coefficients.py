@@ -204,6 +204,27 @@ class TestTabulatedProfile:
         np.testing.assert_array_equal(back.radii, r_tab)
         np.testing.assert_array_equal(back.values, vals)
 
+    @pytest.mark.parametrize("content, message", [
+        ("r,b\n0,1\n1,2\n2,x\n", "line 4, column 2: 'x' is not a number"),
+        ("r,b\n0,1\n\n1,2\nx,3\n", "line 5, column 1: 'x' is not a number"),
+        ("r,b\n0,1\n1,2,3\n", "line 3: expected 2 columns, got 3"),
+        ("r,b\n0,1\n \n1\n", "line 4: expected 2 columns, got 1"),
+    ], ids=["cell", "after-blank-line", "long-row", "short-row"])
+    def test_csv_errors_name_the_file_line(self, tmp_path, content, message):
+        # lines count from 1 with the header as line 1; blank lines count too
+        path = tmp_path / "b.csv"
+        path.write_text(content)
+        with pytest.raises(CoefficientError) as exc:
+            load_profile_csv(path)
+        assert str(exc.value) == f"profile CSV {path}: {message}"
+
+    def test_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("r,b\n0, 1\n\n1,0.5\n2,0.25\n\n")
+        back = load_profile_csv(path, tail_exponent=1.0)
+        np.testing.assert_array_equal(back.radii, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(back.values, [1.0, 0.5, 0.25])
+
     def test_csv_rejects_non_tabulated(self, tmp_path):
         with pytest.raises(CoefficientError):
             save_profile_csv(RadialProfile.constant(1.0), tmp_path / "x.csv")

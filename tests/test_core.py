@@ -1,6 +1,7 @@
 """Combinatorics, radial sigma_j collapse, parameter/grid validation."""
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -113,6 +114,19 @@ class TestProblemParams:
         p = ProblemParams(n=4, k=2, gamma=1.5, a=2.0)
         assert p.cnk == 6
         assert p.sub_power == pytest.approx(0.25)
+
+    def test_cnk_is_computed_once(self, monkeypatch):
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+        p = ProblemParams(n=40, k=20, gamma=1.5)
+        for _ in range(5):
+            assert p.cnk == comb(40, 20) and type(p.cnk) is int
+        assert calls == [(40, 20)]
+        # the cached value is no field: equality, hashing and pickling ignore it
+        fresh = ProblemParams(n=40, k=20, gamma=1.5)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert pickle.loads(pickle.dumps(p)).cnk == p.cnk
 
     def test_with_center(self):
         p = ProblemParams(n=3, k=1, gamma=0.5, a=1.0)

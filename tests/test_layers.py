@@ -3,7 +3,8 @@
 Each module of ``src/hessianls`` may import only modules below it in
 ``LAYERS``; ``__init__`` gathers the public names and is exempt.  The
 Gauss-panel rule ``panel_cumulative`` is reached only through
-``envelope.flux_integral``, so only ``envelope`` imports it.
+``envelope.flux_integral``, so only ``envelope`` imports it, and the
+12-point rule itself is built once, in ``_integrate``.
 """
 
 import ast
@@ -45,3 +46,9 @@ def test_only_envelope_imports_panel_cumulative(module):
     imports = [target for target, names in _relative_imports(module)
                if "panel_cumulative" in names]
     assert imports == (["_integrate"] if module == "envelope" else [])
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_one_gauss_rule(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert ("leggauss" in source) == (module == "_integrate")

@@ -8,7 +8,8 @@ import pytest
 from hessianls import cli
 from hessianls.coefficients import RadialProfile
 from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
-from hessianls.envelope import flux_slope
+from hessianls import envelope
+from hessianls.envelope import BreakLine, flux_integral, flux_slope
 from hessianls.errors import (
     BlowupGuardError,
     CoefficientError,
@@ -266,6 +267,131 @@ class TestEulerPolyline:
             euler_polyline(laplace_params, B_ONE, r_end=0.5, epsilon=0.0)
         with pytest.raises(ValueError):
             euler_polyline(laplace_params, B_ONE, r_end=-1.0, epsilon=1e-2)
+
+
+def _reference_build(params, b, r_end, epsilon, r_flat, segments):
+    """The per-segment break-line loop the precomputed build replaced: two
+    flux_integral calls on a three-node grid and one flux_slope per segment."""
+    a = params.a
+    if r_flat >= r_end:
+        return BreakLine(np.array([0.0, r_end]), np.array([a, a]), np.array([0.0]),
+                         epsilon, r_flat)
+    radii = np.concatenate([[0.0], np.linspace(r_flat, r_end, segments + 1)])
+    if r_flat == 0.0:
+        radii = radii[1:]
+    values = np.empty_like(radii)
+    slopes = np.zeros(radii.size - 1)
+    values[0] = a
+    values[1] = a
+    inner = float(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
+                                lambda s: np.full_like(s, a))[-1])
+    for i in range(1, radii.size - 1):
+        slope_i = float(flux_slope(params, radii[i], inner))
+        slopes[i] = slope_i
+        values[i + 1] = values[i] + slope_i * (radii[i + 1] - radii[i])
+        if values[i + 1] >= 2.0 * a:
+            raise DomainTooLargeError(
+                f"break line left the box [a, 2a] at r = {radii[i + 1]:g}; "
+                f"choose a smaller right endpoint than {r_end:g}")
+        lo, value_lo = radii[i], values[i]
+        inner += float(flux_integral(params, b, np.linspace(lo, radii[i + 1], 3),
+                                     lambda s: value_lo + slope_i * (s - lo))[-1])
+    return BreakLine(radii, values, slopes, epsilon, r_flat)
+
+
+def _reference_defect(line, params, b):
+    """The one-pass defect the blocked one replaced: psi through
+    BreakLine.eval over every sample cell at once."""
+    cells = 16
+    lo = line.radii[:-1, None]
+    sub = lo + np.diff(line.radii)[:, None] * (np.arange(1, cells + 1) / cells)
+    sub[:, -1] = line.radii[1:]
+    nodes = np.concatenate([line.radii[:1], sub.ravel()])
+    inner = flux_integral(params, b, nodes, line.eval)
+    slopes = np.repeat(line.slopes, cells // 2)
+    return float(np.max(np.abs(slopes - flux_slope(params, nodes[2::2], inner[2::2]))))
+
+
+def _reference_polyline(params, b, r_end, epsilon, r_flat):
+    segments = 16
+    while True:
+        line = _reference_build(params, b, r_end, epsilon, r_flat, segments)
+        if _reference_defect(line, params, b) < epsilon:
+            return line
+        segments *= 2
+
+
+# The slope takes libm's log and exp where the reference loop took numpy's,
+# and sums each segment's Gauss points in another order; over 140 lines
+# (n <= 6, both profiles, epsilon 1e-2 and 1e-3) the slopes differed by at
+# most 19 units in the last place and the values by at most one.
+_SLOPE_ULPS = 32
+
+
+class TestPrecomputedBreakLine:
+    """The block-precomputed build and defect against the per-segment loop."""
+
+    @pytest.mark.parametrize("n,k,gamma", [(3, 1, 0.5), (4, 2, 0.8), (5, 3, 1.5)])
+    @pytest.mark.parametrize("b", [RadialProfile.constant(1.2), RadialProfile.power_tail(1.3)],
+                             ids=["constant", "power_tail"])
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_matches_per_segment_loop(self, n, k, gamma, b, epsilon):
+        params = ProblemParams(n=n, k=k, gamma=gamma)
+        line = euler_polyline(params, b, r_end=0.5, epsilon=epsilon)
+        ref = _reference_polyline(params, b, 0.5, epsilon, line.r_flat)
+        np.testing.assert_array_equal(line.radii, ref.radii)
+        assert np.all(np.abs(line.values - ref.values) <= np.spacing(ref.values))
+        assert np.all(np.abs(line.slopes - ref.slopes) <= _SLOPE_ULPS * np.spacing(ref.slopes))
+        # the defect is a function of the line: bit-equal on the same line
+        for each in (line, ref):
+            assert breakline_defect(each, params, b) == _reference_defect(each, params, b)
+
+    def test_flat_head_reaching_the_end(self, laplace_params):
+        # r_flat = 3 eps / sqrt(2) = 0.0212 > r_end: one flat segment
+        line = euler_polyline(laplace_params, B_ONE, r_end=0.01, epsilon=1e-2)
+        ref = _reference_build(laplace_params, B_ONE, 0.01, 1e-2, line.r_flat, 16)
+        for name in ("radii", "values", "slopes"):
+            np.testing.assert_array_equal(getattr(line, name), getattr(ref, name))
+        assert line.radii.tolist() == [0.0, 0.01]
+        assert breakline_defect(line, laplace_params, B_ONE) == \
+            _reference_defect(line, laplace_params, B_ONE)
+
+    def test_leaves_the_box_where_the_loop_did(self, laplace_params):
+        with pytest.raises(DomainTooLargeError) as new:
+            euler_polyline(laplace_params, B_ONE, r_end=5.0, epsilon=1e-2)
+        r_flat = 3.0 * 1e-2 / 2.0 ** 0.5
+        with pytest.raises(DomainTooLargeError) as ref:
+            _reference_polyline(laplace_params, B_ONE, 5.0, 1e-2, r_flat)
+        assert str(new.value) == str(ref.value)
+        assert "at r = " in str(new.value)
+
+    @pytest.mark.parametrize("b", [B_ONE, RadialProfile.power_tail(0.7)],
+                             ids=["constant", "power_tail"])
+    def test_blocks_do_not_change_a_bit(self, monkeypatch, hessian2_params, b):
+        whole = euler_polyline(hessian2_params, b, r_end=0.5, epsilon=1e-3)
+        whole_defect = breakline_defect(whole, hessian2_params, b)
+        assert whole.radii.size - 1 < envelope._BLOCK_SEGMENTS
+        monkeypatch.setattr(envelope, "_BLOCK_SEGMENTS", 3)
+        blocked = euler_polyline(hessian2_params, b, r_end=0.5, epsilon=1e-3)
+        for name in ("radii", "values", "slopes"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+        assert breakline_defect(whole, hessian2_params, b) == whole_defect
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_b_calls_per_round(self, laplace_params, epsilon):
+        calls = []
+
+        def b(s):
+            calls.append(np.size(s))
+            return B_ONE(s)
+
+        line = euler_polyline(laplace_params, b, r_end=0.5, epsilon=epsilon)
+        segments = line.radii.size - 2  # the uniform part; the flat head is one more
+        rounds = int(np.log2(segments // 16)) + 1
+        assert 16 * 2 ** (rounds - 1) == segments
+        # the positivity probe, then per round the flat head, the Gauss rows
+        # and the defect table (the per-segment loop made two per segment)
+        assert len(calls) <= 1 + 3 * rounds
 
 
 class TestLinearGrowth:
