@@ -16,7 +16,6 @@ two decades of the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -87,26 +86,26 @@ class FitResult:
     npoints: int
 
 
-def fit_exponent(r, values, lo: Optional[float] = None,
-                 hi: Optional[float] = None) -> FitResult:
-    """Log-log least-squares exponent of ``values`` against ``r``.
+def _tail_window(r: np.ndarray) -> tuple:
+    """The last two decades of the radii: (lo, hi, mask of r in [lo, hi])."""
+    hi = float(r.max())
+    lo = hi / 100.0
+    return lo, hi, (r >= lo) & (r <= hi)
 
-    The window defaults to the last two decades of the radii; at least 20
-    positive samples must fall inside it.
-    """
+
+def fit_exponent(r, values) -> FitResult:
+    """Log-log least-squares exponent of ``values`` against ``r`` over the
+    last two decades of the radii, where at least 20 positive samples must lie."""
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
-    if hi is None:
-        hi = float(r.max())
-    if lo is None:
-        lo = hi / 100.0
-    mask = (r >= lo) & (r <= hi) & (values > 0) & (r > 0)
+    lo, hi, window = _tail_window(r)
+    mask = window & (values > 0) & (r > 0)
     if np.count_nonzero(mask) < _MIN_FIT_NODES:
         raise ParameterError(
             f"exponent fit needs at least {_MIN_FIT_NODES} positive samples in "
             f"[{lo:g}, {hi:g}], found {int(np.count_nonzero(mask))}")
     slope, stderr, _ = fit_log_slope(r[mask], values[mask])
-    return FitResult(exponent=slope, stderr=stderr, window=(float(lo), float(hi)),
+    return FitResult(exponent=slope, stderr=stderr, window=(lo, hi),
                      npoints=int(np.count_nonzero(mask)))
 
 
@@ -131,9 +130,7 @@ def verify_rates(curve: RadialCurve, params: ProblemParams, l: float) -> RatesRe
     """
     alpha = expected_rate(params, l)
     r = curve.grid.nodes
-    hi = float(r.max())
-    lo = hi / 100.0
-    window = (r >= lo) & (r <= hi)  # lo > 0, so r > 0 on the window
+    _, _, window = _tail_window(r)  # lo > 0, so r > 0 on the window
     fits = {}
     notes = []
     status = "ok"
@@ -142,7 +139,7 @@ def verify_rates(curve: RadialCurve, params: ProblemParams, l: float) -> RatesRe
             notes.append(f"{name} is not positive on the fit window; skipping")
             status = "inconclusive"
             continue
-        fit = fit_exponent(r, values, lo=lo, hi=hi)
+        fit = fit_exponent(r, values)
         fits[name] = fit
         if fit.stderr > MAX_FIT_STDERR:
             notes.append(f"{name} fit stderr {fit.stderr:.3g} exceeds {MAX_FIT_STDERR:g}")

@@ -32,15 +32,15 @@ import numpy as np
 
 from . import verify as verify_mod
 from .asymptotics import expected_rate, verify_rates
-from .coefficients import (BUILTIN_FIELDS, RadialProfile, load_profile_csv,
-                           radialize, triple_from_radial)
-from .core import ProblemParams, RadialGrid, gamma_k_membership
-from .criteria import (INCONCLUSIVE, classify_existence, jensen_conditions,
+from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_DIM, RadialProfile,
+                           load_profile_csv, radialize, triple_from_radial)
+from .core import LOG_FLOAT_MAX, ProblemParams, RadialGrid, gamma_k_membership
+from .criteria import (INCONCLUSIVE, LARGE, classify_existence, jensen_conditions,
                        oscillation_condition)
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
-from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, conservation_defect,
+from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, conservation_defect,
                      residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
@@ -117,10 +117,6 @@ _VARY_SECTIONS = {key: section for section, tables in (
     (None, [_TOP_LEVEL]), ("grid", [_GRID]), ("tolerances", [_TOLERANCES]),
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
-# The stepper runs at rel / 10, which at this bound is ten rounding units of
-# ln u and ln M; a smaller rel asks for more than the arithmetic can give.
-_MIN_REL_TOL = 100 * sys.float_info.epsilon
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
 # as nodes_per_decade times the decades from r_lin to r_max (at least one);
 # the J tables refine it 4x with 12 Gauss points per cell, about 19 MB per
@@ -150,12 +146,14 @@ def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem specification (canonical form)."""
+    """Validated problem specification (canonical form); ``built`` is the
+    RadialProfile or field its coefficient names, built once by from_dict."""
 
     params: ProblemParams
     coefficient: dict
     grid_cfg: dict
     tolerances: dict
+    built: object = dataclass_field(repr=False, compare=False)
     base_dir: str = dataclass_field(default=".", compare=False)
 
     @classmethod
@@ -175,22 +173,32 @@ class ProblemSpec:
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
         _check_grid_budget(**grid_cfg)
-        if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > _LOG_FLOAT_MAX:
+        if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
-        if not _MIN_REL_TOL <= tolerances["rel"] < 1.0:
-            raise ParameterError(f"spec.tolerances.rel: must lie in [{_MIN_REL_TOL:.3g}, 1), "
+        if not MIN_REL_TOL <= tolerances["rel"] < 1.0:
+            raise ParameterError(f"spec.tolerances.rel: must lie in [{MIN_REL_TOL:.3g}, 1), "
                                  f"got {tolerances['rel']}")
         if tolerances["abs"] <= 0.0:
             raise ParameterError(f"spec.tolerances.abs: must be positive, got {tolerances['abs']}")
-        spec = cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
-                   tolerances=tolerances, base_dir=base_dir)
-        try:  # a radial profile is cheap to build, so its own checks run here too
-            if spec.is_radial():
-                spec.radial_profile()
+        # The coefficient is built here and nowhere else, so its own checks
+        # run on every subcommand and every sweep cell.
+        kwargs = dict(coefficient)
+        kind = kwargs.pop("kind")
+        if "path" in kwargs:  # relative to the spec file (join keeps absolute paths)
+            kwargs["path"] = os.path.join(base_dir, kwargs["path"])
+        try:  # a radial kind's constructor, else the named field's
+            built = (_RADIAL_KINDS.get(kind) or _BUILTIN_FIELDS[kwargs.pop("name")])[0](**kwargs)
         except CoefficientError as exc:
             raise CoefficientError(f"spec.coefficient: {exc}") from None
-        return spec
+        if kind == "builtin_field" and built.dim != params.n:
+            raise ParameterError(f"spec.coefficient: field dimension {built.dim} "
+                                 f"does not match n = {params.n}")
+        if kind == "builtin_field" and built.dim > MAX_SPHERE_DIM:
+            raise CoefficientError(f"spec.coefficient.dim: sphere sampling supports "
+                                   f"dim <= {MAX_SPHERE_DIM}, got {built.dim}")
+        return cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
+                   tolerances=tolerances, built=built, base_dir=base_dir)
 
     @staticmethod
     def _canonical_coefficient(raw) -> dict:
@@ -230,25 +238,15 @@ class ProblemSpec:
         return self.coefficient["kind"] in _RADIAL_KINDS
 
     def radial_profile(self) -> RadialProfile:
-        kwargs = dict(self.coefficient)
-        kind = kwargs.pop("kind")
-        if kind not in _RADIAL_KINDS:
-            raise ParameterError(f"spec.coefficient: kind {kind!r} is not a radial "
-                                 f"profile; use classify/sandwich for fields")
-        if "path" in kwargs:  # relative to the spec file (join keeps absolute paths)
-            kwargs["path"] = os.path.join(self.base_dir, kwargs["path"])
-        return _RADIAL_KINDS[kind][0](**kwargs)
+        if not self.is_radial():
+            raise ParameterError(f"spec.coefficient: kind {self.coefficient['kind']!r} is "
+                                 f"not a radial profile; use classify/sandwich for fields")
+        return self.built
 
     def make_field(self):
-        kwargs = dict(self.coefficient)
-        if kwargs.pop("kind") != "builtin_field":
+        if self.is_radial():
             raise ParameterError("spec.coefficient: not a non-radial field")
-        fieldobj = _BUILTIN_FIELDS[kwargs.pop("name")][0](**kwargs)
-        if fieldobj.dim != self.params.n:
-            raise ParameterError(
-                f"spec.coefficient: field dimension {fieldobj.dim} "
-                f"does not match n = {self.params.n}")
-        return fieldobj
+        return self.built
 
     def triple(self, sphere_count: int = 256):
         if self.is_radial():
@@ -431,7 +429,7 @@ def _sweep_cell(payload):
         row["osc_status"] = osc.status
         row["m_star"] = "" if osc.m_star is None else f"{osc.m_star:.17g}"
         tail = verdict.tail_exponent  # not None when the verdict is Large
-        if (fit_rates and verdict.verdict == "Large" and spec.is_radial()
+        if (fit_rates and verdict.verdict == LARGE and spec.is_radial()
                 and tail <= spec.params.k - 1):
             alpha = expected_rate(spec.params, tail)
             row["alpha_expected"] = f"{alpha:.17g}"

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import RadialGrid
-from .errors import CoefficientError, ProfileRangeError
+from .errors import CoefficientError, ProfileRangeError, TableError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -117,14 +117,18 @@ class RadialProfile:
                   strictly_positive: bool = True) -> "RadialProfile":
         r = np.asarray(radii, dtype=float)
         b = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != b.shape or r.size < 2:
-            raise CoefficientError("tabulated profile needs matching 1-d arrays, length >= 2")
-        if r[0] < 0 or not np.all(np.diff(r) > 0):
-            raise CoefficientError("tabulated radii must be nonnegative and strictly increasing")
-        if strictly_positive and np.any(b <= 0):
-            raise CoefficientError("tabulated values must be positive")
-        if not strictly_positive and np.any(b < 0):
-            raise CoefficientError("tabulated values must be nonnegative")
+        if r.ndim != 1 or r.shape != b.shape:
+            raise CoefficientError("tabulated profile needs matching 1-d arrays")
+        if r.size < 2:
+            # too short: the first offending sample is the first missing one
+            raise TableError(f"tabulated profile needs at least 2 samples, got {r.size}", r.size)
+        bad = np.flatnonzero(~np.concatenate([[r[0] >= 0], np.diff(r) > 0]))
+        if bad.size:
+            raise TableError("tabulated radii must be nonnegative and strictly increasing", bad[0])
+        bad = np.flatnonzero(b <= 0 if strictly_positive else b < 0)
+        if bad.size:
+            sign = "positive" if strictly_positive else "nonnegative"
+            raise TableError(f"tabulated values must be {sign}", bad[0])
         r = r.copy()
         b = b.copy()
         r.setflags(write=False)
@@ -327,10 +331,11 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfi
     """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`.
 
     The first line is the header and blank lines are skipped.  A missing or
-    unreadable file, a row without exactly two cells and a cell that is not
-    a number raise CoefficientError naming the file and the line (counted
-    from 1, the header being line 1), and for a cell its column."""
-    rows = []
+    unreadable file, a row without exactly two cells, a cell that is not a
+    number and a table that breaks a rule of :meth:`RadialProfile.tabulated`
+    raise CoefficientError naming the file and the line (counted from 1, the
+    header being line 1; past the end for a missing row), for a cell its column."""
+    rows, lines = [], []
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -343,12 +348,17 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfi
                     raise CoefficientError(f"{where}: expected 2 columns, got {len(cells)}")
                 rows.append([_csv_number(cell, f"{where}, column {column}")
                              for column, cell in enumerate(cells, start=1)])
+                lines.append(reader.line_num)
+            lines.append(reader.line_num + 1)
     except FileNotFoundError:
         raise CoefficientError(f"profile CSV {path}: file not found") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CoefficientError(f"profile CSV {path}: {exc}") from None
     data = np.array(rows, dtype=float).reshape(-1, 2)
-    return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent)
+    try:
+        return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent)
+    except TableError as exc:
+        raise CoefficientError(f"profile CSV {path}: line {lines[exc.index]}: {exc.rule}") from None
 
 
 def _csv_number(cell: str, where: str) -> float:
@@ -363,6 +373,9 @@ def _csv_number(cell: str, where: str) -> float:
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# One Halton base per coordinate: the largest dimension the sphere sampler
+# (and so radialize) supports.
+MAX_SPHERE_DIM = len(_PRIMES)
 
 # radialize draws its radii in blocks of at most this many sphere
 # coordinates (rows * count * dim), so its transient arrays stay a few
@@ -496,8 +509,8 @@ def _sphere_table(dim: int, count: int, first: int, stop: int) -> np.ndarray:
         raise CoefficientError(f"sphere sampling needs dim >= 2, got {dim}")
     if count < 1:
         raise CoefficientError("count must be positive")
-    if dim > len(_PRIMES):
-        raise CoefficientError(f"sphere sampling supports dim <= {len(_PRIMES)}")
+    if dim > MAX_SPHERE_DIM:
+        raise CoefficientError(f"sphere sampling supports dim <= {MAX_SPHERE_DIM}")
     lanes = 2 if dim == 3 else dim
     factors = np.array([_GOLDEN ** -(j + 1) for j in range(lanes)])
     phases = np.arange(first + 1, stop + 1, dtype=np.int64)[:, None] * factors

@@ -26,28 +26,16 @@ from .errors import ParameterError
 # cannot reach this at finite radius for admissible coefficients.
 OVERFLOW_GUARD = 1e300
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# ln of the largest float: exp(x) overflows for x above it.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact integer binomial coefficient C(n, k).
-
-    Raises ParameterError for negative inputs or k > n (no silent zero
-    convention here; callers that need the extended convention use
-    :func:`binomial_or_zero`).
-    """
+    """Exact integer binomial coefficient C(n, k), zero for k > n as in
+    math.comb; negative arguments raise ParameterError."""
     if n < 0 or k < 0:
         raise ParameterError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        raise ParameterError(f"binomial requires k <= n, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def binomial_or_zero(n: int, k: int) -> int:
-    """C(n, k) with the usual convention C(n, k) = 0 for k > n."""
-    if n < 0 or k < 0:
-        raise ParameterError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k) if k <= n else 0
 
 
 def sigma_j_radial(j, d2u, du_over_r, n):
@@ -71,8 +59,8 @@ def sigma_j_radial(j, d2u, du_over_r, n):
     """
     if not 1 <= j <= n:
         raise ParameterError(f"sigma_j_radial requires 1 <= j <= n, got j={j}, n={n}")
-    c_pure = binomial_or_zero(n - 1, j)
-    c_mixed = binomial_or_zero(n - 1, j - 1)
+    c_pure = binomial(n - 1, j)
+    c_mixed = binomial(n - 1, j - 1)
     return c_pure * du_over_r ** j + c_mixed * d2u * du_over_r ** (j - 1)
 
 
@@ -104,9 +92,9 @@ class ProblemParams:
         log_cnk = 0.0
         for i in range(min(self.k, self.n - self.k)):
             log_cnk += math.log(self.n - i) - math.log(i + 1)
-            if log_cnk > _LOG_FLOAT_MAX:
+            if log_cnk > LOG_FLOAT_MAX:
                 break
-        if log_cnk > _LOG_FLOAT_MAX or self.n > sys.float_info.max:
+        if log_cnk > LOG_FLOAT_MAX or self.n > sys.float_info.max:
             raise ParameterError(f"n and C(n, k) must lie within the float range, "
                                  f"got n={self.n}, k={self.k}")
         if not (0.0 < self.gamma < self.k):
@@ -120,7 +108,7 @@ class ProblemParams:
     def cnk(self) -> int:
         """C(n, k), the sigma_k of the identity spectrum (an exact integer,
         computed on first use)."""
-        return math.comb(self.n, self.k)
+        return binomial(self.n, self.k)
 
     @property
     def sub_power(self) -> float:

@@ -13,6 +13,14 @@ class CoefficientError(ValueError):
     """Coefficient model is invalid (non-positive, malformed table, ...)."""
 
 
+class TableError(CoefficientError):
+    """A tabulated profile breaks ``rule`` first at sample ``index`` (from 0)."""
+
+    def __init__(self, rule, index):
+        super().__init__(f"{rule} (sample {index})")
+        self.rule, self.index = rule, index
+
+
 class ProfileRangeError(CoefficientError):
     """Tabulated profile queried outside its range with no declared tail."""
 

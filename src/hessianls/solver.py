@@ -44,7 +44,7 @@ import numpy as np
 
 from . import core
 from .coefficients import RadialProfile
-from .core import OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
+from .core import LOG_FLOAT_MAX, OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
 # The quadrature-only comparison routes live in envelope; their names stay
 # bound here for callers that reach them as ``solver.*`` (the package
 # namespace, verify, and perfbench/tracing.py, which also wraps
@@ -55,6 +55,10 @@ from .errors import BlowupGuardError, CoefficientError, IntegrationError
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
+# solve_cauchy runs the stepper at rel_tol / 10, which at MIN_REL_TOL is ten
+# rounding units of ln u and ln M; a smaller rel_tol asks for more than the
+# arithmetic can give, so specifications below it are refused.
+MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 _CONSERVATION_REFINE = 2   # grid refinement of the conservation quadrature
 
@@ -132,12 +136,11 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075 / 11282082432, 87487479700 / 327004
                                 -1453857185 / 822651844, 69997945 / 29380423)
 
 _LOG_GUARD = math.log(OVERFLOW_GUARD)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MIN_STEP = 1e-12   # relative to max(1, |s|): a smaller step is a failed solve
 
 
 def _exp(x: float) -> float:
-    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
+    return math.exp(x) if x < LOG_FLOAT_MAX else math.inf
 
 
 class _DenseOutput:
@@ -253,7 +256,7 @@ def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
                     f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
                     f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
                     f"for this coefficient", r=exp(s), u=_exp(x), moment=_exp(z))
-            if z > _LOG_FLOAT_MAX:
+            if z > LOG_FLOAT_MAX:
                 raise BlowupGuardError(
                     f"the flux integral M exceeded the float range at r = {exp(s):g} "
                     f"(u = {_exp(x):.3g}); the requested r_max = {exp(stops[-1]):g} is "
@@ -336,8 +339,8 @@ def _recover_d2u(params: ProblemParams, b, r: np.ndarray, u: np.ndarray,
                  du: np.ndarray, c2: float) -> np.ndarray:
     """Invert the radial equation for u'' given (r, u, u')."""
     n, k, gam = params.n, params.k, params.gamma
-    c_mixed = core.binomial_or_zero(n - 1, k - 1)
-    c_pure = core.binomial_or_zero(n - 1, k)
+    c_mixed = core.binomial(n - 1, k - 1)
+    c_pure = core.binomial(n - 1, k)
     d2u = np.empty_like(r)
     d2u[0] = c2
     t = du[1:] / r[1:]

@@ -47,7 +47,7 @@ def _pascal_rule():
     for n in range(1, 21):
         for k in range(1, n + 1):
             lhs = core.binomial(n, k)
-            rhs = core.binomial_or_zero(n - 1, k - 1) + core.binomial_or_zero(n - 1, k)
+            rhs = core.binomial(n - 1, k - 1) + core.binomial(n - 1, k)
             assert lhs == rhs, f"Pascal rule fails at ({n}, {k})"
     return "C(n,k) = C(n-1,k-1) + C(n-1,k) for n <= 20"
 

@@ -84,8 +84,10 @@ class TestFitExponent:
         vals = np.where(r < 100.0, r**1.0, 100.0 ** (1.0 - 2.5) * r**2.5)
         fit = fit_exponent(r, vals)
         assert fit.exponent == pytest.approx(2.5, abs=1e-10)
-        explicit = fit_exponent(r, vals, lo=1.0, hi=50.0)
-        assert explicit.exponent == pytest.approx(1.0, abs=1e-10)
+        assert fit.window == (100.0, 1e4)
+        # The window follows the radii given: the head alone fits its own slope.
+        head = fit_exponent(r[r <= 50.0], vals[r <= 50.0])
+        assert head.exponent == pytest.approx(1.0, abs=1e-10)
 
     def test_noise_inflates_stderr(self):
         r = np.geomspace(1.0, 1e4, 101)

@@ -284,9 +284,9 @@ class TestProblemSpec:
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
         raw["n"] = 4  # counterexample field lives in dimension 3
-        spec = ProblemSpec.from_dict(raw)
-        with pytest.raises(ParameterError):
-            spec.make_field()
+        with pytest.raises(ParameterError, match="^spec.coefficient: field dimension 3 "
+                                                 "does not match n = 4$"):
+            ProblemSpec.from_dict(raw)
 
 
 class TestSolveCommand:
@@ -304,6 +304,24 @@ class TestSolveCommand:
         assert len(curve_rows) > 50
         out = capsys.readouterr().out
         assert json.loads(out)["u_at_rmax"] == summary["u_at_rmax"]
+
+    def test_table_read_once_per_solve(self, monkeypatch, tmp_path, capsys):
+        # The spec builds its coefficient when it is read; nothing builds it again.
+        calls = []
+        load, table = cli._RADIAL_KINDS["tabulated"]
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setitem(cli._RADIAL_KINDS, "tabulated", (counting_load, table))
+        (tmp_path / "b.csv").write_text("r,b\n0,1\n1,0.5\n2,0.25\n")
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "tabulated", "path": "b.csv", "tail_exponent": 2.0},
+            grid={"r_max": 100.0, "nodes_per_decade": 16}))
+        assert cli.main(["solve", spec_path]) == EXIT_OK
+        assert len(calls) == 1
+        capsys.readouterr()
 
     def test_self_consistent_under_tolerance_change(self, tmp_path):
         loose_path = _write(tmp_path, "loose.json", _constant_spec())
@@ -646,6 +664,28 @@ class TestSweepCommand:
         assert cli.main(["sweep", spec_path, "--vary", "l=x,y"]) == EXIT_INVALID
         capsys.readouterr()
 
+    def test_field_cell_rejected_when_read(self, tmp_path):
+        spec_path = self._template(tmp_path, coefficient={
+            "kind": "builtin_field", "name": "anisotropic_power", "l": 1.0, "m": 8.0})
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "amp=0.5,-1", "--no-rates",
+                         "--out", str(out_path)]) == EXIT_OK
+        with open(out_path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows[0]["error"] == "" and rows[0]["verdict"] == "Large"
+        assert rows[1]["error"] == "CoefficientError: spec.coefficient: amp must be nonnegative"
+        assert rows[1]["verdict"] == ""
+
+    @pytest.mark.parametrize("vary, message", [
+        ("l", "--vary 'l': expected name=v1,v2,..."),
+        ("l=", "--vary 'l=': no values given"),
+        ("l=,", "--vary 'l=,': no values given"),
+    ], ids=["no-equals", "no-values", "only-commas"])
+    def test_vary_needs_a_name_and_values(self, tmp_path, capsys, vary, message):
+        spec_path = self._template(tmp_path)
+        assert cli.main(["sweep", spec_path, "--vary", vary]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_vary_accepts_every_numeric_spec_key(self, tmp_path, capsys):
         spec_path = self._template(tmp_path)
         out_path = tmp_path / "sweep.csv"
@@ -690,6 +730,28 @@ class TestTopLevelErrors:
         spec_path = _write(tmp_path, "spec.json", _constant_spec(**over))
         assert cli.main([command, spec_path]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", ["classify", "sandwich", "solve", "sweep"])
+    @pytest.mark.parametrize("n, coefficient, message", [
+        (3, {"amp": -1}, "spec.coefficient: amp must be nonnegative"),
+        (3, {"dim": 1}, "spec.coefficient: dim must be >= 2"),
+        (4, {}, "spec.coefficient: field dimension 3 does not match n = 4"),
+        (20, {"dim": 20}, "spec.coefficient.dim: sphere sampling supports dim <= 16, got 20"),
+        (3, {"name": "mystery"}, "spec.coefficient.name: unknown builtin field 'mystery'"),
+    ], ids=["amp-negative", "dim-one", "dim-not-n", "dim-beyond-sampler", "unknown-name"])
+    def test_field_rejected_when_read(self, monkeypatch, tmp_path, capsys, command, n,
+                                      coefficient, message):
+        # A builtin field is built, and its own checks run, when the spec is
+        # read: no subcommand, sweep template included, gets as far as radialize.
+        def no_radialize(*args, **kwargs):
+            raise AssertionError("the field was radialized")
+
+        monkeypatch.setattr(cli, "radialize", no_radialize)
+        field = {"kind": "builtin_field", "name": "anisotropic_power", "l": 1.0, "m": 8.0,
+                 **coefficient}
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(n=n, coefficient=field))
+        assert cli.main([command, spec_path]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_largest_n_for_r_max_classifies(self, tmp_path, capsys):
         # (n - 1) ln r_max just below ln of the largest float: s^(n-1) stays finite

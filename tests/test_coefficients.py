@@ -58,6 +58,18 @@ class TestRadialProfile:
         with pytest.raises(CoefficientError, match="finite"):
             RadialProfile.power_tail(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(l=1.0, r0=0.0), "power_tail needs r0 > 0, got 0.0"),
+        (dict(l=1.0, r0=-2.0), "power_tail needs r0 > 0, got -2.0"),
+        (dict(l=1.0, scale=0.0), "power_tail needs scale > 0, got 0.0"),
+        (dict(l=1.0, scale=-1.0), "power_tail needs scale > 0, got -1.0"),
+        (dict(l=1.0, A=0.5), "power_tail with A != 0 needs the second exponent m"),
+    ], ids=["r0-zero", "r0-negative", "scale-zero", "scale-negative", "A-without-m"])
+    def test_power_tail_rejects_bad_shape(self, kwargs, message):
+        with pytest.raises(CoefficientError) as exc:
+            RadialProfile.power_tail(**kwargs)
+        assert str(exc.value) == message
+
     def test_power_tail_positivity_guard(self):
         # A large negative perturbation makes the profile dip below zero.
         with pytest.raises(CoefficientError):
@@ -212,6 +224,37 @@ class TestTabulatedProfile:
     ], ids=["cell", "after-blank-line", "long-row", "short-row"])
     def test_csv_errors_name_the_file_line(self, tmp_path, content, message):
         # lines count from 1 with the header as line 1; blank lines count too
+        path = tmp_path / "b.csv"
+        path.write_text(content)
+        with pytest.raises(CoefficientError) as exc:
+            load_profile_csv(path)
+        assert str(exc.value) == f"profile CSV {path}: {message}"
+
+    @pytest.mark.parametrize("radii, values, message", [
+        ([0.0, 2.0, 1.0], [1.0, 1.0, 0.5],
+         "tabulated radii must be nonnegative and strictly increasing (sample 2)"),
+        ([-1.0, 2.0], [1.0, 1.0],
+         "tabulated radii must be nonnegative and strictly increasing (sample 0)"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+         "tabulated radii must be nonnegative and strictly increasing (sample 2)"),
+        ([0.0, 1.0, 2.0], [1.0, 0.0, -1.0], "tabulated values must be positive (sample 1)"),
+        ([0.0], [1.0], "tabulated profile needs at least 2 samples, got 1 (sample 1)"),
+    ], ids=["unsorted", "negative-radius", "repeated-radius", "zero-value", "one-sample"])
+    def test_table_rules_name_the_first_offending_sample(self, radii, values, message):
+        with pytest.raises(CoefficientError) as exc:
+            RadialProfile.tabulated(radii, values)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("content, message", [
+        ("r,b\n0,1\n2,1\n1,0.5\n",
+         "line 4: tabulated radii must be nonnegative and strictly increasing"),
+        ("r,b\n0,1\n\n1,0\n2,1\n", "line 4: tabulated values must be positive"),
+        ("r,b\n", "line 2: tabulated profile needs at least 2 samples, got 0"),
+        ("r,b\n0,1\n\n", "line 4: tabulated profile needs at least 2 samples, got 1"),
+    ], ids=["unsorted", "zero-after-blank-line", "header-only", "one-row"])
+    def test_csv_table_rules_name_the_file_line(self, tmp_path, content, message):
+        # The rules are RadialProfile.tabulated's; the loader turns the first
+        # offending sample into its line (a missing row: the line past the end).
         path = tmp_path / "b.csv"
         path.write_text(content)
         with pytest.raises(CoefficientError) as exc:
@@ -392,6 +435,29 @@ class TestRadialize:
         np.testing.assert_allclose(
             triple.b_star(r), (1 + r**2) ** -0.75, rtol=1e-9
         )
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_anisotropic_envelopes_bracket_closed_form(self, dim):
+        # The golden sandwich's field: the true min over |x| = r is at x_1 = 0
+        # and the max at x_1 = r.  A sampled min can only lie above the true
+        # one and a sampled max below it (to rounding), and the nested point
+        # sets close both gaps as the sphere count doubles.
+        field = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=dim)
+        grid = RadialGrid.build(100.0, nodes_per_decade=16)
+        r = grid.nodes
+        star_exact, upper_exact = (profile(r) for profile in field.envelope_profiles())
+        gaps = []
+        for count in (32, 64, 128, 256, 512):
+            triple = radialize(field, grid, sphere_count=count)
+            star_gap = triple.b_star(r) - star_exact
+            upper_gap = upper_exact - triple.b_upper(r)
+            assert np.all(star_gap >= -1e-13 * star_exact)
+            assert np.all(upper_gap >= -1e-13 * upper_exact)
+            if gaps:
+                assert np.all(star_gap <= gaps[-1][0]) and np.all(upper_gap <= gaps[-1][1])
+            gaps.append((star_gap, upper_gap))
+        assert gaps[-1][0].sum() < 0.01 * gaps[0][0].sum()
+        assert gaps[-1][1].sum() < 0.2 * gaps[0][1].sum()
 
     def test_counterexample_envelopes_match_closed_form(self):
         field = QuadraticRootField(weights=(2.0, 1.0, 1.0))

@@ -13,7 +13,6 @@ from hessianls.core import (
     RadialCurve,
     RadialGrid,
     binomial,
-    binomial_or_zero,
     gamma_k_membership,
     sigma_j_radial,
 )
@@ -28,10 +27,6 @@ class TestBinomial:
         assert binomial(64, 32) == math.comb(64, 32)
         assert isinstance(binomial(64, 32), int)
 
-    def test_rejects_k_above_n(self):
-        with pytest.raises(ParameterError):
-            binomial(3, 4)
-
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             binomial(-1, 0)
@@ -39,17 +34,16 @@ class TestBinomial:
             binomial(3, -2)
 
     def test_or_zero_convention(self):
-        assert binomial_or_zero(3, 5) == 0
-        assert binomial_or_zero(3, 3) == 1
-        with pytest.raises(ParameterError):
-            binomial_or_zero(-1, 0)
+        # math.comb's rule: C(n, k) = 0 for k > n.
+        assert binomial(3, 4) == 0
+        assert binomial(3, 5) == 0
+        assert binomial(0, 1) == 0
+        assert binomial(3, 3) == 1
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
     def test_pascal_rule(self, n, k):
         k = min(k, n)
-        assert binomial_or_zero(n, k) == binomial_or_zero(n - 1, k) + binomial_or_zero(
-            n - 1, k - 1
-        )
+        assert binomial(n, k) == binomial(n - 1, k) + binomial(n - 1, k - 1)
 
 
 class TestSigmaJRadial:

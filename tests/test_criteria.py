@@ -313,6 +313,24 @@ class TestOscillation:
         assert report.status == "violated"
         assert any("dimension branch" in e for e in report.evidence)
 
+    @pytest.mark.parametrize("m, noise, status", [
+        (3.0, 0.3, "inconclusive"),  # fitted m = 3.0000 +- 0.035 straddles m* = 3
+        (3.0, 0.0, "violated"),      # the same tail, clean: m = 2.99998 +- 3e-6
+        (2.5, 0.3, "violated"),      # noisy, but 14 standard errors below m*
+    ], ids=["noisy-at-threshold", "clean-at-threshold", "noisy-below"])
+    def test_fitted_tail_within_one_stderr_is_refused(self, laplace_params, m, noise, status):
+        # k = 1, n = 3, gamma = 1/2, l = 1 declared: m* = 3.  The oscillation
+        # table declares no tail, so its exponent is fitted with an error bar.
+        r = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 101)])
+        wiggle = np.exp(noise * (-1.0) ** np.arange(r.size))
+        osc = RadialProfile.tabulated(r, 0.1 * (1 + r**2) ** (-m / 2) * wiggle)
+        star = RadialProfile.power_tail(1.0)
+        report = oscillation_condition(RadializedTriple(star, star, osc), laplace_params)
+        assert report.m_star == pytest.approx(3.0)
+        assert report.status == status
+        refused = "fitted tails within one standard error of the threshold" in report.evidence
+        assert refused == (status == "inconclusive")
+
     def test_inconclusive_without_tails(self, laplace_params):
         star = RadialProfile.power_tail(1.0)
         osc = RadialProfile.from_callable(lambda r: 0.1 / (1.0 + np.asarray(r) ** 2))

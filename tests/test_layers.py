@@ -4,7 +4,9 @@ Each module of ``src/hessianls`` may import only modules below it in
 ``LAYERS``; ``__init__`` gathers the public names and is exempt.  The
 Gauss-panel rule ``panel_cumulative`` is reached only through
 ``envelope.flux_integral``, so only ``envelope`` imports it, and the
-12-point rule itself is built once, in ``_integrate``.
+12-point rule itself is built once, in ``_integrate``.  The float bound
+ln(max float) is defined once, in ``core``, next to the one binomial, and a
+spec's coefficient is built in one place, ``ProblemSpec.from_dict``.
 """
 
 import ast
@@ -52,3 +54,49 @@ def test_only_envelope_imports_panel_cumulative(module):
 def test_one_gauss_rule(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert ("leggauss" in source) == (module == "_integrate")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_one_float_bound(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert ("math.log(sys.float_info.max)" in source) == (module == "core")
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_one_binomial(module):
+    assert "binomial_or_zero" not in (PACKAGE / f"{module}.py").read_text()
+
+
+def _functions(tree):
+    """(name, node) of every top-level function and method (``Class.method``)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def test_spec_coefficient_built_only_when_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tables = {"_RADIAL_KINDS", "_BUILTIN_FIELDS"}
+    # The constructors, spelled as the table definitions spell them.
+    constructors = {ast.unparse(entry.elts[0]) for node in tree.body
+                    if isinstance(node, ast.Assign) and node.targets[0].id in tables
+                    for entry in node.value.values}
+    assert constructors == {"RadialProfile.constant", "RadialProfile.power_tail",
+                            "load_profile_csv", "BUILTIN_FIELDS['counterexample']",
+                            "BUILTIN_FIELDS['anisotropic_power']"}
+
+    def reaches_a_constructor(node):
+        """``node`` names a constructor, or takes entry [0] of a table row."""
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Subscript)) \
+                and ast.unparse(node) in constructors:
+            return True
+        return (isinstance(node, ast.Subscript) and ast.unparse(node.slice) == "0"
+                and any(isinstance(sub, ast.Name) and sub.id in tables
+                        for sub in ast.walk(node.value)))
+
+    builders = {name for name, function in _functions(tree)
+                if any(reaches_a_constructor(node) for node in ast.walk(function))}
+    assert builders == {"ProblemSpec.from_dict"}

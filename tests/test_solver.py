@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from hessianls import cli
 from hessianls.coefficients import RadialProfile
 from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import envelope
@@ -17,6 +16,7 @@ from hessianls.errors import (
     IntegrationError,
 )
 from hessianls.solver import (
+    MIN_REL_TOL,
     breakline_defect,
     conservation_defect,
     euler_polyline,
@@ -192,7 +192,7 @@ class TestSolveCauchy:
         params = ProblemParams(n=4, k=2, gamma=1.0)
         b = RadialProfile.power_tail(1.0)
         grid = RadialGrid.build(1e5)
-        tight = solve_cauchy(params, b, grid, rel_tol=cli._MIN_REL_TOL)
+        tight = solve_cauchy(params, b, grid, rel_tol=MIN_REL_TOL)
         default = solve_cauchy(params, b, grid)
         np.testing.assert_allclose(tight.u, default.u, rtol=1e-7)
 
@@ -267,6 +267,19 @@ class TestEulerPolyline:
             euler_polyline(laplace_params, B_ONE, r_end=0.5, epsilon=0.0)
         with pytest.raises(ValueError):
             euler_polyline(laplace_params, B_ONE, r_end=-1.0, epsilon=1e-2)
+
+    def test_rejects_nonpositive_coefficient(self, laplace_params):
+        # b = 1 - r vanishes at r = 1, inside [0, r_end].
+        b = RadialProfile.from_callable(lambda r: 1.0 - np.asarray(r))
+        with pytest.raises(CoefficientError, match=r"positive on \[0, r_end\]"):
+            euler_polyline(laplace_params, b, r_end=1.5, epsilon=1e-2)
+
+    def test_segment_cap(self, laplace_params, monkeypatch):
+        # epsilon = 1e-3 needs 257 segments (test_segment_counts_pinned);
+        # under a cap of 64 the doubling gives up instead.
+        monkeypatch.setattr(envelope, "_MAX_BREAKLINE_SEGMENTS", 64)
+        with pytest.raises(IntegrationError, match="defect < 0.001 within 64 segments"):
+            euler_polyline(laplace_params, B_ONE, r_end=0.5, epsilon=1e-3)
 
 
 def _reference_build(params, b, r_end, epsilon, r_flat, segments):

@@ -41,7 +41,6 @@ def test_detects_sigma_mutation(monkeypatch):
 
 
 def test_detects_binomial_mutation(monkeypatch):
-    monkeypatch.setattr(hessianls.core, "binomial_or_zero",
-                        lambda n, k: 1 if k <= n else 0)
+    monkeypatch.setattr(hessianls.core, "binomial", lambda n, k: 1 if k <= n else 0)
     results = verify.run_all()
     assert any(not r.passed for r in results)
