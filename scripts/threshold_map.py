@@ -1,12 +1,21 @@
 """Map the oscillation-smallness threshold m* over (l, gamma).
 
 For a coefficient with radial tail r^-l and oscillation tail r^-m, the
-sandwich construction needs m above m* = l + (2k - l) k/(k - gamma)
-(equivalently (2k^2 - l gamma)/(k - gamma)) whenever n > 2k.  The script
-tabulates m* on a grid of (l, gamma), records the Large/Bounded
-classification that the radial tail alone dictates, and optionally
-verifies the flip empirically by radializing an anisotropic field with
-oscillation tails just above and just below the threshold.
+sandwich construction needs n > 2k and m above
+
+    m* = 2k + max(2k - l, 0) gamma/(k - gamma),
+
+which is l + (2k - l) k/(k - gamma) = (2k^2 - l gamma)/(k - gamma) for
+l < 2k and 2k for l >= 2k (the growth factor btilde stays bounded once the
+envelope integral converges).  The script tabulates m* on a grid of
+(l, gamma), records the Large/Bounded classification that the radial tail
+alone dictates, and optionally verifies the flip empirically by
+radializing an anisotropic field with oscillation tails just above and
+just below the threshold.  The probe verdicts use the reported m* itself:
+every criterion compares a tail exponent with its threshold by one rule,
+and refuses ("inconclusive") only a fitted tail within its standard
+error of the threshold; the probes' tails are declared, so they are
+never refused.
 
 Usage examples:
   python3 scripts/threshold_map.py --n 6 --k 2 --outdir out_thresholds

@@ -122,6 +122,9 @@ class RadialProfile:
         if r.size < 2:
             # too short: the first offending sample is the first missing one
             raise TableError(f"tabulated profile needs at least 2 samples, got {r.size}", r.size)
+        bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(b)))
+        if bad.size:
+            raise TableError("tabulated radii and values must be finite", bad[0])
         bad = np.flatnonzero(~np.concatenate([[r[0] >= 0], np.diff(r) > 0]))
         if bad.size:
             raise TableError("tabulated radii must be nonnegative and strictly increasing", bad[0])
@@ -283,13 +286,6 @@ class RadialProfile:
         if self.kind == "tabulated":
             return self.radii[self.radii > 0.0]
         return np.empty(0)
-
-    @property
-    def range_max(self) -> Optional[float]:
-        """Largest radius with tabulated data, or None for closed forms."""
-        if self.kind == "tabulated":
-            return float(self.radii[-1])
-        return None
 
     def is_zero(self) -> bool:
         if self.kind == "zero":

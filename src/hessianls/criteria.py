@@ -20,10 +20,14 @@ The oscillation-smallness check for non-radial coefficients bounds
              integral_0^r s^(n-1) b_osc(s) btilde(s) ds )^(1/k) dr,
 
 where btilde is the worst-case growth factor (1 + integral_0^s J_*)^
-(k gamma/(k - gamma)).  With tails b_* ~ r^-l (l < 2k) and b_osc ~ r^-m
-the same two-branch algebra shows I_osc < inf exactly when n > 2k and
+(k gamma/(k - gamma)).  With tails b_* ~ r^-l and b_osc ~ r^-m the same
+two-branch algebra shows I_osc < inf exactly when n > 2k and m > m*, 2k
+plus the growth exponent of btilde:
 
-    m > m* = l + (2k - l) k / (k - gamma).
+    m* = 2k + max(2k - l, 0) gamma / (k - gamma).
+
+Every verdict, the two moment conditions included, compares one tail
+exponent with 2k or m* through :func:`_exceeds`.
 """
 
 from __future__ import annotations
@@ -85,6 +89,18 @@ def tail_exponent_of(profile: RadialProfile) -> Optional[TailEstimate]:
     except ParameterError:  # too few positive samples in the window
         return None
     return TailEstimate(-fit.exponent, fit.stderr, "fitted")
+
+
+_REFUSED = "fitted tails within one standard error of the threshold"
+
+
+def _exceeds(tail: float, threshold: float, *estimates: TailEstimate) -> Optional[bool]:
+    """tail > threshold, or None (refused) when an estimate is fitted and
+    ``tail`` lies within their largest standard error of the threshold."""
+    if (any(est.fitted for est in estimates)
+            and abs(tail - threshold) <= max(est.stderr for est in estimates)):
+        return None
+    return tail > threshold
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +180,17 @@ def classify_existence(b_star, params: ProblemParams,
                 f"finite part over [0, {r_max:g}] = {finite:.6g}"]
     if est.fitted:
         evidence.insert(1, f"fit standard error {est.stderr:.2g}")
-        if abs(est.exponent - threshold) <= est.stderr and params.n > threshold:
-            evidence.append("fitted exponent within one standard error of the "
-                            "threshold; refusing to call the side")
-            return CriterionVerdict(INCONCLUSIVE, est.exponent, threshold,
-                                    finite, evidence)
-    effective = min(est.exponent, float(params.n))
+    bounded = params.n > threshold and _exceeds(est.exponent, threshold, est)
     if params.n <= threshold:
         evidence.append(f"dimension branch: n = {params.n} <= 2k forces divergence "
                         f"for every tail")
-    if effective <= threshold:
-        evidence.append("envelope integral diverges: every entire solution is unbounded")
-        return CriterionVerdict(LARGE, est.exponent, threshold, finite, evidence)
-    evidence.append("envelope integral converges: bounded entire solutions exist")
-    return CriterionVerdict(BOUNDED, est.exponent, threshold, finite, evidence)
+    verdict, note = {
+        None: (INCONCLUSIVE, _REFUSED),
+        False: (LARGE, "envelope integral diverges: every entire solution is unbounded"),
+        True: (BOUNDED, "envelope integral converges: bounded entire solutions exist"),
+    }[bounded]
+    evidence.append(note)
+    return CriterionVerdict(verdict, est.exponent, threshold, finite, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +198,11 @@ def classify_existence(b_star, params: ProblemParams,
 # ---------------------------------------------------------------------------
 
 def oscillation_threshold(params: ProblemParams, tail_star: float) -> float:
-    """m* = l + (2k - l) k/(k - gamma), the smallest oscillation decay that
-    keeps I_osc finite (in the n > 2k branch)."""
+    """m* = 2k + max(2k - l, 0) gamma/(k - gamma), the smallest oscillation
+    decay that keeps I_osc finite (in the n > 2k branch); for l < 2k it
+    equals l + (2k - l) k/(k - gamma)."""
     k, gam = params.k, params.gamma
-    return tail_star + (2.0 * k - tail_star) * k / (k - gam)
+    return 2.0 * k + max(2.0 * k - tail_star, 0.0) * gam / (k - gam)
 
 
 @dataclass
@@ -215,7 +229,7 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
                           r_max: float = 1e4) -> OscillationReport:
     """Decide whether the oscillation b^* - b_* is small enough for the
     sandwich construction (finite I_osc)."""
-    k, n, gam = params.k, params.n, params.gamma
+    k, n = params.k, params.n
     if triple.osc_negligible():
         return OscillationReport(
             "satisfied", 0.0, 0.0, None, None, None,
@@ -229,31 +243,28 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
             None if est_star is None else est_star.exponent,
             None if est_osc is None else est_osc.exponent,
             ["tail exponents unavailable for the envelopes"])
-    l = est_star.exponent
-    m = est_osc.exponent
+    l, m = est_star.exponent, est_osc.exponent
     m_star = oscillation_threshold(params, l)
-    # growth exponent of btilde along the envelope (zero once the envelope
-    # integral converges)
-    phi = (2.0 * k - l) * gam / (k - gam) if l < 2.0 * k else 0.0
-    outer_exp = (k - min(m - phi, float(n))) / k
+    # the outer integrand scales like r^(-1 - gap/k); gap > 0 when satisfied
+    gap = min(m - m_star, n - 2.0 * k)
     finite, tail_value = _osc_finite_part(triple, params, r_max)
     evidence = [f"envelope tail l = {l:.6g} ({est_star.source}), "
                 f"oscillation tail m = {m:.6g} ({est_osc.source})",
                 f"threshold m* = {m_star:.6g}",
-                f"outer integrand scales like r^{outer_exp:.6g}"]
-    stderr = max(est_star.stderr, est_osc.stderr)
-    if (est_star.fitted or est_osc.fitted) and abs(m - m_star) <= stderr:
-        evidence.append("fitted tails within one standard error of the threshold")
+                f"outer integrand scales like r^{-1.0 - gap / k:.6g}"]
+    satisfied = n > 2 * k and _exceeds(m, m_star, est_star, est_osc)
+    if satisfied is None:
+        evidence.append(_REFUSED)
         return OscillationReport("inconclusive", float("nan"), finite, m_star,
                                  l, m, evidence)
     if n <= 2 * k:
         evidence.append(f"dimension branch: n = {n} <= 2k, outer integrand cannot "
                         f"decay faster than r^((k-n)/k) >= r^-1")
-    if outer_exp >= -1.0:
+    if not satisfied:
         evidence.append("oscillation integral diverges")
         return OscillationReport("violated", float("inf"), finite, m_star,
                                  l, m, evidence)
-    tail_part = tail_value * r_max / (-1.0 - outer_exp)
+    tail_part = tail_value * r_max * k / gap
     total = finite + tail_part
     evidence.append(f"finite part {finite:.6g} + tail estimate {tail_part:.6g}")
     return OscillationReport("satisfied", total, finite, m_star, l, m, evidence)
@@ -319,16 +330,8 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
 
     star_vals = np.asarray(triple.b_star(fine)) ** (1.0 / k)
     moment_finite = float(cumulative_values(fine * star_vals, fine)[-1])
-    if est_star is None:
-        radial_moment = {"status": None, "tail_exponent": None,
-                         "finite_part": moment_finite}
-    else:
-        exp_moment = 1.0 - est_star.exponent / k
-        radial_moment = {
-            "status": "divergent" if exp_moment >= -1.0 else "convergent",
-            "tail_exponent": est_star.exponent,
-            "finite_part": moment_finite,
-        }
+    # r b_*^(1/k) ~ r^(1 - l/k): convergent iff l > 2k
+    radial_moment = _moment(moment_finite, est_star, 2.0 * k)
 
     if triple.osc_negligible():
         osc_bound = {"status": "convergent", "tail_exponent": None,
@@ -344,16 +347,21 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
     bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
     osc_vals = np.asarray(triple.b_osc(fine)) ** (1.0 / k)
     osc_finite = float(cumulative_values(fine * osc_vals * bracket, fine)[-1])
-    if est_osc is None or est_star is None:
-        osc_bound = {"status": None, "tail_exponent": None,
-                     "finite_part": osc_finite}
-    else:
-        l, m = est_star.exponent, est_osc.exponent
-        phi = (2.0 - l / k) * gam / (k - gam) if l < 2.0 * k else 0.0
-        exp3 = 1.0 - m / k + phi
-        osc_bound = {
-            "status": "convergent" if exp3 < -1.0 else "divergent",
-            "tail_exponent": m,
-            "finite_part": osc_finite,
-        }
-    return JensenReport(radial_moment, osc_bound)
+    # the integrand scales like r^(1 - m/k) times the bracket's growth,
+    # r^(max(2k - l, 0) gamma/(k (k - gamma))): convergent iff m > m*
+    m_star = None if est_star is None else oscillation_threshold(params, est_star.exponent)
+    return JensenReport(radial_moment, _moment(osc_finite, est_osc, m_star, est_star))
+
+
+def _moment(finite: float, tail: Optional[TailEstimate], threshold: Optional[float],
+            *others: Optional[TailEstimate]) -> dict:
+    """One moment condition: convergent iff ``tail`` exceeds ``threshold``.
+    Status None when a tail is missing, or when refused (with a note)."""
+    if tail is None or None in others:
+        return {"status": None, "tail_exponent": None, "finite_part": finite}
+    above = _exceeds(tail.exponent, threshold, tail, *others)
+    entry = {"status": {True: "convergent", False: "divergent"}.get(above),
+             "tail_exponent": tail.exponent, "finite_part": finite}
+    if above is None:
+        entry["note"] = _REFUSED
+    return entry

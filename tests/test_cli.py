@@ -390,18 +390,21 @@ class TestClassifyCommand:
         (None, "not found"),
         ("r,b\n0,1\n2,x\n", "line 3, column 2: 'x' is not a number"),
         ("r,b\n0,1\n2,0.5,3\n", "line 3: expected 2 columns, got 3"),
-    ], ids=["missing", "non-numeric", "ragged"])
+        ("r,b\n0,1\n1,nan\n2,0.25\n", "line 3: tabulated radii and values must be finite"),
+        ("r,b\n0,1\n1,0.5\ninf,0.25\n", "line 4: tabulated radii and values must be finite"),
+    ], ids=["missing", "non-numeric", "ragged", "nan-value", "inf-radius"])
     def test_unreadable_table_exits_invalid(self, tmp_path, capsys, content, fragment):
         if content is not None:
             (tmp_path / "b.csv").write_text(content)
         spec_path = _write(tmp_path, "spec.json", _constant_spec(
-            coefficient={"kind": "tabulated", "path": "b.csv"}))
-        assert cli.main(["classify", spec_path]) == EXIT_INVALID
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: spec.coefficient: profile CSV {tmp_path / 'b.csv'}: ")
-        assert fragment in err
-        if content is None:
-            assert err.count(str(tmp_path / "b.csv")) == 1
+            coefficient={"kind": "tabulated", "path": "b.csv", "tail_exponent": 2.0}))
+        for command in ("classify", "solve"):
+            assert cli.main([command, spec_path]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: spec.coefficient: profile CSV {tmp_path / 'b.csv'}: ")
+            assert fragment in err
+            if content is None:
+                assert err.count(str(tmp_path / "b.csv")) == 1
 
     def test_counterexample_payload(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())

@@ -164,7 +164,6 @@ class TestTabulatedProfile:
             b(5.0)  # beyond range, no declared tail
         with pytest.raises(ProfileRangeError):
             b(0.5)  # below tabulated range
-        assert b.range_max == 3.0
 
     def test_validation(self):
         with pytest.raises(CoefficientError):
@@ -239,7 +238,10 @@ class TestTabulatedProfile:
          "tabulated radii must be nonnegative and strictly increasing (sample 2)"),
         ([0.0, 1.0, 2.0], [1.0, 0.0, -1.0], "tabulated values must be positive (sample 1)"),
         ([0.0], [1.0], "tabulated profile needs at least 2 samples, got 1 (sample 1)"),
-    ], ids=["unsorted", "negative-radius", "repeated-radius", "zero-value", "one-sample"])
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 0.25], "tabulated radii and values must be finite (sample 1)"),
+        ([0.0, 1.0, np.inf], [1.0, 0.5, 0.25], "tabulated radii and values must be finite (sample 2)"),
+    ], ids=["unsorted", "negative-radius", "repeated-radius", "zero-value", "one-sample",
+            "nan-value", "inf-radius"])
     def test_table_rules_name_the_first_offending_sample(self, radii, values, message):
         with pytest.raises(CoefficientError) as exc:
             RadialProfile.tabulated(radii, values)
@@ -251,7 +253,11 @@ class TestTabulatedProfile:
         ("r,b\n0,1\n\n1,0\n2,1\n", "line 4: tabulated values must be positive"),
         ("r,b\n", "line 2: tabulated profile needs at least 2 samples, got 0"),
         ("r,b\n0,1\n\n", "line 4: tabulated profile needs at least 2 samples, got 1"),
-    ], ids=["unsorted", "zero-after-blank-line", "header-only", "one-row"])
+        ("r,b\n0,1\n1,nan\n2,0.25\n", "line 3: tabulated radii and values must be finite"),
+        ("r,b\n0,1\n1,0.5\ninf,0.25\n", "line 4: tabulated radii and values must be finite"),
+        ("r,b\n0,1\n1,-inf\n", "line 3: tabulated radii and values must be finite"),
+    ], ids=["unsorted", "zero-after-blank-line", "header-only", "one-row", "nan-value",
+            "inf-radius", "minus-inf-value"])
     def test_csv_table_rules_name_the_file_line(self, tmp_path, content, message):
         # The rules are RadialProfile.tabulated's; the loader turns the first
         # offending sample into its line (a missing row: the line past the end).

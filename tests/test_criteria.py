@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessianls.asymptotics import fit_exponent
 from hessianls.coefficients import (
@@ -313,20 +314,25 @@ class TestOscillation:
         assert report.status == "violated"
         assert any("dimension branch" in e for e in report.evidence)
 
-    @pytest.mark.parametrize("m, noise, status", [
-        (3.0, 0.3, "inconclusive"),  # fitted m = 3.0000 +- 0.035 straddles m* = 3
-        (3.0, 0.0, "violated"),      # the same tail, clean: m = 2.99998 +- 3e-6
-        (2.5, 0.3, "violated"),      # noisy, but 14 standard errors below m*
-    ], ids=["noisy-at-threshold", "clean-at-threshold", "noisy-below"])
-    def test_fitted_tail_within_one_stderr_is_refused(self, laplace_params, m, noise, status):
-        # k = 1, n = 3, gamma = 1/2, l = 1 declared: m* = 3.  The oscillation
-        # table declares no tail, so its exponent is fitted with an error bar.
+    @pytest.mark.parametrize("params, m, noise, status", [
+        # n = 3, k = 1, gamma = 1/2, l = 1 declared: m* = 3
+        ((3, 1, 0.5, 3.0), 3.0, 0.3, "inconclusive"),  # fitted 3.0000 +- 0.035 straddles m*
+        ((3, 1, 0.5, 3.0), 3.0, 0.0, "violated"),      # the same tail, clean: 2.99998 +- 3e-6
+        ((3, 1, 0.5, 3.0), 2.5, 0.3, "violated"),      # noisy, but 14 stderrs below m*
+        # n = 4 = 2k, k = 2, gamma = 1: m* = 7, but the dimension branch decides first
+        ((4, 2, 1.0, 7.0), 7.0, 0.3, "violated"),      # fitted m = 6.99996 +- 0.035
+    ], ids=["noisy-at-threshold", "clean-at-threshold", "noisy-below", "dimension-branch"])
+    def test_fitted_tail_within_one_stderr_is_refused(self, params, m, noise, status):
+        # The oscillation table declares no tail, so its exponent is fitted
+        # with an error bar.
+        n, k, gamma, m_star = params
         r = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 101)])
         wiggle = np.exp(noise * (-1.0) ** np.arange(r.size))
         osc = RadialProfile.tabulated(r, 0.1 * (1 + r**2) ** (-m / 2) * wiggle)
         star = RadialProfile.power_tail(1.0)
-        report = oscillation_condition(RadializedTriple(star, star, osc), laplace_params)
-        assert report.m_star == pytest.approx(3.0)
+        report = oscillation_condition(RadializedTriple(star, star, osc),
+                                       ProblemParams(n=n, k=k, gamma=gamma))
+        assert report.m_star == pytest.approx(m_star)
         assert report.status == status
         refused = "fitted tails within one standard error of the threshold" in report.evidence
         assert refused == (status == "inconclusive")
@@ -362,6 +368,29 @@ class TestJensenConditions:
         assert conv.oscillation_moment_bound["status"] == "convergent"
         assert div.oscillation_moment_bound["status"] == "divergent"
 
+    def test_fitted_tail_within_one_stderr_is_refused(self):
+        # n = 7, k = 2, gamma = 1.  Fitted l = 3.99998 +- 0.035 straddles 2k = 4,
+        # and a fitted m of the same value straddles m* = 2k + (2k - l) = 4.00002:
+        # both moment conditions refuse, as classify_existence does.
+        params = ProblemParams(n=7, k=2, gamma=1.0)
+        r = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 101)])
+        wiggle = np.exp(0.3 * (-1.0) ** np.arange(r.size))
+        star = RadialProfile.tabulated(r, (1 + r**2) ** -2.0 * wiggle)
+        osc = RadialProfile.tabulated(r, 0.1 * (1 + r**2) ** -2.0 * wiggle)
+        assert classify_existence(star, params).verdict == INCONCLUSIVE
+        report = jensen_conditions(RadializedTriple(star, star, osc), params)
+        for entry in (report.radial_moment, report.oscillation_moment_bound):
+            assert entry["status"] is None
+            assert entry["tail_exponent"] == pytest.approx(4.0, abs=1e-3)
+            assert entry["note"] == "fitted tails within one standard error of the threshold"
+        # the same tails without noise are called: l = m = 3.99998 +- 3e-6
+        # lie below 2k and m*
+        clean = RadialProfile.tabulated(r, (1 + r**2) ** -2.0)
+        report = jensen_conditions(RadializedTriple(clean, clean, clean), params)
+        assert report.radial_moment["status"] == "divergent"
+        assert report.oscillation_moment_bound["status"] == "divergent"
+        assert "note" not in report.radial_moment
+
     def test_implications_are_one_way(self, hessian2_params):
         report = jensen_conditions(triple_from_radial(B_ONE), hessian2_params)
         assert report.implied_by == {
@@ -371,3 +400,38 @@ class TestJensenConditions:
         # No reverse directions are ever claimed.
         assert "radial_moment_divergence" not in report.implied_by
         assert "oscillation_smallness" not in report.implied_by
+
+
+@st.composite
+def _declared_tails(draw):
+    """(params, l, m) with declared power tails; l lands on 2k and m on the
+    reported m* often enough to exercise both boundaries."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=max(3, k), max_value=2 * k + 3))
+    params = ProblemParams(n=n, k=k, gamma=draw(st.sampled_from((0.1, 0.3, 0.5, 0.9))) * k)
+    l = draw(st.one_of(st.just(2.0 * k), st.floats(min_value=0.0, max_value=3.0 * k)))
+    m_star = oscillation_threshold(params, l)
+    m = draw(st.one_of(st.just(m_star), st.floats(min_value=0.5, max_value=m_star + 2.0)))
+    return params, l, m
+
+
+class TestOneTailRule:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=_declared_tails())
+    def test_every_verdict_compares_one_tail_with_its_threshold(self, case):
+        params, l, m = case
+        n, k = params.n, params.k
+        triple = _aniso_triple(l, m)
+        osc = oscillation_condition(triple, params, r_max=20.0)
+        jensen = jensen_conditions(triple, params, r_max=20.0)
+        existence = classify_existence(triple.b_star, params, r_max=20.0)
+        assert (osc.status == "satisfied") == (n > 2 * k and m > osc.m_star)
+        assert (jensen.oscillation_moment_bound["status"] == "convergent") == (m > osc.m_star)
+        assert (existence.verdict == BOUNDED) == (n > 2 * k and l > 2 * k)
+        assert (jensen.radial_moment["status"] == "convergent") == (l > 2 * k)
+        # declared tails are never refused, and the reported m* is 2k once l >= 2k
+        assert osc.status != "inconclusive" and existence.verdict != INCONCLUSIVE
+        if l >= 2 * k:
+            assert osc.m_star == 2 * k
+        if osc.satisfied:
+            assert math.isfinite(osc.integral)

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# What a script's run below must print besides "Wrote".  The threshold map
+# probes l = 5 > 2k, where m* = 2k.
+PRINTED = {"threshold_map.py": "3/3 grid points flip as predicted\n"}
 
 
 @pytest.mark.parametrize("name, args, outputs", [
@@ -16,7 +19,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ("rate_sweep.py", ["--r-max", "1e3", "--l-values", "0", "0.5"],
      ["rate_sweep.json", "rate_sweep.csv"]),
     ("threshold_map.py",
-     ["--l-values", "0", "1", "--gamma-values", "1", "--probe", "--r-max", "50"],
+     ["--l-values", "0", "1", "5", "--gamma-values", "1", "--probe", "--r-max", "50"],
      ["threshold_map.json", "threshold_map.csv"]),
 ])
 def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
@@ -27,4 +30,5 @@ def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
     assert module.main() == 0
     for output in outputs:
         assert (tmp_path / output).stat().st_size > 0
-    assert "Wrote" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Wrote" in out and PRINTED.get(name, "") in out
