@@ -32,7 +32,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .asymptotics import expected_rate, verify_rates
-from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_DIM, RadialProfile,
+from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_DIM, MIN_SPHERE_COUNT, RadialProfile,
                            load_profile_csv, radialize, triple_from_radial)
 from .core import LOG_FLOAT_MAX, ProblemParams, RadialGrid, gamma_k_membership
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, jensen_conditions,
@@ -120,8 +120,8 @@ _VARY_SECTIONS = {key: section for section, tables in (
 # Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
 # as nodes_per_decade times the decades from r_lin to r_max (at least one);
 # the J tables refine it 4x with 12 Gauss points per cell, about 19 MB per
-# table at the budget.  classify and sandwich sample at most
-# _MAX_SPHERE_COUNT points per sphere.  The goldens and benchmarks ask for
+# table at the budget.  classify and sandwich sample from MIN_SPHERE_COUNT
+# to _MAX_SPHERE_COUNT points per sphere.  The goldens and benchmarks ask for
 # at most about 250 nodes and 256 points, and the widest grid the spec fuzz
 # can draw (32 per decade from a subnormal r_lin to 1e3) holds about 10500.
 _MAX_GRID_NODES = 50_000
@@ -268,6 +268,9 @@ def _check_grid_budget(r_lin: float, r_max: float, nodes_per_decade: int) -> Non
 
 
 def _sphere_count(args) -> int:
+    if args.sphere_count < MIN_SPHERE_COUNT:
+        raise ParameterError(f"--sphere-count: at least {MIN_SPHERE_COUNT}, "
+                             f"got {args.sphere_count}")
     if args.sphere_count > _MAX_SPHERE_COUNT:
         raise ParameterError(f"--sphere-count: at most {_MAX_SPHERE_COUNT}, "
                              f"got {args.sphere_count}")

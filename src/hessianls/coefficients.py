@@ -35,6 +35,20 @@ _POSITIVITY_PROBES = np.concatenate([[0.0], np.geomspace(1e-6, 1e8, 57)])
 OSC_NEGLIGIBLE_REL_TOL = 1e-12
 
 
+def check_coefficient(values, radii, nonnegative: bool = False) -> np.ndarray:
+    """The admissibility rule: ``values`` of b at ``radii`` (one value or row per
+    radius) as an array if all are finite and positive (``nonnegative``: >= 0,
+    where underflow is harmless), else CoefficientError naming the first."""
+    vals = np.asarray(values)
+    ok = (vals >= 0.0 if nonnegative else vals > 0.0) & (vals < math.inf)
+    if ok.all():
+        return vals
+    first = int(np.argmin(ok.ravel()))  # row by row: the first radius, then its value
+    raise CoefficientError(
+        f"coefficient must be finite and {'nonnegative' if nonnegative else 'positive'}, got "
+        f"{vals.flat[first]:g} at r = {np.ravel(radii)[first * np.size(radii) // ok.size]:g}")
+
+
 def _one_per_point(values, count: int, source: str) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     if out.shape != (count,):
@@ -162,10 +176,12 @@ class RadialProfile:
             out = np.full_like(rr, self.value)
         elif self.kind == "power_tail":
             q = self.r0 ** 2 + rr ** 2
-            out = q ** (-self.l / 2.0)
-            if self.A != 0.0:
-                out = out + self.A * q ** (-self.m / 2.0)
-            out = self.scale * out
+            # overflow (also 0 ** -l, inf - inf) is quiet: check_coefficient reports it
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                out = q ** (-self.l / 2.0)
+                if self.A != 0.0:
+                    out = out + self.A * q ** (-self.m / 2.0)
+                out = self.scale * out
         elif self.kind == "tabulated":
             out = self._eval_table(rr)
         elif self.kind == "callable":
@@ -372,6 +388,9 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # One Halton base per coordinate: the largest dimension the sphere sampler
 # (and so radialize) supports.
 MAX_SPHERE_DIM = len(_PRIMES)
+
+# radialize samples at least this many points per sphere.
+MIN_SPHERE_COUNT = 32
 
 # radialize draws its radii in blocks of at most this many sphere
 # coordinates (rows * count * dim), so its transient arrays stay a few
@@ -674,10 +693,11 @@ class AnisotropicPowerField:
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r2 = np.sum(pts ** 2, axis=1)
-        base = (1.0 + r2) ** (-self.l / 2.0)
-        if self.amp == 0.0:
-            return base
-        return base + self.amp * pts[:, 0] ** 2 * (1.0 + r2) ** (-(self.m + 2.0) / 2.0)
+        # overflow (and 0 * inf) is quiet: check_coefficient reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = (1.0 + r2) ** (-self.l / 2.0)
+            return base if self.amp == 0.0 else \
+                base + self.amp * pts[:, 0] ** 2 * (1.0 + r2) ** (-(self.m + 2.0) / 2.0)
 
     __call__ = eval
 
@@ -734,7 +754,7 @@ def triple_from_radial(profile: RadialProfile) -> RadializedTriple:
 def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTriple:
     """Tabulate the spherical envelopes of ``field`` on ``grid``.
 
-    ``sphere_count`` points per radius (>= 32) are drawn from the nested
+    ``sphere_count`` points per radius (>= MIN_SPHERE_COUNT) are drawn from the nested
     deterministic sequence, rotated per radius.  The minimum over the
     sample overestimates b_* and the maximum underestimates b^*, and both
     converge monotonically as the count doubles.
@@ -742,33 +762,28 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     The radii go in blocks of at most _BLOCK_COORDS coordinates (at least
     one radius each): one sphere table, one field call on the block's
     (radii * sphere_count, dim) points and a per-radius min and max.  The
-    envelopes equal those of a one-radius-at-a-time loop bit for bit.
+    envelopes equal those of a one-radius-at-a-time loop bit for bit, and
+    go through :func:`check_coefficient` once, the origin included.
     """
-    if sphere_count < 32:
-        raise CoefficientError(f"sphere_count must be >= 32, got {sphere_count}")
+    if sphere_count < MIN_SPHERE_COUNT:
+        raise CoefficientError(f"sphere_count must be >= {MIN_SPHERE_COUNT}, got {sphere_count}")
     dim = getattr(field, "dim", None)
     if dim is None:
         raise CoefficientError("field must expose its dimension via a 'dim' attribute")
     nodes = grid.nodes
     star = np.empty(nodes.size)
     upper = np.empty(nodes.size)
-    center = _one_per_point(field(np.zeros((1, dim))), 1, "field")[0]
-    if center <= 0:
-        raise CoefficientError("field must be positive at the origin")
-    star[0] = upper[0] = center
+    star[0] = upper[0] = _one_per_point(field(np.zeros((1, dim))), 1, "field")[0]
     rows = max(1, _BLOCK_COORDS // (sphere_count * dim))
     for first in range(1, nodes.size, rows):
         stop = min(first + rows, nodes.size)
         pts = nodes[first:stop, None, None] * _sphere_table(dim, sphere_count, first, stop)
         vals = _one_per_point(field(pts.reshape(-1, dim)), pts.shape[0] * sphere_count,
                               "field").reshape(-1, sphere_count)
-        bad = np.flatnonzero(np.any(vals <= 0, axis=1))
-        if bad.size:
-            row = bad[0]
-            raise CoefficientError(f"field must be positive; found min {vals[row].min():g} "
-                                   f"at radius {nodes[first + row]:g}")
         star[first:stop] = vals.min(axis=1)
         upper[first:stop] = vals.max(axis=1)
+    # a row's min and max hold its first offending value (NaN propagates)
+    check_coefficient(np.column_stack([star, upper]), nodes)
     osc = np.maximum(upper - star, 0.0)
     tail_star = getattr(field, "tail_star", None)
     tail_upper = getattr(field, "tail_upper", None)

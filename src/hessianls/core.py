@@ -110,6 +110,11 @@ class ProblemParams:
         computed on first use)."""
         return binomial(self.n, self.k)
 
+    @cached_property
+    def log_n_over_cnk(self) -> float:
+        """ln(n / C(n, k)), the constant term of the flux transform's log."""
+        return math.log(self.n / self.cnk)
+
     @property
     def sub_power(self) -> float:
         """(k - gamma)/k, the exponent governing the sublinear envelope."""

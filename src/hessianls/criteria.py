@@ -40,7 +40,8 @@ import numpy as np
 from ._integrate import cumulative_values
 from .asymptotics import fit_exponent
 from .core import ProblemParams
-from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
+from .coefficients import (OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile,
+                           check_coefficient)
 from .envelope import (fine_nodes, flux_integral, flux_slope, growth_primitive,
                        linear_growth_tables)
 from .errors import ParameterError
@@ -328,7 +329,7 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
     est_star = tail_exponent_of(triple.b_star)
     fine = fine_nodes(r_max)
 
-    star_vals = np.asarray(triple.b_star(fine)) ** (1.0 / k)
+    star_vals = check_coefficient(triple.b_star(fine), fine, nonnegative=True) ** (1.0 / k)
     moment_finite = float(cumulative_values(fine * star_vals, fine)[-1])
     # r b_*^(1/k) ~ r^(1 - l/k): convergent iff l > 2k
     radial_moment = _moment(moment_finite, est_star, 2.0 * k)

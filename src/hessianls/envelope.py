@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
+from .coefficients import check_coefficient
 from .core import ProblemParams, RadialGrid
-from .errors import CoefficientError, DomainTooLargeError, IntegrationError
+from .errors import DomainTooLargeError, IntegrationError
 
 # A node this close (relative) to a requested radius gives way to it: the
 # sliver cell between them blows up Simpson's weights.  Grids built with 32
@@ -46,7 +47,7 @@ def flux_slope(params: ProblemParams, r, inner) -> np.ndarray:
     out = np.zeros(r.shape)
     pos = (r > 0.0) & (inner > 0.0)
     n, k = params.n, params.k
-    out[pos] = np.exp((math.log(n / params.cnk) + (k - n) * np.log(r[pos])
+    out[pos] = np.exp((params.log_n_over_cnk + (k - n) * np.log(r[pos])
                        + np.log(inner[pos])) / k)
     return out
 
@@ -54,12 +55,13 @@ def flux_slope(params: ProblemParams, r, inner) -> np.ndarray:
 def flux_integral(params: ProblemParams, b, nodes, psi=None, start: float = 0.0) -> np.ndarray:
     """start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma at every node r,
     with one 12-point Gauss panel per cell; ``psi`` None stands for psi = 1."""
-    n = params.n
+    n, gam = params.n, params.gamma
+
+    def weighted(s):  # b may underflow to 0 here: a steep tail still integrates
+        return s ** (n - 1) * check_coefficient(b(s), s, nonnegative=True)
     if psi is None:
-        return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)), nodes, start)
-    gam = params.gamma
-    return panel_cumulative(lambda s: s ** (n - 1) * np.asarray(b(s)) * psi(s) ** gam,
-                            nodes, start)
+        return panel_cumulative(weighted, nodes, start)
+    return panel_cumulative(lambda s: weighted(s) * psi(s) ** gam, nodes, start)
 
 
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
@@ -152,10 +154,7 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
         raise ValueError(f"r_end must be positive, got {r_end}")
     k, gam, a = params.k, params.gamma, params.a
     probe_r = np.linspace(0.0, r_end, 1025)
-    probe_b = np.asarray(b(probe_r))
-    if np.any(probe_b <= 0.0):
-        raise CoefficientError("coefficient must be positive on [0, r_end]")
-    b_max = float(probe_b.max())
+    b_max = float(check_coefficient(b(probe_r), probe_r).max())
     # flat head: F is below epsilon as long as r <= r_flat by the crude
     # bound F <= r (b_max (2a)^gamma / C(n,k))^(1/k)
     r_flat = params.cnk ** (1.0 / k) * epsilon / (b_max ** (1.0 / k) * (2.0 * a) ** (gam / k))
@@ -193,7 +192,7 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     inner = float(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
                                 lambda s: np.full_like(s, a))[-1])
     # the terms of log F that do not depend on inner, at every segment start
-    log_heads = (math.log(params.n / params.cnk) + (k - params.n) * np.log(radii[1:-1])).tolist()
+    log_heads = (params.log_n_over_cnk + (k - params.n) * np.log(radii[1:-1])).tolist()
     steps = np.diff(radii).tolist()
     values = [a, a]  # the center and the end of the flat head
     slopes = [0.0]

@@ -103,9 +103,10 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
     ordering fails anyway the OrderingError reports the violating radius
     and a suggested larger margin.
     """
-    for name, value in (("beta", beta), ("margin", margin)):
-        if value is not None and not np.isfinite(value):
-            raise ParameterError(f"{name} must be a finite number, got {value}")
+    if beta is not None and not np.isfinite(beta):
+        raise ParameterError(f"beta must be a finite number, got {beta}")
+    if margin is not None and not 0.0 <= margin < np.inf:
+        raise ParameterError(f"margin must be a finite number >= 0, got {margin}")
     osc = oscillation_condition(triple, params, r_max=grid.r_max)
     if beta is None:
         if not osc.satisfied:

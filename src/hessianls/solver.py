@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .coefficients import RadialProfile
+from .coefficients import RadialProfile, check_coefficient
 from .core import LOG_FLOAT_MAX, OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid
 # The quadrature-only comparison routes live in envelope; their names stay
 # bound here for callers that reach them as ``solver.*`` (the package
@@ -51,7 +51,7 @@ from .core import LOG_FLOAT_MAX, OVERFLOW_GUARD, ProblemParams, RadialCurve, Rad
 # ``solver.linear_growth_tables``).
 from .envelope import (BreakLine, breakline_defect, euler_polyline,  # noqa: F401
                        flux_integral, flux_slope, linear_growth_tables, solve_linear_rhs)
-from .errors import BlowupGuardError, CoefficientError, IntegrationError
+from .errors import BlowupGuardError, IntegrationError, ParameterError
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12
@@ -61,6 +61,9 @@ DEFAULT_ABS_TOL = 1e-12
 MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 _CONSERVATION_REFINE = 2   # grid refinement of the conservation quadrature
+# The series start hands off at this radius or beyond, and at most a quarter
+# of the way to the grid's first positive node.
+_MIN_SERIES_RADIUS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +98,6 @@ class _SeriesStart:
 def _series_start(params: ProblemParams, b, r_probe: float) -> _SeriesStart:
     n, k, gam, a = params.n, params.k, params.gamma, params.a
     b0 = float(b(0.0))
-    if b0 <= 0:
-        raise CoefficientError(f"coefficient must be positive at the origin, got {b0}")
     c2 = (b0 * a ** gam / params.cnk) ** (1.0 / k)
     # effective quadratic coefficient of b near 0 (exact for even smooth b)
     b2 = (float(b(r_probe)) - b0) / r_probe ** 2
@@ -111,7 +112,7 @@ def _series_radius(params: ProblemParams, grid: RadialGrid, c2: float) -> float:
     # length scale sqrt(a/c2) so the truncation error is O(r^6) ~ negligible
     r = 1e-4 * grid.r_lin
     r = min(r, 0.05 * math.sqrt(params.a / c2), 0.25 * float(grid.nodes[1]))
-    return max(r, 1e-12)
+    return max(r, _MIN_SERIES_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,9 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     b : RadialProfile
         Radial coefficient profile, positive and continuous.
     grid : RadialGrid
-        Output nodes.  Integration runs adaptively; the grid only selects
-        where the curve is reported.
+        Output nodes, the first positive one above 4 * _MIN_SERIES_RADIUS.
+        Integration runs adaptively; the grid only selects where the curve
+        is reported.
     rel_tol, abs_tol : float
         Relative tolerance on u and M (the stepper runs at rel_tol / 10)
         and an absolute floor abs_tol * max(1, a) on the error of u.
@@ -294,11 +296,11 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
         u, u', u'' at the nodes, with a dense (u, M) evaluator attached.
     """
     nodes = grid.nodes
-    probe = np.asarray(b(nodes))
-    if np.any(probe <= 0.0) or not np.all(np.isfinite(probe)):
-        bad = nodes[np.argmin(probe)]
-        raise CoefficientError(f"coefficient must be positive and finite on the grid "
-                               f"(fails near r = {bad:g})")
+    if not nodes[1] > 4.0 * _MIN_SERIES_RADIUS:
+        raise ParameterError(f"the grid's first positive radius {nodes[1]:g} must exceed "
+                             f"{4.0 * _MIN_SERIES_RADIUS:g} (four times the smallest series "
+                             f"handoff radius); raise r_lin or r_max")
+    check_coefficient(b(nodes), nodes)
     n, k, gam = params.n, params.k, params.gamma
 
     series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
@@ -316,7 +318,7 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     # d ln u / ds = r u' / u and d ln M / ds = r^n b u^gamma / M with s = ln r
     log_b = b.log_in_log_radius()
     exp = math.exp
-    c_u = math.log(n / params.cnk) / k
+    c_u = params.log_n_over_cnk / k
     p_u = (2 * k - n) / k
 
     def rhs(s, x, z):
@@ -331,6 +333,12 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
     u, moment = dense(nodes)
     du = flux_slope(params, nodes, moment)
+    # M ~ r^n underflows near the origin for large n, while ln M does not
+    if not np.all(du[1:] > 0.0):
+        r_zero = nodes[1 + int(np.argmin(du[1:] > 0.0))]
+        raise IntegrationError(f"the flux integral M underflows to 0 at r = {r_zero:g}, so u' "
+                               f"reads 0 there; n = {n} is too large for this grid's first "
+                               f"nodes", r=r_zero)
     d2u = _recover_d2u(params, b, nodes, u, du, series.c2)
     return RadialCurve(grid=grid, u=u, du=du, d2u=d2u, dense=dense)
 

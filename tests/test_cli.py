@@ -101,13 +101,15 @@ def _counterexample_spec(r_max=100.0):
 
 # Values a mutated spec key can take: in range, out of range, the wrong type
 # or not finite.  Radii and node counts stay small, so no drawn spec builds a
-# large grid.
+# large grid.  Tails down to l, m = -400 overflow on the grid (from r = 5.8
+# at -400), so the coefficient itself can be inadmissible there.
 _BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1]),
                         st.just({}), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
 _KEY_VALUES = {
     "n": st.integers(-1, 12), "k": st.integers(-1, 12),
     "gamma": st.floats(-1.0, 13.0), "a": st.floats(-1.0, 1e3),
-    "value": st.floats(-1.0, 1e3), "l": st.floats(-3.0, 8.0), "m": st.floats(-3.0, 12.0),
+    "value": st.floats(-1.0, 1e3), "l": st.floats(-3.0, 8.0) | st.floats(-400.0, -3.0),
+    "m": st.floats(-3.0, 12.0) | st.floats(-400.0, -3.0),
     "A": st.floats(-2.0, 2.0), "r0": st.floats(-1.0, 10.0), "scale": st.floats(-1.0, 10.0),
     "amp": st.floats(-1.0, 2.0), "dim": st.integers(-1, 6),
     "r_lin": st.floats(-1.0, 1e3), "r_max": st.floats(-1.0, 1e3),
@@ -122,6 +124,7 @@ _SECTION_KEYS = {None: ("n", "k", "gamma", "a"), "grid": ("r_lin", "r_max", "nod
                  "tolerances": ("rel", "abs")}
 _BASE_COEFFICIENTS = [
     {"kind": "constant", "value": 1.0}, {"kind": "power_tail", "l": 1.5, "m": 4.0, "A": 0.5},
+    {"kind": "power_tail", "l": -400.0},
     {"kind": "builtin_field", "name": "anisotropic_power", "l": 1.0, "m": 8.0},
     {"kind": "builtin_field", "name": "counterexample"}]
 
@@ -229,20 +232,28 @@ class TestProblemSpec:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(raw=_mutated_specs())
     def test_mutated_spec_parses_or_names_the_field(self, tmp_path_factory, raw):
+        # A spec that parses is solved or rejected by one error line:
+        # `classify --strict` and `solve` on a radial coefficient, `classify`
+        # on a field.  A RuntimeWarning is an error under this suite.
         try:
             spec = ProblemSpec.from_dict(raw)
         except (ParameterError, CoefficientError) as exc:
             assert str(exc).startswith("spec"), str(exc)
             return
-        if not spec.is_radial():
-            return
-        spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
-        spec_path.write_text(json.dumps(raw))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(["classify", str(spec_path), "--strict"])
-        assert code in (EXIT_OK, EXIT_INCONCLUSIVE), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        spec_path = str(tmp_path_factory.mktemp("spec") / "spec.json")
+        pathlib.Path(spec_path).write_text(json.dumps(raw))
+        commands = ([["classify", spec_path, "--strict"], ["solve", spec_path]]
+                    if spec.is_radial() else [["classify", spec_path, "--sphere-count", "32"]])
+        allowed = {"classify": (EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE),
+                   "solve": (EXIT_OK, EXIT_INVALID, EXIT_INTEGRATION)}
+        for argv in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            err = stderr.getvalue()
+            assert code in allowed[argv[0]], err
+            assert "Traceback" not in err
+            assert err.count("\n") == (code in (EXIT_INVALID, EXIT_INTEGRATION)), err
 
     @pytest.mark.parametrize("grid, fragment", [
         ({"nodes_per_decade": 10**6}, "spec.grid.nodes_per_decade: at most 50000, got 1000000"),
@@ -277,9 +288,10 @@ class TestProblemSpec:
 
         monkeypatch.setattr(cli, "radialize", no_radialize)
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
-        argv = [command, spec_path, "--sphere-count", str(10**9)]
-        assert cli.main(argv) == EXIT_INVALID
-        assert capsys.readouterr().err == "error: --sphere-count: at most 16384, got 1000000000\n"
+        for count, bound in ((10**9, "at most 16384"), (31, "at least 32"), (0, "at least 32")):
+            argv = [command, spec_path, "--sphere-count", str(count)]
+            assert cli.main(argv) == EXIT_INVALID
+            assert capsys.readouterr().err == f"error: --sphere-count: {bound}, got {count}\n"
 
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
@@ -447,6 +459,49 @@ class TestClassifyCommand:
         assert payload["osc_condition"]["status"] == "satisfied"
 
 
+class TestInadmissibleCoefficient:
+    """Every subcommand rejects a coefficient that overflows on its radii
+    by one line naming the value and the first such radius (exit 1)."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, coefficient, commands, r_max=100.0):
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient=coefficient, grid={"r_max": r_max}))
+        for command in commands:
+            out_dir = tmp_path / command
+            code = cli.main([command, spec_path, "--out" if command != "solve" else "--curve",
+                             str(out_dir)])
+            yield code, capsys.readouterr()
+
+    def test_overflowing_power_tail(self, tmp_path, capsys):
+        # (1 + r^2)^400 passes the largest float beyond r = 2.2134; classify
+        # meets it at a Gauss point, solve at a grid node of the same cell
+        for code, captured in self._run(tmp_path, capsys, {"kind": "power_tail", "l": -800.0},
+                                        ("classify", "solve")):
+            assert code == EXIT_INVALID
+            assert captured.out == ""
+            match = re.fullmatch(r"error: coefficient must be finite and \w+, got inf "
+                                 r"at r = (\S+)\n", captured.err)
+            assert match, captured.err
+            assert 2.2134 < float(match.group(1)) < 2.3
+
+    def test_overflowing_field(self, tmp_path, capsys):
+        coefficient = {"kind": "builtin_field", "name": "anisotropic_power",
+                       "l": -800.0, "m": 8.0}
+        for code, captured in self._run(tmp_path, capsys, coefficient, ("classify", "sandwich")):
+            assert code == EXIT_INVALID
+            assert captured.err == ("error: coefficient must be finite and positive, "
+                                    "got inf at r = 2.29167\n")
+        assert not (tmp_path / "sandwich").exists()
+
+    def test_underflowing_tail_still_classifies(self, tmp_path, capsys):
+        # l = 200 underflows to 0 beyond r = 42; the quadrature admits zero
+        [(code, captured)] = self._run(tmp_path, capsys, {"kind": "power_tail", "l": 200.0},
+                                       ("classify",), r_max=1e4)
+        assert code == EXIT_OK and captured.err == ""
+        assert json.loads(captured.out)["existence_verdict"]["verdict"] == "Bounded"
+
+
 class TestSandwichCommand:
     def test_counterexample_precondition_exit(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
@@ -476,6 +531,7 @@ class TestSandwichCommand:
         (["--beta", "inf"], "beta"),
         (["--margin", "nan"], "margin"),
         (["--beta", "3", "--margin", "inf"], "margin"),
+        (["--margin", "-5"], "margin"),
     ])
     def test_non_finite_option_exits_invalid(self, tmp_path, capsys, args, option):
         spec_path = _write(tmp_path, "spec.json", _constant_spec())

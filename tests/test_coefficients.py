@@ -12,6 +12,7 @@ from hessianls.coefficients import (
     AnisotropicPowerField,
     QuadraticRootField,
     RadialProfile,
+    check_coefficient,
     load_profile_csv,
     make_builtin_field,
     ndtri,
@@ -279,6 +280,56 @@ class TestTabulatedProfile:
             save_profile_csv(RadialProfile.constant(1.0), tmp_path / "x.csv")
 
 
+class TestAdmissibilityRule:
+    """check_coefficient: finite and positive (or nonnegative), else the
+    first offending value and its radius."""
+
+    RADII = np.array([0.0, 1.0, 2.0, 3.0])
+
+    def test_admissible_values_pass_unchanged(self):
+        values = np.array([1.0, 0.5, 1e-300, 1e300])
+        assert check_coefficient(values, self.RADII) is values
+        zeros = np.array([1.0, 0.0, 0.0, 2.0])
+        assert check_coefficient(zeros, self.RADII, nonnegative=True) is zeros
+        assert check_coefficient(np.empty(0), np.empty(0)).size == 0
+
+    @pytest.mark.parametrize("bad, shown, nonnegative", [
+        (0.0, "0", False), (-2.5, "-2.5", False), (-2.5, "-2.5", True), (math.nan, "nan", False),
+        (math.nan, "nan", True), (math.inf, "inf", False), (math.inf, "inf", True),
+        (-math.inf, "-inf", True)])
+    def test_names_the_first_offending_value_and_radius(self, bad, shown, nonnegative):
+        sign = "nonnegative" if nonnegative else "positive"
+        with pytest.raises(CoefficientError, match=rf"^coefficient must be finite and {sign}, "
+                                                   rf"got {shown} at r = 2$"):
+            check_coefficient(np.array([1.0, 1.0, bad, bad]), self.RADII, nonnegative)
+
+    def test_rows_name_their_radius(self):
+        # one row per radius, as radialize checks its (min, max) pairs
+        rows = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, math.inf], [-1.0, 2.0]])
+        with pytest.raises(CoefficientError, match=r"got inf at r = 2$"):
+            check_coefficient(rows, self.RADII)
+
+    def test_one_value_for_every_radius(self):
+        with pytest.raises(CoefficientError, match=r"got -1 at r = 0$"):
+            check_coefficient(-1.0, self.RADII)
+
+    @pytest.mark.parametrize("profile", [RadialProfile.power_tail(-800.0),
+                                         RadialProfile.power_tail(-800.0, -800.0, -0.5),
+                                         RadialProfile.power_tail(1.5, r0=1e-200)],
+                             ids=["overflow", "inf-minus-inf", "zero-to-a-negative-power"])
+    def test_closed_forms_overflow_quietly(self, profile):
+        # no RuntimeWarning (an error under this suite): the rule names the radius
+        radii = np.array([0.0, 1.0, 3.0])
+        values = profile(radii)
+        assert not np.isfinite(values).all()
+        with pytest.raises(CoefficientError, match=r"at r = [03]$"):
+            check_coefficient(values, radii)
+
+    def test_field_overflows_quietly(self):
+        field = AnisotropicPowerField(l=-800.0, m=8.0)
+        assert field(np.array([[3.0, 0.0, 0.0]]))[0] == math.inf
+
+
 class TestSphereSampling:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_unit_norm(self, dim):
@@ -527,6 +578,33 @@ class TestRadialize:
         assert all(size <= rows * count for size in field.sizes)
         assert sum(field.sizes) == 1 + radii * count
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_names_its_radius(self, bad):
+        # a NaN or inf on the shell 0.3 < |x| < 0.35 and at the origin
+        class Holed:
+            dim = 3
+
+            def __init__(self, where):
+                self.where = where
+
+            def __call__(self, points):
+                radius = np.linalg.norm(points, axis=1)
+                return np.where(self.where(radius), bad, 1.0)
+
+        grid = RadialGrid.build(1.0, r_lin=1.0, nodes_per_decade=64)
+        radius = grid.nodes[(grid.nodes > 0.3) & (grid.nodes < 0.35)][0]
+        with pytest.raises(CoefficientError, match=rf"got {bad} at r = {radius:g}$"):
+            radialize(Holed(lambda r: (r > 0.3) & (r < 0.35)), grid)
+        with pytest.raises(CoefficientError, match=rf"got {bad} at r = 0$"):
+            radialize(Holed(lambda r: r == 0.0), grid)
+
+    def test_overflowing_field_names_its_radius(self):
+        # (1 + r^2)^400 passes the largest float beyond r = 2.2134
+        grid = RadialGrid.build(100.0, nodes_per_decade=48)
+        radius = grid.nodes[grid.nodes > 2.2134][0]
+        with pytest.raises(CoefficientError, match=rf"got inf at r = {radius:g}$"):
+            radialize(AnisotropicPowerField(l=-800.0, m=8.0), grid)
+
     def test_negative_field_names_its_radius(self):
         # b = 2 - |x| first reaches zero at the first node with r >= 2,
         # which sits inside a block, not at its start.
@@ -540,8 +618,8 @@ class TestRadialize:
         first_bad = int(np.argmax(grid.nodes >= 2.0))
         assert (first_bad - 1) % (coefficients._BLOCK_COORDS // (256 * 4)) != 0
         radius = grid.nodes[first_bad]
-        with pytest.raises(CoefficientError, match=rf"found min {2.0 - radius:g} "
-                                                   rf"at radius {radius:g}$"):
+        with pytest.raises(CoefficientError, match=rf"finite and positive, got "
+                                                   rf"{2.0 - radius:g} at r = {radius:g}$"):
             radialize(Cone(), grid)
 
     def test_rejects_small_sample(self):

@@ -5,12 +5,15 @@ Each module of ``src/hessianls`` may import only modules below it in
 Gauss-panel rule ``panel_cumulative`` is reached only through
 ``envelope.flux_integral``, so only ``envelope`` imports it, and the
 12-point rule itself is built once, in ``_integrate``.  The float bound
-ln(max float) is defined once, in ``core``, next to the one binomial, and a
-spec's coefficient is built in one place, ``ProblemSpec.from_dict``.
+ln(max float) is defined once, in ``core``, next to the one binomial and
+ln(n / C(n, k)); a spec's coefficient is built in one place,
+``ProblemSpec.from_dict``; and one function, ``coefficients.check_coefficient``,
+decides whether a coefficient's values are admissible, wherever b meets radii.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -60,6 +63,39 @@ def test_one_gauss_rule(module):
 def test_one_float_bound(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert ("math.log(sys.float_info.max)" in source) == (module == "core")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_one_log_flux_constant(module):
+    # ln(n / C(n, k)) is ProblemParams.log_n_over_cnk, computed nowhere else
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert bool(re.search(r"log\([\w.]*n / [\w.]*cnk\)", source)) == (module == "core")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_one_admissibility_rule(module):
+    # coefficients.check_coefficient holds the rule and its message
+    source = (PACKAGE / f"{module}.py").read_text()
+    defined = {name for name, _ in _functions(ast.parse(source))}
+    assert ("check_coefficient" in defined) == (module == "coefficients")
+    assert ("coefficient must be" in source) == (module == "coefficients")
+
+
+# Where a coefficient meets radii: each of these applies the rule.
+_CHECKED_AT = {"solver": ("solve_cauchy",), "envelope": ("flux_integral", "euler_polyline"),
+               "coefficients": ("radialize",), "criteria": ("jensen_conditions",)}
+
+
+@pytest.mark.parametrize("module", sorted(_CHECKED_AT))
+def test_coefficient_checked_where_it_meets_radii(module):
+    functions = dict(_functions(ast.parse((PACKAGE / f"{module}.py").read_text())))
+    for name in _CHECKED_AT[module]:
+        calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "check_coefficient"]
+        assert calls, f"{module}.{name}"
+    if module == "solver":  # the series start leaves b(0) to the grid probe
+        assert not any(isinstance(node, ast.Raise)
+                       for node in ast.walk(functions["_series_start"]))
 
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)

@@ -14,6 +14,7 @@ from hessianls.errors import (
     CoefficientError,
     DomainTooLargeError,
     IntegrationError,
+    ParameterError,
 )
 from hessianls.solver import (
     MIN_REL_TOL,
@@ -149,6 +150,35 @@ class TestSolveCauchy:
         with pytest.raises(CoefficientError):
             solve_cauchy(laplace_params, dip, grid)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficient_names_its_radius(self, laplace_params, bad):
+        # inf (or NaN) on 4 < r < 6: the probe names the first grid node
+        # there, not the node of the smallest value
+        grid = RadialGrid.build(100.0)
+        hole = RadialProfile.from_callable(
+            lambda r: np.where((np.asarray(r) > 4.0) & (np.asarray(r) < 6.0), bad, 1.0))
+        radius = grid.nodes[grid.nodes > 4.0][0]
+        with pytest.raises(CoefficientError, match=rf"got {bad} at r = {radius:g}$"):
+            solve_cauchy(laplace_params, hole, grid)
+
+    @pytest.mark.parametrize("r_max, r_lin", [(1e3, 1e-198), (1e-119, 10.0)])
+    def test_grid_below_the_series_start_is_refused(self, laplace_params, r_max, r_lin):
+        # the first positive node lies below 4e-12, where the series start
+        # can no longer hand off before it (b(r_probe) once divided by 0.0)
+        grid = RadialGrid.build(r_max, r_lin=r_lin)
+        with pytest.raises(ParameterError, match=rf"first positive radius {grid.nodes[1]:g} "
+                                                 rf"must exceed 4e-12 .*; raise r_lin or r_max$"):
+            solve_cauchy(laplace_params, B_ONE, grid)
+
+    def test_flux_underflow_is_refused(self):
+        # n = 1029: M ~ r^n / n underflows near the origin, where u' would
+        # read 0 and u'' divide by zero; the solve stops instead
+        params = ProblemParams(n=1029, k=514, gamma=0.5)
+        with pytest.raises(IntegrationError, match=r"flux integral M underflows to 0 at "
+                                                   r"r = 0\.03125, so u' reads 0") as exc:
+            solve_cauchy(params, B_ONE, RadialGrid.build(1.0, nodes_per_decade=32))
+        assert exc.value.r == 0.03125
+
     def test_integration_failure_surfaces(self, laplace_params):
         # A near-singularity between probe nodes defeats the adaptive
         # integrator and must raise, not return garbage.
@@ -269,10 +299,24 @@ class TestEulerPolyline:
             euler_polyline(laplace_params, B_ONE, r_end=-1.0, epsilon=1e-2)
 
     def test_rejects_nonpositive_coefficient(self, laplace_params):
-        # b = 1 - r vanishes at r = 1, inside [0, r_end].
+        # b = 1 - r vanishes at r = 1, inside [0, r_end]; the probe names
+        # its first point at or beyond it.
         b = RadialProfile.from_callable(lambda r: 1.0 - np.asarray(r))
-        with pytest.raises(CoefficientError, match=r"positive on \[0, r_end\]"):
+        probe = np.linspace(0.0, 1.5, 1025)
+        radius = probe[probe >= 1.0][0]
+        with pytest.raises(CoefficientError, match=rf"finite and positive, got "
+                                                   rf"{1.0 - radius:g} at r = {radius:g}$"):
             euler_polyline(laplace_params, b, r_end=1.5, epsilon=1e-2)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_coefficient(self, laplace_params, bad):
+        # NaN once gave a line of NaN values and inf a DomainTooLargeError
+        b = RadialProfile.from_callable(
+            lambda r: np.where((np.asarray(r) > 0.3) & (np.asarray(r) < 0.35), bad, 1.0))
+        probe = np.linspace(0.0, 0.5, 1025)
+        radius = probe[probe > 0.3][0]
+        with pytest.raises(CoefficientError, match=rf"got {bad} at r = {radius:g}$"):
+            euler_polyline(laplace_params, b, r_end=0.5, epsilon=1e-2)
 
     def test_segment_cap(self, laplace_params, monkeypatch):
         # epsilon = 1e-3 needs 257 segments (test_segment_counts_pinned);
@@ -405,6 +449,26 @@ class TestPrecomputedBreakLine:
         # the positivity probe, then per round the flat head, the Gauss rows
         # and the defect table (the per-segment loop made two per segment)
         assert len(calls) <= 1 + 3 * rounds
+
+
+class TestFluxIntegralRule:
+    def test_nan_between_nodes_names_its_gauss_point(self, laplace_params):
+        # NaN on 0.31 < r < 0.32 lies between the nodes 0.3 and 0.4: only
+        # Gauss points of the cell between them see it
+        nodes = np.linspace(0.0, 1.0, 11)
+        b = RadialProfile.from_callable(
+            lambda r: np.where((np.asarray(r) > 0.31) & (np.asarray(r) < 0.32), np.nan, 1.0))
+        with pytest.raises(CoefficientError, match=r"finite and nonnegative, got nan "
+                                                   r"at r = 0\.31\d*$"):
+            flux_integral(laplace_params, b, nodes)
+
+    def test_underflow_to_zero_is_admitted(self, laplace_params):
+        # a steep tail underflows to 0 at large r; the quadrature takes it
+        steep = RadialProfile.power_tail(200.0)
+        nodes = np.geomspace(1.0, 1e4, 9)
+        assert steep(nodes[-1]) == 0.0
+        inner = flux_integral(laplace_params, steep, np.concatenate([[0.0], nodes]))
+        assert np.all(np.isfinite(inner)) and inner[-1] > 0.0
 
 
 class TestLinearGrowth:
