@@ -23,26 +23,21 @@ def panel_points(nodes: np.ndarray):
     return half, mid[:, None] + half[:, None] * _GAUSS_X[None, :]
 
 
-def panel_cumulative(f, nodes: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """Cumulative integral of ``f`` along ``nodes``, plus ``start``.
+def panel_cumulative(f, nodes: np.ndarray, start: float = -np.inf) -> np.ndarray:
+    """Log of the cumulative integral of a positive integrand along ``nodes``.
 
-    Returns an array c with c[i] = start + integral from nodes[0] to
-    nodes[i], using a 12-point Gauss-Legendre panel per cell.  ``f`` must
-    accept an ndarray of evaluation points.  ``start`` enters as the first
-    term of the running sum, so a node range integrated in consecutive
-    pieces, each started from the last value of the one before, adds its
-    cells in the order of one pass.
+    c[i] = ln(e^start + integral from nodes[0] to nodes[i]), one 12-point
+    Gauss-Legendre panel per cell.  ``f`` maps the (cells, 12) Gauss points
+    to (ln scale per cell, integrand / scale per point), so no integrand
+    value need lie in the float range.  Cells are added after ``start`` by
+    ``np.logaddexp.accumulate``: a range integrated in pieces, each started
+    from the last value of the one before, adds them in one pass's order.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    half, pts = panel_points(nodes)
-    vals = f(pts.ravel()).reshape(pts.shape)
-    per_cell = half * (vals @ GAUSS_WEIGHTS)
-    if start:
-        per_cell[0] += start
-    out = np.empty(nodes.size)
-    out[0] = start
-    np.cumsum(per_cell, out=out[1:])
-    return out
+    half, pts = panel_points(np.asarray(nodes, dtype=float))
+    log_scale, vals = f(pts)
+    with np.errstate(divide="ignore"):  # a cell whose integrand underflows adds nothing
+        cells = log_scale + np.log(half * (vals @ GAUSS_WEIGHTS))
+    return np.logaddexp.accumulate(np.concatenate([[start], cells]))
 
 
 def cumulative_values(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -118,12 +118,13 @@ _VARY_SECTIONS = {key: section for section, tables in (
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
 # Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
-# as nodes_per_decade times the decades from r_lin to r_max (at least one);
-# the J tables refine it 4x with 12 Gauss points per cell, about 19 MB per
-# table at the budget.  classify and sandwich sample from MIN_SPHERE_COUNT
-# to _MAX_SPHERE_COUNT points per sphere.  The goldens and benchmarks ask for
-# at most about 250 nodes and 256 points, and the widest grid the spec fuzz
-# can draw (32 per decade from a subnormal r_lin to 1e3) holds about 10500.
+# as nodes_per_decade times the decades from r_lin to r_max (at least one),
+# and ceil(n / 32) times that for the conservation check, which refines the
+# grid max(2, ceil(n / 16))-fold; the J tables refine it 4x with 12 Gauss
+# points per cell, about 19 MB per table at the budget.  classify and
+# sandwich sample from MIN_SPHERE_COUNT to _MAX_SPHERE_COUNT points per
+# sphere.  The goldens and benchmarks ask for at most about 250 nodes and 256
+# points.
 _MAX_GRID_NODES = 50_000
 _MAX_SPHERE_COUNT = 1 << 14
 
@@ -168,11 +169,11 @@ class ProblemSpec:
             params = ProblemParams(**top)
         except ParameterError as exc:
             raise ParameterError(f"spec: {exc}") from None
+        _check_grid_budget(params.n, **grid_cfg)
         try:
             RadialGrid.check(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
-        _check_grid_budget(**grid_cfg)
         if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
@@ -254,17 +255,21 @@ class ProblemSpec:
         return radialize(self.make_field(), self.grid(), sphere_count=sphere_count)
 
 
-def _check_grid_budget(r_lin: float, r_max: float, nodes_per_decade: int) -> None:
+def _check_grid_budget(n: int, r_lin: float, r_max: float, nodes_per_decade: int) -> None:
     """Reject a grid beyond _MAX_GRID_NODES before it is built."""
     if nodes_per_decade > _MAX_GRID_NODES:
         raise ParameterError(f"spec.grid.nodes_per_decade: at most {_MAX_GRID_NODES}, "
                              f"got {nodes_per_decade}")
-    decades = math.log10(r_max) - math.log10(min(r_lin, r_max))  # r_max / r_lin may overflow
-    if nodes_per_decade * decades > _MAX_GRID_NODES:
+    if not (r_lin > 0.0 and r_max > 0.0):
+        return  # RadialGrid.check names the radius
+    decades = RadialGrid.decades(r_max, r_lin)
+    nodes, refine = nodes_per_decade * max(decades, 1.0), -(-n // 32)
+    if nodes * refine > _MAX_GRID_NODES:
         raise ParameterError(
-            f"spec.grid.r_max: r_lin = {r_lin:g} to r_max = {r_max:g} spans {decades:.4g} "
-            f"decades, {nodes_per_decade * decades:.4g} grid nodes at {nodes_per_decade} "
-            f"per decade; the budget is {_MAX_GRID_NODES}")
+            f"{'spec.grid.r_max' if nodes > _MAX_GRID_NODES else 'spec.n'}: r_lin = {r_lin:g} to "
+            f"r_max = {r_max:g} spans {decades:.4g} decades, {nodes:.4g} grid nodes at "
+            f"{nodes_per_decade} per decade, {refine} times that for the conservation check at "
+            f"n = {n}; the budget is {_MAX_GRID_NODES}")
 
 
 def _sphere_count(args) -> int:

@@ -156,7 +156,7 @@ class RadialGrid:
         lin = np.linspace(0.0, r_lin, n_lin + 1)
         if r_max <= r_lin:
             return cls(lin, r_lin=r_lin)
-        decades = math.log10(r_max / r_lin)
+        decades = cls.decades(r_max, r_lin)
         n_log = max(2, math.ceil(nodes_per_decade * decades))
         log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
         log_part[-1] = r_max
@@ -171,6 +171,13 @@ class RadialGrid:
             raise ParameterError(f"r_lin must be positive and finite, got {r_lin}")
         if nodes_per_decade < 4:
             raise ParameterError(f"nodes_per_decade must be at least 4, got {nodes_per_decade}")
+        if r_max / r_lin == math.inf:
+            raise ParameterError(f"r_lin = {r_lin:g} is too small: r_max / r_lin overflows")
+
+    @staticmethod
+    def decades(r_max: float, r_lin: float) -> float:
+        """Decades from r_lin to r_max (at least 0), finite for positive floats."""
+        return max(math.log10(r_max) - math.log10(r_lin), 0.0)
 
     @property
     def r_max(self) -> float:
@@ -197,7 +204,7 @@ class RadialCurve:
     """A radial function sampled on a grid, with derivatives.
 
     Solver output satisfies u(0) = a, u'(0) = 0, u nondecreasing and
-    positive.  ``dense`` (optional) evaluates (u, M) between nodes, where
+    positive.  ``dense`` (optional) evaluates (u, ln M) between nodes, where
     M is the flux integral the solver propagates alongside u; a solver's
     evaluator also carries the stepper's counts (``rhs_evals``,
     ``accepted``, ``rejected``) and its handoff radius ``r_handoff``.
@@ -230,11 +237,12 @@ def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
     """Node-wise test that the Hessian spectrum lies in the Garding cone
     of order k (sigma_j > 0 for every j <= k).
 
-    At r = 0 the spectrum is a multiple of the identity, so membership
-    there reduces to u''(0) > 0.
+    sigma_j being homogeneous of degree j, the spectrum is divided by t =
+    u'/r; t <= 0 counts as outside, and at r = 0 (t = u''(0)) as u''(0) > 0.
     """
     t = curve.du_over_r()
-    ok = np.ones(len(curve.grid), dtype=bool)
+    ok = t > 0.0
+    ratio = np.divide(curve.d2u, t, out=np.zeros_like(t), where=ok)
     for j in range(1, params.k + 1):
-        ok &= np.asarray(sigma_j_radial(j, curve.d2u, t, params.n)) > 0.0
+        ok &= np.asarray(sigma_j_radial(j, ratio, 1.0, params.n)) > 0.0
     return ok

@@ -276,7 +276,7 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
     """[0, r_max] part of I_osc by stacked quadrature; also returns the
     outer integrand value at r_max (for the tail estimate)."""
     fine = fine_nodes(r_max)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
         # itself; its primitive is the J table's last column on ``fine``.
         btilde = _b_tilde(params, linear_growth_tables(params, triple.b_star, fine)[2])
@@ -286,9 +286,14 @@ def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
         # zero (the verdict never depends on this finite part).
         integrand = np.where(osc_vals == 0.0, 0.0,
                              fine ** (params.n - 1) * osc_vals * btilde)
-    outer = flux_slope(params, fine, cumulative_values(integrand, fine))
-    finite = float(cumulative_values(outer, fine)[-1])
-    return finite, float(outer[-1])
+        # Simpson's inner integral can dip below 0 where the integrand is tiny
+        outer = flux_slope(params, fine, np.log(np.maximum(cumulative_values(integrand, fine), 0)))
+        return _total(outer, fine), float(outer[-1])
+
+
+def _total(values, nodes) -> float:
+    """Simpson integral of nonnegative samples; a NaN (inf - inf past the float range) reads inf."""
+    return float(np.nan_to_num(cumulative_values(values, nodes)[-1], nan=np.inf, posinf=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +346,14 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
         return JensenReport(radial_moment, osc_bound)
 
     est_osc = tail_exponent_of(triple.b_osc)
-    inner1 = flux_integral(params, lambda s: np.asarray(triple.b_star(s)) ** (1.0 / k), fine)
+    log_inner1 = flux_integral(params, lambda s: np.asarray(triple.b_star(s)) ** (1.0 / k), fine)
     ratio = np.zeros_like(fine)
-    ratio[1:] = inner1[1:] / fine[1:] ** (n - 1)
+    ratio[1:] = np.exp(log_inner1[1:] - (n - 1) * np.log(fine[1:]))
     double = cumulative_values(ratio, fine)
-    bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
-    osc_vals = np.asarray(triple.b_osc(fine)) ** (1.0 / k)
-    osc_finite = float(cumulative_values(fine * osc_vals * bracket, fine)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
+        osc_vals = np.asarray(triple.b_osc(fine)) ** (1.0 / k)
+        osc_finite = _total(fine * osc_vals * bracket, fine)
     # the integrand scales like r^(1 - m/k) times the bracket's growth,
     # r^(max(2k - l, 0) gamma/(k (k - gamma))): convergent iff m > m*
     m_star = None if est_star is None else oscillation_threshold(params, est_star.exponent)

@@ -3,15 +3,15 @@
 The criteria, bounds and break lines are all one transform of a flux
 integral, F(r, inner) = (n r^(k-n) inner / C(n,k))^(1/k) with inner =
 integral_0^r s^(n-1) b psi^gamma: psi = 1 gives the envelope integrand J,
-psi = btilde the oscillation integrand, psi = a break line its slope.
-:func:`flux_integral` is the package's Gauss-panel integral; only the
-break line's Euler recurrence, which needs each segment's integral before
-it can place the next segment, sums the same panel points in plain floats.
-Tables use fixed Gauss panels and composite Simpson (no ODE stepping), so
-they are an independent oracle for the solver, and so are the two
-comparison routes built here: the explicit break line
-(:func:`euler_polyline`) and the frozen right-hand side
-(:func:`solve_linear_rhs`).
+psi = btilde the oscillation integrand, psi = a break line its slope.  The
+package's Gauss-panel integral :func:`flux_integral` returns ln inner,
+finite where inner is not, for :func:`flux_slope`; only the break line's
+Euler recurrence, which needs each segment's integral before it can place
+the next segment, sums the same panel points in plain floats.  Tables use
+fixed Gauss panels and composite Simpson (no ODE stepping), so they are an
+independent oracle for the solver, and so are the two comparison routes
+built here: the explicit break line (:func:`euler_polyline`) and the
+frozen right-hand side (:func:`solve_linear_rhs`).
 """
 
 from __future__ import annotations
@@ -40,28 +40,34 @@ _MAX_BREAKLINE_SEGMENTS = 1 << 18
 _BLOCK_SEGMENTS = 1024
 
 
-def flux_slope(params: ProblemParams, r, inner) -> np.ndarray:
-    """F(r, inner) elementwise; 0 where r <= 0 or inner <= 0."""
-    r, inner = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                   np.asarray(inner, dtype=float))
+def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
+    """F(r, e^log_inner) elementwise; 0 where r <= 0."""
+    r, log_inner = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                       np.asarray(log_inner, dtype=float))
     out = np.zeros(r.shape)
-    pos = (r > 0.0) & (inner > 0.0)
+    pos = r > 0.0
     n, k = params.n, params.k
-    out[pos] = np.exp((params.log_n_over_cnk + (k - n) * np.log(r[pos])
-                       + np.log(inner[pos])) / k)
+    out[pos] = np.exp((params.log_n_over_cnk + (k - n) * np.log(r[pos]) + log_inner[pos]) / k)
     return out
 
 
-def flux_integral(params: ProblemParams, b, nodes, psi=None, start: float = 0.0) -> np.ndarray:
-    """start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma at every node r,
-    with one 12-point Gauss panel per cell; ``psi`` None stands for psi = 1."""
+def flux_integral(params: ProblemParams, b, nodes, psi=None,
+                  start: float = -math.inf) -> np.ndarray:
+    """ln(e^start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma) at every
+    node r (``psi`` None: psi = 1), one 12-point Gauss panel per cell scaled by
+    s^(n-1) psi^gamma at its last, largest Gauss point, so no power overflows."""
     n, gam = params.n, params.gamma
 
-    def weighted(s):  # b may underflow to 0 here: a steep tail still integrates
-        return s ** (n - 1) * check_coefficient(b(s), s, nonnegative=True)
-    if psi is None:
-        return panel_cumulative(weighted, nodes, start)
-    return panel_cumulative(lambda s: weighted(s) * psi(s) ** gam, nodes, start)
+    def weighted(pts):  # b may underflow to 0 here: a steep tail still integrates
+        s, top = pts.ravel(), pts[:, -1:]
+        vals = (pts / top) ** (n - 1) * check_coefficient(b(s), s, True).reshape(pts.shape)
+        if psi is None:
+            return (n - 1) * np.log(top[:, 0]), vals
+        psi_vals = np.asarray(psi(s)).reshape(pts.shape)
+        psi_top = psi_vals[:, -1:]
+        return ((n - 1) * np.log(top[:, 0]) + gam * np.log(psi_top[:, 0]),
+                vals * (psi_vals / psi_top) ** gam)
+    return panel_cumulative(weighted, nodes, start)
 
 
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
@@ -79,12 +85,12 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
 
 
 def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):
-    """(inner, J, integral_0^r J) on ``nodes`` (starting at 0) for the
+    """(ln inner, J, integral_0^r J) on ``nodes`` (starting at 0) for the
     linearized envelope, u^gamma replaced by 1."""
     nodes = np.asarray(nodes, dtype=float)
-    inner = flux_integral(params, b, nodes)
-    integrand = flux_slope(params, nodes, inner)
-    return inner, integrand, cumulative_values(integrand, nodes)
+    log_inner = flux_integral(params, b, nodes)
+    integrand = flux_slope(params, nodes, log_inner)
+    return log_inner, integrand, cumulative_values(integrand, nodes)
 
 
 def growth_primitive(params: ProblemParams, b_star, r):
@@ -189,8 +195,8 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     if r_flat == 0.0:
         radii = radii[1:]
     k, gam, box = params.k, params.gamma, 2.0 * a
-    inner = float(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
-                                lambda s: np.full_like(s, a))[-1])
+    inner = math.exp(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
+                                   lambda s: np.full_like(s, a))[-1])
     # the terms of log F that do not depend on inner, at every segment start
     log_heads = (params.log_n_over_cnk + (k - params.n) * np.log(radii[1:-1])).tolist()
     steps = np.diff(radii).tolist()
@@ -246,7 +252,7 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
     fractions = np.arange(1, cells + 1) / cells
     radii, values, slopes = line.radii, line.values, line.slopes
     points = cells * GAUSS_WEIGHTS.size  # Gauss points per segment
-    inner, worst = 0.0, []
+    log_inner, worst = -math.inf, []
     for first in range(0, slopes.size, _BLOCK_SEGMENTS):
         stop = min(first + _BLOCK_SEGMENTS, slopes.size)
         lo = radii[first:stop, None]
@@ -255,8 +261,8 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
         nodes = np.concatenate([radii[first:first + 1], sub.ravel()])
         block = flux_integral(params, b, nodes, lambda s: (
             values[first:stop, None] + slopes[first:stop, None] * (s.reshape(-1, points) - lo)
-        ).ravel(), inner)
-        inner = float(block[-1])
+        ).ravel(), log_inner)
+        log_inner = float(block[-1])
         sampled = np.repeat(slopes[first:stop], _DEFECT_SAMPLES_PER_SEGMENT)
         worst.append(np.max(np.abs(sampled - flux_slope(params, nodes[2::2], block[2::2]))))
     return float(np.max(worst))

@@ -32,11 +32,10 @@ class IntegrationError(RuntimeError):
     solve got.
     """
 
-    def __init__(self, message, r=None, u=None, moment=None):
+    def __init__(self, message, r=None, u=None):
         super().__init__(message)
         self.r = r
         self.u = u
-        self.moment = moment
 
 
 class BlowupGuardError(IntegrationError):

@@ -19,10 +19,11 @@ it the system is stepped in logarithmic variables against s = ln r,
 
 by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
 from the profile's float closure; a tabulated profile is integrated node
-to node, so no step straddles a kink.  Node values of (u, M) come from
+to node, so no step straddles a kink.  Node values of (u, ln M) come from
 the pair's continuous extension (the solve's dense evaluator) and u' from
-the flux transform F(r, M) above.  The second derivative is recovered
-algebraically from the equation itself, so the sigma_k residual
+the flux transform F(r, M) above, fed ln M (M leaves the float range where
+u does not).  The second derivative is recovered algebraically from the
+equation itself, so the sigma_k residual
 (``residual_max``, the ``sigma_k_residual`` CSV column) is zero by
 construction, up to rounding; it checks nothing about the integration.
 :func:`conservation_defect` is the solve's runtime check: it recomputes M
@@ -30,8 +31,7 @@ from u by quadrature and compares it with the propagated M.
 
 For admissible data (b positive and continuous, 0 < gamma < k) solutions
 are entire: they cannot blow up at a finite radius.  Passing the overflow
-guard on u, or the float range on M, therefore raises; it is never a
-normal outcome.
+guard on u therefore raises; it is never a normal outcome.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ DEFAULT_ABS_TOL = 1e-12
 # arithmetic can give, so specifications below it are refused.
 MIN_REL_TOL = 100 * sys.float_info.epsilon
 
-_CONSERVATION_REFINE = 2   # grid refinement of the conservation quadrature
 # The series start hands off at this radius or beyond, and at most a quarter
 # of the way to the grid's first positive node.
 _MIN_SERIES_RADIUS = 1e-12
@@ -90,9 +89,9 @@ class _SeriesStart:
         r2 = r * r
         return self.a + 0.5 * self.c2 * r2 + 0.25 * self.c2 * self.e * r2 * r2
 
-    def moment(self, r):
-        rn = np.asarray(r) ** self.n
-        return self.m0 * rn + self.m2 * rn * (r * r)
+    def log_moment(self, r):
+        with np.errstate(divide="ignore"):  # ln M(0) = -inf
+            return np.log(self.m0 + self.m2 * (r * r)) + self.n * np.log(r)
 
 
 def _series_start(params: ProblemParams, b, r_probe: float) -> _SeriesStart:
@@ -145,7 +144,7 @@ def _exp(x: float) -> float:
 
 
 class _DenseOutput:
-    """(u, M) at any radius of a solve, and what the solve cost.
+    """(u, ln M) at any radius of a solve, and what the solve cost.
 
     Below the handoff radius ``r_handoff`` the series start; beyond it the
     DOPRI5 continuous extension of each accepted step in s = ln r.  The
@@ -166,10 +165,10 @@ class _DenseOutput:
     def __call__(self, r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         uu = np.empty_like(rr)
-        mm = np.empty_like(rr)
+        log_m = np.empty_like(rr)
         low = rr <= self.r_handoff
         uu[low] = self.series.u(rr[low])
-        mm[low] = self.series.moment(rr[low])
+        log_m[low] = self.series.log_moment(rr[low])
         if np.any(~low):
             s = np.log(rr[~low])
             step = np.clip(np.searchsorted(self._starts, s, side="right") - 1,
@@ -180,8 +179,8 @@ class _DenseOutput:
             logs = c[..., 0] + theta * (c[..., 1] + back * (c[..., 2] + theta * (
                 c[..., 3] + back * c[..., 4])))
             uu[~low] = np.exp(logs[:, 0])
-            mm[~low] = np.exp(logs[:, 1])
-        return uu, mm
+            log_m[~low] = logs[:, 1]
+        return uu, log_m
 
 
 def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
@@ -194,8 +193,7 @@ def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
     ``abs_u``/u for ln u: an absolute floor of ``abs_u`` on u.  Returns the
     step starts, widths and dense-output coefficients, the number of RHS
     calls and of rejected steps.  Raises BlowupGuardError when u passes
-    OVERFLOW_GUARD or M the float range, IntegrationError when the step
-    falls below _MIN_STEP.
+    OVERFLOW_GUARD, IntegrationError when the step falls below _MIN_STEP.
     """
     exp = math.exp
     x, z = y
@@ -209,7 +207,7 @@ def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
             if h < _MIN_STEP * max(1.0, abs(s)):
                 raise IntegrationError(
                     f"adaptive integration failed at r = {exp(s):g}: the step size fell "
-                    f"below {_MIN_STEP:g} in ln r", r=exp(s), u=_exp(x), moment=_exp(z))
+                    f"below {_MIN_STEP:g} in ln r", r=exp(s), u=_exp(x))
             last = s + h >= stop
             step = stop - s if last else h
             try:
@@ -256,12 +254,7 @@ def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
                 raise BlowupGuardError(
                     f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
                     f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
-                    f"for this coefficient", r=exp(s), u=_exp(x), moment=_exp(z))
-            if z > LOG_FLOAT_MAX:
-                raise BlowupGuardError(
-                    f"the flux integral M exceeded the float range at r = {exp(s):g} "
-                    f"(u = {_exp(x):.3g}); the requested r_max = {exp(stops[-1]):g} is "
-                    f"too large for this coefficient", r=exp(s), u=_exp(x), moment=math.inf)
+                    f"for this coefficient", r=exp(s), u=_exp(x))
             grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
             # a step cut short by a stop says little about the next one
             h = max(step * grow, h * min(grow, 1.0)) if last else step * grow
@@ -293,7 +286,7 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     Returns
     -------
     RadialCurve
-        u, u', u'' at the nodes, with a dense (u, M) evaluator attached.
+        u, u', u'' at the nodes, with a dense (u, ln M) evaluator attached.
     """
     nodes = grid.nodes
     if not nodes[1] > 4.0 * _MIN_SERIES_RADIUS:
@@ -308,10 +301,9 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     # M(r_s) / r_s^n: M itself may underflow for large n
     u_s, m_scaled = series.u(r_s), series.m0 + series.m2 * r_s * r_s
     if not (math.isfinite(u_s) and 0.0 < m_scaled < math.inf):
-        moment = m_scaled * r_s ** n
         raise BlowupGuardError(f"the series start at r = {r_s:g} overflows (u = {u_s:g}, "
-                               f"M = {moment:g}); the coefficient or the center value is "
-                               f"too large", r=r_s, u=u_s, moment=moment)
+                               f"M / r^n = {m_scaled:g}); the coefficient or the center "
+                               f"value is too large", r=r_s, u=u_s)
     s_s = math.log(r_s)
     y0 = (math.log(u_s), math.log(m_scaled) + n * s_s)
 
@@ -331,42 +323,37 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     dense = _DenseOutput(series, r_s, starts, widths, coeffs, evals, rejected)
 
     # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
-    u, moment = dense(nodes)
-    du = flux_slope(params, nodes, moment)
-    # M ~ r^n underflows near the origin for large n, while ln M does not
-    if not np.all(du[1:] > 0.0):
-        r_zero = nodes[1 + int(np.argmin(du[1:] > 0.0))]
-        raise IntegrationError(f"the flux integral M underflows to 0 at r = {r_zero:g}, so u' "
-                               f"reads 0 there; n = {n} is too large for this grid's first "
-                               f"nodes", r=r_zero)
+    u, log_m = dense(nodes)
+    du = flux_slope(params, nodes, log_m)
     d2u = _recover_d2u(params, b, nodes, u, du, series.c2)
     return RadialCurve(grid=grid, u=u, du=du, d2u=d2u, dense=dense)
 
 
 def _recover_d2u(params: ProblemParams, b, r: np.ndarray, u: np.ndarray,
                  du: np.ndarray, c2: float) -> np.ndarray:
-    """Invert the radial equation for u'' given (r, u, u')."""
-    n, k, gam = params.n, params.k, params.gamma
-    c_mixed = core.binomial(n - 1, k - 1)
-    c_pure = core.binomial(n - 1, k)
+    """Invert the radial equation over t^k (t = u'/r) for u'' given (r, u, u')."""
     d2u = np.empty_like(r)
     d2u[0] = c2
     t = du[1:] / r[1:]
-    rhs_vals = np.asarray(b(r[1:])) * u[1:] ** gam
-    d2u[1:] = (rhs_vals - c_pure * t ** k) / (c_mixed * t ** (k - 1))
+    d2u[1:] = t * (_rhs_over_t_k(params, b, r[1:], u[1:], t) - core.binomial(
+        params.n - 1, params.k)) / core.binomial(params.n - 1, params.k - 1)
     return d2u
+
+
+def _rhs_over_t_k(params: ProblemParams, b, r, u, t) -> np.ndarray:
+    """b u^gamma / t^k as b (u^(gamma/k) / t)^k, neither power overflowing."""
+    return np.asarray(b(r)) * (u ** (params.gamma / params.k) / t) ** params.k
 
 
 # ---------------------------------------------------------------------------
 # curve checks and export
 # ---------------------------------------------------------------------------
 
-def _sigma_k_defect(curve: RadialCurve, params: ProblemParams, b):
-    """(sigma_k(u'', u'/r) - b u^gamma, b u^gamma) at the curve's nodes."""
+def _sigma_k_defect(curve: RadialCurve, params: ProblemParams, b) -> np.ndarray:
+    """sigma_k(u'', u'/r) / (b u^gamma) - 1 at the curve's nodes."""
     t = curve.du_over_r()
-    lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u, t, params.n))
-    rhs = np.asarray(b(curve.grid.nodes)) * curve.u ** params.gamma
-    return lhs - rhs, rhs
+    lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u / t, 1.0, params.n))
+    return lhs / _rhs_over_t_k(params, b, curve.grid.nodes, curve.u, t) - 1.0
 
 
 def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
@@ -374,13 +361,12 @@ def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
 
     Zero up to rounding for solver curves, whose u'' is recovered from the
     equation; :func:`conservation_defect` is the solve's runtime check."""
-    defect, rhs = _sigma_k_defect(curve, params, b)
-    return float(np.max(np.abs(defect) / rhs))
+    return float(np.max(np.abs(_sigma_k_defect(curve, params, b))))
 
 
 def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """Relative mismatch between the propagated moment M and its defining
-    integral recomputed from the solution by quadrature.
+    integral recomputed from the solution by quadrature, from their logs.
 
     This is the meaningful consistency check for this solver: the
     pointwise residual is zero by construction (u'' is recovered from the
@@ -391,20 +377,23 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    fine = curve.grid.refined(_CONSERVATION_REFINE)
-    m_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
+    # the 12-point panels resolve s^(n-1) on the grid's first linear cells
+    # only once they are cut about n/16 times
+    fine = curve.grid.refined(max(2, math.ceil(params.n / 16)))
+    log_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
-    _, m_curve = curve.dense(curve.grid.nodes[1:])
-    return float(np.max(np.abs(m_quad[pos] - m_curve) / m_curve))
+    _, log_curve = curve.dense(curve.grid.nodes[1:])
+    return float(np.max(np.abs(np.expm1(log_quad[pos] - log_curve))))
 
 
 def write_curve_csv(curve: RadialCurve, path, params: ProblemParams, b) -> None:
-    """Write the curve as CSV with header r,u,du,d2u,sigma_k_residual.
+    """Write the curve as CSV with header r,u,du,d2u,sigma_k_residual, the
+    last column the relative defect sigma_k / (b u^gamma) - 1.
 
     Floats carry 17 significant digits so the file round-trips exactly.
     """
     r = curve.grid.nodes
-    resid, _ = _sigma_k_defect(curve, params, b)
+    resid = _sigma_k_defect(curve, params, b)
     with open(path, "w", newline="") as handle:
         handle.write("r,u,du,d2u,sigma_k_residual\n")
         for i in range(r.size):

@@ -1,11 +1,20 @@
-"""Shared fixtures and the acceptance-line reporter."""
+"""Shared fixtures, the acceptance-line reporter and the memory cap."""
 
 import contextlib
+import resource
 import sys
 
 import pytest
 
 from hessianls.core import ProblemParams, RadialGrid
+
+# A runaway allocation fails its test with MemoryError instead of getting the
+# whole run killed: the test process's address space is capped at 4 GiB.  The
+# cap only ever lowers the limit it finds.
+_ADDRESS_SPACE_CAP = 4 << 30
+_soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+if _soft == resource.RLIM_INFINITY or _soft > _ADDRESS_SPACE_CAP:
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _hard))
 
 
 @pytest.fixture

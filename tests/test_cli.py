@@ -120,6 +120,9 @@ _KEY_VALUES = {
 # (n, k) with C(n, k) near or beyond the float range, or n itself beyond it.
 _LARGE_NK = [(1029, 514), (1030, 515), (2000, 1000), (10**6, 1), (10**6, 10**6),
              (10**400, 1), (10**400, 10**400)]
+# Drawn at r_max <= 1, where s^(n-1) stays finite: (1029, 514) solves with ln M
+# far below the float range, and (10^6, 1) meets the size budget.
+_SMALL_R_MAX_NK = [(1029, 514), (10**6, 1)]
 _SECTION_KEYS = {None: ("n", "k", "gamma", "a"), "grid": ("r_lin", "r_max", "nodes_per_decade"),
                  "tolerances": ("rel", "abs")}
 _BASE_COEFFICIENTS = [
@@ -136,6 +139,13 @@ def _mutated_specs(draw):
     own_keys = tuple(sorted(_COEFFICIENT_KEYS[owner][1] - {"name"}))
     raw = _constant_spec(coefficient=coefficient, tolerances={})
     raw["n"], raw["k"] = draw(st.sampled_from([(3, 1)] * 7 + _LARGE_NK))
+    if (raw["n"], raw["k"]) in _SMALL_R_MAX_NK and draw(st.booleans()):
+        raw["grid"]["r_max"] = draw(st.floats(0.01, 1.0))
+    elif raw["n"] == 3 and draw(st.integers(0, 3)) == 0:
+        # gamma near k, where M leaves the float range long before u does
+        raw["n"], raw["k"] = draw(st.sampled_from([(3, 3), (6, 3), (20, 10)]))
+        raw["gamma"] = raw["k"] * draw(st.floats(0.5, 29 / 30))
+        raw["grid"]["r_max"] = draw(st.floats(1.0, 37450.0 if raw["n"] < 20 else 100.0))
     for _ in range(draw(st.integers(1, 2))):
         section = draw(st.sampled_from([None, "coefficient", "grid", "tolerances"]))
         target = raw if section is None else raw[section]
@@ -153,6 +163,26 @@ def _mutated_specs(draw):
         elif section is not None:
             raw[section] = draw(_BAD_VALUES)
     return raw
+
+
+# Exit codes each fuzzed command may end in, with the stderr lines each prints.
+_FUZZ_EXITS = {
+    "classify": {EXIT_OK: 0, EXIT_INVALID: 1, EXIT_INCONCLUSIVE: 0},
+    "solve": {EXIT_OK: 0, EXIT_INVALID: 1, EXIT_INTEGRATION: 1},
+    "sandwich": {EXIT_OK: 0, EXIT_INVALID: 1, EXIT_INTEGRATION: 1, EXIT_INCONCLUSIVE: 1,
+                 EXIT_ORDERING: 1},
+    "sweep": {EXIT_OK: 0, EXIT_INVALID: 1},
+}
+
+
+@st.composite
+def _vary_items(draw):
+    """A --vary argument: a spec key (or an unknown one) and two drawn values,
+    numbers in and out of range or text that is no number."""
+    name = draw(st.sampled_from(sorted(cli._VARY_SECTIONS) + ["gama"]))
+    value = (_KEY_VALUES.get(name, st.floats(-1.0, 10.0)).map(repr)
+             | st.sampled_from(["nan", "-inf", "1e400", "", "x", "3.5"]))
+    return f"{name}={draw(value)},{draw(value)}"
 
 
 class TestProblemSpec:
@@ -230,30 +260,33 @@ class TestProblemSpec:
         assert f"error: spec.coefficient.{key}: not a parameter of" in capsys.readouterr().err
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(raw=_mutated_specs())
-    def test_mutated_spec_parses_or_names_the_field(self, tmp_path_factory, raw):
+    @given(raw=_mutated_specs(), vary=_vary_items())
+    def test_mutated_spec_parses_or_names_the_field(self, tmp_path_factory, raw, vary):
         # A spec that parses is solved or rejected by one error line:
-        # `classify --strict` and `solve` on a radial coefficient, `classify`
-        # on a field.  A RuntimeWarning is an error under this suite.
+        # `classify --strict`, `solve` and a `sweep --vary` on a radial
+        # coefficient, `classify` and `sandwich` on a field.  A RuntimeWarning
+        # is an error under this suite.
         try:
             spec = ProblemSpec.from_dict(raw)
         except (ParameterError, CoefficientError) as exc:
             assert str(exc).startswith("spec"), str(exc)
             return
-        spec_path = str(tmp_path_factory.mktemp("spec") / "spec.json")
+        work = tmp_path_factory.mktemp("spec")
+        spec_path = str(work / "spec.json")
         pathlib.Path(spec_path).write_text(json.dumps(raw))
-        commands = ([["classify", spec_path, "--strict"], ["solve", spec_path]]
-                    if spec.is_radial() else [["classify", spec_path, "--sphere-count", "32"]])
-        allowed = {"classify": (EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE),
-                   "solve": (EXIT_OK, EXIT_INVALID, EXIT_INTEGRATION)}
+        commands = ([["classify", spec_path, "--strict"], ["solve", spec_path],
+                     ["sweep", spec_path, "--vary", vary, "--out", str(work / "sweep.csv")]]
+                    if spec.is_radial() else
+                    [["classify", spec_path, "--sphere-count", "32"],
+                     ["sandwich", spec_path, "--sphere-count", "32", "--out", str(work / "s")]])
         for argv in commands:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             err = stderr.getvalue()
-            assert code in allowed[argv[0]], err
+            assert code in _FUZZ_EXITS[argv[0]], err
             assert "Traceback" not in err
-            assert err.count("\n") == (code in (EXIT_INVALID, EXIT_INTEGRATION)), err
+            assert err.count("\n") == _FUZZ_EXITS[argv[0]][code], err
 
     @pytest.mark.parametrize("grid, fragment", [
         ({"nodes_per_decade": 10**6}, "spec.grid.nodes_per_decade: at most 50000, got 1000000"),
@@ -261,14 +294,19 @@ class TestProblemSpec:
         ({"r_lin": 1e-300, "r_max": 1e300, "nodes_per_decade": 100},
          "spec.grid.r_max: r_lin = 1e-300 to r_max = 1e+300 spans 600 decades, 6e+04 grid nodes"),
         ({"r_lin": 5e-324, "r_max": 1e308, "nodes_per_decade": 80}, "spec.grid.r_max: "),
-    ], ids=["dense", "beyond-float", "wide", "widest"])
+        # n = 10^6 refines the conservation grid 31250-fold: 1.5e6 nodes at r_max = 1
+        ({"r_max": 1.0, "nodes_per_decade": 48, "n": 10**6},
+         "spec.n: r_lin = 10 to r_max = 1 spans 0 decades, 48 grid nodes at 48 per decade, "
+         "31250 times that for the conservation check at n = 1000000; the budget is 50000"),
+    ], ids=["dense", "beyond-float", "wide", "widest", "dimension"])
     def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,
                                                         grid, fragment):
         def no_build(*args, **kwargs):
             raise AssertionError("the grid was built")
 
         monkeypatch.setattr(cli.RadialGrid, "build", no_build)
-        raw = _constant_spec(grid=grid)
+        grid = dict(grid)
+        raw = _constant_spec(n=grid.pop("n", 3), grid=grid)
         with pytest.raises(ParameterError, match=re.escape(fragment)):
             ProblemSpec.from_dict(raw)
         assert cli.main(["classify", _write(tmp_path, "spec.json", raw)]) == EXIT_INVALID
@@ -380,13 +418,18 @@ class TestSolveCommand:
         assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
         assert "series start" in capsys.readouterr().err
 
-    def test_flux_overflow_exit_code(self, tmp_path, capsys):
-        # gamma near k: M leaves the float range near r = 1.1e3, long
-        # before u reaches the overflow guard; the message names M.
+    @pytest.mark.parametrize("n, k, gamma, r_max", [
+        (6, 3, 2.9, 37450.0), (6, 3, 2.9, 1e5), (3, 3, 2.9, 1e3), (20, 10, 9.5, 100.0)])
+    def test_flux_beyond_the_float_range_solves(self, tmp_path, capsys, n, k, gamma, r_max):
+        # gamma near k: M leaves the float range long before u reaches the
+        # overflow guard (near r = 1.1e3, 833 and 69); these solves once
+        # stopped there with exit 2.
         spec_path = _write(tmp_path, "spec.json", _constant_spec(
-            n=6, k=3, gamma=2.9, grid={"r_max": 37450.0}))
-        assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
-        assert "flux integral M exceeded the float range" in capsys.readouterr().err
+            n=n, k=k, gamma=gamma, grid={"r_max": r_max}))
+        assert cli.main(["solve", spec_path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert math.isfinite(summary["u_at_rmax"]) and summary["gamma_k_ok"] is True
+        assert summary["conservation_defect"] < 1e-6
 
 
 class TestClassifyCommand:
@@ -500,6 +543,19 @@ class TestInadmissibleCoefficient:
                                        ("classify",), r_max=1e4)
         assert code == EXIT_OK and captured.err == ""
         assert json.loads(captured.out)["existence_verdict"]["verdict"] == "Bounded"
+
+    def test_oscillation_beyond_the_float_range_reads_inf(self, tmp_path, capsys):
+        # b_osc ~ r^56.7 stays finite while the oscillation integrands pass
+        # the largest float: both finite parts read inf, without a warning
+        # (once NaN and five RuntimeWarnings)
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "builtin_field", "name": "anisotropic_power",
+                         "l": 1.0, "m": -56.7}))
+        assert cli.main(["classify", spec_path, "--sphere-count", "32"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        osc, bound = report["osc_condition"], report["moment_conditions"]["oscillation_moment_bound"]
+        assert (osc["status"], osc["finite_part"]) == ("violated", math.inf)
+        assert (bound["status"], bound["finite_part"]) == ("divergent", math.inf)
 
 
 class TestSandwichCommand:
@@ -782,8 +838,13 @@ class TestTopLevelErrors:
         ({"n": 2000, "k": 1000}, "spec: n and C(n, k) must lie within the float range"),
         (_large_n_spec(79), "spec.n: s^(n-1) overflows the float range on [0, r_max] "
                             "for n = 79, r_max = 10000"),
+        ({"grid": {"r_lin": 2.2e-308, "r_max": 1e3, "nodes_per_decade": 32}},
+         "spec.grid: r_lin = 2.2e-308 is too small: r_max / r_lin overflows"),
+        ({"grid": {"r_lin": 2.2e-309, "r_max": 1e3, "nodes_per_decade": 32}},
+         "spec.grid: r_lin = 2.2e-309 is too small: r_max / r_lin overflows"),
     ], ids=["top-typo", "grid-typo", "section-typo", "abs-negative", "rel-zero",
-            "rel-clamped", "r_lin-zero", "binomial-overflow", "weight-overflow"])
+            "rel-clamped", "r_lin-zero", "binomial-overflow", "weight-overflow",
+            "r_lin-tiny", "r_lin-subnormal"])
     def test_spec_rejected_when_read(self, tmp_path, capsys, command, over, message):
         # Every subcommand rejects the same specs, before any work is done.
         spec_path = _write(tmp_path, "spec.json", _constant_spec(**over))

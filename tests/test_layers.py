@@ -4,9 +4,10 @@ Each module of ``src/hessianls`` may import only modules below it in
 ``LAYERS``; ``__init__`` gathers the public names and is exempt.  The
 Gauss-panel rule ``panel_cumulative`` is reached only through
 ``envelope.flux_integral``, so only ``envelope`` imports it, and the
-12-point rule itself is built once, in ``_integrate``.  The float bound
-ln(max float) is defined once, in ``core``, next to the one binomial and
-ln(n / C(n, k)); a spec's coefficient is built in one place,
+12-point rule itself is built once, in ``_integrate``, as is the one log of
+a running sum (``np.logaddexp``) that carries every flux integral.  The
+float bound ln(max float) is defined once, in ``core``, next to the one
+binomial and ln(n / C(n, k)); a spec's coefficient is built in one place,
 ``ProblemSpec.from_dict``; and one function, ``coefficients.check_coefficient``,
 decides whether a coefficient's values are admissible, wherever b meets radii.
 """
@@ -57,6 +58,13 @@ def test_only_envelope_imports_panel_cumulative(module):
 def test_one_gauss_rule(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert ("leggauss" in source) == (module == "_integrate")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_one_log_cumulative(module):
+    # panel_cumulative adds the cells of every flux integral in log space
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert ("logaddexp" in source) == (module == "_integrate")
 
 
 @pytest.mark.parametrize("module", LAYERS)

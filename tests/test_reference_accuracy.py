@@ -51,3 +51,20 @@ def test_error_within_ten_rel_and_shrinking(key, table_dir):
               for rel in RELS]
     assert errors[-1] <= 10.0 * RELS[-1], errors
     assert errors[0] > errors[1] > errors[2], errors
+
+
+@pytest.mark.parametrize("n, k, gamma, r_max", [(3, 3, 2.9, 1e3), (20, 10, 9.5, 100.0)])
+def test_flux_beyond_the_float_range_matches_the_reference(n, k, gamma, r_max):
+    # M passes the largest float near r = 833 and r = 69 (where these solves
+    # once stopped); the solver carries ln M, and so does the reference
+    raw = {"n": n, "k": k, "gamma": gamma, "coefficient": {"kind": "constant", "value": 1.0},
+           "grid": {"r_max": r_max}}
+    spec = ProblemSpec.from_dict(raw)
+    grid = spec.grid()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(PERFBENCH)
+        import reference
+
+        ref_u = reference.reference_u(raw, raw["coefficient"], grid.nodes)
+    u = solve_cauchy(spec.params, spec.radial_profile(), grid).u
+    assert np.max(np.abs(u / ref_u - 1.0)) <= 10.0 * spec.tolerances["rel"]
