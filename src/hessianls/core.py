@@ -55,13 +55,15 @@ def sigma_j_radial(j, d2u, du_over_r, n):
     Returns
     -------
     float or ndarray
-        C(n-1, j) * t^j + C(n-1, j-1) * d2u * t^(j-1) with t = du_over_r.
+        C(n-1, j) * t^j + C(n-1, j-1) * (d2u * t^(j-1)) with t = du_over_r;
+        the binomial multiplies last, so arguments scaled to make this O(1)
+        keep every product in the float range.
     """
     if not 1 <= j <= n:
         raise ParameterError(f"sigma_j_radial requires 1 <= j <= n, got j={j}, n={n}")
     c_pure = binomial(n - 1, j)
     c_mixed = binomial(n - 1, j - 1)
-    return c_pure * du_over_r ** j + c_mixed * d2u * du_over_r ** (j - 1)
+    return c_pure * du_over_r ** j + c_mixed * (d2u * du_over_r ** (j - 1))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ plus the growth exponent of btilde:
     m* = 2k + max(2k - l, 0) gamma / (k - gamma).
 
 Every verdict, the two moment conditions included, compares one tail
-exponent with 2k or m* through :func:`_exceeds`.
+exponent with 2k or m* through :func:`_exceeds`.  Only tails, thresholds
+and verdicts live here; every envelope integral is :mod:`.envelope`'s.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from ._integrate import cumulative_values
 from .asymptotics import fit_exponent
 from .core import ProblemParams
-from .coefficients import (OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile,
-                           check_coefficient)
-from .envelope import (fine_nodes, flux_integral, flux_slope, growth_primitive,
-                       linear_growth_tables)
+from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
+# The envelope integrals live in envelope; perfbench/tracing.py wraps
+# keller_osserman_integrand and bounded_solution_bound as ``criteria.*``.
+from .envelope import (bounded_solution_bound, growth_primitive,  # noqa: F401
+                       keller_osserman_integrand, oscillation_integral,
+                       oscillation_moment_integral, radial_moment_integral)
 from .errors import ParameterError
 
 LARGE = "Large"
@@ -102,44 +102,6 @@ def _exceeds(tail: float, threshold: float, *estimates: TailEstimate) -> Optiona
             and abs(tail - threshold) <= max(est.stderr for est in estimates)):
         return None
     return tail > threshold
-
-
-# ---------------------------------------------------------------------------
-# growth-envelope integrand and bounds
-# ---------------------------------------------------------------------------
-
-def keller_osserman_integrand(b_star, r: float, params: ProblemParams) -> float:
-    """J(r), read from the envelope table on [0, r]."""
-    if r < 0:
-        raise ParameterError(f"radius must be nonnegative, got {r}")
-    if r == 0.0:
-        return 0.0
-    _, integrand, _ = linear_growth_tables(params, b_star, fine_nodes(r))
-    return float(integrand[-1])
-
-
-def compute_b_tilde(b_star, s, params: ProblemParams):
-    """Worst-case growth factor (1 + integral_0^s J)^(k gamma/(k-gamma))."""
-    return _b_tilde(params, growth_primitive(params, b_star, s))
-
-
-def _b_tilde(params: ProblemParams, primitive):
-    """The growth factor of :func:`compute_b_tilde` from integral_0^s J."""
-    power = params.k * params.gamma / (params.k - params.gamma)
-    return (1.0 + primitive) ** power
-
-
-def bounded_solution_bound(params: ProblemParams, b_star, r):
-    """Closed-form pointwise bound for bounded-regime solutions:
-
-        ( a^((k-gamma)/k) + (k-gamma)/k * integral_0^r J )^(k/(k-gamma)).
-
-    Valid for every radial solve with coefficient below b_star; reduces to
-    a at r = 0.
-    """
-    sub = params.sub_power
-    prim = growth_primitive(params, b_star, r)
-    return (params.a ** sub + sub * prim) ** (1.0 / sub)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +210,7 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
     m_star = oscillation_threshold(params, l)
     # the outer integrand scales like r^(-1 - gap/k); gap > 0 when satisfied
     gap = min(m - m_star, n - 2.0 * k)
-    finite, tail_value = _osc_finite_part(triple, params, r_max)
+    finite, tail_value = oscillation_integral(params, triple.b_star, triple.b_osc, r_max)
     evidence = [f"envelope tail l = {l:.6g} ({est_star.source}), "
                 f"oscillation tail m = {m:.6g} ({est_osc.source})",
                 f"threshold m* = {m_star:.6g}",
@@ -269,31 +231,6 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
     total = finite + tail_part
     evidence.append(f"finite part {finite:.6g} + tail estimate {tail_part:.6g}")
     return OscillationReport("satisfied", total, finite, m_star, l, m, evidence)
-
-
-def _osc_finite_part(triple: RadializedTriple, params: ProblemParams,
-                     r_max: float):
-    """[0, r_max] part of I_osc by stacked quadrature; also returns the
-    outer integrand value at r_max (for the tail estimate)."""
-    fine = fine_nodes(r_max)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
-        # itself; its primitive is the J table's last column on ``fine``.
-        btilde = _b_tilde(params, linear_growth_tables(params, triple.b_star, fine)[2])
-        osc_vals = np.asarray(triple.b_osc(fine))
-        # In extreme-exponent regimes the oscillation underflows to zero
-        # while the growth factor overflows; the product is then taken as
-        # zero (the verdict never depends on this finite part).
-        integrand = np.where(osc_vals == 0.0, 0.0,
-                             fine ** (params.n - 1) * osc_vals * btilde)
-        # Simpson's inner integral can dip below 0 where the integrand is tiny
-        outer = flux_slope(params, fine, np.log(np.maximum(cumulative_values(integrand, fine), 0)))
-        return _total(outer, fine), float(outer[-1])
-
-
-def _total(values, nodes) -> float:
-    """Simpson integral of nonnegative samples; a NaN (inf - inf past the float range) reads inf."""
-    return float(np.nan_to_num(cumulative_values(values, nodes)[-1], nan=np.inf, posinf=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +267,10 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
                       r_max: float = 1e4) -> JensenReport:
     """Evaluate both moment conditions through tail exponents plus finite
     parts (same policy as the main criteria: no improper quadrature)."""
-    k, n, gam = params.k, params.n, params.gamma
     est_star = tail_exponent_of(triple.b_star)
-    fine = fine_nodes(r_max)
-
-    star_vals = check_coefficient(triple.b_star(fine), fine, nonnegative=True) ** (1.0 / k)
-    moment_finite = float(cumulative_values(fine * star_vals, fine)[-1])
     # r b_*^(1/k) ~ r^(1 - l/k): convergent iff l > 2k
-    radial_moment = _moment(moment_finite, est_star, 2.0 * k)
+    radial_moment = _moment(radial_moment_integral(params, triple.b_star, r_max),
+                            est_star, 2.0 * params.k)
 
     if triple.osc_negligible():
         osc_bound = {"status": "convergent", "tail_exponent": None,
@@ -345,19 +278,12 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
                      "note": "oscillation vanishes"}
         return JensenReport(radial_moment, osc_bound)
 
-    est_osc = tail_exponent_of(triple.b_osc)
-    log_inner1 = flux_integral(params, lambda s: np.asarray(triple.b_star(s)) ** (1.0 / k), fine)
-    ratio = np.zeros_like(fine)
-    ratio[1:] = np.exp(log_inner1[1:] - (n - 1) * np.log(fine[1:]))
-    double = cumulative_values(ratio, fine)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
-        osc_vals = np.asarray(triple.b_osc(fine)) ** (1.0 / k)
-        osc_finite = _total(fine * osc_vals * bracket, fine)
+    osc_finite = oscillation_moment_integral(params, triple.b_star, triple.b_osc, r_max)
     # the integrand scales like r^(1 - m/k) times the bracket's growth,
     # r^(max(2k - l, 0) gamma/(k (k - gamma))): convergent iff m > m*
     m_star = None if est_star is None else oscillation_threshold(params, est_star.exponent)
-    return JensenReport(radial_moment, _moment(osc_finite, est_osc, m_star, est_star))
+    return JensenReport(radial_moment, _moment(osc_finite, tail_exponent_of(triple.b_osc),
+                                               m_star, est_star))
 
 
 def _moment(finite: float, tail: Optional[TailEstimate], threshold: Optional[float],

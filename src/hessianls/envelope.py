@@ -1,4 +1,4 @@
-"""Growth-envelope quadrature: the flux transform and the tables built on it.
+"""Growth-envelope quadrature: the flux transform and every integral built on it.
 
 The criteria, bounds and break lines are all one transform of a flux
 integral, F(r, inner) = (n r^(k-n) inner / C(n,k))^(1/k) with inner =
@@ -7,11 +7,14 @@ psi = btilde the oscillation integrand, psi = a break line its slope.  The
 package's Gauss-panel integral :func:`flux_integral` returns ln inner,
 finite where inner is not, for :func:`flux_slope`; only the break line's
 Euler recurrence, which needs each segment's integral before it can place
-the next segment, sums the same panel points in plain floats.  Tables use
-fixed Gauss panels and composite Simpson (no ODE stepping), so they are an
-independent oracle for the solver, and so are the two comparison routes
-built here: the explicit break line (:func:`euler_polyline`) and the
-frozen right-hand side (:func:`solve_linear_rhs`).
+the next segment, sums the same panel points in plain floats.  Every
+envelope integral lives here: J, its primitive, btilde, I_osc and the two
+moment integrals, whose outer integrals (and I_osc's inner one, pinned by
+the golden sandwich report) are composite Simpson on :func:`fine_nodes`.
+Tables use no ODE stepping, so they are an independent oracle for the
+solver, and so are the two comparison routes built here: the explicit
+break line (:func:`euler_polyline`) and the frozen right-hand side
+(:func:`solve_linear_rhs`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
 from .coefficients import check_coefficient
 from .core import ProblemParams, RadialGrid
-from .errors import DomainTooLargeError, IntegrationError
+from .errors import DomainTooLargeError, IntegrationError, ParameterError
 
 # A node this close (relative) to a requested radius gives way to it: the
 # sliver cell between them blows up Simpson's weights.  Grids built with 32
@@ -73,7 +76,7 @@ def flux_integral(params: ProblemParams, b, nodes, psi=None,
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
     """Integration nodes on [0, r_max]: the default grid refined four times,
     with the positive radii of ``extra`` merged in."""
-    nodes = RadialGrid.build(r_max, min(10.0, r_max), 48).refined(4)
+    nodes = RadialGrid.build(r_max).refined(4)
     extra = np.unique(np.asarray(extra, dtype=float))
     extra = extra[extra > 0]
     if not extra.size:
@@ -87,7 +90,6 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
 def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):
     """(ln inner, J, integral_0^r J) on ``nodes`` (starting at 0) for the
     linearized envelope, u^gamma replaced by 1."""
-    nodes = np.asarray(nodes, dtype=float)
     log_inner = flux_integral(params, b, nodes)
     integrand = flux_slope(params, nodes, log_inner)
     return log_inner, integrand, cumulative_values(integrand, nodes)
@@ -114,6 +116,86 @@ def solve_linear_rhs(params: ProblemParams, b, grid: RadialGrid) -> np.ndarray:
     (u^gamma replaced by 1): ubar(r) at the grid nodes, by nested
     quadrature only."""
     return growth_primitive(params, b, grid.nodes)
+
+
+def keller_osserman_integrand(b_star, r: float, params: ProblemParams) -> float:
+    """J(r), from the flux integral over [0, r]."""
+    if r < 0:
+        raise ParameterError(f"radius must be nonnegative, got {r}")
+    if r == 0.0:
+        return 0.0
+    return float(flux_slope(params, r, flux_integral(params, b_star, fine_nodes(r))[-1]))
+
+
+def compute_b_tilde(b_star, s, params: ProblemParams):
+    """Worst-case growth factor (1 + integral_0^s J)^(k gamma/(k-gamma))."""
+    return _growth_factor(params, growth_primitive(params, b_star, s))
+
+
+def _growth_factor(params: ProblemParams, primitive):
+    """btilde from its primitive integral_0^s J."""
+    power = params.k * params.gamma / (params.k - params.gamma)
+    return (1.0 + primitive) ** power
+
+
+def bounded_solution_bound(params: ProblemParams, b_star, r):
+    """Closed-form pointwise bound for bounded-regime solutions:
+
+        ( a^((k-gamma)/k) + (k-gamma)/k * integral_0^r J )^(k/(k-gamma)).
+
+    Valid for every radial solve with coefficient below b_star; reduces to
+    a at r = 0.
+    """
+    sub = params.sub_power
+    prim = growth_primitive(params, b_star, r)
+    return (params.a ** sub + sub * prim) ** (1.0 / sub)
+
+
+def oscillation_integral(params: ProblemParams, b_star, b_osc, r_max: float):
+    """The [0, r_max] part of I_osc = integral F(r, integral_0^r s^(n-1) b_osc
+    btilde) dr and the outer integrand at r_max (for the tail estimate)."""
+    fine = fine_nodes(r_max)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
+        # itself; its primitive is the J table's last column on ``fine``.
+        btilde = _growth_factor(params, linear_growth_tables(params, b_star, fine)[2])
+        osc_vals = np.asarray(b_osc(fine))
+        # In extreme-exponent regimes the oscillation underflows to zero
+        # while the growth factor overflows; the product is then taken as
+        # zero (no verdict depends on this finite part).
+        integrand = np.where(osc_vals == 0.0, 0.0,
+                             fine ** (params.n - 1) * osc_vals * btilde)
+        # Simpson's inner integral can dip below 0 where the integrand is tiny
+        outer = flux_slope(params, fine, np.log(np.maximum(cumulative_values(integrand, fine), 0)))
+        return _total(outer, fine), float(outer[-1])
+
+
+def radial_moment_integral(params: ProblemParams, b_star, r_max: float) -> float:
+    """The [0, r_max] part of integral r b_*^(1/k) dr, the radial moment of
+    :class:`~hessianls.criteria.JensenReport`."""
+    fine = fine_nodes(r_max)
+    star_vals = check_coefficient(b_star(fine), fine, nonnegative=True) ** (1.0 / params.k)
+    return float(cumulative_values(fine * star_vals, fine)[-1])
+
+
+def oscillation_moment_integral(params: ProblemParams, b_star, b_osc, r_max: float) -> float:
+    """The [0, r_max] part of the oscillation moment bound of
+    :class:`~hessianls.criteria.JensenReport`."""
+    k, n, gam = params.k, params.n, params.gamma
+    fine = fine_nodes(r_max)
+    log_inner1 = flux_integral(params, lambda s: np.asarray(b_star(s)) ** (1.0 / k), fine)
+    ratio = np.zeros_like(fine)
+    ratio[1:] = np.exp(log_inner1[1:] - (n - 1) * np.log(fine[1:]))
+    double = cumulative_values(ratio, fine)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
+        osc_vals = np.asarray(b_osc(fine)) ** (1.0 / k)
+        return _total(fine * osc_vals * bracket, fine)
+
+
+def _total(values, nodes) -> float:
+    """Simpson integral of nonnegative samples; a NaN (inf - inf past the float range) reads inf."""
+    return float(np.nan_to_num(cumulative_values(values, nodes)[-1], nan=np.inf, posinf=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from .coefficients import RadializedTriple
 from .core import ProblemParams, RadialCurve, RadialGrid
-from .criteria import (OscillationReport, bounded_solution_bound,
-                       growth_primitive, oscillation_condition)
+from .criteria import OscillationReport, oscillation_condition
+from .envelope import bounded_solution_bound, growth_primitive
 from .errors import OrderingError, OscillationError, ParameterError
 from .solver import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, solve_cauchy, write_curve_csv
 

@@ -23,7 +23,8 @@ to node, so no step straddles a kink.  Node values of (u, ln M) come from
 the pair's continuous extension (the solve's dense evaluator) and u' from
 the flux transform F(r, M) above, fed ln M (M leaves the float range where
 u does not).  The second derivative is recovered algebraically from the
-equation itself, so the sigma_k residual
+equation itself, through ln(b u^gamma / (u'/r)^k) (the ratio leaves the
+float range for large k where u'' does not), so the sigma_k residual
 (``residual_max``, the ``sigma_k_residual`` CSV column) is zero by
 construction, up to rounding; it checks nothing about the integration.
 :func:`conservation_defect` is the solve's runtime check: it recomputes M
@@ -331,18 +332,27 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
 
 def _recover_d2u(params: ProblemParams, b, r: np.ndarray, u: np.ndarray,
                  du: np.ndarray, c2: float) -> np.ndarray:
-    """Invert the radial equation over t^k (t = u'/r) for u'' given (r, u, u')."""
+    """Invert the radial equation for u'' given (r, u, u'): with t = u'/r and
+    C(n-1,k) / C(n-1,k-1) = (n-k)/k, u'' = t (rhs - (n-k)/k), rhs from
+    :func:`_scaled_rhs`."""
     d2u = np.empty_like(r)
     d2u[0] = c2
     t = du[1:] / r[1:]
-    d2u[1:] = t * (_rhs_over_t_k(params, b, r[1:], u[1:], t) - core.binomial(
-        params.n - 1, params.k)) / core.binomial(params.n - 1, params.k - 1)
+    d2u[1:] = t * (_scaled_rhs(params, b, r[1:], u[1:], t) - (params.n - params.k) / params.k)
     return d2u
 
 
-def _rhs_over_t_k(params: ProblemParams, b, r, u, t) -> np.ndarray:
-    """b u^gamma / t^k as b (u^(gamma/k) / t)^k, neither power overflowing."""
-    return np.asarray(b(r)) * (u ** (params.gamma / params.k) / t) ** params.k
+def _log_mixed_binomial(params: ProblemParams) -> float:
+    """ln C(n-1, k-1), the binomial of sigma_k's term in u''."""
+    return math.log(core.binomial(params.n - 1, params.k - 1))
+
+
+def _scaled_rhs(params: ProblemParams, b, r, u, t) -> np.ndarray:
+    """b u^gamma / (t^k C(n-1,k-1)) from its log; b u^gamma / t^k itself may
+    leave the float range where this ratio does not."""
+    with np.errstate(divide="ignore"):  # b may underflow to 0
+        return np.exp(np.log(b(r)) + params.gamma * np.log(u) - params.k * np.log(t)
+                      - _log_mixed_binomial(params))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +360,15 @@ def _rhs_over_t_k(params: ProblemParams, b, r, u, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _sigma_k_defect(curve: RadialCurve, params: ProblemParams, b) -> np.ndarray:
-    """sigma_k(u'', u'/r) / (b u^gamma) - 1 at the curve's nodes."""
+    """sigma_k(u'', u'/r) / (b u^gamma) - 1 at the curve's nodes.
+
+    sigma_k is homogeneous of degree k, so it is taken at (u'', t) s / t with
+    s^k C(n-1,k-1) = 1, where it reads sigma_k / (t^k C(n-1,k-1)) and is
+    compared with :func:`_scaled_rhs`."""
     t = curve.du_over_r()
-    lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u / t, 1.0, params.n))
-    return lhs / _rhs_over_t_k(params, b, curve.grid.nodes, curve.u, t) - 1.0
+    s = math.exp(-_log_mixed_binomial(params) / params.k)
+    lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u / t * s, s, params.n))
+    return lhs / _scaled_rhs(params, b, curve.grid.nodes, curve.u, t) - 1.0
 
 
 def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import asymptotics, coefficients, core, criteria, sandwich, solver
+from . import asymptotics, coefficients, core, criteria, envelope, sandwich, solver
 from .core import ProblemParams, RadialGrid
 
 
@@ -144,7 +144,7 @@ def _btilde_oracle():
     params = ProblemParams(n=3, k=1, gamma=0.5, a=1.0)
     b = coefficients.RadialProfile.constant(1.0)
     s = np.array([0.0, 1.0, 2.5])
-    got = criteria.compute_b_tilde(b, s, params)
+    got = envelope.compute_b_tilde(b, s, params)
     expect = 1.0 + s ** 2 / 6.0
     assert np.allclose(got, expect, rtol=1e-8)
     return "btilde = (1 + s^2/6) for b = 1, k = 1, n = 3, gamma = 1/2"

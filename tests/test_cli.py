@@ -259,7 +259,8 @@ class TestProblemSpec:
         assert cli.main(["classify", spec_path]) == EXIT_INVALID
         assert f"error: spec.coefficient.{key}: not a parameter of" in capsys.readouterr().err
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    # Examples take 1-11 ms; one that hangs fails by name after 2 s.
+    @settings(derandomize=True, database=None, max_examples=300, deadline=2000)
     @given(raw=_mutated_specs(), vary=_vary_items())
     def test_mutated_spec_parses_or_names_the_field(self, tmp_path_factory, raw, vary):
         # A spec that parses is solved or rejected by one error line:
@@ -430,6 +431,24 @@ class TestSolveCommand:
         summary = json.loads(capsys.readouterr().out)
         assert math.isfinite(summary["u_at_rmax"]) and summary["gamma_k_ok"] is True
         assert summary["conservation_defect"] < 1e-6
+
+    def test_large_k_solve_writes_finite_strict_json(self, tmp_path, capsys):
+        # b u^gamma / (u'/r)^k passes the float range from r = 0.6 at k = 514;
+        # u'' and the residual come from its log, so no NaN reaches the summary.
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            n=1029, k=514, gamma=1.0, coefficient={"kind": "power_tail", "l": 1.5},
+            grid={"r_max": 1.0}))
+        assert cli.main(["solve", spec_path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((tmp_path / "spec_summary.json").read_text(),
+                             parse_constant=not_json)
+        assert summary["residual_max"] < 1e-12
+        curve = np.loadtxt(tmp_path / "spec_curve.csv", delimiter=",", skiprows=1)
+        assert curve.shape == (49, 5) and np.isfinite(curve).all()
 
 
 class TestClassifyCommand:

@@ -5,11 +5,14 @@ Each module of ``src/hessianls`` may import only modules below it in
 Gauss-panel rule ``panel_cumulative`` is reached only through
 ``envelope.flux_integral``, so only ``envelope`` imports it, and the
 12-point rule itself is built once, in ``_integrate``, as is the one log of
-a running sum (``np.logaddexp``) that carries every flux integral.  The
-float bound ln(max float) is defined once, in ``core``, next to the one
-binomial and ln(n / C(n, k)); a spec's coefficient is built in one place,
-``ProblemSpec.from_dict``; and one function, ``coefficients.check_coefficient``,
-decides whether a coefficient's values are admissible, wherever b meets radii.
+a running sum (``np.logaddexp``) that carries every flux integral.  Every
+envelope integral lives in ``envelope``: only it imports the Simpson rule
+``cumulative_values`` or calls ``fine_nodes``, and ``criteria`` imports no
+quadrature at all.  The float bound ln(max float) is defined once, in
+``core``, next to the one binomial and ln(n / C(n, k)); a spec's coefficient
+is built in one place, ``ProblemSpec.from_dict``; and one function,
+``coefficients.check_coefficient``, decides whether a coefficient's values
+are admissible, wherever b meets radii.
 """
 
 import ast
@@ -55,6 +58,29 @@ def test_only_envelope_imports_panel_cumulative(module):
 
 
 @pytest.mark.parametrize("module", LAYERS)
+def test_only_envelope_imports_cumulative_values(module):
+    imports = [target for target, names in _relative_imports(module)
+               if "cumulative_values" in names]
+    assert imports == (["_integrate"] if module == "envelope" else [])
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_only_envelope_calls_fine_nodes(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "fine_nodes"]
+    assert bool(calls) == (module == "envelope")
+
+
+def test_criteria_imports_no_quadrature():
+    imports = dict(_relative_imports("criteria"))
+    assert "_integrate" not in imports
+    names = {name for listed in imports.values() for name in listed}
+    assert names.isdisjoint({"fine_nodes", "flux_integral", "flux_slope",
+                             "linear_growth_tables", "check_coefficient"})
+
+
+@pytest.mark.parametrize("module", LAYERS)
 def test_one_gauss_rule(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert ("leggauss" in source) == (module == "_integrate")
@@ -89,9 +115,12 @@ def test_one_admissibility_rule(module):
     assert ("coefficient must be" in source) == (module == "coefficients")
 
 
-# Where a coefficient meets radii: each of these applies the rule.
-_CHECKED_AT = {"solver": ("solve_cauchy",), "envelope": ("flux_integral", "euler_polyline"),
+# Where a coefficient meets radii: each of these applies the rule, itself or
+# (``criteria.jensen_conditions``) through ``envelope.radial_moment_integral``.
+_CHECKED_AT = {"solver": ("solve_cauchy",),
+               "envelope": ("flux_integral", "euler_polyline", "radial_moment_integral"),
                "coefficients": ("radialize",), "criteria": ("jensen_conditions",)}
+_APPLIES_RULE = {"criteria": "radial_moment_integral"}
 
 
 @pytest.mark.parametrize("module", sorted(_CHECKED_AT))
@@ -99,7 +128,7 @@ def test_coefficient_checked_where_it_meets_radii(module):
     functions = dict(_functions(ast.parse((PACKAGE / f"{module}.py").read_text())))
     for name in _CHECKED_AT[module]:
         calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
-                 and ast.unparse(node.func) == "check_coefficient"]
+                 and ast.unparse(node.func) == _APPLIES_RULE.get(module, "check_coefficient")]
         assert calls, f"{module}.{name}"
     if module == "solver":  # the series start leaves b(0) to the grid probe
         assert not any(isinstance(node, ast.Raise)

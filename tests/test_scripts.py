@@ -1,15 +1,24 @@
 """Smoke test: each script under scripts/ runs end to end on small inputs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REFERENCE = SCRIPTS.parent / "perfbench" / "data" / "reference.json"
 # What a script's run below must print besides "Wrote".  The threshold map
 # probes l = 5 > 2k, where m* = 2k.
 PRINTED = {"threshold_map.py": "3/3 grid points flip as predicted\n"}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name, args, outputs", [
@@ -23,12 +32,53 @@ PRINTED = {"threshold_map.py": "3/3 grid points flip as predicted\n"}
      ["threshold_map.json", "threshold_map.csv"]),
 ])
 def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load(name)
     monkeypatch.setattr(sys, "argv", [name, *args, "--outdir", str(tmp_path)])
     assert module.main() == 0
     for output in outputs:
         assert (tmp_path / output).stat().st_size > 0
     out = capsys.readouterr().out
     assert "Wrote" in out and PRINTED.get(name, "") in out
+
+
+def test_bench_record_stepper_counters():
+    # The counters the child run in a checkout prints: the six closed-form
+    # reference specs, each solve costing 1 + 6 RHS calls per attempted step.
+    counters = _load("bench_record.py").checkout_counters(str(SCRIPTS.parent))
+    reference = json.loads(REFERENCE.read_text())
+    assert counters["specs"] == sorted(name for name, entry in reference.items()
+                                       if entry["spec"]["coefficient"]["kind"] != "tabulated")
+    assert len(counters["specs"]) == 6 and counters["accepted"] > 0
+    assert counters["rhs_evals"] == 6 + 6 * (counters["accepted"] + counters["rejected"])
+
+
+def test_bench_record_file_layout(monkeypatch, tmp_path):
+    # record() without running the benchmark: every workload's last-line
+    # JSON and the counters land in BENCH_<src-tree>.json, run for the
+    # checkout's BENCHMARK.json run_seconds.
+    module = _load("bench_record.py")
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3}))
+    answers = {("status", "--porcelain", "--untracked-files=no"): "",
+               ("rev-parse", "--short", "HEAD:perfbench"): "abc1234",
+               ("rev-parse", "--short", "HEAD:src"): "def5678"}
+    monkeypatch.setattr(module, "git", lambda root, *args: answers[args])
+    runs = []
+    monkeypatch.setattr(module, "run_workload", lambda root, workload, seconds: runs.append(
+        seconds) or {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+            "ops_per_s": {"value": float(len(workload)), "unit": "1/s"}}})
+    monkeypatch.setattr(module, "checkout_counters", lambda root: {"rhs_evals": 7})
+    path = module.record(str(checkout), str(tmp_path))
+    assert path == str(tmp_path / "BENCH_def5678.json") and runs == [3.0] * 3
+    payload = json.loads((tmp_path / "BENCH_def5678.json").read_text())
+    assert set(payload) == {"src_tree", "perfbench_tree", "seed", "seconds", "host",
+                            "workloads", "stepper"}
+    assert (payload["src_tree"], payload["perfbench_tree"]) == ("def5678", "abc1234")
+    assert (payload["seed"], payload["seconds"]) == (0, 3.0)
+    assert list(payload["workloads"]) == ["radial-sweep", "field-comparison", "cli-cold"]
+    assert payload["workloads"]["cli-cold"]["metrics"]["ops_per_s"]["value"] == 8.0
+    assert payload["stepper"] == {"rhs_evals": 7}
+    answers[("status", "--porcelain", "--untracked-files=no")] = " M src/hessianls/core.py"
+    with pytest.raises(SystemExit, match="uncommitted changes"):
+        module.record(str(checkout), str(tmp_path))
