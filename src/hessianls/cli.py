@@ -169,6 +169,15 @@ class ProblemSpec:
             params = ProblemParams(**top)
         except ParameterError as exc:
             raise ParameterError(f"spec: {exc}") from None
+        try:
+            a_gamma = params.a ** params.gamma
+        except OverflowError:
+            a_gamma = math.inf
+        if not 0.0 < a_gamma < math.inf:
+            raise ParameterError(
+                f"spec.a: a^gamma {'underflows to 0' if a_gamma == 0.0 else 'overflows'} for "
+                f"a = {params.a:g}, gamma = {params.gamma:g}; the series start at r = 0 "
+                f"needs it in the float range")
         _check_grid_budget(params.n, **grid_cfg)
         try:
             RadialGrid.check(**grid_cfg)

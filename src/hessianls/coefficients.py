@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -397,6 +399,11 @@ MIN_SPHERE_COUNT = 32
 # hundred kB whatever the sphere count.
 _BLOCK_COORDS = 32768
 
+# radialize keeps at most this many unit-sphere coordinates per process,
+# across all (dim, count) keys: 2^20 (8 MiB), about twice the 256-point rows
+# of a 129-radius grid in each of dims 3, 5 and 7.
+_STORE_COORDS = 1 << 20
+
 # Cephes ndtri: rational approximations of the normal quantile on
 # |y - 1/2| <= 3/8 (P0/Q0) and, with z = sqrt(-2 ln y), on 2 <= z < 8
 # (P1/Q1) and 8 <= z <= 64 (P2/Q2); Q polynomials have a leading 1.
@@ -546,6 +553,66 @@ def _sphere_table(dim: int, count: int, first: int, stop: int) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     coords /= norms
     return coords
+
+
+def _index_blocks(dim: int, count: int, first: int, stop: int):
+    """(first, end) blocks covering radius indices first..stop-1, each of at
+    most _BLOCK_COORDS coordinates and at least one index."""
+    step = max(1, _BLOCK_COORDS // (count * dim))
+    return ((i, min(i + step, stop)) for i in range(first, stop, step))
+
+
+class _SphereRows:
+    """The unit-sphere rows radialize draws, kept for the life of the process.
+
+    Rows depend only on (dim, count, radius index), never on the radii, so
+    the rows of indices 1..N of one (dim, count) serve every grid with at
+    most N + 1 nodes.  Each key holds one read-only (N, count, dim) array,
+    grown by _sphere_table blocks when a longer grid asks.  The keys share
+    _STORE_COORDS coordinates: the least recently used go first when a new
+    or grown key does not fit, and a request beyond the budget on its own is
+    drawn block by block and not kept."""
+
+    def __init__(self):
+        self._rows = OrderedDict()   # (dim, count) -> rows, least recently used first
+        self._lock = threading.Lock()
+
+    def coords(self) -> int:
+        return sum(rows.size for rows in self._rows.values())
+
+    def blocks(self, dim: int, count: int, stop: int):
+        """(first, end, table) per block of radius indices first..end-1 that
+        covers 1..stop-1 in at most _BLOCK_COORDS coordinates (one index at
+        least); table[j] holds the unit-sphere points of index first + j."""
+        kept = self._kept(dim, count, stop)
+        for first, end in _index_blocks(dim, count, 1, stop):
+            yield first, end, (_sphere_table(dim, count, first, end) if kept is None
+                               else kept[first - 1:end - 1])
+
+    def _kept(self, dim: int, count: int, stop: int) -> Optional[np.ndarray]:
+        """The kept rows of indices 1..stop-1, grown if need be; None when
+        they alone exceed the budget."""
+        size = (stop - 1) * count * dim
+        if size > _STORE_COORDS:
+            return None
+        with self._lock:
+            rows = self._rows.pop((dim, count), None)
+            have = 0 if rows is None else rows.shape[0]
+            if have < stop - 1:
+                while self._rows and self.coords() + size > _STORE_COORDS:
+                    self._rows.popitem(last=False)
+                grown = np.empty((stop - 1, count, dim))
+                if rows is not None:
+                    grown[:have] = rows
+                for first, end in _index_blocks(dim, count, have + 1, stop):
+                    grown[first - 1:end - 1] = _sphere_table(dim, count, first, end)
+                grown.setflags(write=False)
+                rows = grown
+            self._rows[dim, count] = rows
+        return rows[:stop - 1]
+
+
+_SPHERE_ROWS = _SphereRows()
 
 
 def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
@@ -760,10 +827,11 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     converge monotonically as the count doubles.
 
     The radii go in blocks of at most _BLOCK_COORDS coordinates (at least
-    one radius each): one sphere table, one field call on the block's
-    (radii * sphere_count, dim) points and a per-radius min and max.  The
-    envelopes equal those of a one-radius-at-a-time loop bit for bit, and
-    go through :func:`check_coefficient` once, the origin included.
+    one radius each): one slice of the unit-sphere rows the process keeps
+    (see _SphereRows), one field call on the block's (radii * sphere_count,
+    dim) points and a per-radius min and max.  The envelopes equal those of
+    a one-radius-at-a-time loop bit for bit, and go through
+    :func:`check_coefficient` once, the origin included.
     """
     if sphere_count < MIN_SPHERE_COUNT:
         raise CoefficientError(f"sphere_count must be >= {MIN_SPHERE_COUNT}, got {sphere_count}")
@@ -774,10 +842,8 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     star = np.empty(nodes.size)
     upper = np.empty(nodes.size)
     star[0] = upper[0] = _one_per_point(field(np.zeros((1, dim))), 1, "field")[0]
-    rows = max(1, _BLOCK_COORDS // (sphere_count * dim))
-    for first in range(1, nodes.size, rows):
-        stop = min(first + rows, nodes.size)
-        pts = nodes[first:stop, None, None] * _sphere_table(dim, sphere_count, first, stop)
+    for first, stop, unit in _SPHERE_ROWS.blocks(dim, sphere_count, nodes.size):
+        pts = nodes[first:stop, None, None] * unit
         vals = _one_per_point(field(pts.reshape(-1, dim)), pts.shape[0] * sphere_count,
                               "field").reshape(-1, sphere_count)
         star[first:stop] = vals.min(axis=1)

@@ -298,6 +298,10 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     n, k, gam = params.n, params.k, params.gamma
 
     series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
+    if series.c2 == 0.0:
+        raise ParameterError(f"b(0) a^gamma / C(n, k) underflows to 0 (b(0) = {b(0.0):g}, "
+                             f"a = {params.a:g}, gamma = {gam:g}), so the series start "
+                             f"at r = 0 has no curvature")
     r_s = _series_radius(params, grid, series.c2)
     # M(r_s) / r_s^n: M itself may underflow for large n
     u_s, m_scaled = series.u(r_s), series.m0 + series.m2 * r_s * r_s

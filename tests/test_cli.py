@@ -861,9 +861,18 @@ class TestTopLevelErrors:
          "spec.grid: r_lin = 2.2e-308 is too small: r_max / r_lin overflows"),
         ({"grid": {"r_lin": 2.2e-309, "r_max": 1e3, "nodes_per_decade": 32}},
          "spec.grid: r_lin = 2.2e-309 is too small: r_max / r_lin overflows"),
+        # a^gamma = 0: the series start once divided by its curvature c2 = 0;
+        # a^gamma beyond the float range: it once raised OverflowError
+        ({"n": 5, "k": 2, "gamma": 1.9, "a": 1e-200, "grid": {"r_max": 10.0}},
+         "spec.a: a^gamma underflows to 0 for a = 1e-200, gamma = 1.9; "),
+        ({"n": 1029, "k": 514, "gamma": 500.0, "a": 1e-3, "grid": {"r_max": 1.0}},
+         "spec.a: a^gamma underflows to 0 for a = 0.001, gamma = 500; "),
+        ({"n": 5, "k": 2, "gamma": 1.9, "a": 1e300, "grid": {"r_max": 10.0}},
+         "spec.a: a^gamma overflows for a = 1e+300, gamma = 1.9; "),
     ], ids=["top-typo", "grid-typo", "section-typo", "abs-negative", "rel-zero",
             "rel-clamped", "r_lin-zero", "binomial-overflow", "weight-overflow",
-            "r_lin-tiny", "r_lin-subnormal"])
+            "r_lin-tiny", "r_lin-subnormal", "a-gamma-underflow", "a-gamma-underflow-large-k",
+            "a-gamma-overflow"])
     def test_spec_rejected_when_read(self, tmp_path, capsys, command, over, message):
         # Every subcommand rejects the same specs, before any work is done.
         spec_path = _write(tmp_path, "spec.json", _constant_spec(**over))

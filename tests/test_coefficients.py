@@ -667,3 +667,66 @@ class TestRadialize:
         assert triple.b_star is b and triple.b_upper is b
         assert triple.b_osc.is_zero()
         assert triple.osc_negligible()
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """A fresh store of unit-sphere rows in place of the process's own."""
+    fresh = coefficients._SphereRows()
+    monkeypatch.setattr(coefficients, "_SPHERE_ROWS", fresh)
+    return fresh
+
+
+class TestSphereRows:
+    FIELD = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
+
+    def _envelopes(self, grid, count=64):
+        triple = radialize(self.FIELD, grid, sphere_count=count)
+        return triple.b_star.values, triple.b_upper.values, triple.b_osc.values
+
+    def test_cold_warm_grown_and_prefix_runs_agree(self, store):
+        # rows depend on the radius index only: a short grid's rows are a
+        # prefix of a long grid's, whatever the radii
+        short = RadialGrid.build(1e2, nodes_per_decade=16)
+        long = RadialGrid.build(1e4, nodes_per_decade=16)
+        expect = {id(grid): _per_radius_envelopes(self.FIELD, grid.nodes, 64)
+                  for grid in (short, long)}
+        for grid in (short, long, long, short):   # cold, grown, warm, prefix
+            for got, want in zip(self._envelopes(grid), expect[id(grid)]):
+                assert np.array_equal(got, want)
+        assert list(store._rows) == [(5, 64)]
+        assert store._rows[5, 64].shape == (len(long) - 1, 64, 5)
+
+    def test_kept_rows_are_read_only_rows_of_sphere_points(self, store):
+        radialize(self.FIELD, RadialGrid.build(1e2, nodes_per_decade=16), sphere_count=64)
+        rows = store._rows[5, 64]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 0.0
+        for i in range(1, rows.shape[0] + 1):
+            points = sphere_points(5, 64, radius_index=i)
+            assert points.flags.writeable and np.array_equal(points, rows[i - 1])
+
+    def test_least_recently_used_key_goes_first(self, store, monkeypatch):
+        grid = RadialGrid.build(1e2, nodes_per_decade=16)
+        # room for the rows of counts 64 and 65, not for a third key
+        monkeypatch.setattr(coefficients, "_STORE_COORDS", (len(grid) - 1) * 5 * (64 + 65))
+        for count in (64, 65, 64, 63):   # 64 is used again before 63 arrives
+            radialize(self.FIELD, grid, sphere_count=count)
+        assert list(store._rows) == [(5, 64), (5, 63)]
+        assert store.coords() <= coefficients._STORE_COORDS
+
+    def test_request_beyond_the_budget_is_drawn_and_not_kept(self, store):
+        # 24 radii of 16384 points in 3 dimensions: 1.2M coordinates
+        field = make_builtin_field("counterexample")
+        small = RadialGrid.build(10.0, nodes_per_decade=8)
+        big = RadialGrid.build(10.0, nodes_per_decade=24)
+        assert (len(big) - 1) * 16384 * 3 > coefficients._STORE_COORDS
+        radialize(field, small, sphere_count=64)
+        triple = radialize(field, big, sphere_count=16384)
+        star, upper, osc = _per_radius_envelopes(field, big.nodes, 16384)
+        assert np.array_equal(triple.b_star.values, star)
+        assert np.array_equal(triple.b_upper.values, upper)
+        assert np.array_equal(triple.b_osc.values, osc)
+        assert list(store._rows) == [(3, 64)]
+        assert store.coords() <= coefficients._STORE_COORDS

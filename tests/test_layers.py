@@ -12,7 +12,8 @@ quadrature at all.  The float bound ln(max float) is defined once, in
 ``core``, next to the one binomial and ln(n / C(n, k)); a spec's coefficient
 is built in one place, ``ProblemSpec.from_dict``; and one function,
 ``coefficients.check_coefficient``, decides whether a coefficient's values
-are admissible, wherever b meets radii.
+are admissible, wherever b meets radii.  ``radialize`` draws its unit-sphere
+rows from one per-process store in ``coefficients``.
 """
 
 import ast
@@ -148,6 +149,26 @@ def _functions(tree):
         elif isinstance(node, ast.ClassDef):
             yield from ((f"{node.name}.{item.name}", item) for item in node.body
                         if isinstance(item, ast.FunctionDef))
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_one_store_of_sphere_rows(module):
+    # radialize reaches the unit-sphere table only through the rows the
+    # process keeps; sphere_points draws its one row itself
+    source = (PACKAGE / f"{module}.py").read_text()
+    if module != "coefficients":
+        assert not re.search(r"_sphere_table|_SphereRows|_SPHERE_ROWS", source)
+        return
+    functions = dict(_functions(ast.parse(source)))
+
+    def callers(name):
+        return {caller for caller, function in functions.items()
+                if any(isinstance(node, ast.Call) and ast.unparse(node.func) == name
+                       for node in ast.walk(function))}
+
+    assert callers("_sphere_table") == {"_SphereRows.blocks", "_SphereRows._kept",
+                                        "sphere_points"}
+    assert callers("_SPHERE_ROWS.blocks") == {"radialize"}
 
 
 def test_spec_coefficient_built_only_when_read():

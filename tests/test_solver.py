@@ -170,6 +170,14 @@ class TestSolveCauchy:
                                                  rf"must exceed 4e-12 .*; raise r_lin or r_max$"):
             solve_cauchy(laplace_params, B_ONE, grid)
 
+    def test_underflowing_series_curvature_is_refused(self):
+        # b(0) a^gamma = 1e-390 underflows though a^gamma does not: the
+        # handoff radius sqrt(a / c2) once divided by c2 = 0
+        params = ProblemParams(n=5, k=2, gamma=1.9, a=1e-100)
+        with pytest.raises(ParameterError, match=r"b\(0\) a\^gamma / C\(n, k\) underflows to 0 "
+                                                 r"\(b\(0\) = 1e-200, a = 1e-100, gamma = 1.9\)"):
+            solve_cauchy(params, RadialProfile.constant(1e-200), RadialGrid.build(10.0))
+
     @pytest.mark.parametrize("n, k, gamma, r_max, per_decade", [
         (1029, 514, 0.5, 1.0, 32), (150, 2, 1.0, 100.0, 48)])
     def test_large_n_solves(self, n, k, gamma, r_max, per_decade):
