@@ -5,7 +5,10 @@
 For each workload, runs ``perfbench/run.py --trace 0`` in the checkout at
 ``--root`` as a subprocess, with that checkout's ``BENCHMARK.json``
 ``run_seconds`` and ``perfbench/run.py``'s default seed, and keeps the JSON
-object it prints last (the end-to-end metrics).  It adds the stepper's own
+object it prints last (the end-to-end metrics, scaled to reference host
+speed) and, under ``raw_and_host``, the ``raw.*`` metrics and ``host.*``
+scale factors it prints before it (to the six digits printed), so a point
+tells host drift from a code change.  It adds the stepper's own
 counters, which the benchmark's tracer cannot see: the dense evaluator's
 ``rhs_evals``, ``accepted`` and ``rejected``, summed over the closed-form
 specs of ``perfbench/data/reference.json``, solved by the checkout's own
@@ -64,9 +67,15 @@ def _child(root: str, argv: list) -> str:
 
 
 def run_workload(root: str, workload: str, seconds: float) -> dict:
-    out = _child(root, [os.path.join("perfbench", "run.py"), "--workload", workload,
-                        "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"])
-    return json.loads(out.splitlines()[-1])
+    lines = _child(root, [os.path.join("perfbench", "run.py"), "--workload", workload,
+                          "--seed", str(SEED), "--seconds", str(seconds),
+                          "--trace", "0"]).splitlines()
+    result = json.loads(lines[-1])
+    # the printed lines read "<name> <value> <unit>"
+    result["raw_and_host"] = {name: {"value": float(value), "unit": unit}
+                              for name, value, unit in (line.split() for line in lines[:-1]
+                                                        if line.startswith(("raw.", "host.")))}
+    return result
 
 
 def checkout_counters(root: str) -> dict:

@@ -18,9 +18,10 @@ from .core import (OVERFLOW_GUARD, ProblemParams, RadialCurve, RadialGrid,
 from .criteria import (BOUNDED, INCONCLUSIVE, LARGE, CriterionVerdict,
                        JensenReport, OscillationReport, TailEstimate,
                        bounded_solution_bound, classify_existence,
-                       growth_primitive, jensen_conditions,
+                       existence_verdict, growth_primitive, jensen_conditions,
                        keller_osserman_integrand, oscillation_condition,
-                       oscillation_threshold, tail_exponent_of)
+                       oscillation_threshold, oscillation_verdict,
+                       tail_exponent_of)
 from .envelope import compute_b_tilde
 from .errors import (BlowupGuardError, CoefficientError, DomainTooLargeError,
                      IntegrationError, OrderingError, OscillationError,

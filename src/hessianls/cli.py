@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -33,10 +34,11 @@ import numpy as np
 from . import verify as verify_mod
 from .asymptotics import expected_rate, verify_rates
 from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_DIM, MIN_SPHERE_COUNT, RadialProfile,
-                           load_profile_csv, radialize, triple_from_radial)
+                           check_coefficient, load_profile_csv, radialize,
+                           triple_from_radial)
 from .core import LOG_FLOAT_MAX, ProblemParams, RadialGrid, gamma_k_membership
-from .criteria import (INCONCLUSIVE, LARGE, classify_existence, jensen_conditions,
-                       oscillation_condition)
+from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
+                       jensen_conditions, oscillation_condition, oscillation_verdict)
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
@@ -438,19 +440,24 @@ def _sweep_cell(payload):
                     "l": spec.coefficient.get("l", ""),
                     "m": spec.coefficient.get("m", "")})
         triple = spec.triple(sphere_count=64)
-        verdict = classify_existence(triple.b_star, spec.params,
-                                     r_max=spec.grid_cfg["r_max"])
-        osc = oscillation_condition(triple, spec.params,
-                                    r_max=spec.grid_cfg["r_max"])
-        row["verdict"] = verdict.verdict
-        row["osc_status"] = osc.status
-        row["m_star"] = "" if osc.m_star is None else f"{osc.m_star:.17g}"
-        tail = verdict.tail_exponent  # not None when the verdict is Large
-        if (fit_rates and verdict.verdict == LARGE and spec.is_radial()
-                and tail <= spec.params.k - 1):
+        # Rows report verdicts only, so no finite part is computed; b_* is
+        # still held to the admissibility rule wherever classify's would
+        # meet it (not for a tail-less b_*, Inconclusive unevaluated).
+        verdict, est = existence_verdict(triple.b_star, spec.params)
+        grid = spec.grid()
+        if est is not None:
+            nodes = grid.nodes[1:]
+            check_coefficient(triple.b_star(nodes), nodes, nonnegative=True)
+        osc_status, m_star, _, _ = oscillation_verdict(triple, spec.params)
+        row["verdict"] = verdict
+        row["osc_status"] = osc_status
+        row["m_star"] = "" if m_star is None else f"{m_star:.17g}"
+        if (fit_rates and verdict == LARGE and spec.is_radial()
+                and est.exponent <= spec.params.k - 1):  # a Large verdict has a tail
+            tail = est.exponent
             alpha = expected_rate(spec.params, tail)
             row["alpha_expected"] = f"{alpha:.17g}"
-            curve = solve_cauchy(spec.params, triple.b_star, spec.grid(),
+            curve = solve_cauchy(spec.params, triple.b_star, grid,
                                  rel_tol=spec.tolerances["rel"],
                                  abs_tol=spec.tolerances["abs"])
             rates = verify_rates(curve, spec.params, tail)
@@ -569,9 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser as it found it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, CoefficientError) as exc:

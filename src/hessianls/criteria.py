@@ -27,8 +27,11 @@ plus the growth exponent of btilde:
     m* = 2k + max(2k - l, 0) gamma / (k - gamma).
 
 Every verdict, the two moment conditions included, compares one tail
-exponent with 2k or m* through :func:`_exceeds`.  Only tails, thresholds
-and verdicts live here; every envelope integral is :mod:`.envelope`'s.
+exponent with 2k or m* through :func:`_exceeds`.  :func:`existence_verdict`
+and :func:`oscillation_verdict` decide from the tails alone; the reports of
+:func:`classify_existence` and :func:`oscillation_condition` add the finite
+parts as evidence.  Only tails, thresholds and verdicts live here; every
+envelope integral is :mod:`.envelope`'s.
 """
 
 from __future__ import annotations
@@ -122,16 +125,35 @@ class CriterionVerdict:
         return asdict(self)
 
 
+_EXISTENCE_NOTES = {
+    INCONCLUSIVE: _REFUSED,
+    LARGE: "envelope integral diverges: every entire solution is unbounded",
+    BOUNDED: "envelope integral converges: bounded entire solutions exist",
+}
+
+
+def existence_verdict(b_star, params: ProblemParams):
+    """(verdict, tail estimate) of the growth-envelope criterion, decided
+    from b_*'s tail alone: no quadrature runs.  The estimate is None when
+    b_* has no tail, which is Inconclusive."""
+    est = tail_exponent_of(b_star)
+    if est is None:
+        return INCONCLUSIVE, None
+    threshold = 2.0 * params.k
+    bounded = params.n > threshold and _exceeds(est.exponent, threshold, est)
+    return {None: INCONCLUSIVE, False: LARGE, True: BOUNDED}[bounded], est
+
+
 def classify_existence(b_star, params: ProblemParams,
                        r_max: float = 1e4) -> CriterionVerdict:
     """Large / Bounded / Inconclusive from the growth-envelope integral.
 
     ``b_star`` must be a RadialProfile (tail handling needs it); the
     finite part of the integral up to r_max is reported as evidence, the
-    verdict itself comes from the tail exponent alone.
+    verdict itself is :func:`existence_verdict`'s.
     """
     threshold = 2.0 * params.k
-    est = tail_exponent_of(b_star)
+    verdict, est = existence_verdict(b_star, params)
     if est is None:
         return CriterionVerdict(
             INCONCLUSIVE, None, threshold, float("nan"),
@@ -143,16 +165,10 @@ def classify_existence(b_star, params: ProblemParams,
                 f"finite part over [0, {r_max:g}] = {finite:.6g}"]
     if est.fitted:
         evidence.insert(1, f"fit standard error {est.stderr:.2g}")
-    bounded = params.n > threshold and _exceeds(est.exponent, threshold, est)
     if params.n <= threshold:
         evidence.append(f"dimension branch: n = {params.n} <= 2k forces divergence "
                         f"for every tail")
-    verdict, note = {
-        None: (INCONCLUSIVE, _REFUSED),
-        False: (LARGE, "envelope integral diverges: every entire solution is unbounded"),
-        True: (BOUNDED, "envelope integral converges: bounded entire solutions exist"),
-    }[bounded]
-    evidence.append(note)
+    evidence.append(_EXISTENCE_NOTES[verdict])
     return CriterionVerdict(verdict, est.exponent, threshold, finite, evidence)
 
 
@@ -188,26 +204,43 @@ class OscillationReport:
         return asdict(self)
 
 
+def oscillation_verdict(triple: RadializedTriple, params: ProblemParams):
+    """(status, m*, envelope tail, oscillation tail) of the oscillation
+    test, decided from the tails alone: no quadrature runs.  m* is None
+    when the status needs no tails (a negligible oscillation, "satisfied")
+    or a tail is missing ("inconclusive")."""
+    if triple.osc_negligible():
+        return "satisfied", None, None, None
+    est_star = tail_exponent_of(triple.b_star)
+    est_osc = tail_exponent_of(triple.b_osc)
+    if est_star is None or est_osc is None:
+        return "inconclusive", None, est_star, est_osc
+    m_star = oscillation_threshold(params, est_star.exponent)
+    satisfied = (params.n > 2 * params.k
+                 and _exceeds(est_osc.exponent, m_star, est_star, est_osc))
+    status = {None: "inconclusive", False: "violated", True: "satisfied"}[satisfied]
+    return status, m_star, est_star, est_osc
+
+
 def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
                           r_max: float = 1e4) -> OscillationReport:
     """Decide whether the oscillation b^* - b_* is small enough for the
-    sandwich construction (finite I_osc)."""
+    sandwich construction (finite I_osc): :func:`oscillation_verdict`'s
+    status, with the [0, r_max] part of I_osc and its tail as evidence."""
     k, n = params.k, params.n
-    if triple.osc_negligible():
+    status, m_star, est_star, est_osc = oscillation_verdict(triple, params)
+    if m_star is None and status == "satisfied":
         return OscillationReport(
             "satisfied", 0.0, 0.0, None, None, None,
             ["oscillation is zero to relative tolerance "
              f"{OSC_NEGLIGIBLE_REL_TOL:g}: coefficient is radial"])
-    est_star = tail_exponent_of(triple.b_star)
-    est_osc = tail_exponent_of(triple.b_osc)
-    if est_star is None or est_osc is None:
+    if m_star is None:
         return OscillationReport(
             "inconclusive", float("nan"), float("nan"), None,
             None if est_star is None else est_star.exponent,
             None if est_osc is None else est_osc.exponent,
             ["tail exponents unavailable for the envelopes"])
     l, m = est_star.exponent, est_osc.exponent
-    m_star = oscillation_threshold(params, l)
     # the outer integrand scales like r^(-1 - gap/k); gap > 0 when satisfied
     gap = min(m - m_star, n - 2.0 * k)
     finite, tail_value = oscillation_integral(params, triple.b_star, triple.b_osc, r_max)
@@ -215,15 +248,14 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
                 f"oscillation tail m = {m:.6g} ({est_osc.source})",
                 f"threshold m* = {m_star:.6g}",
                 f"outer integrand scales like r^{-1.0 - gap / k:.6g}"]
-    satisfied = n > 2 * k and _exceeds(m, m_star, est_star, est_osc)
-    if satisfied is None:
+    if status == "inconclusive":
         evidence.append(_REFUSED)
         return OscillationReport("inconclusive", float("nan"), finite, m_star,
                                  l, m, evidence)
     if n <= 2 * k:
         evidence.append(f"dimension branch: n = {n} <= 2k, outer integrand cannot "
                         f"decay faster than r^((k-n)/k) >= r^-1")
-    if not satisfied:
+    if status == "violated":
         evidence.append("oscillation integral diverges")
         return OscillationReport("violated", float("inf"), finite, m_star,
                                  l, m, evidence)

@@ -297,7 +297,12 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     check_coefficient(b(nodes), nodes)
     n, k, gam = params.n, params.k, params.gamma
 
-    series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
+    try:
+        series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
+    except OverflowError:  # from a ** gamma, the one power there that can raise it
+        raise ParameterError(f"a^gamma overflows the float range (a = {params.a:g}, "
+                             f"gamma = {gam:g}), so the series start at r = 0 cannot be "
+                             f"formed") from None
     if series.c2 == 0.0:
         raise ParameterError(f"b(0) a^gamma / C(n, k) underflows to 0 (b(0) = {b(0.0):g}, "
                              f"a = {params.a:g}, gamma = {gam:g}), so the series start "

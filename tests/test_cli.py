@@ -556,6 +556,21 @@ class TestInadmissibleCoefficient:
                                     "got inf at r = 2.29167\n")
         assert not (tmp_path / "sandwich").exists()
 
+    def test_overflowing_power_tail_in_sweep_row(self, tmp_path):
+        # a sweep cell holds b_* to the rule on its grid's positive nodes, so
+        # the row names the grid node past r = 2.2134, not classify's Gauss point
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "power_tail", "l": 0.0}, grid={"r_max": 100.0}))
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "l=-800,1", "--out",
+                         str(out_path)]) == EXIT_OK
+        with open(out_path) as handle:
+            rejected, valid = csv.DictReader(handle)
+        assert rejected["error"] == ("CoefficientError: coefficient must be finite and "
+                                     "nonnegative, got inf at r = 2.29167")
+        assert rejected["verdict"] == rejected["osc_status"] == ""
+        assert (valid["verdict"], valid["error"]) == ("Large", "")
+
     def test_underflowing_tail_still_classifies(self, tmp_path, capsys):
         # l = 200 underflows to 0 beyond r = 42; the quadrature admits zero
         [(code, captured)] = self._run(tmp_path, capsys, {"kind": "power_tail", "l": 200.0},
@@ -791,6 +806,91 @@ class TestSweepCommand:
         assert float(row["alpha_expected"]) == pytest.approx(4.0)
         assert float(row["alpha_fitted"]) == pytest.approx(4.0, rel=0.2)
 
+    @staticmethod
+    def _noisy_table(tmp_path):
+        # boundary-exponent data with alternating noise: the fitted tail lies
+        # within one standard error of 2 (test_criteria's fitted tie)
+        r = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 101)])
+        b = (1 + r**2) ** -1.0 * np.exp(0.3 * (-1.0) ** np.arange(r.size))
+        path = tmp_path / "table.csv"
+        path.write_text("r,b\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(r, b)))
+        return {"kind": "tabulated", "path": path.name}
+
+    @pytest.mark.parametrize("case", [
+        # n <= 2k: Large for every tail
+        ({"n": 4, "k": 2, "gamma": 1.0}, {"kind": "power_tail", "l": 1.0},
+         "l=1,5", [("Large", "satisfied"), ("Large", "satisfied")]),
+        # n > 2k: the tail decides
+        ({"n": 5, "k": 2, "gamma": 1.0}, {"kind": "power_tail", "l": 1.0},
+         "l=3,5", [("Large", "satisfied"), ("Bounded", "satisfied")]),
+        # a fitted tail in the refusal band at n = 3 > 2k; n <= 2k at k = 2
+        ({"n": 3, "k": 1, "gamma": 0.5}, "table", "k=1,2",
+         [("Inconclusive", "satisfied"), ("Large", "satisfied")]),
+        # m* = 7 for l = 1, k = 2, gamma = 1
+        ({"n": 5, "k": 2, "gamma": 1.0}, {"kind": "builtin_field",
+                                          "name": "anisotropic_power",
+                                          "l": 1.0, "m": 6.0, "amp": 0.5, "dim": 5},
+         "m=6,8", [("Large", "violated"), ("Large", "satisfied")]),
+    ], ids=["n-le-2k", "n-gt-2k", "fitted-in-band", "field-m-around-m-star"])
+    def test_rows_match_classify(self, tmp_path, capsys, case):
+        # A row's verdicts come from the tails alone; classify --out on the
+        # same cell (the sweep's 64 sphere points) reports the same ones.
+        top, coefficient, vary, expected = case
+        if coefficient == "table":
+            coefficient = self._noisy_table(tmp_path)
+        raw = {**top, "coefficient": coefficient, "grid": {"r_max": 1e3, "nodes_per_decade": 16}}
+        spec_path = _write(tmp_path, "template.json", raw)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", vary, "--no-rates",
+                         "--out", str(out_path)]) == EXIT_OK
+        with open(out_path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["verdict"], row["osc_status"]) for row in rows] == expected
+        name, values = vary.split("=")
+        for row, value in zip(rows, values.split(",")):
+            assert row["error"] == ""
+            cell = _write(tmp_path, "cell.json", cli._apply_override(raw, name, int(value)))
+            report = tmp_path / "classify.json"
+            assert cli.main(["classify", cell, "--out", str(report),
+                             "--sphere-count", "64"]) == EXIT_OK
+            payload = json.loads(report.read_text())
+            m_star = payload["osc_condition"]["m_star"]
+            assert row["verdict"] == payload["existence_verdict"]["verdict"]
+            assert row["osc_status"] == payload["osc_condition"]["status"]
+            assert row["m_star"] == ("" if m_star is None else f"{m_star:.17g}")
+        capsys.readouterr()
+
+    def test_sweep_computes_no_finite_part(self, tmp_path, capsys, monkeypatch):
+        # Rows print no finite part, so a sweep runs neither envelope
+        # integral, rate fits included; classify still does.
+        from hessianls import criteria, envelope
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite-part quadrature in a sweep")
+
+        for module in (criteria, envelope):
+            for name in ("growth_primitive", "oscillation_integral"):
+                monkeypatch.setattr(module, name, forbidden)
+        radial = self._template(tmp_path, coefficient={"kind": "power_tail", "l": 0.0},
+                                grid={"r_max": 1e3, "nodes_per_decade": 16})
+        field = _write(tmp_path, "field.json", {
+            "n": 3, "k": 1, "gamma": 0.5, "grid": {"r_max": 100.0, "nodes_per_decade": 16},
+            "coefficient": {"kind": "builtin_field", "name": "anisotropic_power",
+                            "l": 1.0, "m": 3.5}})
+        for spec_path, vary, expected in ((radial, "l=0,1.5,2.5", ["Large", "Large", "Bounded"]),
+                                          (field, "m=2.5,3.5", ["Large", "Large"])):
+            out_path = tmp_path / "sweep.csv"
+            assert cli.main(["sweep", spec_path, "--vary", vary,
+                             "--out", str(out_path)]) == EXIT_OK
+            with open(out_path) as handle:
+                rows = list(csv.DictReader(handle))
+            assert [row["verdict"] for row in rows] == expected
+            assert all(row["error"] == "" for row in rows)
+        assert rows[0]["osc_status"] == "violated" and rows[1]["osc_status"] == "satisfied"
+        with pytest.raises(AssertionError, match="finite-part quadrature"):
+            cli.main(["classify", radial])
+        capsys.readouterr()
+
     def test_vary_validation(self, tmp_path, capsys):
         spec_path = self._template(tmp_path)
         assert cli.main(["sweep", spec_path, "--vary", "bogus=1,2"]) == EXIT_INVALID
@@ -832,6 +932,44 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert all(repr(name) in err for name in cli._VARY_SECTIONS)
         assert "'tail_exponent'" in err and "'path'" not in err
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_match_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process; a run of in-process calls
+        # gives the stdout, stderr, exit codes and files of calls that each
+        # build their own, and no --vary list leaks into the next call.
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "power_tail", "l": 1.0},
+            grid={"r_max": 100.0, "nodes_per_decade": 16}))
+        calls = [["sweep", spec_path, "--vary", "l=1,3", "--no-rates"],
+                 ["sweep", spec_path, "--vary", "gamma=0.25", "--no-rates",
+                  "--out", "{out}/sweep.csv"],
+                 ["classify", spec_path, "--out", "{out}/classify.json"],
+                 ["sweep", spec_path, "--vary"]]
+
+        def run(out):
+            out.mkdir()
+            results = []
+            for argv in calls:
+                try:
+                    code = cli.main([arg.format(out=out) for arg in argv])
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results, {path.name: path.read_bytes() for path in out.iterdir()}
+
+        assert cli._parser() is cli._parser()
+        reused = run(tmp_path / "reused")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = run(tmp_path / "fresh")
+        assert reused == fresh
+        codes = [code for code, _, _ in reused[0]]
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, 2]
+        assert len(reused[0][0][1].splitlines()) == 3  # header and the two l cells
+        assert reused[1]["sweep.csv"].count(b"\n") == 2  # header and one gamma cell
+        assert "expected one argument" in reused[0][3][2]
 
 
 class TestTopLevelErrors:

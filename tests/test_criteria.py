@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessianls import envelope
+from hessianls import criteria, envelope
 from hessianls.asymptotics import fit_exponent
 from hessianls.cli import ProblemSpec
 from hessianls.coefficients import (
@@ -22,11 +22,13 @@ from hessianls.criteria import (
     LARGE,
     bounded_solution_bound,
     classify_existence,
+    existence_verdict,
     growth_primitive,
     jensen_conditions,
     keller_osserman_integrand,
     oscillation_condition,
     oscillation_threshold,
+    oscillation_verdict,
     tail_exponent_of,
 )
 from hessianls.envelope import compute_b_tilde
@@ -458,3 +460,35 @@ class TestOneTailRule:
             assert osc.m_star == 2 * k
         if osc.satisfied:
             assert math.isfinite(osc.integral)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=_declared_tails())
+    def test_verdicts_need_no_quadrature(self, case):
+        # existence_verdict and oscillation_verdict decide what the reports
+        # decide, from the tails alone
+        params, l, m = case
+        triple = _aniso_triple(l, m)
+        existence = classify_existence(triple.b_star, params, r_max=20.0)
+        osc = oscillation_condition(triple, params, r_max=20.0)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("growth_primitive", "oscillation_integral"):
+                patch.setattr(criteria, name, _no_quadrature)
+            verdict, est = existence_verdict(triple.b_star, params)
+            status, m_star, est_star, est_osc = oscillation_verdict(triple, params)
+        assert (verdict, est.exponent) == (existence.verdict, existence.tail_exponent)
+        assert (status, m_star) == (osc.status, osc.m_star)
+        assert (est_star.exponent, est_osc.exponent) == (osc.tail_star, osc.tail_osc)
+
+    @pytest.mark.parametrize("triple, status", [
+        (triple_from_radial(RadialProfile.power_tail(1.0)), "satisfied"),
+        (RadializedTriple(B_ONE, B_ONE, RadialProfile.from_callable(
+            lambda r: 0.1 / (1.0 + np.asarray(r) ** 2))), "inconclusive"),
+    ], ids=["negligible", "no-osc-tail"])
+    def test_verdict_without_tails_has_no_m_star(self, monkeypatch, triple, status):
+        monkeypatch.setattr(criteria, "oscillation_integral", _no_quadrature)
+        assert oscillation_verdict(triple, ProblemParams(n=3, k=1, gamma=0.5))[:2] == (
+            status, None)
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a verdict ran finite-part quadrature")

@@ -52,6 +52,34 @@ def test_bench_record_stepper_counters():
     assert counters["rhs_evals"] == 6 + 6 * (counters["accepted"] + counters["rejected"])
 
 
+def test_bench_record_keeps_raw_and_host_lines(monkeypatch):
+    # A run's scaled metrics come from its last line; the raw.* and host.*
+    # lines printed before it are kept beside them, the others are not.
+    module = _load("bench_record.py")
+    printed = "\n".join([
+        "[radial-sweep seed 0 trace 0]",
+        f"{'ops_per_s':34s} {101.5:.6g} 1/s",
+        f"{'raw.setup_s':34s} {0.61234567:.6g} s",
+        f"{'raw.ops_per_s':34s} {93.25:.6g} 1/s",
+        f"{'host.setup_scale':34s} {0.97:.6g} 1",
+        f"{'host.run_scale':34s} {1.088:.6g} 1",
+        f"{'op_count':34s} {1176:.6g} count",
+        json.dumps({"correct": True, "attempted": 1176, "failed": 0,
+                    "metrics": {"ops_per_s": {"value": 101.5, "unit": "1/s"}}}),
+    ]) + "\n"
+    argvs = []
+    monkeypatch.setattr(module, "_child", lambda root, argv: argvs.append(argv) or printed)
+    result = module.run_workload("checkout", "radial-sweep", 30.0)
+    assert argvs[0][1:] == ["--workload", "radial-sweep", "--seed", "0", "--seconds", "30.0",
+                            "--trace", "0"]
+    assert result["metrics"] == {"ops_per_s": {"value": 101.5, "unit": "1/s"}}
+    assert result["raw_and_host"] == {
+        "raw.setup_s": {"value": 0.612346, "unit": "s"},
+        "raw.ops_per_s": {"value": 93.25, "unit": "1/s"},
+        "host.setup_scale": {"value": 0.97, "unit": "1"},
+        "host.run_scale": {"value": 1.088, "unit": "1"}}
+
+
 def test_bench_record_file_layout(monkeypatch, tmp_path):
     # record() without running the benchmark: every workload's last-line
     # JSON and the counters land in BENCH_<src-tree>.json, run for the

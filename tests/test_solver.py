@@ -178,6 +178,14 @@ class TestSolveCauchy:
                                                  r"\(b\(0\) = 1e-200, a = 1e-100, gamma = 1.9\)"):
             solve_cauchy(params, RadialProfile.constant(1e-200), RadialGrid.build(10.0))
 
+    def test_overflowing_a_gamma_is_refused(self):
+        # a^gamma = 1e570 passes the float range: a direct call (no spec in
+        # between) once ended in OverflowError from the series start
+        params = ProblemParams(n=5, k=2, gamma=1.9, a=1e300)
+        with pytest.raises(ParameterError, match=r"a\^gamma overflows the float range "
+                                                 r"\(a = 1e\+300, gamma = 1.9\)"):
+            solve_cauchy(params, B_ONE, RadialGrid.build(10.0))
+
     @pytest.mark.parametrize("n, k, gamma, r_max, per_decade", [
         (1029, 514, 0.5, 1.0, 32), (150, 2, 1.0, 100.0, 48)])
     def test_large_n_solves(self, n, k, gamma, r_max, per_decade):
