@@ -42,7 +42,7 @@ from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdic
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
-from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, conservation_defect,
+from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, conservation_defect,
                      residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
@@ -122,9 +122,12 @@ _VARY_SECTIONS = {key: section for section, tables in (
 # Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
 # as nodes_per_decade times the decades from r_lin to r_max (at least one),
 # and ceil(n / 32) times that for the conservation check, which refines the
-# grid max(2, ceil(n / 16))-fold; the J tables refine it 4x with 12 Gauss
-# points per cell, about 19 MB per table at the budget.  classify and
-# sandwich sample from MIN_SPHERE_COUNT to _MAX_SPHERE_COUNT points per
+# grid max(2, ceil(n / 16))-fold.  The J tables (envelope.fine_nodes) do not
+# refine the spec grid: they refine the default grid for r_max 4x (at most
+# 59,185 nodes, at r_max near the float maximum) and merge in the radii
+# asked for, the spec grid's nodes where sandwich asks.  That is at most
+# about 100,000 nodes, 10 MB per (cells, 12) array of Gauss points.  classify
+# and sandwich sample from MIN_SPHERE_COUNT to _MAX_SPHERE_COUNT points per
 # sphere.  The goldens and benchmarks ask for at most about 250 nodes and 256
 # points.
 _MAX_GRID_NODES = 50_000
@@ -188,11 +191,8 @@ class ProblemSpec:
         if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
-        if not MIN_REL_TOL <= tolerances["rel"] < 1.0:
-            raise ParameterError(f"spec.tolerances.rel: must lie in [{MIN_REL_TOL:.3g}, 1), "
-                                 f"got {tolerances['rel']}")
-        if tolerances["abs"] <= 0.0:
-            raise ParameterError(f"spec.tolerances.abs: must be positive, got {tolerances['abs']}")
+        check_tolerances(tolerances["rel"], tolerances["abs"],
+                         ("spec.tolerances.rel", "spec.tolerances.abs"))
         # The coefficient is built here and nowhere else, so its own checks
         # run on every subcommand and every sweep cell.
         kwargs = dict(coefficient)
@@ -507,9 +507,10 @@ def cmd_sweep(args) -> int:
         for (name, _), value in zip(vary, combo):
             cell = _apply_override(cell, name, value)
         payloads.append((cell, base_dir, not args.no_rates))
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at once: no more than cells or cores
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]

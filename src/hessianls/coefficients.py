@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -399,9 +397,9 @@ MIN_SPHERE_COUNT = 32
 # hundred kB whatever the sphere count.
 _BLOCK_COORDS = 32768
 
-# radialize keeps at most this many unit-sphere coordinates per process,
-# across all (dim, count) keys: 2^20 (8 MiB), about twice the 256-point rows
-# of a 129-radius grid in each of dims 3, 5 and 7.
+# radialize keeps at most this many unit-sphere coordinates per process, in
+# _STORE_COORDS // _BLOCK_COORDS blocks: 2^20 (8 MiB), about twice the
+# 256-point rows of a 129-radius grid in each of dims 3, 5 and 7.
 _STORE_COORDS = 1 << 20
 
 # Cephes ndtri: rational approximations of the normal quantile on
@@ -555,64 +553,15 @@ def _sphere_table(dim: int, count: int, first: int, stop: int) -> np.ndarray:
     return coords
 
 
-def _index_blocks(dim: int, count: int, first: int, stop: int):
-    """(first, end) blocks covering radius indices first..stop-1, each of at
-    most _BLOCK_COORDS coordinates and at least one index."""
-    step = max(1, _BLOCK_COORDS // (count * dim))
-    return ((i, min(i + step, stop)) for i in range(first, stop, step))
-
-
-class _SphereRows:
-    """The unit-sphere rows radialize draws, kept for the life of the process.
-
-    Rows depend only on (dim, count, radius index), never on the radii, so
-    the rows of indices 1..N of one (dim, count) serve every grid with at
-    most N + 1 nodes.  Each key holds one read-only (N, count, dim) array,
-    grown by _sphere_table blocks when a longer grid asks.  The keys share
-    _STORE_COORDS coordinates: the least recently used go first when a new
-    or grown key does not fit, and a request beyond the budget on its own is
-    drawn block by block and not kept."""
-
-    def __init__(self):
-        self._rows = OrderedDict()   # (dim, count) -> rows, least recently used first
-        self._lock = threading.Lock()
-
-    def coords(self) -> int:
-        return sum(rows.size for rows in self._rows.values())
-
-    def blocks(self, dim: int, count: int, stop: int):
-        """(first, end, table) per block of radius indices first..end-1 that
-        covers 1..stop-1 in at most _BLOCK_COORDS coordinates (one index at
-        least); table[j] holds the unit-sphere points of index first + j."""
-        kept = self._kept(dim, count, stop)
-        for first, end in _index_blocks(dim, count, 1, stop):
-            yield first, end, (_sphere_table(dim, count, first, end) if kept is None
-                               else kept[first - 1:end - 1])
-
-    def _kept(self, dim: int, count: int, stop: int) -> Optional[np.ndarray]:
-        """The kept rows of indices 1..stop-1, grown if need be; None when
-        they alone exceed the budget."""
-        size = (stop - 1) * count * dim
-        if size > _STORE_COORDS:
-            return None
-        with self._lock:
-            rows = self._rows.pop((dim, count), None)
-            have = 0 if rows is None else rows.shape[0]
-            if have < stop - 1:
-                while self._rows and self.coords() + size > _STORE_COORDS:
-                    self._rows.popitem(last=False)
-                grown = np.empty((stop - 1, count, dim))
-                if rows is not None:
-                    grown[:have] = rows
-                for first, end in _index_blocks(dim, count, have + 1, stop):
-                    grown[first - 1:end - 1] = _sphere_table(dim, count, first, end)
-                grown.setflags(write=False)
-                rows = grown
-            self._rows[dim, count] = rows
-        return rows[:stop - 1]
-
-
-_SPHERE_ROWS = _SphereRows()
+@lru_cache(maxsize=_STORE_COORDS // _BLOCK_COORDS)
+def _unit_block(dim: int, count: int, first: int, end: int) -> np.ndarray:
+    """The read-only _sphere_table(dim, count, first, end) of one radialize
+    block, kept for the life of the process.  Rows depend only on (dim,
+    count, radius index), never on the radii, and block boundaries only on
+    (dim, count), so a block serves every grid that reaches it."""
+    table = _sphere_table(dim, count, first, end)
+    table.setflags(write=False)
+    return table
 
 
 def sphere_points(dim: int, count: int, radius_index: int = 0) -> np.ndarray:
@@ -827,11 +776,12 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     converge monotonically as the count doubles.
 
     The radii go in blocks of at most _BLOCK_COORDS coordinates (at least
-    one radius each): one slice of the unit-sphere rows the process keeps
-    (see _SphereRows), one field call on the block's (radii * sphere_count,
-    dim) points and a per-radius min and max.  The envelopes equal those of
-    a one-radius-at-a-time loop bit for bit, and go through
-    :func:`check_coefficient` once, the origin included.
+    one radius each): the block's unit-sphere rows, kept by
+    :func:`_unit_block` unless one row alone exceeds a block, one field call
+    on the block's (radii * sphere_count, dim) points and a per-radius min
+    and max.  The envelopes equal those of a one-radius-at-a-time loop bit
+    for bit, and go through :func:`check_coefficient` once, the origin
+    included.
     """
     if sphere_count < MIN_SPHERE_COUNT:
         raise CoefficientError(f"sphere_count must be >= {MIN_SPHERE_COUNT}, got {sphere_count}")
@@ -842,7 +792,12 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     star = np.empty(nodes.size)
     upper = np.empty(nodes.size)
     star[0] = upper[0] = _one_per_point(field(np.zeros((1, dim))), 1, "field")[0]
-    for first, stop, unit in _SPHERE_ROWS.blocks(dim, sphere_count, nodes.size):
+    step = max(1, _BLOCK_COORDS // (sphere_count * dim))
+    for first in range(1, nodes.size, step):
+        stop = min(first + step, nodes.size)
+        unit = (_sphere_table(dim, sphere_count, first, stop)
+                if sphere_count * dim > _BLOCK_COORDS   # one row beyond a block: not kept
+                else _unit_block(dim, sphere_count, first, first + step)[:stop - first])
         pts = nodes[first:stop, None, None] * unit
         vals = _one_per_point(field(pts.reshape(-1, dim)), pts.shape[0] * sphere_count,
                               "field").reshape(-1, sphere_count)

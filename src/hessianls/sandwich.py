@@ -28,7 +28,8 @@ from .core import ProblemParams, RadialCurve, RadialGrid
 from .criteria import OscillationReport, oscillation_condition
 from .envelope import bounded_solution_bound, growth_primitive
 from .errors import OrderingError, OscillationError, ParameterError
-from .solver import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, solve_cauchy, write_curve_csv
+from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, solve_cauchy,
+                     write_curve_csv)
 
 
 def supersolution_envelope(params: ProblemParams, b_star, beta: float, r):
@@ -103,6 +104,7 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
     ordering fails anyway the OrderingError reports the violating radius
     and a suggested larger margin.
     """
+    check_tolerances(rel_tol, abs_tol)
     if beta is not None and not np.isfinite(beta):
         raise ParameterError(f"beta must be a finite number, got {beta}")
     if margin is not None and not 0.0 <= margin < np.inf:

@@ -266,6 +266,18 @@ def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
 # main solver
 # ---------------------------------------------------------------------------
 
+def check_tolerances(rel_tol: float, abs_tol: float,
+                     names=("rel_tol", "abs_tol")) -> None:
+    """Refuse tolerances solve_cauchy cannot honour: rel_tol outside
+    [MIN_REL_TOL, 1) or abs_tol not positive.  ``names`` label the two in
+    the message."""
+    if not MIN_REL_TOL <= rel_tol < 1.0:
+        raise ParameterError(f"{names[0]}: must lie in [{MIN_REL_TOL:.3g}, 1), got {rel_tol}")
+    if not abs_tol > 0.0:
+        raise ParameterError(f"{names[1]}: must be positive, got {abs_tol}")
+
+
+
 def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
                  rel_tol: float = DEFAULT_REL_TOL,
                  abs_tol: float = DEFAULT_ABS_TOL) -> RadialCurve:
@@ -282,13 +294,15 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
         is reported.
     rel_tol, abs_tol : float
         Relative tolerance on u and M (the stepper runs at rel_tol / 10)
-        and an absolute floor abs_tol * max(1, a) on the error of u.
+        and an absolute floor abs_tol * max(1, a) on the error of u; see
+        :func:`check_tolerances` for the values accepted.
 
     Returns
     -------
     RadialCurve
         u, u', u'' at the nodes, with a dense (u, ln M) evaluator attached.
     """
+    check_tolerances(rel_tol, abs_tol)
     nodes = grid.nodes
     if not nodes[1] > 4.0 * _MIN_SERIES_RADIUS:
         raise ParameterError(f"the grid's first positive radius {nodes[1]:g} must exceed "

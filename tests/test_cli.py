@@ -792,6 +792,39 @@ class TestSweepCommand:
         assert cli.main(args + ["--out", str(parallel), "--jobs", "2"]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("cores, cells, workers", [
+        (64, 2, 2), (64, 3, 3), (2, 3, 2), (None, 3, None)])
+    def test_pool_no_larger_than_cells_or_cores(self, tmp_path, monkeypatch,
+                                                cores, cells, workers):
+        # an in-process stand-in records the pool size, so a large --jobs
+        # forks nothing here; None means no pool at all
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        spec_path = self._template(tmp_path)
+        values = ",".join(f"{l:.1f}" for l in range(1, cells + 1))
+        args = ["sweep", spec_path, "--vary", f"l={values}", "--no-rates"]
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert cli.main(args + ["--out", str(serial)]) == EXIT_OK
+        assert sizes == []
+        assert cli.main(args + ["--out", str(pooled), "--jobs", "100000"]) == EXIT_OK
+        assert sizes == ([] if workers is None else [workers])
+        assert serial.read_bytes() == pooled.read_bytes()
+
     def test_rate_fit_columns(self, tmp_path):
         # l = 0 <= k - 1 in the Large regime triggers the solve-based fit.
         spec_path = self._template(

@@ -2,6 +2,8 @@
 
 import bisect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -670,11 +672,11 @@ class TestRadialize:
 
 
 @pytest.fixture
-def store(monkeypatch):
-    """A fresh store of unit-sphere rows in place of the process's own."""
-    fresh = coefficients._SphereRows()
-    monkeypatch.setattr(coefficients, "_SPHERE_ROWS", fresh)
-    return fresh
+def blocks():
+    """The process's cache of unit-sphere blocks, emptied before and after."""
+    coefficients._unit_block.cache_clear()
+    yield coefficients._unit_block
+    coefficients._unit_block.cache_clear()
 
 
 class TestSphereRows:
@@ -684,49 +686,95 @@ class TestSphereRows:
         triple = radialize(self.FIELD, grid, sphere_count=count)
         return triple.b_star.values, triple.b_upper.values, triple.b_osc.values
 
-    def test_cold_warm_grown_and_prefix_runs_agree(self, store):
-        # rows depend on the radius index only: a short grid's rows are a
-        # prefix of a long grid's, whatever the radii
-        short = RadialGrid.build(1e2, nodes_per_decade=16)
-        long = RadialGrid.build(1e4, nodes_per_decade=16)
+    @staticmethod
+    def _block_count(grid, dim=5, count=64):
+        return -(-(len(grid) - 1) // (coefficients._BLOCK_COORDS // (count * dim)))
+
+    def test_cold_warm_grown_and_prefix_runs_agree(self, blocks):
+        # rows depend on the radius index only: a short grid's blocks are a
+        # prefix of a long grid's, its last one sliced, whatever the radii
+        short = RadialGrid.build(1e2, nodes_per_decade=64)
+        long = RadialGrid.build(1e4, nodes_per_decade=64)
+        assert 1 < self._block_count(short) < self._block_count(long)
+        assert (len(short) - 1) % (coefficients._BLOCK_COORDS // (64 * 5)) != 0
         expect = {id(grid): _per_radius_envelopes(self.FIELD, grid.nodes, 64)
                   for grid in (short, long)}
         for grid in (short, long, long, short):   # cold, grown, warm, prefix
             for got, want in zip(self._envelopes(grid), expect[id(grid)]):
                 assert np.array_equal(got, want)
-        assert list(store._rows) == [(5, 64)]
-        assert store._rows[5, 64].shape == (len(long) - 1, 64, 5)
+        info = blocks.cache_info()
+        assert info.misses == info.currsize == self._block_count(long)
+        assert info.hits == self._block_count(short) * 2 + self._block_count(long)
 
-    def test_kept_rows_are_read_only_rows_of_sphere_points(self, store):
-        radialize(self.FIELD, RadialGrid.build(1e2, nodes_per_decade=16), sphere_count=64)
-        rows = store._rows[5, 64]
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0, 0] = 0.0
-        for i in range(1, rows.shape[0] + 1):
-            points = sphere_points(5, 64, radius_index=i)
-            assert points.flags.writeable and np.array_equal(points, rows[i - 1])
+    def test_kept_rows_are_read_only_rows_of_sphere_points(self, blocks):
+        grid = RadialGrid.build(1e2, nodes_per_decade=64)
+        radialize(self.FIELD, grid, sphere_count=64)
+        step = coefficients._BLOCK_COORDS // (64 * 5)
+        for first in range(1, len(grid), step):
+            rows = blocks(5, 64, first, first + step)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0, 0] = 0.0
+            for j in range(step):
+                points = sphere_points(5, 64, radius_index=first + j)
+                assert points.flags.writeable and np.array_equal(points, rows[j])
+        assert blocks.cache_info().misses == self._block_count(grid)
 
-    def test_least_recently_used_key_goes_first(self, store, monkeypatch):
+    def test_least_recently_used_key_goes_first(self, blocks):
+        # 32 radii of up to 96 points in 5 dimensions: one block per count
         grid = RadialGrid.build(1e2, nodes_per_decade=16)
-        # room for the rows of counts 64 and 65, not for a third key
-        monkeypatch.setattr(coefficients, "_STORE_COORDS", (len(grid) - 1) * 5 * (64 + 65))
-        for count in (64, 65, 64, 63):   # 64 is used again before 63 arrives
+        maxsize = blocks.cache_info().maxsize
+        assert maxsize * coefficients._BLOCK_COORDS <= coefficients._STORE_COORDS
+        assert self._block_count(grid, count=64 + maxsize) == 1
+        for count in range(64, 64 + maxsize):   # fills the cache
             radialize(self.FIELD, grid, sphere_count=count)
-        assert list(store._rows) == [(5, 64), (5, 63)]
-        assert store.coords() <= coefficients._STORE_COORDS
+        radialize(self.FIELD, grid, sphere_count=64)   # 64 used again ...
+        radialize(self.FIELD, grid, sphere_count=64 + maxsize)   # ... before a new one
+        assert blocks.cache_info().currsize == maxsize
+        misses = blocks.cache_info().misses
+        radialize(self.FIELD, grid, sphere_count=64)
+        assert blocks.cache_info().misses == misses
+        radialize(self.FIELD, grid, sphere_count=65)   # the least recently used went
+        assert blocks.cache_info().misses == misses + 1
 
-    def test_request_beyond_the_budget_is_drawn_and_not_kept(self, store):
-        # 24 radii of 16384 points in 3 dimensions: 1.2M coordinates
+    def test_request_beyond_the_budget_is_drawn_and_not_kept(self, blocks):
+        # one row of 16384 points in 3 dimensions exceeds a block
         field = make_builtin_field("counterexample")
         small = RadialGrid.build(10.0, nodes_per_decade=8)
         big = RadialGrid.build(10.0, nodes_per_decade=24)
-        assert (len(big) - 1) * 16384 * 3 > coefficients._STORE_COORDS
+        assert 16384 * 3 > coefficients._BLOCK_COORDS
         radialize(field, small, sphere_count=64)
+        kept = blocks.cache_info()
         triple = radialize(field, big, sphere_count=16384)
         star, upper, osc = _per_radius_envelopes(field, big.nodes, 16384)
         assert np.array_equal(triple.b_star.values, star)
         assert np.array_equal(triple.b_upper.values, upper)
         assert np.array_equal(triple.b_osc.values, osc)
-        assert list(store._rows) == [(3, 64)]
-        assert store.coords() <= coefficients._STORE_COORDS
+        assert blocks.cache_info() == kept
+
+    def test_two_threads_on_a_cold_cache_agree(self, blocks):
+        grid = RadialGrid.build(1e4, nodes_per_decade=64)
+        expect = _per_radius_envelopes(self.FIELD, grid.nodes, 64)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def run(slot):
+            start.wait()
+            results[slot] = self._envelopes(grid)
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            for values, want in zip(got, expect):
+                assert np.array_equal(values, want)
+        assert blocks.cache_info().currsize == self._block_count(grid)
+

@@ -153,11 +153,12 @@ def _functions(tree):
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)
 def test_one_store_of_sphere_rows(module):
-    # radialize reaches the unit-sphere table only through the rows the
-    # process keeps; sphere_points draws its one row itself
+    # radialize reaches kept unit-sphere rows only through the block cache
+    # and draws the table itself only for a row beyond a block; sphere_points
+    # draws its one row itself
     source = (PACKAGE / f"{module}.py").read_text()
     if module != "coefficients":
-        assert not re.search(r"_sphere_table|_SphereRows|_SPHERE_ROWS", source)
+        assert not re.search(r"_sphere_table|_unit_block", source)
         return
     functions = dict(_functions(ast.parse(source)))
 
@@ -166,9 +167,11 @@ def test_one_store_of_sphere_rows(module):
                 if any(isinstance(node, ast.Call) and ast.unparse(node.func) == name
                        for node in ast.walk(function))}
 
-    assert callers("_sphere_table") == {"_SphereRows.blocks", "_SphereRows._kept",
-                                        "sphere_points"}
-    assert callers("_SPHERE_ROWS.blocks") == {"radialize"}
+    assert callers("_sphere_table") == {"_unit_block", "radialize", "sphere_points"}
+    assert callers("_unit_block") == {"radialize"}
+    assert [ast.unparse(node) for node in functions["_unit_block"].decorator_list] == [
+        "lru_cache(maxsize=_STORE_COORDS // _BLOCK_COORDS)"]
+    assert not re.search(r"\bthreading\b|OrderedDict", source)
 
 
 def test_spec_coefficient_built_only_when_read():

@@ -13,7 +13,8 @@ from hessianls.coefficients import (
     triple_from_radial,
 )
 from hessianls.core import ProblemParams, RadialGrid
-from hessianls.errors import OrderingError, OscillationError
+from hessianls import sandwich
+from hessianls.errors import OrderingError, OscillationError, ParameterError
 from hessianls.sandwich import (
     bounded_dominance_bound,
     build_sandwich,
@@ -137,6 +138,18 @@ class TestBuildSandwich:
         grid = RadialGrid.build(10.0)
         with pytest.raises(OrderingError):
             build_sandwich(triple_from_radial(B_ONE), laplace_params, grid, beta=0.9)
+
+    @pytest.mark.parametrize("tolerances", [{"rel_tol": 0.0}, {"rel_tol": -1e-8},
+                                            {"abs_tol": 0.0}])
+    def test_tolerances_refused_before_any_work(self, laplace_params, monkeypatch,
+                                                 tolerances):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the oscillation check ran")
+
+        monkeypatch.setattr(sandwich, "oscillation_condition", no_work)
+        with pytest.raises(ParameterError, match=r"(rel|abs)_tol: must "):
+            build_sandwich(triple_from_radial(B_ONE), laplace_params, RadialGrid.build(10.0),
+                           **tolerances)
 
     def test_save_artifacts(self, laplace_params, tmp_path):
         grid = RadialGrid.build(20.0, nodes_per_decade=12)

@@ -7,7 +7,7 @@ import pytest
 
 from hessianls.coefficients import RadialProfile
 from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
-from hessianls import envelope
+from hessianls import envelope, solver
 from hessianls.envelope import BreakLine, flux_integral, flux_slope
 from hessianls.errors import (
     BlowupGuardError,
@@ -185,6 +185,27 @@ class TestSolveCauchy:
         with pytest.raises(ParameterError, match=r"a\^gamma overflows the float range "
                                                  r"\(a = 1e\+300, gamma = 1.9\)"):
             solve_cauchy(params, B_ONE, RadialGrid.build(10.0))
+
+    @pytest.mark.parametrize("rel_tol, abs_tol, message", [
+        (0.0, 1e-12, r"rel_tol: must lie in \[2.22e-14, 1\), got 0.0$"),
+        (1e-300, 1e-12, r"rel_tol: must lie in .*, got 1e-300$"),
+        (MIN_REL_TOL / 2, 1e-12, r"rel_tol: must lie in "),
+        (-1e-8, 1e-12, r"rel_tol: must lie in .*, got -1e-08$"),
+        (1.0, 1e-12, r"rel_tol: must lie in .*, got 1.0$"),
+        (1e-8, -1.0, r"abs_tol: must be positive, got -1.0$"),
+        (1e-8, 0.0, r"abs_tol: must be positive, got 0.0$")])
+    def test_tolerances_it_cannot_honour_are_refused(self, monkeypatch, rel_tol, abs_tol,
+                                                      message):
+        # rel_tol = 0 once divided by zero, and a tiny one ground on for
+        # millions of steps; the refusal comes before the first step
+        def no_steps(*args):
+            raise AssertionError("the stepper ran")
+
+        monkeypatch.setattr(solver, "_dopri5", no_steps)
+        params = ProblemParams(n=4, k=2, gamma=1.0)
+        with pytest.raises(ParameterError, match=message):
+            solve_cauchy(params, RadialProfile.power_tail(1.0), RadialGrid.build(1e4),
+                         rel_tol=rel_tol, abs_tol=abs_tol)
 
     @pytest.mark.parametrize("n, k, gamma, r_max, per_decade", [
         (1029, 514, 0.5, 1.0, 32), (150, 2, 1.0, 100.0, 48)])
