@@ -33,17 +33,18 @@ import numpy as np
 
 from . import verify as verify_mod
 from .asymptotics import expected_rate, verify_rates
-from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_DIM, MIN_SPHERE_COUNT, RadialProfile,
-                           check_coefficient, load_profile_csv, radialize,
+from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_COUNT, MAX_SPHERE_DIM, MIN_SPHERE_COUNT,
+                           RadialProfile, check_coefficient, load_profile_csv, radialize,
                            triple_from_radial)
-from .core import LOG_FLOAT_MAX, ProblemParams, RadialGrid, gamma_k_membership
+from .core import (LOG_FLOAT_MAX, MAX_GRID_NODES, ProblemParams, RadialGrid,
+                   gamma_k_membership)
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
                        jensen_conditions, oscillation_condition, oscillation_verdict)
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, conservation_defect,
-                     residual_max, solve_cauchy, write_curve_csv)
+                     conservation_refinement, residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -119,19 +120,15 @@ _VARY_SECTIONS = {key: section for section, tables in (
     (None, [_TOP_LEVEL]), ("grid", [_GRID]), ("tolerances", [_TOLERANCES]),
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
-# Size budget.  A spec's grid may hold at most _MAX_GRID_NODES nodes, counted
-# as nodes_per_decade times the decades from r_lin to r_max (at least one),
-# and ceil(n / 32) times that for the conservation check, which refines the
-# grid max(2, ceil(n / 16))-fold.  The J tables (envelope.fine_nodes) do not
-# refine the spec grid: they refine the default grid for r_max 4x (at most
-# 59,185 nodes, at r_max near the float maximum) and merge in the radii
+# Size budget.  RadialGrid.build holds a spec's grid to MAX_GRID_NODES and
+# radialize the sphere count to MAX_SPHERE_COUNT; the spec reader holds the
+# conservation check's refinement of the grid (solver.conservation_refinement)
+# to twice MAX_GRID_NODES, naming spec.n.  The J tables (envelope.fine_nodes)
+# do not refine the spec grid: they refine the default grid for r_max 4x (at
+# most 59,185 nodes, at r_max near the float maximum) and merge in the radii
 # asked for, the spec grid's nodes where sandwich asks.  That is at most
-# about 100,000 nodes, 10 MB per (cells, 12) array of Gauss points.  classify
-# and sandwich sample from MIN_SPHERE_COUNT to _MAX_SPHERE_COUNT points per
-# sphere.  The goldens and benchmarks ask for at most about 250 nodes and 256
-# points.
-_MAX_GRID_NODES = 50_000
-_MAX_SPHERE_COUNT = 1 << 14
+# about 110,000 nodes, 10 MB per (cells, 12) array of Gauss points.  The
+# goldens and benchmarks ask for at most about 250 nodes and 256 points.
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -152,14 +149,15 @@ def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem specification (canonical form); ``built`` is the
-    RadialProfile or field its coefficient names, built once by from_dict."""
+    """Validated problem specification (canonical form); ``built`` (the
+    coefficient's RadialProfile or field) and ``built_grid`` are built once by from_dict."""
 
     params: ProblemParams
     coefficient: dict
     grid_cfg: dict
     tolerances: dict
     built: object = dataclass_field(repr=False, compare=False)
+    built_grid: RadialGrid = dataclass_field(repr=False, compare=False)
     base_dir: str = dataclass_field(default=".", compare=False)
 
     @classmethod
@@ -183,11 +181,14 @@ class ProblemSpec:
                 f"spec.a: a^gamma {'underflows to 0' if a_gamma == 0.0 else 'overflows'} for "
                 f"a = {params.a:g}, gamma = {params.gamma:g}; the series start at r = 0 "
                 f"needs it in the float range")
-        _check_grid_budget(params.n, **grid_cfg)
         try:
-            RadialGrid.check(**grid_cfg)
+            grid = RadialGrid.build(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
+        fine = (len(grid) - 1) * conservation_refinement(params.n) + 1
+        if fine > 2 * MAX_GRID_NODES:
+            raise ParameterError(f"spec.n: the conservation check refines the grid to {fine} "
+                                 f"nodes at n = {params.n}; at most {2 * MAX_GRID_NODES}")
         if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
@@ -210,7 +211,7 @@ class ProblemSpec:
             raise CoefficientError(f"spec.coefficient.dim: sphere sampling supports "
                                    f"dim <= {MAX_SPHERE_DIM}, got {built.dim}")
         return cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
-                   tolerances=tolerances, built=built, base_dir=base_dir)
+                   tolerances=tolerances, built=built, built_grid=grid, base_dir=base_dir)
 
     @staticmethod
     def _canonical_coefficient(raw) -> dict:
@@ -243,8 +244,7 @@ class ProblemSpec:
         }
 
     def grid(self) -> RadialGrid:
-        return RadialGrid.build(self.grid_cfg["r_max"], self.grid_cfg["r_lin"],
-                                self.grid_cfg["nodes_per_decade"])
+        return self.built_grid
 
     def is_radial(self) -> bool:
         return self.coefficient["kind"] in _RADIAL_KINDS
@@ -266,29 +266,12 @@ class ProblemSpec:
         return radialize(self.make_field(), self.grid(), sphere_count=sphere_count)
 
 
-def _check_grid_budget(n: int, r_lin: float, r_max: float, nodes_per_decade: int) -> None:
-    """Reject a grid beyond _MAX_GRID_NODES before it is built."""
-    if nodes_per_decade > _MAX_GRID_NODES:
-        raise ParameterError(f"spec.grid.nodes_per_decade: at most {_MAX_GRID_NODES}, "
-                             f"got {nodes_per_decade}")
-    if not (r_lin > 0.0 and r_max > 0.0):
-        return  # RadialGrid.check names the radius
-    decades = RadialGrid.decades(r_max, r_lin)
-    nodes, refine = nodes_per_decade * max(decades, 1.0), -(-n // 32)
-    if nodes * refine > _MAX_GRID_NODES:
-        raise ParameterError(
-            f"{'spec.grid.r_max' if nodes > _MAX_GRID_NODES else 'spec.n'}: r_lin = {r_lin:g} to "
-            f"r_max = {r_max:g} spans {decades:.4g} decades, {nodes:.4g} grid nodes at "
-            f"{nodes_per_decade} per decade, {refine} times that for the conservation check at "
-            f"n = {n}; the budget is {_MAX_GRID_NODES}")
-
-
 def _sphere_count(args) -> int:
     if args.sphere_count < MIN_SPHERE_COUNT:
         raise ParameterError(f"--sphere-count: at least {MIN_SPHERE_COUNT}, "
                              f"got {args.sphere_count}")
-    if args.sphere_count > _MAX_SPHERE_COUNT:
-        raise ParameterError(f"--sphere-count: at most {_MAX_SPHERE_COUNT}, "
+    if args.sphere_count > MAX_SPHERE_COUNT:
+        raise ParameterError(f"--sphere-count: at most {MAX_SPHERE_COUNT}, "
                              f"got {args.sphere_count}")
     return args.sphere_count
 
@@ -332,9 +315,6 @@ def cmd_solve(args) -> int:
         "conservation_defect": conservation_defect(curve, spec.params, profile),
         "curve_csv": curve_path,
     }
-    summary_path = _out_path(args.summary, args.spec, "_summary.json")
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2)
     if args.plot_data:
         plot_path = _out_path(None, args.spec, "_plotdata.csv")
         with open(plot_path, "w", newline="") as handle:
@@ -343,6 +323,9 @@ def cmd_solve(args) -> int:
                 for r, v in zip(grid.nodes, vals):
                     handle.write(f"{r:.17g},{name},{v:.17g}\n")
         summary["plot_data_csv"] = plot_path
+    summary_path = _out_path(args.summary, args.spec, "_summary.json")
+    with open(summary_path, "w") as handle:
+        json.dump(summary, handle, indent=2)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -381,8 +364,7 @@ def cmd_sandwich(args) -> int:
     sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
     triple = spec.triple(sphere_count=sphere_count)
-    grid = spec.grid()
-    report = build_sandwich(triple, spec.params, grid, beta=args.beta,
+    report = build_sandwich(triple, spec.params, spec.grid(), beta=args.beta,
                             margin=args.margin,
                             rel_tol=spec.tolerances["rel"],
                             abs_tol=spec.tolerances["abs"])
@@ -492,11 +474,15 @@ def _parse_vary(items):
             raise ParameterError(f"--vary {item!r}: values must be numbers") from None
         if not vals:
             raise ParameterError(f"--vary {item!r}: no values given")
+        if name in dict(out):
+            raise ParameterError(f"--vary {name}: given twice")
         out.append((name, vals))
     return out
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs: at least 1, got {args.jobs}")
     template = load_spec(args.spec)
     raw, base_dir = template.to_dict(), template.base_dir
     vary = _parse_vary(args.vary)

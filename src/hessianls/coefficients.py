@@ -389,8 +389,9 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # (and so radialize) supports.
 MAX_SPHERE_DIM = len(_PRIMES)
 
-# radialize samples at least this many points per sphere.
+# radialize samples from MIN_SPHERE_COUNT to MAX_SPHERE_COUNT points per sphere.
 MIN_SPHERE_COUNT = 32
+MAX_SPHERE_COUNT = 1 << 14
 
 # radialize draws its radii in blocks of at most this many sphere
 # coordinates (rows * count * dim), so its transient arrays stay a few
@@ -770,10 +771,11 @@ def triple_from_radial(profile: RadialProfile) -> RadializedTriple:
 def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTriple:
     """Tabulate the spherical envelopes of ``field`` on ``grid``.
 
-    ``sphere_count`` points per radius (>= MIN_SPHERE_COUNT) are drawn from the nested
-    deterministic sequence, rotated per radius.  The minimum over the
-    sample overestimates b_* and the maximum underestimates b^*, and both
-    converge monotonically as the count doubles.
+    ``sphere_count`` points per radius (MIN_SPHERE_COUNT to MAX_SPHERE_COUNT)
+    are drawn from the nested deterministic sequence, rotated per radius.
+    The minimum over the sample overestimates b_* and the maximum
+    underestimates b^*, and both converge monotonically as the count
+    doubles.
 
     The radii go in blocks of at most _BLOCK_COORDS coordinates (at least
     one radius each): the block's unit-sphere rows, kept by
@@ -783,8 +785,9 @@ def radialize(field, grid: RadialGrid, sphere_count: int = 256) -> RadializedTri
     for bit, and go through :func:`check_coefficient` once, the origin
     included.
     """
-    if sphere_count < MIN_SPHERE_COUNT:
-        raise CoefficientError(f"sphere_count must be >= {MIN_SPHERE_COUNT}, got {sphere_count}")
+    if not MIN_SPHERE_COUNT <= sphere_count <= MAX_SPHERE_COUNT:
+        raise CoefficientError(f"sphere_count must lie in [{MIN_SPHERE_COUNT}, "
+                               f"{MAX_SPHERE_COUNT}], got {sphere_count}")
     dim = getattr(field, "dim", None)
     if dim is None:
         raise CoefficientError("field must expose its dimension via a 'dim' attribute")

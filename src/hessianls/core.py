@@ -29,6 +29,9 @@ OVERFLOW_GUARD = 1e300
 # ln of the largest float: exp(x) overflows for x above it.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# The most nodes RadialGrid.build lays: 400 kB per array over the grid.
+MAX_GRID_NODES = 50_000
+
 
 def binomial(n: int, k: int) -> int:
     """Exact integer binomial coefficient C(n, k), zero for k > n as in
@@ -152,34 +155,31 @@ class RadialGrid:
 
     @classmethod
     def build(cls, r_max: float, r_lin: float = 10.0, nodes_per_decade: int = 48) -> "RadialGrid":
-        cls.check(r_max, r_lin, nodes_per_decade)
-        r_lin = min(r_lin, r_max)
-        n_lin = max(8, nodes_per_decade)
-        lin = np.linspace(0.0, r_lin, n_lin + 1)
-        if r_max <= r_lin:
-            return cls(lin, r_lin=r_lin)
-        decades = cls.decades(r_max, r_lin)
-        n_log = max(2, math.ceil(nodes_per_decade * decades))
-        log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
-        log_part[-1] = r_max
-        return cls(np.concatenate([lin, log_part]), r_lin=r_lin)
-
-    @staticmethod
-    def check(r_max: float, r_lin: float, nodes_per_decade: int) -> None:
-        """Raise ParameterError unless :meth:`build` accepts these arguments."""
+        """max(8, nodes_per_decade) + 1 linear nodes on [0, min(r_lin, r_max)], then
+        max(2, ceil(nodes_per_decade * decades)) log-spaced ones up to r_max > r_lin;
+        a count beyond MAX_GRID_NODES is refused before any array is laid."""
         if not 0 < r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, got {r_max}")
         if not 0 < r_lin < math.inf:
             raise ParameterError(f"r_lin must be positive and finite, got {r_lin}")
         if nodes_per_decade < 4:
             raise ParameterError(f"nodes_per_decade must be at least 4, got {nodes_per_decade}")
+        n_lin = max(8, nodes_per_decade)
+        if n_lin + 1 > MAX_GRID_NODES:  # before nodes_per_decade meets a float
+            raise ParameterError(f"nodes_per_decade = {nodes_per_decade} lays {n_lin + 1} "
+                                 f"nodes on [0, r_lin] alone; at most {MAX_GRID_NODES}")
+        decades = math.log10(r_max) - math.log10(r_lin)  # finite where r_max / r_lin is not
+        n_log = max(2, math.ceil(nodes_per_decade * decades)) if r_max > r_lin else 0
+        if n_lin + 1 + n_log > MAX_GRID_NODES:
+            raise ParameterError(f"r_max = {r_max:g} lies {decades:.4g} decades beyond r_lin = "
+                                 f"{r_lin:g}: {n_lin + 1 + n_log} nodes; at most {MAX_GRID_NODES}")
         if r_max / r_lin == math.inf:
             raise ParameterError(f"r_lin = {r_lin:g} is too small: r_max / r_lin overflows")
-
-    @staticmethod
-    def decades(r_max: float, r_lin: float) -> float:
-        """Decades from r_lin to r_max (at least 0), finite for positive floats."""
-        return max(math.log10(r_max) - math.log10(r_lin), 0.0)
+        r_lin = min(r_lin, r_max)
+        log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
+        nodes = np.concatenate([np.linspace(0.0, r_lin, n_lin + 1), log_part])
+        nodes[-1] = r_max  # r_lin itself where r_max <= r_lin
+        return cls(nodes, r_lin=r_lin)
 
     @property
     def r_max(self) -> float:

@@ -402,6 +402,12 @@ def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
     return float(np.max(np.abs(_sigma_k_defect(curve, params, b))))
 
 
+def conservation_refinement(n: int) -> int:
+    """max(2, ceil(n / 16)): :func:`conservation_defect`'s 12-point panels resolve
+    s^(n-1) on the grid's first linear cells once each is cut that many times."""
+    return max(2, -(-n // 16))
+
+
 def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """Relative mismatch between the propagated moment M and its defining
     integral recomputed from the solution by quadrature, from their logs.
@@ -415,9 +421,7 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    # the 12-point panels resolve s^(n-1) on the grid's first linear cells
-    # only once they are cut about n/16 times
-    fine = curve.grid.refined(max(2, math.ceil(params.n / 16)))
+    fine = curve.grid.refined(conservation_refinement(params.n))
     log_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
     _, log_curve = curve.dense(curve.grid.nodes[1:])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessianls import cli
+from hessianls import cli, core
 from hessianls.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRATION,
@@ -290,23 +290,36 @@ class TestProblemSpec:
             assert err.count("\n") == _FUZZ_EXITS[argv[0]][code], err
 
     @pytest.mark.parametrize("grid, fragment", [
-        ({"nodes_per_decade": 10**6}, "spec.grid.nodes_per_decade: at most 50000, got 1000000"),
-        ({"nodes_per_decade": 10**400}, "spec.grid.nodes_per_decade: at most 50000"),
+        ({"nodes_per_decade": 10**6}, "spec.grid: nodes_per_decade = 1000000 lays 1000001 "
+                                      "nodes on [0, r_lin] alone; at most 50000"),
+        ({"nodes_per_decade": 10**400}, f"spec.grid: nodes_per_decade = {10**400} lays "
+                                        f"{10**400 + 1} nodes on [0, r_lin] alone"),
         ({"r_lin": 1e-300, "r_max": 1e300, "nodes_per_decade": 100},
-         "spec.grid.r_max: r_lin = 1e-300 to r_max = 1e+300 spans 600 decades, 6e+04 grid nodes"),
-        ({"r_lin": 5e-324, "r_max": 1e308, "nodes_per_decade": 80}, "spec.grid.r_max: "),
-        # n = 10^6 refines the conservation grid 31250-fold: 1.5e6 nodes at r_max = 1
+         "spec.grid: r_max = 1e+300 lies 600 decades beyond r_lin = 1e-300: 60101 nodes; "
+         "at most 50000"),
+        ({"r_lin": 5e-324, "r_max": 1e308, "nodes_per_decade": 80}, "spec.grid: r_max = 1e+308 "),
+        # 50001 linear nodes and 50000 log-spaced ones: 100001 in all
+        ({"r_lin": 10.0, "r_max": 100.0, "nodes_per_decade": 50_000},
+         "spec.grid: nodes_per_decade = 50000 lays 50001 nodes on [0, r_lin] alone"),
+        # n = 10^6 cuts the 48 cells of the grid at r_max = 1 62500-fold
         ({"r_max": 1.0, "nodes_per_decade": 48, "n": 10**6},
-         "spec.n: r_lin = 10 to r_max = 1 spans 0 decades, 48 grid nodes at 48 per decade, "
-         "31250 times that for the conservation check at n = 1000000; the budget is 50000"),
-    ], ids=["dense", "beyond-float", "wide", "widest", "dimension"])
+         "spec.n: the conservation check refines the grid to 3000001 nodes at n = 1000000; "
+         "at most 100000"),
+    ], ids=["dense", "beyond-float", "wide", "widest", "decade-dense", "dimension"])
     def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,
                                                         grid, fragment):
-        def no_build(*args, **kwargs):
-            raise AssertionError("the grid was built")
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"a grid array was laid (numpy.{name})")
 
-        monkeypatch.setattr(cli.RadialGrid, "build", no_build)
+        def no_refinement(*args, **kwargs):
+            raise AssertionError("the conservation grid was laid")
+
         grid = dict(grid)
+        if "n" in grid:  # the spec's own grid fits; its refinement must not be laid
+            monkeypatch.setattr(cli.RadialGrid, "refined", no_refinement)
+        else:
+            monkeypatch.setattr(core, "np", NoArrays())
         raw = _constant_spec(n=grid.pop("n", 3), grid=grid)
         with pytest.raises(ParameterError, match=re.escape(fragment)):
             ProblemSpec.from_dict(raw)
@@ -318,6 +331,16 @@ class TestProblemSpec:
         # per decade from r_lin = 10 that is 7200 nodes
         raw = _constant_spec(grid={"r_max": 1e154, "nodes_per_decade": 48})
         assert ProblemSpec.from_dict(raw).grid_cfg["r_max"] == 1e154
+
+    def test_grid_built_once_when_read(self, monkeypatch):
+        builds = []
+        build = cli.RadialGrid.build
+        monkeypatch.setattr(cli.RadialGrid, "build",
+                            lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs))
+        spec = ProblemSpec.from_dict(_counterexample_spec())
+        assert spec.grid() is spec.grid()
+        assert np.array_equal(spec.triple(sphere_count=32).b_star.radii, spec.grid().nodes)
+        assert builds == [1]
 
     @pytest.mark.parametrize("command", ["classify", "sandwich"])
     def test_sphere_count_beyond_the_budget_is_rejected(self, monkeypatch, tmp_path, capsys,
@@ -396,6 +419,14 @@ class TestSolveCommand:
         series = {row["series"] for row in rows}
         assert series == {"u", "du", "d2u"}
         assert len(rows) % 3 == 0
+
+    def test_plot_data_path_in_summary_file(self, tmp_path, capsys):
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(grid={"r_max": 10.0}))
+        assert cli.main(["solve", spec_path, "--plot-data"]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((tmp_path / "spec_summary.json").read_text())
+        assert written == printed
+        assert written["plot_data_csv"] == str(tmp_path / "spec_plotdata.csv")
 
     def test_rejects_field_spec(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
@@ -952,6 +983,23 @@ class TestSweepCommand:
         spec_path = self._template(tmp_path)
         assert cli.main(["sweep", spec_path, "--vary", vary]) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_vary_name_given_twice_is_rejected(self, tmp_path, capsys):
+        spec_path = self._template(tmp_path)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "l=0.5", "--vary", "gamma=0.25",
+                         "--vary", "l=3.0", "--out", str(out_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --vary l: given twice\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_rejected(self, tmp_path, capsys, jobs):
+        spec_path = self._template(tmp_path)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", spec_path, "--vary", "l=1,2", "--jobs", jobs,
+                         "--out", str(out_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: --jobs: at least 1, got {jobs}\n"
+        assert not out_path.exists()
 
     def test_vary_accepts_every_numeric_spec_key(self, tmp_path, capsys):
         spec_path = self._template(tmp_path)

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 import sys
 import threading
 
@@ -11,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from hessianls import coefficients
 from hessianls.coefficients import (
+    MAX_SPHERE_COUNT,
+    MIN_SPHERE_COUNT,
     AnisotropicPowerField,
     QuadraticRootField,
     RadialProfile,
@@ -494,6 +497,18 @@ class TestRadialize:
         np.testing.assert_allclose(
             triple.b_star(r), (1 + r**2) ** -0.75, rtol=1e-9
         )
+
+    @pytest.mark.parametrize("count", [0, MIN_SPHERE_COUNT - 1, MAX_SPHERE_COUNT + 1, 10**9])
+    def test_sphere_count_beyond_its_bounds_is_refused_undrawn(self, monkeypatch, count):
+        def undrawn(*args):
+            raise AssertionError("unit-sphere rows were drawn")
+
+        monkeypatch.setattr(coefficients, "_sphere_table", undrawn)
+        monkeypatch.setattr(coefficients, "_unit_block", undrawn)
+        field = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=3)
+        with pytest.raises(CoefficientError, match=re.escape(
+                f"sphere_count must lie in [{MIN_SPHERE_COUNT}, {MAX_SPHERE_COUNT}], got {count}")):
+            radialize(field, RadialGrid.build(10.0), count)
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_anisotropic_envelopes_bracket_closed_form(self, dim):

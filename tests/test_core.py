@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hessianls import core
 from hessianls.core import (
+    MAX_GRID_NODES,
     ProblemParams,
     RadialCurve,
     RadialGrid,
@@ -198,6 +200,43 @@ class TestRadialGrid:
             RadialGrid(np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ParameterError):
             RadialGrid(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("r_max, r_lin, npd", [
+        (1e4, 10.0, 48),  # the default grid
+        (2.0, 10.0, 48), (5.0, 10.0, 4),  # r_max < r_lin: linear nodes only
+        (10.001, 10.0, 48), (1.001, 1.0, 4),  # spans far below one decade
+        (1e3, 10.0, 4), (1e6, 0.5, 333), (1e3, 10.0, 16_666),
+        (5.0, 10.0, MAX_GRID_NODES - 1), (5.0, 10.0, MAX_GRID_NODES),
+        (100.0, 10.0, MAX_GRID_NODES),  # 50001 linear and 50000 log-spaced nodes
+        (1e154, 10.0, 48),  # the widest default grid a spec at n = 3 admits
+    ])
+    def test_count_held_to_the_cap_is_the_count_laid(self, monkeypatch, r_max, r_lin, npd):
+        monkeypatch.setattr(core, "MAX_GRID_NODES", 10**9)
+        size = RadialGrid.build(r_max, r_lin, npd).nodes.size
+        monkeypatch.setattr(core, "MAX_GRID_NODES", size)
+        assert RadialGrid.build(r_max, r_lin, npd).nodes.size == size
+        monkeypatch.setattr(core, "MAX_GRID_NODES", size - 1)
+        with pytest.raises(ParameterError, match=f" {size} nodes\\b.*; at most {size - 1}$"):
+            RadialGrid.build(r_max, r_lin, npd)
+
+    @pytest.mark.parametrize("r_max, r_lin, npd, field", [
+        (100.0, 10.0, MAX_GRID_NODES, "nodes_per_decade"),
+        (5.0, 10.0, 10**400, "nodes_per_decade"),
+        (1e4, 10.0, 12_500, "r_max"),
+        (1e308, 5e-324, 80, "r_max"),
+    ])
+    def test_beyond_the_cap_refused_before_any_array(self, monkeypatch, r_max, r_lin, npd,
+                                                     field):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"a grid array was laid (numpy.{name})")
+
+        monkeypatch.setattr(core, "np", NoArrays())
+        with pytest.raises(ParameterError, match=f"^{field} = "):
+            RadialGrid.build(r_max, r_lin, npd)
+
+    def test_at_the_cap_builds(self):
+        assert RadialGrid.build(5.0, 10.0, MAX_GRID_NODES - 1).nodes.size == MAX_GRID_NODES
 
     def test_refined_contains_original(self):
         g = RadialGrid.build(1e3, nodes_per_decade=16)

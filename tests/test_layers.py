@@ -13,7 +13,10 @@ quadrature at all.  The float bound ln(max float) is defined once, in
 is built in one place, ``ProblemSpec.from_dict``; and one function,
 ``coefficients.check_coefficient``, decides whether a coefficient's values
 are admissible, wherever b meets radii.  ``radialize`` draws its unit-sphere
-rows from one per-process store in ``coefficients``.
+rows from one per-process store in ``coefficients``.  Each size bound lives
+where its arrays are laid: the grid cap in ``core``, the conservation
+check's refinement in ``solver`` and both sphere-count bounds in
+``coefficients``; ``cli`` only names the spec field.
 """
 
 import ast
@@ -197,3 +200,36 @@ def test_spec_coefficient_built_only_when_read():
     builders = {name for name, function in _functions(tree)
                 if any(reaches_a_constructor(node) for node in ast.walk(function))}
     assert builders == {"ProblemSpec.from_dict"}
+
+
+# Each size bound and the one module that defines it.
+_SIZE_BOUNDS = {"MAX_GRID_NODES": "core", "MIN_SPHERE_COUNT": "coefficients",
+                "MAX_SPHERE_COUNT": "coefficients", "conservation_refinement": "solver"}
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_one_home_per_size_bound(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    tree = ast.parse(source)
+    defined = {name for name, _ in _functions(tree)} | {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    for name, home in _SIZE_BOUNDS.items():
+        assert (name in defined) == (module == home), name
+    assert bool(re.search(r"50_?000\b", source)) == (module == "core")
+    assert bool(re.search(r"1 << 14|16384", source)) == (module == "coefficients")
+    # f(n) = max(2, ceil(n / 16)) is written once
+    assert bool(re.search(r"n\s*//?\s*16\b", source)) == (module == "solver")
+
+
+def test_cli_holds_no_node_arithmetic():
+    source = (PACKAGE / "cli.py").read_text()
+    for fragment in ("decades", "// 32", "/ 16", "_MAX_GRID_NODES", "_MAX_SPHERE_COUNT",
+                     "_check_grid_budget", "refined("):
+        assert fragment not in source, fragment
+    functions = dict(_functions(ast.parse(source)))
+    calls = {ast.unparse(node.func) for node in ast.walk(functions["ProblemSpec.from_dict"])
+             if isinstance(node, ast.Call)}
+    assert {"RadialGrid.build", "conservation_refinement"} <= calls
+    grid = functions["ProblemSpec.grid"]
+    assert [ast.unparse(node) for node in grid.body] == ["return self.built_grid"]
