@@ -12,22 +12,26 @@ tells host drift from a code change.  It adds the stepper's own
 counters, which the benchmark's tracer cannot see: the dense evaluator's
 ``rhs_evals``, ``accepted`` and ``rejected``, summed over the closed-form
 specs of ``perfbench/data/reference.json``, solved by the checkout's own
-package.  The file is named after the git tree of the checkout's ``src``
-directory, which names the measured code whichever commit carries it; the
-tree of ``perfbench`` inside names the benchmark that measured it.  One run
-per workload is a single sample: compare wall times only between files
-recorded on one host in one session, and only by more than the spread of
-repeated runs.
+package, and beside them ``us_per_step``, the least of 5 summed solve
+times of those specs per attempted step, so the trajectory shows the
+stepper's cost next to its counts.  The file is named after the git tree of
+the checkout's ``src`` directory, which names the measured code whichever
+commit carries it; the tree of ``perfbench`` inside names the benchmark
+that measured it.  One run per workload is a single sample: compare wall
+times only between files recorded on one host in one session, and only by
+more than the spread of repeated runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 
 WORKLOADS = ("radial-sweep", "field-comparison", "cli-cold")
@@ -38,23 +42,32 @@ _COUNTERS_CHILD = ("import json, runpy, sys; counters = runpy.run_path(sys.argv[
                    "['stepper_counters']; print(json.dumps(counters(json.load(open(sys.argv[2])))))")
 
 
-def stepper_counters(reference: dict) -> dict:
+def stepper_counters(reference: dict, repeats: int = 5) -> dict:
     """rhs_evals, accepted and rejected summed over the reference specs with
-    a closed-form coefficient, each solved as ``hessianls solve`` would."""
+    a closed-form coefficient, each solved as ``hessianls solve`` would, and
+    us_per_step: the least summed solve time over ``repeats`` runs of them,
+    in microseconds per attempted (accepted or rejected) step."""
     from hessianls.cli import ProblemSpec
     from hessianls.solver import solve_cauchy
 
-    totals = {"specs": [], "rhs_evals": 0, "accepted": 0, "rejected": 0}
-    for name, entry in sorted(reference.items()):
-        if entry["spec"]["coefficient"]["kind"] == "tabulated":
-            continue
-        spec = ProblemSpec.from_dict(entry["spec"])
-        dense = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
-                             rel_tol=spec.tolerances["rel"],
-                             abs_tol=spec.tolerances["abs"]).dense
-        totals["specs"].append(name)
-        for key in ("rhs_evals", "accepted", "rejected"):
-            totals[key] += getattr(dense, key)
+    specs = {name: ProblemSpec.from_dict(entry["spec"])
+             for name, entry in sorted(reference.items())
+             if entry["spec"]["coefficient"]["kind"] != "tabulated"}
+    totals = {"specs": list(specs), "rhs_evals": 0, "accepted": 0, "rejected": 0}
+    best = math.inf
+    for repeat in range(repeats):
+        elapsed = 0.0
+        for spec in specs.values():
+            problem = (spec.params, spec.radial_profile(), spec.grid(),
+                       spec.tolerances["rel"], spec.tolerances["abs"])
+            start = time.perf_counter()
+            dense = solve_cauchy(*problem).dense
+            elapsed += time.perf_counter() - start
+            if not repeat:
+                for key in ("rhs_evals", "accepted", "rejected"):
+                    totals[key] += getattr(dense, key)
+        best = min(best, elapsed)
+    totals["us_per_step"] = 1e6 * best / (totals["accepted"] + totals["rejected"])
     return totals
 
 

@@ -19,12 +19,16 @@ it the system is stepped in logarithmic variables against s = ln r,
 
 by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
 from the profile's float closure; a tabulated profile is integrated node
-to node, so no step straddles a kink.  Node values of (u, ln M) come from
-the pair's continuous extension (the solve's dense evaluator) and u' from
-the flux transform F(r, M) above, fed ln M (M leaves the float range where
-u does not).  The second derivative is recovered algebraically from the
-equation itself, through ln(b u^gamma / (u'/r)^k) (the ratio leaves the
-float range for large k where u'' does not), so the sigma_k residual
+to node, so no step straddles a kink.  One kernel steps this system alone:
+it evaluates each stage's right-hand side in place, and ln b once at a
+step's end, which its last two stages share.  Each accepted step leaves one
+flat record, from which the pair's continuous extension (the solve's dense
+evaluator) lays its coefficients in one array pass.  Node values of (u,
+ln M) come from that extension and u' from the flux transform F(r, M)
+above, fed ln M (M leaves the float range where u does not).  The second
+derivative is recovered algebraically from the equation itself, through
+ln(b u^gamma / (u'/r)^k) with b the values checked on the nodes (the ratio
+leaves the float range for large k where u'' does not), so the sigma_k residual
 (``residual_max``, the ``sigma_k_residual`` CSV column) is zero by
 construction, up to rounding; it checks nothing about the integration.
 :func:`conservation_defect` is the solve's runtime check: it recomputes M
@@ -144,24 +148,39 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < LOG_FLOAT_MAX else math.inf
 
 
+# An accepted step's record: s and the step's width, then for ln u and for
+# ln M in turn the start and end values and the stages k1, k3, k4, k5, k6, k7.
+_RECORD = 18
+
+
 class _DenseOutput:
     """(u, ln M) at any radius of a solve, and what the solve cost.
 
     Below the handoff radius ``r_handoff`` the series start; beyond it the
-    DOPRI5 continuous extension of each accepted step in s = ln r.  The
-    counters ``rhs_evals``, ``accepted`` and ``rejected`` describe the
-    stepper's work."""
+    DOPRI5 continuous extension of each accepted step in s = ln r, whose
+    coefficients are laid from the stepper's records in one array pass.  The
+    counters describe the stepper's work: ``accepted`` and ``rejected``
+    steps, and ``rhs_evals``, the right-hand-side evaluations: one to start
+    and six per attempted step, which evaluate ln b five times (the last two
+    stages share the step's end)."""
 
-    def __init__(self, series: _SeriesStart, r_handoff: float, starts, widths,
-                 coeffs, rhs_evals: int, rejected: int):
+    def __init__(self, series: _SeriesStart, r_handoff: float, records, rejected: int):
         self.series = series
         self.r_handoff = r_handoff
-        self._starts = np.asarray(starts)
-        self._widths = np.asarray(widths)
-        self._coeffs = np.asarray(coeffs).reshape(len(starts), 2, 5)
-        self.rhs_evals = rhs_evals
-        self.accepted = len(starts)
+        rec = np.array(records, dtype=float).reshape(-1, _RECORD)
+        self._starts = rec[:, 0]
+        self._widths = rec[:, 1]
+        step = self._widths[:, None]
+        y0, y1, k1, k3, k4, k5, k6, k7 = np.moveaxis(rec[:, 2:].reshape(-1, 2, 8), -1, 0)
+        rise = y1 - y0
+        bend = step * k1 - rise
+        self._coeffs = np.stack(
+            [y0, rise, bend, rise - step * k7 - bend,
+             step * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)],
+            axis=-1)
+        self.accepted = rec.shape[0]
         self.rejected = rejected
+        self.rhs_evals = 1 + 6 * (self.accepted + rejected)
 
     def __call__(self, r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -184,82 +203,104 @@ class _DenseOutput:
         return uu, log_m
 
 
-def _dopri5(f, s: float, y, stops, tol: float, abs_u: float):
-    """Integrate y = (ln u, ln M) with y' = f(s, ln u, ln M) up to each of
+def _dopri5(log_b, c_u: float, p_u: float, k: int, n: int, gam: float, s: float, y,
+            stops, tol: float, abs_u: float):
+    """Integrate y = (x, z) = (ln u, ln M) against s = ln r up to each of
     ``stops`` in turn (increasing; the last one is the end); no step
     crosses a stop.
 
-    The error of a step is the RMS over both components of its embedded
-    estimate, each scaled by ``tol`` (a relative error in u and M), plus
-    ``abs_u``/u for ln u: an absolute floor of ``abs_u`` on u.  Returns the
-    step starts, widths and dense-output coefficients, the number of RHS
-    calls and of rejected steps.  Raises BlowupGuardError when u passes
-    OVERFLOW_GUARD, IntegrationError when the step falls below _MIN_STEP.
+    The right-hand side is evaluated stage by stage in place:
+
+        x' = exp(c_u + p_u s + z / k - x),   z' = exp(n s + log_b(s) + gam x - z),
+
+    with ``log_b`` the float function s -> ln b(e^s).  The sixth stage and
+    the seventh (the next step's first) both sit at the step's end, where
+    ln b is evaluated once, after the sixth stage's x'.  The error of a step
+    is the RMS over both components of its embedded estimate, each scaled by
+    ``tol`` (a relative error in u and M), plus ``abs_u``/u for ln u: an
+    absolute floor of ``abs_u`` on u.  A stage that leaves the float range
+    (OverflowError) rejects the step.  Returns the records of the accepted
+    steps, ``_RECORD`` floats each in one flat list, and the number of
+    rejected steps.  Raises BlowupGuardError when u passes OVERFLOW_GUARD,
+    IntegrationError when the step falls below _MIN_STEP.
     """
-    exp = math.exp
+    exp, sqrt, inf = math.exp, math.sqrt, math.inf
+    k, n = float(k), float(n)   # the same quotients and products, without int operands
     x, z = y
-    fx, fz = f(s, x, z)
-    evals, rejected = 1, 0
-    scale = math.hypot(fx, fz) / (tol * math.sqrt(2.0))
+    fx = exp(c_u + p_u * s + z / k - x)
+    fz = exp(n * s + log_b(s) + gam * x - z)
+    rejected = 0
+    scale = math.hypot(fx, fz) / (tol * sqrt(2.0))
     h = (0.01 / scale) ** 0.2 if scale > 0.0 else stops[-1] - s
-    starts, widths, coeffs = [], [], []
+    records = []
     for stop in stops:
         while s < stop:
-            if h < _MIN_STEP * max(1.0, abs(s)):
+            if h < _MIN_STEP * (s if s > 1.0 else -s if s < -1.0 else 1.0):
                 raise IntegrationError(
                     f"adaptive integration failed at r = {exp(s):g}: the step size fell "
                     f"below {_MIN_STEP:g} in ln r", r=exp(s), u=_exp(x))
             last = s + h >= stop
             step = stop - s if last else h
+            s_end = stop if last else s + step
             try:
-                x2, z2 = f(s + _C2 * step, x + step * _A21 * fx, z + step * _A21 * fz)
-                x3, z3 = f(s + _C3 * step, x + step * (_A31 * fx + _A32 * x2),
-                           z + step * (_A31 * fz + _A32 * z2))
-                x4, z4 = f(s + _C4 * step, x + step * (_A41 * fx + _A42 * x2 + _A43 * x3),
-                           z + step * (_A41 * fz + _A42 * z2 + _A43 * z3))
-                x5, z5 = f(s + _C5 * step,
-                           x + step * (_A51 * fx + _A52 * x2 + _A53 * x3 + _A54 * x4),
-                           z + step * (_A51 * fz + _A52 * z2 + _A53 * z3 + _A54 * z4))
-                x6, z6 = f(stop if last else s + step,
-                           x + step * (_A61 * fx + _A62 * x2 + _A63 * x3 + _A64 * x4
-                                       + _A65 * x5),
-                           z + step * (_A61 * fz + _A62 * z2 + _A63 * z3 + _A64 * z4
-                                       + _A65 * z5))
+                h21 = step * _A21
+                s_i = s + _C2 * step
+                xs, zs = x + h21 * fx, z + h21 * fz
+                x2 = exp(c_u + p_u * s_i + zs / k - xs)
+                z2 = exp(n * s_i + log_b(s_i) + gam * xs - zs)
+                s_i = s + _C3 * step
+                xs = x + step * (_A31 * fx + _A32 * x2)
+                zs = z + step * (_A31 * fz + _A32 * z2)
+                x3 = exp(c_u + p_u * s_i + zs / k - xs)
+                z3 = exp(n * s_i + log_b(s_i) + gam * xs - zs)
+                s_i = s + _C4 * step
+                xs = x + step * (_A41 * fx + _A42 * x2 + _A43 * x3)
+                zs = z + step * (_A41 * fz + _A42 * z2 + _A43 * z3)
+                x4 = exp(c_u + p_u * s_i + zs / k - xs)
+                z4 = exp(n * s_i + log_b(s_i) + gam * xs - zs)
+                s_i = s + _C5 * step
+                xs = x + step * (_A51 * fx + _A52 * x2 + _A53 * x3 + _A54 * x4)
+                zs = z + step * (_A51 * fz + _A52 * z2 + _A53 * z3 + _A54 * z4)
+                x5 = exp(c_u + p_u * s_i + zs / k - xs)
+                z5 = exp(n * s_i + log_b(s_i) + gam * xs - zs)
+                xs = x + step * (_A61 * fx + _A62 * x2 + _A63 * x3 + _A64 * x4 + _A65 * x5)
+                zs = z + step * (_A61 * fz + _A62 * z2 + _A63 * z3 + _A64 * z4 + _A65 * z5)
+                # stages 6 and 7 share the s terms of both exponents at s_end
+                x_at_end = c_u + p_u * s_end
+                x6 = exp(x_at_end + zs / k - xs)
+                z_at_end = n * s_end + log_b(s_end)
+                z6 = exp(z_at_end + gam * xs - zs)
                 x_new = x + step * (_B1 * fx + _B3 * x3 + _B4 * x4 + _B5 * x5 + _B6 * x6)
                 z_new = z + step * (_B1 * fz + _B3 * z3 + _B4 * z4 + _B5 * z5 + _B6 * z6)
-                x7, z7 = f(stop if last else s + step, x_new, z_new)
-                evals += 6
+                x7 = exp(x_at_end + z_new / k - x_new)
+                z7 = exp(z_at_end + gam * x_new - z_new)
                 ex = step * (_E1 * fx + _E3 * x3 + _E4 * x4 + _E5 * x5 + _E6 * x6 + _E7 * x7)
                 ez = step * (_E1 * fz + _E3 * z3 + _E4 * z4 + _E5 * z5 + _E6 * z6 + _E7 * z7)
-                sx = tol + abs_u * _exp(-max(x, x_new))
-                err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ez / tol) ** 2))
+                top = x_new if x_new > x else x
+                sx = tol + abs_u * exp(-top) if top > -LOG_FLOAT_MAX else inf
+                err = sqrt(0.5 * ((ex / sx) ** 2 + (ez / tol) ** 2))
             except OverflowError:   # a trial stage left the float range: too long a step
-                evals += 6
-                err = math.inf
+                err = inf
             if not err <= 1.0:
                 rejected += 1
-                h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
+                h = step * (max(0.2, 0.9 * err ** -0.2) if err < inf else 0.2)
                 continue
-            starts.append(s)
-            widths.append(step)
-            for y0, y1, k1, k3, k4, k5, k6, k7 in ((x, x_new, fx, x3, x4, x5, x6, x7),
-                                                   (z, z_new, fz, z3, z4, z5, z6, z7)):
-                rise = y1 - y0
-                bend = step * k1 - rise
-                coeffs += (y0, rise, bend, rise - step * k7 - bend,
-                           step * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6
-                                   + _D7 * k7))
-            s = stop if last else s + step
+            records += (s, step, x, x_new, fx, x3, x4, x5, x6, x7,
+                        z, z_new, fz, z3, z4, z5, z6, z7)
+            s = s_end
             x, z, fx, fz = x_new, z_new, x7, z7
             if x > _LOG_GUARD:
                 raise BlowupGuardError(
                     f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
                     f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
                     f"for this coefficient", r=exp(s), u=_exp(x))
-            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+            grow = 0.9 * err ** -0.2 if err > 0.0 else 10.0
+            if grow > 10.0:
+                grow = 10.0
             # a step cut short by a stop says little about the next one
-            h = max(step * grow, h * min(grow, 1.0)) if last else step * grow
-    return starts, widths, coeffs, evals, rejected
+            held = h * grow if grow < 1.0 else h
+            h = held if last and held > step * grow else step * grow
+    return records, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +349,7 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
         raise ParameterError(f"the grid's first positive radius {nodes[1]:g} must exceed "
                              f"{4.0 * _MIN_SERIES_RADIUS:g} (four times the smallest series "
                              f"handoff radius); raise r_lin or r_max")
-    check_coefficient(b(nodes), nodes)
+    b_nodes = check_coefficient(b(nodes), nodes)
     n, k, gam = params.n, params.k, params.gamma
 
     try:
@@ -331,37 +372,34 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     s_s = math.log(r_s)
     y0 = (math.log(u_s), math.log(m_scaled) + n * s_s)
 
-    # d ln u / ds = r u' / u and d ln M / ds = r^n b u^gamma / M with s = ln r
-    log_b = b.log_in_log_radius()
-    exp = math.exp
+    # d ln u / ds = r u' / u = exp(c_u + p_u s + ln M / k - ln u) and
+    # d ln M / ds = r^n b u^gamma / M with s = ln r
     c_u = params.log_n_over_cnk / k
     p_u = (2 * k - n) / k
-
-    def rhs(s, x, z):
-        return exp(c_u + p_u * s + z / k - x), exp(n * s + log_b(s) + gam * x - z)
-
     s_end = math.log(grid.r_max)
     kinks = [math.log(r) for r in b.breakpoints.tolist() if r_s < r < grid.r_max]
-    starts, widths, coeffs, evals, rejected = _dopri5(
-        rhs, s_s, y0, kinks + [s_end], rel_tol / 10.0, abs_tol * max(1.0, params.a))
-    dense = _DenseOutput(series, r_s, starts, widths, coeffs, evals, rejected)
+    records, rejected = _dopri5(b.log_in_log_radius(), c_u, p_u, k, n, gam, s_s, y0,
+                                kinks + [s_end], rel_tol / 10.0,
+                                abs_tol * max(1.0, params.a))
+    dense = _DenseOutput(series, r_s, records, rejected)
 
     # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
     u, log_m = dense(nodes)
     du = flux_slope(params, nodes, log_m)
-    d2u = _recover_d2u(params, b, nodes, u, du, series.c2)
+    d2u = _recover_d2u(params, b_nodes, nodes, u, du, series.c2)
     return RadialCurve(grid=grid, u=u, du=du, d2u=d2u, dense=dense)
 
 
-def _recover_d2u(params: ProblemParams, b, r: np.ndarray, u: np.ndarray,
-                 du: np.ndarray, c2: float) -> np.ndarray:
-    """Invert the radial equation for u'' given (r, u, u'): with t = u'/r and
-    C(n-1,k) / C(n-1,k-1) = (n-k)/k, u'' = t (rhs - (n-k)/k), rhs from
-    :func:`_scaled_rhs`."""
+def _recover_d2u(params: ProblemParams, b_values: np.ndarray, r: np.ndarray,
+                 u: np.ndarray, du: np.ndarray, c2: float) -> np.ndarray:
+    """Invert the radial equation for u'' given (r, b(r), u, u'): with t =
+    u'/r and C(n-1,k) / C(n-1,k-1) = (n-k)/k, u'' = t (rhs - (n-k)/k), rhs
+    from :func:`_scaled_rhs`."""
     d2u = np.empty_like(r)
     d2u[0] = c2
     t = du[1:] / r[1:]
-    d2u[1:] = t * (_scaled_rhs(params, b, r[1:], u[1:], t) - (params.n - params.k) / params.k)
+    d2u[1:] = t * (_scaled_rhs(params, b_values[1:], u[1:], t)
+                   - (params.n - params.k) / params.k)
     return d2u
 
 
@@ -370,11 +408,11 @@ def _log_mixed_binomial(params: ProblemParams) -> float:
     return math.log(core.binomial(params.n - 1, params.k - 1))
 
 
-def _scaled_rhs(params: ProblemParams, b, r, u, t) -> np.ndarray:
-    """b u^gamma / (t^k C(n-1,k-1)) from its log; b u^gamma / t^k itself may
-    leave the float range where this ratio does not."""
+def _scaled_rhs(params: ProblemParams, b_values, u, t) -> np.ndarray:
+    """b u^gamma / (t^k C(n-1,k-1)) from its log, given the values of b; b
+    u^gamma / t^k itself may leave the float range where this ratio does not."""
     with np.errstate(divide="ignore"):  # b may underflow to 0
-        return np.exp(np.log(b(r)) + params.gamma * np.log(u) - params.k * np.log(t)
+        return np.exp(np.log(b_values) + params.gamma * np.log(u) - params.k * np.log(t)
                       - _log_mixed_binomial(params))
 
 
@@ -391,7 +429,7 @@ def _sigma_k_defect(curve: RadialCurve, params: ProblemParams, b) -> np.ndarray:
     t = curve.du_over_r()
     s = math.exp(-_log_mixed_binomial(params) / params.k)
     lhs = np.asarray(core.sigma_j_radial(params.k, curve.d2u / t * s, s, params.n))
-    return lhs / _scaled_rhs(params, b, curve.grid.nodes, curve.u, t) - 1.0
+    return lhs / _scaled_rhs(params, b(curve.grid.nodes), curve.u, t) - 1.0
 
 
 def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:

@@ -1,12 +1,20 @@
 """Shared fixtures, the acceptance-line reporter and the memory cap."""
 
 import contextlib
+import json
+import os
 import resource
 import sys
 
 import pytest
 
 from hessianls.core import ProblemParams, RadialGrid
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+# The 8 specs of the independent reference solutions, with u on their grids.
+with open(os.path.join(PERFBENCH, "data", "reference.json")) as _handle:
+    REFERENCE = json.load(_handle)
 
 # A runaway allocation fails its test with MemoryError instead of getting the
 # whole run killed: the test process's address space is capped at 4 GiB.  The
@@ -32,6 +40,20 @@ def hessian2_params():
 @pytest.fixture
 def short_grid():
     return RadialGrid.build(100.0, nodes_per_decade=24)
+
+
+@pytest.fixture(scope="session")
+def table_dir(tmp_path_factory):
+    """The tabulated coefficients of the reference specs, written by the
+    benchmark's own generator."""
+    path = tmp_path_factory.mktemp("tables")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(PERFBENCH)
+        import workloads
+
+        for name in workloads.TABLES:
+            workloads.write_table(name, str(path / name))
+    return str(path)
 
 
 _ACCEPTANCE_RESULTS = []

@@ -305,7 +305,12 @@ class TestProblemSpec:
         ({"r_max": 1.0, "nodes_per_decade": 48, "n": 10**6},
          "spec.n: the conservation check refines the grid to 3000001 nodes at n = 1000000; "
          "at most 100000"),
-    ], ids=["dense", "beyond-float", "wide", "widest", "decade-dense", "dimension"])
+        # one ulp above r_lin: both log10 read 1.0 and the log nodes fall onto r_lin
+        ({"r_max": 10.000000000000002},
+         "spec.grid: r_max = 10.000000000000002 is too close above r_lin = 10.0: its 2 "
+         "log-spaced nodes would round onto r_lin"),
+    ], ids=["dense", "beyond-float", "wide", "widest", "decade-dense", "dimension",
+            "onto-r_lin"])
     def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,
                                                         grid, fragment):
         class NoArrays:

@@ -8,35 +8,14 @@ must land within ten times ``rel`` of it on every spec, and tightening
 here even while its curves still look smooth.
 """
 
-import json
-import os
-
 import numpy as np
 import pytest
 
+from conftest import PERFBENCH, REFERENCE
 from hessianls.cli import ProblemSpec
 from hessianls.solver import solve_cauchy
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-with open(os.path.join(PERFBENCH, "data", "reference.json")) as _handle:
-    REFERENCE = json.load(_handle)
-
 RELS = (1e-6, 1e-7, 1e-8)
-
-
-@pytest.fixture(scope="module")
-def table_dir(tmp_path_factory):
-    """The tabulated coefficients of the reference specs, written by the
-    benchmark's own generator."""
-    path = tmp_path_factory.mktemp("tables")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(PERFBENCH)
-        import workloads
-
-        for name in workloads.TABLES:
-            workloads.write_table(name, str(path / name))
-    return str(path)
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE))

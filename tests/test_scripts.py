@@ -4,6 +4,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,13 +44,34 @@ def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
 
 def test_bench_record_stepper_counters():
     # The counters the child run in a checkout prints: the six closed-form
-    # reference specs, each solve costing 1 + 6 RHS calls per attempted step.
+    # reference specs, each solve costing 1 + 6 RHS calls per attempted step,
+    # and the wall time per attempted step beside them.
     counters = _load("bench_record.py").checkout_counters(str(SCRIPTS.parent))
     reference = json.loads(REFERENCE.read_text())
     assert counters["specs"] == sorted(name for name, entry in reference.items()
                                        if entry["spec"]["coefficient"]["kind"] != "tabulated")
     assert len(counters["specs"]) == 6 and counters["accepted"] > 0
     assert counters["rhs_evals"] == 6 + 6 * (counters["accepted"] + counters["rejected"])
+    assert 0.0 < counters["us_per_step"] < 1e4
+
+
+def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):
+    # Repeat 2 of 3 is the fastest: its summed solve time over both specs
+    # sets us_per_step, while the counts come from one repeat only.
+    module = _load("bench_record.py")
+    reference = json.loads(REFERENCE.read_text())
+    closed = {name: entry for name, entry in sorted(reference.items())
+              if entry["spec"]["coefficient"]["kind"] != "tabulated"}
+    two = dict(list(closed.items())[:2])
+    clock = iter([0.0, 3.0, 3.0, 5.0,   # repeat 1: 3 s + 2 s
+                  5.0, 6.0, 6.0, 7.5,   # repeat 2: 1 s + 1.5 s
+                  7.5, 9.0, 9.0, 12.0])  # repeat 3: 1.5 s + 3 s
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    counters = module.stepper_counters(two, repeats=3)
+    steps = counters["accepted"] + counters["rejected"]
+    assert counters["specs"] == list(two)
+    assert counters["rhs_evals"] == 2 + 6 * steps
+    assert counters["us_per_step"] == pytest.approx(2.5e6 / steps, rel=1e-15)
 
 
 def test_bench_record_keeps_raw_and_host_lines(monkeypatch):

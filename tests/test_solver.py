@@ -1,12 +1,15 @@
 """Cauchy solver, break-line construction and growth quadrature."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import REFERENCE
+from hessianls.cli import ProblemSpec
 from hessianls.coefficients import RadialProfile
-from hessianls.core import ProblemParams, RadialGrid, gamma_k_membership
+from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import envelope, solver
 from hessianls.envelope import BreakLine, flux_integral, flux_slope
 from hessianls.errors import (
@@ -15,6 +18,11 @@ from hessianls.errors import (
     DomainTooLargeError,
     IntegrationError,
     ParameterError,
+)
+from hessianls.solver import (  # the DOPRI5 tableau and limits for the generic stepper
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _D1, _D3, _D4, _D5, _D6, _D7,
+    _E1, _E3, _E4, _E5, _E6, _E7, _LOG_GUARD, _MIN_STEP, _exp,
 )
 from hessianls.solver import (
     MIN_REL_TOL,
@@ -289,6 +297,180 @@ class TestSolveCauchy:
         np.testing.assert_array_equal(back.u, curve.u)
         np.testing.assert_array_equal(back.du, curve.du)
         np.testing.assert_array_equal(back.d2u, curve.d2u)
+
+
+# ---------------------------------------------------------------------------
+# the stepper kernel against the generic stepper it replaced
+# ---------------------------------------------------------------------------
+
+def _generic_dopri5(f, s, y, stops, tol, abs_u):
+    """The stepper as it was before its kernel: any y' = f(s, ln u, ln M), the
+    dense coefficients laid per step in Python.  A test oracle only."""
+    exp = math.exp
+    x, z = y
+    fx, fz = f(s, x, z)
+    evals, rejected = 1, 0
+    scale = math.hypot(fx, fz) / (tol * math.sqrt(2.0))
+    h = (0.01 / scale) ** 0.2 if scale > 0.0 else stops[-1] - s
+    starts, widths, coeffs = [], [], []
+    for stop in stops:
+        while s < stop:
+            if h < _MIN_STEP * max(1.0, abs(s)):
+                raise IntegrationError(
+                    f"adaptive integration failed at r = {exp(s):g}: the step size fell "
+                    f"below {_MIN_STEP:g} in ln r", r=exp(s), u=_exp(x))
+            last = s + h >= stop
+            step = stop - s if last else h
+            try:
+                x2, z2 = f(s + _C2 * step, x + step * _A21 * fx, z + step * _A21 * fz)
+                x3, z3 = f(s + _C3 * step, x + step * (_A31 * fx + _A32 * x2),
+                           z + step * (_A31 * fz + _A32 * z2))
+                x4, z4 = f(s + _C4 * step, x + step * (_A41 * fx + _A42 * x2 + _A43 * x3),
+                           z + step * (_A41 * fz + _A42 * z2 + _A43 * z3))
+                x5, z5 = f(s + _C5 * step,
+                           x + step * (_A51 * fx + _A52 * x2 + _A53 * x3 + _A54 * x4),
+                           z + step * (_A51 * fz + _A52 * z2 + _A53 * z3 + _A54 * z4))
+                x6, z6 = f(stop if last else s + step,
+                           x + step * (_A61 * fx + _A62 * x2 + _A63 * x3 + _A64 * x4
+                                       + _A65 * x5),
+                           z + step * (_A61 * fz + _A62 * z2 + _A63 * z3 + _A64 * z4
+                                       + _A65 * z5))
+                x_new = x + step * (_B1 * fx + _B3 * x3 + _B4 * x4 + _B5 * x5 + _B6 * x6)
+                z_new = z + step * (_B1 * fz + _B3 * z3 + _B4 * z4 + _B5 * z5 + _B6 * z6)
+                x7, z7 = f(stop if last else s + step, x_new, z_new)
+                evals += 6
+                ex = step * (_E1 * fx + _E3 * x3 + _E4 * x4 + _E5 * x5 + _E6 * x6 + _E7 * x7)
+                ez = step * (_E1 * fz + _E3 * z3 + _E4 * z4 + _E5 * z5 + _E6 * z6 + _E7 * z7)
+                sx = tol + abs_u * _exp(-max(x, x_new))
+                err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ez / tol) ** 2))
+            except OverflowError:
+                evals += 6
+                err = math.inf
+            if not err <= 1.0:
+                rejected += 1
+                h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
+                continue
+            starts.append(s)
+            widths.append(step)
+            for y0, y1, k1, k3, k4, k5, k6, k7 in ((x, x_new, fx, x3, x4, x5, x6, x7),
+                                                   (z, z_new, fz, z3, z4, z5, z6, z7)):
+                rise = y1 - y0
+                bend = step * k1 - rise
+                coeffs += (y0, rise, bend, rise - step * k7 - bend,
+                           step * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6
+                                   + _D7 * k7))
+            s = stop if last else s + step
+            x, z, fx, fz = x_new, z_new, x7, z7
+            if x > _LOG_GUARD:
+                raise BlowupGuardError(
+                    f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
+                    f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
+                    f"for this coefficient", r=exp(s), u=_exp(x))
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+            h = max(step * grow, h * min(grow, 1.0)) if last else step * grow
+    return starts, widths, coeffs, evals, rejected
+
+
+def _bump(amp):
+    """b = 1 + amp exp(-((r - 5) / 0.01)^2): steps that reach the bump overflow."""
+    return RadialProfile.from_callable(
+        lambda r: 1.0 + amp * np.exp(-((np.asarray(r) - 5.0) / 0.01) ** 2))
+
+
+# name -> (n, k, gamma, profile, r_max) beside the reference specs
+_KERNEL_CASES = {
+    "corner": (4, 2, 1.9333, B_ONE, 1e4),  # gamma -> k: about 700 steps
+    # trial stages overflow, the sixth's ln M' and the seventh's ln u' among them; it solves
+    "overflow": (3, 1, 0.9, _bump(1e3), 100.0),
+    "guard": (3, 1, 0.5, _bump(1e200), 100.0),  # BlowupGuardError after overflows
+    "step-floor": (3, 1, 0.5, RadialProfile.from_callable(  # IntegrationError
+        lambda r: 1.0 / np.abs(np.asarray(r) - 4.9999) ** 2), 10.0),
+}
+
+
+def _kernel_case(name, table_dir):
+    if name in REFERENCE:
+        spec = ProblemSpec.from_dict(REFERENCE[name]["spec"], base_dir=table_dir)
+        return (spec.params, spec.radial_profile(), spec.grid(), spec.tolerances["rel"],
+                spec.tolerances["abs"])
+    n, k, gamma, profile, r_max = _KERNEL_CASES[name]
+    return (ProblemParams(n=n, k=k, gamma=gamma), profile, RadialGrid.build(r_max),
+            solver.DEFAULT_REL_TOL, solver.DEFAULT_ABS_TOL)
+
+
+class TestStepperKernel:
+    @pytest.mark.parametrize("name", sorted(REFERENCE) + list(_KERNEL_CASES))
+    def test_bit_identical_to_the_generic_stepper(self, monkeypatch, table_dir, name):
+        # The kernel evaluates the log system in place, ln b once for the
+        # last two stages, and lays the dense coefficients after the solve;
+        # the generic stepper, fed the right-hand side as a closure, must
+        # take the same steps to the bit and fail with the same message.
+        params, profile, grid, rel_tol, abs_tol = _kernel_case(name, table_dir)
+        kernel, seen = solver._dopri5, {"overflows": 0, "generic_s": [], "kernel_s": []}
+
+        def noted(log_b, calls):
+            return lambda s: calls.append(s) or log_b(s)
+
+        def both(log_b, c_u, p_u, k, n, gam, s, y, stops, tol, abs_u):
+            kernel_log_b = noted(log_b, seen["kernel_s"])
+            log_b = noted(log_b, seen["generic_s"])
+            exp = math.exp
+
+            def rhs(s, x, z):
+                return exp(c_u + p_u * s + z / k - x), exp(n * s + log_b(s) + gam * x - z)
+
+            def noted_rhs(s, x, z):
+                try:
+                    return rhs(s, x, z)
+                except OverflowError:
+                    seen["overflows"] += 1
+                    raise
+
+            try:
+                seen["generic"] = _generic_dopri5(noted_rhs, s, y, stops, tol, abs_u)
+            except (BlowupGuardError, IntegrationError) as exc:
+                seen["generic"] = exc
+            return kernel(kernel_log_b, c_u, p_u, k, n, gam, s, y, stops, tol, abs_u)
+
+        monkeypatch.setattr(solver, "_dopri5", both)
+        try:
+            dense = solve_cauchy(params, profile, grid, rel_tol, abs_tol).dense
+        except (BlowupGuardError, IntegrationError) as exc:
+            dense, generic = None, seen["generic"]
+            assert (type(exc), str(exc), exc.r, exc.u) == (type(generic), str(generic),
+                                                           generic.r, generic.u)
+        # ln b at the same radii in the same order, but once where the sixth
+        # and seventh stages share the step's end
+        calls = seen["generic_s"]
+        assert seen["kernel_s"] == [s for i, s in enumerate(calls) if not i or s != calls[i - 1]]
+        assert (seen["overflows"] > 0) == (name in ("overflow", "guard"))
+        if dense is None:
+            assert name in ("guard", "step-floor")
+            return
+        starts, widths, coeffs, evals, rejected = seen["generic"]
+        assert np.array_equal(dense._starts, starts)
+        assert np.array_equal(dense._widths, widths)
+        assert np.array_equal(dense._coeffs, np.reshape(coeffs, (len(starts), 2, 5)))
+        assert (dense.rhs_evals, dense.accepted, dense.rejected) == (
+            evals, len(starts), rejected)
+        if not seen["overflows"]:  # six RHS evaluations per attempt, five of ln b
+            assert len(calls) == evals
+            assert len(seen["kernel_s"]) == 1 + 5 * (dense.accepted + dense.rejected)
+
+    def test_ledger_of_the_closed_form_reference_specs(self):
+        # Exact work of the six closed-form reference solves: a change that
+        # moves a count changes the steps, which is not bookkeeping.
+        totals = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
+        for entry in REFERENCE.values():
+            if entry["spec"]["coefficient"]["kind"] == "tabulated":
+                continue
+            spec = ProblemSpec.from_dict(entry["spec"])
+            dense = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
+                                 rel_tol=spec.tolerances["rel"],
+                                 abs_tol=spec.tolerances["abs"]).dense
+            for key in totals:
+                totals[key] += getattr(dense, key)
+        assert totals == {"accepted": 1442, "rejected": 21, "rhs_evals": 8784}
 
 
 class TestEulerPolyline:
