@@ -37,15 +37,16 @@ from importlib.metadata import version
 WORKLOADS = ("radial-sweep", "field-comparison", "cli-cold")
 REFERENCE = os.path.join("perfbench", "data", "reference.json")
 SEED = 0  # perfbench/run.py's default
+REPEATS = 5  # timed passes over the specs; us_per_step takes the least
 # Run in the measured checkout, this file's stepper_counters prints its counters.
 _COUNTERS_CHILD = ("import json, runpy, sys; counters = runpy.run_path(sys.argv[1])"
                    "['stepper_counters']; print(json.dumps(counters(json.load(open(sys.argv[2])))))")
 
 
-def stepper_counters(reference: dict, repeats: int = 5) -> dict:
+def stepper_counters(reference: dict) -> dict:
     """rhs_evals, accepted and rejected summed over the reference specs with
     a closed-form coefficient, each solved as ``hessianls solve`` would, and
-    us_per_step: the least summed solve time over ``repeats`` runs of them,
+    us_per_step: the least summed solve time over REPEATS runs of them,
     in microseconds per attempted (accepted or rejected) step."""
     from hessianls.cli import ProblemSpec
     from hessianls.solver import solve_cauchy
@@ -55,7 +56,7 @@ def stepper_counters(reference: dict, repeats: int = 5) -> dict:
              if entry["spec"]["coefficient"]["kind"] != "tabulated"}
     totals = {"specs": list(specs), "rhs_evals": 0, "accepted": 0, "rejected": 0}
     best = math.inf
-    for repeat in range(repeats):
+    for repeat in range(REPEATS):
         elapsed = 0.0
         for spec in specs.values():
             problem = (spec.params, spec.radial_profile(), spec.grid(),

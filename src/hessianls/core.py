@@ -158,7 +158,7 @@ class RadialGrid:
         """max(8, nodes_per_decade) + 1 linear nodes on [0, min(r_lin, r_max)], then
         max(2, ceil(nodes_per_decade * decades)) log-spaced ones up to r_max > r_lin;
         a count beyond MAX_GRID_NODES, or an r_max so close above r_lin that the
-        log nodes would round onto it, is refused before any array is laid."""
+        log nodes would round onto r_lin or r_max, is refused before any array is laid."""
         if not 0 < r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, got {r_max}")
         if not 0 < r_lin < math.inf:
@@ -174,16 +174,18 @@ class RadialGrid:
         if n_lin + 1 + n_log > MAX_GRID_NODES:
             raise ParameterError(f"r_max = {r_max:g} lies {decades:.4g} decades beyond r_lin = "
                                  f"{r_lin:g}: {n_lin + 1 + n_log} nodes; at most {MAX_GRID_NODES}")
-        # The log nodes lie decades / n_log apart in log10 r, and log10 r_max and
-        # log10 r_lin each carry a rounding error up to eps |log10 r|: a spacing
-        # within twice those errors rounds the nodes onto r_lin and each other.
-        if n_log and decades / n_log <= 2.0 * sys.float_info.epsilon * (
-                1.0 + abs(math.log10(r_max)) + abs(math.log10(r_lin))):
-            raise ParameterError(f"r_max = {r_max!r} is too close above r_lin = {r_lin!r}: its "
-                                 f"{n_log} log-spaced nodes would round onto r_lin; set r_max "
-                                 f"to r_lin or further out")
         if r_max / r_lin == math.inf:
             raise ParameterError(f"r_lin = {r_lin:g} is too small: r_max / r_lin overflows")
+        # Just above r_lin the log nodes laid below can round onto r_lin or r_max:
+        # the first and the next-to-last of them, computed as scalars with the
+        # same expressions, must lie strictly between.
+        if n_log:
+            step = decades / n_log
+            first, last = r_lin * 10.0 ** step, r_lin * 10.0 ** ((n_log - 1) * step)
+            if not (r_lin < first and last < r_max):
+                raise ParameterError(f"r_max = {r_max!r} is too close above r_lin = {r_lin!r}: "
+                                     f"its {n_log} log-spaced nodes would round onto r_lin or "
+                                     f"r_max; set r_max to r_lin or further out")
         r_lin = min(r_lin, r_max)
         log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
         nodes = np.concatenate([np.linspace(0.0, r_lin, n_lin + 1), log_part])

@@ -180,7 +180,10 @@ class _DenseOutput:
             axis=-1)
         self.accepted = rec.shape[0]
         self.rejected = rejected
-        self.rhs_evals = 1 + 6 * (self.accepted + rejected)
+
+    @property
+    def rhs_evals(self) -> int:
+        return 1 + 6 * (self.accepted + self.rejected)
 
     def __call__(self, r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))

@@ -308,7 +308,7 @@ class TestProblemSpec:
         # one ulp above r_lin: both log10 read 1.0 and the log nodes fall onto r_lin
         ({"r_max": 10.000000000000002},
          "spec.grid: r_max = 10.000000000000002 is too close above r_lin = 10.0: its 2 "
-         "log-spaced nodes would round onto r_lin"),
+         "log-spaced nodes would round onto r_lin or r_max"),
     ], ids=["dense", "beyond-float", "wide", "widest", "decade-dense", "dimension",
             "onto-r_lin"])
     def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,

@@ -210,6 +210,9 @@ class TestRadialGrid:
         (100.0, 10.0, MAX_GRID_NODES),  # 50001 linear and 50000 log-spaced nodes
         (1e154, 10.0, 48),  # the widest default grid a spec at n = 3 admits
         (10.0 + 1e-12, 10.0, 48), (1e300 * (1 + 1e-11), 1e300, 48),  # just clear of r_lin
+        # a few ulps clear of r_lin: one log node strictly between r_lin and r_max
+        (10.00000000000005, 10.0, 48), (1e300 * (1 + 1e-13), 1e300, 48),
+        (math.nextafter(math.nextafter(10.0, math.inf), math.inf), 10.0, 48),
     ])
     def test_count_held_to_the_cap_is_the_count_laid(self, monkeypatch, r_max, r_lin, npd):
         monkeypatch.setattr(core, "MAX_GRID_NODES", 10**9)
@@ -225,12 +228,14 @@ class TestRadialGrid:
         (5.0, 10.0, 10**400, "nodes_per_decade"),
         (1e4, 10.0, 12_500, "r_max"),
         (1e308, 5e-324, 80, "r_max"),
-        # log nodes that round onto r_lin (they once read "grid nodes must be
-        # strictly increasing", naming no field)
+        # log nodes that round onto r_lin or r_max (they once read "grid nodes
+        # must be strictly increasing", naming no field)
         (10.000000000000002, 10.0, 48, "r_max"),
         (math.nextafter(1e300, math.inf), 1e300, 4, "r_max"),
         (1e300 * (1 + 2e-15), 1e300, 4, "r_max"),
         (math.nextafter(1e-300, 1.0), 1e-300, 1000, "r_max"),
+        # two ulps above r_lin = 1.5 the one inner log node rounds onto r_max
+        (math.nextafter(math.nextafter(1.5, math.inf), math.inf), 1.5, 48, "r_max"),
     ])
     def test_beyond_the_cap_refused_before_any_array(self, monkeypatch, r_max, r_lin, npd,
                                                      field):

@@ -56,18 +56,21 @@ def test_bench_record_stepper_counters():
 
 
 def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):
-    # Repeat 2 of 3 is the fastest: its summed solve time over both specs
+    # Repeat 2 of 5 is the fastest: its summed solve time over both specs
     # sets us_per_step, while the counts come from one repeat only.
     module = _load("bench_record.py")
     reference = json.loads(REFERENCE.read_text())
     closed = {name: entry for name, entry in sorted(reference.items())
               if entry["spec"]["coefficient"]["kind"] != "tabulated"}
     two = dict(list(closed.items())[:2])
-    clock = iter([0.0, 3.0, 3.0, 5.0,   # repeat 1: 3 s + 2 s
-                  5.0, 6.0, 6.0, 7.5,   # repeat 2: 1 s + 1.5 s
-                  7.5, 9.0, 9.0, 12.0])  # repeat 3: 1.5 s + 3 s
+    assert module.REPEATS == 5
+    clock = iter([0.0, 3.0, 3.0, 5.0,    # repeat 1: 3 s + 2 s
+                  5.0, 6.0, 6.0, 7.5,    # repeat 2: 1 s + 1.5 s
+                  7.5, 9.0, 9.0, 12.0,   # repeat 3: 1.5 s + 3 s
+                  12.0, 14.0, 14.0, 15.0,  # repeat 4: 2 s + 1 s
+                  15.0, 16.0, 16.0, 18.0])  # repeat 5: 1 s + 2 s
     monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    counters = module.stepper_counters(two, repeats=3)
+    counters = module.stepper_counters(two)
     steps = counters["accepted"] + counters["rejected"]
     assert counters["specs"] == list(two)
     assert counters["rhs_evals"] == 2 + 6 * steps

@@ -280,7 +280,9 @@ class TestSolveCauchy:
         np.testing.assert_allclose(tight.u, default.u, rtol=1e-7)
 
     def test_stepper_counts(self, hessian2_params):
-        # FSAL: one RHS call to start, six per attempted step.
+        # FSAL: one RHS call to start, six per attempted step.  rhs_evals is
+        # defined so; TestStepperKernel checks it against the generic stepper's
+        # own count of its calls.
         curve = solve_cauchy(hessian2_params, RadialProfile.power_tail(1.0),
                              RadialGrid.build(1e4))
         dense = curve.dense
