@@ -12,9 +12,13 @@ tells host drift from a code change.  It adds the stepper's own
 counters, which the benchmark's tracer cannot see: the dense evaluator's
 ``rhs_evals``, ``accepted`` and ``rejected``, summed over the closed-form
 specs of ``perfbench/data/reference.json``, solved by the checkout's own
-package, and beside them ``us_per_step``, the least of 5 summed solve
-times of those specs per attempted step, so the trajectory shows the
-stepper's cost next to its counts.  The file is named after the git tree of
+package, and beside them ``us_per_step`` and ``us_per_step_median``, the
+least and the median of 15 summed solve times of those specs per attempted
+step, so the trajectory shows the stepper's cost next to its counts (only
+the counts compare across recordings: the times move with the host's
+load).  Under ``envelope`` it adds the envelope work of the golden classify
+op of ``perfbench/golden.py``: Gauss points, tabulated b points, Simpson
+nodes and ``RadialGrid.refined`` calls.  The file is named after the git tree of
 the checkout's ``src`` directory, which names the measured code whichever
 commit carries it; the tree of ``perfbench`` inside names the benchmark
 that measured it.  One run per workload is a single sample: compare wall
@@ -25,29 +29,42 @@ more than the spread of repeated runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
-import math
 import os
 import platform
+import runpy
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib.metadata import version
 
 WORKLOADS = ("radial-sweep", "field-comparison", "cli-cold")
 REFERENCE = os.path.join("perfbench", "data", "reference.json")
 SEED = 0  # perfbench/run.py's default
-REPEATS = 5  # timed passes over the specs; us_per_step takes the least
-# Run in the measured checkout, this file's stepper_counters prints its counters.
-_COUNTERS_CHILD = ("import json, runpy, sys; counters = runpy.run_path(sys.argv[1])"
-                   "['stepper_counters']; print(json.dumps(counters(json.load(open(sys.argv[2])))))")
+GOLDEN = os.path.join("perfbench", "golden.py")
+# Timed passes over the specs: us_per_step takes the least, us_per_step_median
+# the median.
+REPEATS = 15
+ENVELOPE_COUNTS = ("gauss_points", "tabulated_b_points", "simpson_nodes", "refined_calls")
+# Run in the measured checkout, this file's counters print the stepper's and
+# the golden classify's.
+_COUNTERS_CHILD = ("import json, runpy, sys; script = runpy.run_path(sys.argv[1]); "
+                   "stepper = script['stepper_counters'](json.load(open(sys.argv[2]))); "
+                   "print(json.dumps({'stepper': stepper, "
+                   "'envelope': script['golden_envelope_counters']()}))")
 
 
 def stepper_counters(reference: dict) -> dict:
     """rhs_evals, accepted and rejected summed over the reference specs with
     a closed-form coefficient, each solved as ``hessianls solve`` would, and
-    us_per_step: the least summed solve time over REPEATS runs of them,
-    in microseconds per attempted (accepted or rejected) step."""
+    us_per_step and us_per_step_median: the least and the median summed
+    solve time over REPEATS runs of them, in microseconds per attempted
+    (accepted or rejected) step.  Only the step counts compare across
+    recordings; the times move with the host's load."""
     from hessianls.cli import ProblemSpec
     from hessianls.solver import solve_cauchy
 
@@ -55,7 +72,7 @@ def stepper_counters(reference: dict) -> dict:
              for name, entry in sorted(reference.items())
              if entry["spec"]["coefficient"]["kind"] != "tabulated"}
     totals = {"specs": list(specs), "rhs_evals": 0, "accepted": 0, "rejected": 0}
-    best = math.inf
+    passes = []
     for repeat in range(REPEATS):
         elapsed = 0.0
         for spec in specs.values():
@@ -67,9 +84,72 @@ def stepper_counters(reference: dict) -> dict:
             if not repeat:
                 for key in ("rhs_evals", "accepted", "rejected"):
                     totals[key] += getattr(dense, key)
-        best = min(best, elapsed)
-    totals["us_per_step"] = 1e6 * best / (totals["accepted"] + totals["rejected"])
+        passes.append(elapsed)
+    steps = totals["accepted"] + totals["rejected"]
+    totals["us_per_step"] = 1e6 * min(passes) / steps
+    totals["us_per_step_median"] = 1e6 * statistics.median(passes) / steps
     return totals
+
+
+def envelope_counters(argv: list, spec: dict) -> dict:
+    """The envelope work of one ``hessianls`` op, ``argv`` with ``spec``
+    written to a file in place of ``{spec}`` and an output directory in
+    place of ``{out}``, run in this process on the package it imports:
+    Gauss points laid by ``panel_points``, points at which a tabulated b is
+    evaluated, Simpson nodes (``cumulative_values``) and
+    ``RadialGrid.refined`` calls, each counted where the package binds it."""
+    import numpy as np
+
+    from hessianls import _integrate, cli, envelope
+    from hessianls.coefficients import RadialProfile
+    from hessianls.core import RadialGrid
+
+    counts = dict.fromkeys(ENVELOPE_COUNTS, 0)
+
+    def counted(key, function, amount):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            counts[key] += amount(args, result)
+            return result
+        return wrapper
+
+    def tabulated(args, result):
+        return int(np.size(args[1])) if args[0].kind == "tabulated" else 0
+
+    profile_eval = counted("tabulated_b_points", RadialProfile.__dict__["eval"], tabulated)
+    patches = [(module, "panel_points", counted("gauss_points", _integrate.panel_points,
+                                                lambda args, result: result[1].size))
+               for module in (_integrate, envelope)]
+    patches += [(envelope, "cumulative_values", counted(
+                    "simpson_nodes", _integrate.cumulative_values,
+                    lambda args, result: result.size)),
+                (RadialProfile, "eval", profile_eval), (RadialProfile, "__call__", profile_eval),
+                (RadialGrid, "refined", counted("refined_calls", RadialGrid.__dict__["refined"],
+                                                lambda args, result: 1))]
+    originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    with tempfile.TemporaryDirectory() as work:
+        spec_path = os.path.join(work, "spec.json")
+        with open(spec_path, "w") as handle:
+            json.dump(spec, handle)
+        argv = [arg.format(spec=spec_path, out=os.path.join(work, "out")) for arg in argv]
+        try:
+            for owner, name, replacement in patches:
+                setattr(owner, name, replacement)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        finally:
+            for owner, name, original in originals:
+                setattr(owner, name, original)
+    if code:
+        raise RuntimeError(f"hessianls {' '.join(argv)} exited {code}")
+    return counts
+
+
+def golden_envelope_counters() -> dict:
+    """:func:`envelope_counters` of the golden classify op of
+    ``perfbench/golden.py``, run as that file runs it."""
+    return envelope_counters(["classify", "{spec}"],
+                             runpy.run_path(GOLDEN)["SPECS"]["classify-spec.json"])
 
 
 def _child(root: str, argv: list) -> str:
@@ -93,6 +173,8 @@ def run_workload(root: str, workload: str, seconds: float) -> dict:
 
 
 def checkout_counters(root: str) -> dict:
+    """{"stepper": stepper_counters, "envelope": golden_envelope_counters},
+    run in ``root`` on its own package."""
     return json.loads(_child(root, ["-c", _COUNTERS_CHILD, os.path.abspath(__file__),
                                     REFERENCE]))
 
@@ -119,7 +201,7 @@ def record(root: str, outdir: str, seconds: float | None = None) -> str:
         "host": {"python": platform.python_version(), "numpy": version("numpy"),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "workloads": {name: run_workload(root, name, seconds) for name in WORKLOADS},
-        "stepper": checkout_counters(root),
+        **checkout_counters(root),
     }
     path = os.path.join(outdir, f"BENCH_{src_tree}.json")
     with open(path, "w") as handle:

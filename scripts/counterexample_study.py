@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hessianls import (OscillationError, ProblemParams, RadialGrid,
+from hessianls import (EnvelopeTables, OscillationError, ProblemParams, RadialGrid,
                        build_sandwich, classify_existence, make_builtin_field,
                        oscillation_condition, radialize)
 
@@ -58,11 +58,12 @@ def main() -> int:
     print(f"radialized envelopes ({args.sphere_count} points/radius): "
           f"max rel error {star_err:.2e} (lower), {upper_err:.2e} (upper)")
 
-    verdict = classify_existence(triple.b_star, params, r_max=args.r_max)
+    tables = EnvelopeTables(params, triple, args.r_max)
+    verdict = classify_existence(tables)
     print(f"classification from the lower envelope: {verdict.verdict} "
           f"(tail {verdict.tail_exponent:g} vs threshold {verdict.threshold:g})")
 
-    osc = oscillation_condition(triple, params, r_max=args.r_max)
+    osc = oscillation_condition(tables)
     print(f"oscillation smallness: {osc.status} "
           f"(oscillation tail m = {osc.tail_osc:g}, threshold m* = {osc.m_star:g})")
 

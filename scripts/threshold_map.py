@@ -32,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hessianls import (AnisotropicPowerField, ProblemParams, RadialGrid,
-                       RadialProfile, classify_existence,
-                       oscillation_condition, oscillation_threshold, radialize)
+from hessianls import (AnisotropicPowerField, EnvelopeTables, ProblemParams, RadialGrid,
+                       RadialProfile, classify_existence, oscillation_condition,
+                       oscillation_threshold, radialize, triple_from_radial)
 
 
 def probe_flip(params: ProblemParams, l: float, m_star: float,
@@ -45,7 +45,7 @@ def probe_flip(params: ProblemParams, l: float, m_star: float,
     for side, m in (("above", m_star + 0.5), ("below", m_star - 0.5)):
         field = AnisotropicPowerField(l=l, m=m, amp=0.5, dim=params.n)
         triple = radialize(field, grid, sphere_count=64)
-        report = oscillation_condition(triple, params, r_max=r_max)
+        report = oscillation_condition(EnvelopeTables(params, triple, r_max))
         out[side] = {"m": m, "status": report.status}
     return out
 
@@ -76,8 +76,8 @@ def main() -> int:
         params = ProblemParams(n=args.n, k=k, gamma=float(gamma))
         for l in l_values:
             m_star = oscillation_threshold(params, float(l))
-            verdict = classify_existence(RadialProfile.power_tail(float(l)),
-                                         params, r_max=100.0)
+            tail = triple_from_radial(RadialProfile.power_tail(float(l)))
+            verdict = classify_existence(EnvelopeTables(params, tail, 100.0))
             row = {"gamma": float(gamma), "l": float(l), "m_star": m_star,
                    "classification": verdict.verdict}
             if args.probe:

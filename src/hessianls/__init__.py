@@ -22,7 +22,7 @@ from .criteria import (BOUNDED, INCONCLUSIVE, LARGE, CriterionVerdict,
                        keller_osserman_integrand, oscillation_condition,
                        oscillation_threshold, oscillation_verdict,
                        tail_exponent_of)
-from .envelope import compute_b_tilde
+from .envelope import EnvelopeTables, compute_b_tilde
 from .errors import (BlowupGuardError, CoefficientError, DomainTooLargeError,
                      IntegrationError, OrderingError, OscillationError,
                      ParameterError, ProfileRangeError)

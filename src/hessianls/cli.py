@@ -40,6 +40,7 @@ from .core import (LOG_FLOAT_MAX, MAX_GRID_NODES, ProblemParams, RadialGrid,
                    gamma_k_membership)
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
                        jensen_conditions, oscillation_condition, oscillation_verdict)
+from .envelope import EnvelopeTables
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
@@ -334,10 +335,10 @@ def cmd_classify(args) -> int:
     sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
     triple = spec.triple(sphere_count=sphere_count)
-    verdict = classify_existence(triple.b_star, spec.params,
-                                 r_max=spec.grid_cfg["r_max"])
-    osc = oscillation_condition(triple, spec.params, r_max=spec.grid_cfg["r_max"])
-    jensen = jensen_conditions(triple, spec.params, r_max=spec.grid_cfg["r_max"])
+    tables = EnvelopeTables(spec.params, triple, spec.grid_cfg["r_max"])
+    verdict = classify_existence(tables)
+    osc = oscillation_condition(tables)
+    jensen = jensen_conditions(tables)
     thresholds = {
         "l": verdict.tail_exponent,
         "m": osc.tail_osc,

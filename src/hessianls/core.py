@@ -157,8 +157,9 @@ class RadialGrid:
     def build(cls, r_max: float, r_lin: float = 10.0, nodes_per_decade: int = 48) -> "RadialGrid":
         """max(8, nodes_per_decade) + 1 linear nodes on [0, min(r_lin, r_max)], then
         max(2, ceil(nodes_per_decade * decades)) log-spaced ones up to r_max > r_lin;
-        a count beyond MAX_GRID_NODES, or an r_max so close above r_lin that the
-        log nodes would round onto r_lin or r_max, is refused before any array is laid."""
+        a count beyond MAX_GRID_NODES, a span so small that the linear nodes would
+        round onto each other, or an r_max so close above r_lin that the log nodes
+        would round onto r_lin or r_max, is refused before any array is laid."""
         if not 0 < r_max < math.inf:
             raise ParameterError(f"r_max must be positive and finite, got {r_max}")
         if not 0 < r_lin < math.inf:
@@ -186,7 +187,17 @@ class RadialGrid:
                 raise ParameterError(f"r_max = {r_max!r} is too close above r_lin = {r_lin!r}: "
                                      f"its {n_log} log-spaced nodes would round onto r_lin or "
                                      f"r_max; set r_max to r_lin or further out")
-        r_lin = min(r_lin, r_max)
+        # A subnormal span rounds the linear nodes laid below onto each other:
+        # np.linspace lays i * step, or (i / n_lin) * span where step underflows
+        # to 0 (then n_lin + 1 nodes share at most n_lin / 2 + 1 values), so the
+        # last two, computed as scalars, must be in order.  The span ends at
+        # r_lin, or at r_max below it, and that field is named.
+        name, span = ("r_lin", r_lin) if r_lin <= r_max else ("r_max", r_max)
+        step = span / n_lin
+        if not (step > 0.0 and (n_lin - 1) * step < span):
+            raise ParameterError(f"{name} = {span!r} is too small: the {n_lin} linear cells on "
+                                 f"[0, {name}] would round onto each other")
+        r_lin = span
         log_part = r_lin * 10.0 ** np.linspace(0.0, decades, n_log + 1)[1:]
         nodes = np.concatenate([np.linspace(0.0, r_lin, n_lin + 1), log_part])
         nodes[-1] = r_max  # r_lin itself where r_max <= r_lin

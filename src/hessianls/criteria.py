@@ -29,9 +29,11 @@ plus the growth exponent of btilde:
 Every verdict, the two moment conditions included, compares one tail
 exponent with 2k or m* through :func:`_exceeds`.  :func:`existence_verdict`
 and :func:`oscillation_verdict` decide from the tails alone; the reports of
-:func:`classify_existence` and :func:`oscillation_condition` add the finite
-parts as evidence.  Only tails, thresholds and verdicts live here; every
-envelope integral is :mod:`.envelope`'s.
+:func:`classify_existence`, :func:`oscillation_condition` and
+:func:`jensen_conditions` add the finite parts of one op's
+:class:`~hessianls.envelope.EnvelopeTables` as evidence.  Only tails,
+thresholds and verdicts live here; every envelope integral is
+:mod:`.envelope`'s.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from .asymptotics import fit_exponent
 from .core import ProblemParams
 from .coefficients import OSC_NEGLIGIBLE_REL_TOL, RadializedTriple, RadialProfile
 # The envelope integrals live in envelope; perfbench/tracing.py wraps
-# keller_osserman_integrand and bounded_solution_bound as ``criteria.*``.
-from .envelope import (bounded_solution_bound, growth_primitive,  # noqa: F401
-                       keller_osserman_integrand, oscillation_integral,
+# growth_primitive, keller_osserman_integrand and bounded_solution_bound as
+# ``criteria.*``.
+from .envelope import (EnvelopeTables, bounded_solution_bound,  # noqa: F401
+                       growth_primitive, keller_osserman_integrand, oscillation_integral,
                        oscillation_moment_integral, radial_moment_integral)
 from .errors import ParameterError
 
@@ -144,21 +147,22 @@ def existence_verdict(b_star, params: ProblemParams):
     return {None: INCONCLUSIVE, False: LARGE, True: BOUNDED}[bounded], est
 
 
-def classify_existence(b_star, params: ProblemParams,
-                       r_max: float = 1e4) -> CriterionVerdict:
-    """Large / Bounded / Inconclusive from the growth-envelope integral.
+def classify_existence(tables: EnvelopeTables) -> CriterionVerdict:
+    """Large / Bounded / Inconclusive from the growth-envelope integral of
+    ``tables``' b_*.
 
-    ``b_star`` must be a RadialProfile (tail handling needs it); the
-    finite part of the integral up to r_max is reported as evidence, the
-    verdict itself is :func:`existence_verdict`'s.
+    The finite part of the integral up to r_max, the last entry of the J
+    table, is reported as evidence; the verdict itself is
+    :func:`existence_verdict`'s.
     """
+    params, r_max = tables.params, tables.r_max
     threshold = 2.0 * params.k
-    verdict, est = existence_verdict(b_star, params)
+    verdict, est = existence_verdict(tables.triple.b_star, params)
     if est is None:
         return CriterionVerdict(
             INCONCLUSIVE, None, threshold, float("nan"),
             ["no declared tail exponent and not enough tabulated range to fit one"])
-    finite = float(growth_primitive(params, b_star, r_max))
+    finite = float(tables.growth[2][-1])
     evidence = [f"tail exponent {est.exponent:.6g} ({est.source})",
                 f"integrand decays like r^((k - min(l, n))/k) with n = {params.n}, "
                 f"k = {params.k}",
@@ -222,13 +226,14 @@ def oscillation_verdict(triple: RadializedTriple, params: ProblemParams):
     return status, m_star, est_star, est_osc
 
 
-def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
-                          r_max: float = 1e4) -> OscillationReport:
-    """Decide whether the oscillation b^* - b_* is small enough for the
-    sandwich construction (finite I_osc): :func:`oscillation_verdict`'s
-    status, with the [0, r_max] part of I_osc and its tail as evidence."""
+def oscillation_condition(tables: EnvelopeTables) -> OscillationReport:
+    """Decide whether the oscillation b^* - b_* of ``tables``' triple is
+    small enough for the sandwich construction (finite I_osc):
+    :func:`oscillation_verdict`'s status, with the [0, r_max] part of I_osc
+    and its tail as evidence."""
+    params, r_max = tables.params, tables.r_max
     k, n = params.k, params.n
-    status, m_star, est_star, est_osc = oscillation_verdict(triple, params)
+    status, m_star, est_star, est_osc = oscillation_verdict(tables.triple, params)
     if m_star is None and status == "satisfied":
         return OscillationReport(
             "satisfied", 0.0, 0.0, None, None, None,
@@ -243,7 +248,7 @@ def oscillation_condition(triple: RadializedTriple, params: ProblemParams,
     l, m = est_star.exponent, est_osc.exponent
     # the outer integrand scales like r^(-1 - gap/k); gap > 0 when satisfied
     gap = min(m - m_star, n - 2.0 * k)
-    finite, tail_value = oscillation_integral(params, triple.b_star, triple.b_osc, r_max)
+    finite, tail_value = oscillation_integral(tables)
     evidence = [f"envelope tail l = {l:.6g} ({est_star.source}), "
                 f"oscillation tail m = {m:.6g} ({est_osc.source})",
                 f"threshold m* = {m_star:.6g}",
@@ -295,14 +300,14 @@ class JensenReport:
         return asdict(self)
 
 
-def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
-                      r_max: float = 1e4) -> JensenReport:
-    """Evaluate both moment conditions through tail exponents plus finite
-    parts (same policy as the main criteria: no improper quadrature)."""
+def jensen_conditions(tables: EnvelopeTables) -> JensenReport:
+    """Evaluate both moment conditions of ``tables``' triple through tail
+    exponents plus finite parts (same policy as the main criteria: no
+    improper quadrature)."""
+    params, triple = tables.params, tables.triple
     est_star = tail_exponent_of(triple.b_star)
     # r b_*^(1/k) ~ r^(1 - l/k): convergent iff l > 2k
-    radial_moment = _moment(radial_moment_integral(params, triple.b_star, r_max),
-                            est_star, 2.0 * params.k)
+    radial_moment = _moment(radial_moment_integral(tables), est_star, 2.0 * params.k)
 
     if triple.osc_negligible():
         osc_bound = {"status": "convergent", "tail_exponent": None,
@@ -310,7 +315,7 @@ def jensen_conditions(triple: RadializedTriple, params: ProblemParams,
                      "note": "oscillation vanishes"}
         return JensenReport(radial_moment, osc_bound)
 
-    osc_finite = oscillation_moment_integral(params, triple.b_star, triple.b_osc, r_max)
+    osc_finite = oscillation_moment_integral(tables)
     # the integrand scales like r^(1 - m/k) times the bracket's growth,
     # r^(max(2k - l, 0) gamma/(k (k - gamma))): convergent iff m > m*
     m_star = None if est_star is None else oscillation_threshold(params, est_star.exponent)

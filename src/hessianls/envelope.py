@@ -11,6 +11,12 @@ the next segment, sums the same panel points in plain floats.  Every
 envelope integral lives here: J, its primitive, btilde, I_osc and the two
 moment integrals, whose outer integrals (and I_osc's inner one, pinned by
 the golden sandwich report) are composite Simpson on :func:`fine_nodes`.
+The criteria read I_osc, the moment integrals and the existence finite part
+from one :class:`EnvelopeTables` per op, so one classify tabulates once:
+the fine nodes, b_* at their Gauss points, the J table, and b_* and b_osc
+on the nodes.  The exact counts of that work (Gauss points, tabulated b
+points, Simpson nodes, refined grids) are the envelope rows of the work
+ledger, ``tests/test_solver.py::TestWorkLedger``.
 Tables use no ODE stepping, so they are an independent oracle for the
 solver, and so are the two comparison routes built here: the explicit
 break line (:func:`euler_polyline`) and the frozen right-hand side
@@ -21,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
-from .coefficients import check_coefficient
+from .coefficients import RadializedTriple, check_coefficient
 from .core import ProblemParams, RadialGrid
 from .errors import DomainTooLargeError, IntegrationError, ParameterError
 
@@ -151,15 +158,56 @@ def bounded_solution_bound(params: ProblemParams, b_star, r):
     return (params.a ** sub + sub * prim) ** (1.0 / sub)
 
 
-def oscillation_integral(params: ProblemParams, b_star, b_osc, r_max: float):
+class EnvelopeTables:
+    """What the finite parts of one op share on [0, r_max] for ``triple``.
+
+    Each member is computed the first time it is read: the fine nodes, b_*
+    at the Gauss points of their cells (checked once), the J table
+    (ln inner, J, integral_0^r J) on them, and b_* and b_osc on the nodes.
+    So one classify tabulates b_* and J once for the existence, oscillation
+    and moment criteria.  Build one per op; nothing here outlives it.
+    """
+
+    def __init__(self, params: ProblemParams, triple: RadializedTriple, r_max: float):
+        self.params, self.triple, self.r_max = params, triple, r_max
+        self._star_gauss = None
+
+    @cached_property
+    def fine(self) -> np.ndarray:
+        return fine_nodes(self.r_max)
+
+    def _star_at_gauss(self, s) -> np.ndarray:
+        """b_* at ``s``, the Gauss points of the cells of :attr:`fine`: every
+        flux integral here runs on those nodes, so b_* is evaluated and
+        checked on the first call only."""
+        if self._star_gauss is None:
+            self._star_gauss = check_coefficient(self.triple.b_star(s), s, nonnegative=True)
+        return self._star_gauss
+
+    @cached_property
+    def growth(self):
+        """(ln inner, J, integral_0^r J) on :attr:`fine`."""
+        return linear_growth_tables(self.params, self._star_at_gauss, self.fine)
+
+    @cached_property
+    def star_fine(self) -> np.ndarray:
+        return check_coefficient(self.triple.b_star(self.fine), self.fine, nonnegative=True)
+
+    @cached_property
+    def osc_fine(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.asarray(self.triple.b_osc(self.fine))
+
+
+def oscillation_integral(tables: EnvelopeTables):
     """The [0, r_max] part of I_osc = integral F(r, integral_0^r s^(n-1) b_osc
     btilde) dr and the outer integrand at r_max (for the tail estimate)."""
-    fine = fine_nodes(r_max)
+    params, fine = tables.params, tables.fine
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
         # itself; its primitive is the J table's last column on ``fine``.
-        btilde = _growth_factor(params, linear_growth_tables(params, b_star, fine)[2])
-        osc_vals = np.asarray(b_osc(fine))
+        btilde = _growth_factor(params, tables.growth[2])
+        osc_vals = tables.osc_fine
         # In extreme-exponent regimes the oscillation underflows to zero
         # while the growth factor overflows; the product is then taken as
         # zero (no verdict depends on this finite part).
@@ -170,27 +218,25 @@ def oscillation_integral(params: ProblemParams, b_star, b_osc, r_max: float):
         return _total(outer, fine), float(outer[-1])
 
 
-def radial_moment_integral(params: ProblemParams, b_star, r_max: float) -> float:
+def radial_moment_integral(tables: EnvelopeTables) -> float:
     """The [0, r_max] part of integral r b_*^(1/k) dr, the radial moment of
     :class:`~hessianls.criteria.JensenReport`."""
-    fine = fine_nodes(r_max)
-    star_vals = check_coefficient(b_star(fine), fine, nonnegative=True) ** (1.0 / params.k)
-    return float(cumulative_values(fine * star_vals, fine)[-1])
+    fine = tables.fine
+    return float(cumulative_values(fine * tables.star_fine ** (1.0 / tables.params.k), fine)[-1])
 
 
-def oscillation_moment_integral(params: ProblemParams, b_star, b_osc, r_max: float) -> float:
+def oscillation_moment_integral(tables: EnvelopeTables) -> float:
     """The [0, r_max] part of the oscillation moment bound of
     :class:`~hessianls.criteria.JensenReport`."""
+    params, fine = tables.params, tables.fine
     k, n, gam = params.k, params.n, params.gamma
-    fine = fine_nodes(r_max)
-    log_inner1 = flux_integral(params, lambda s: np.asarray(b_star(s)) ** (1.0 / k), fine)
+    log_inner1 = flux_integral(params, lambda s: tables._star_at_gauss(s) ** (1.0 / k), fine)
     ratio = np.zeros_like(fine)
     ratio[1:] = np.exp(log_inner1[1:] - (n - 1) * np.log(fine[1:]))
     double = cumulative_values(ratio, fine)
     with np.errstate(over="ignore", invalid="ignore"):
         bracket = (1.0 + n / params.cnk ** (1.0 / k) * double) ** (gam / (k - gam))
-        osc_vals = np.asarray(b_osc(fine)) ** (1.0 / k)
-        return _total(fine * osc_vals * bracket, fine)
+        return _total(fine * tables.osc_fine ** (1.0 / k) * bracket, fine)
 
 
 def _total(values, nodes) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import RadializedTriple
 from .core import ProblemParams, RadialCurve, RadialGrid
 from .criteria import OscillationReport, oscillation_condition
-from .envelope import bounded_solution_bound, growth_primitive
+from .envelope import EnvelopeTables, bounded_solution_bound, growth_primitive
 from .errors import OrderingError, OscillationError, ParameterError
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, solve_cauchy,
                      write_curve_csv)
@@ -109,7 +109,7 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
         raise ParameterError(f"beta must be a finite number, got {beta}")
     if margin is not None and not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be a finite number >= 0, got {margin}")
-    osc = oscillation_condition(triple, params, r_max=grid.r_max)
+    osc = oscillation_condition(EnvelopeTables(params, triple, grid.r_max))
     if beta is None:
         if not osc.satisfied:
             raise OscillationError(

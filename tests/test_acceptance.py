@@ -35,6 +35,7 @@ from hessianls.criteria import (
     oscillation_condition,
     oscillation_threshold,
 )
+from hessianls.envelope import EnvelopeTables
 from hessianls.sandwich import bounded_dominance_bound, build_sandwich
 from hessianls.solver import (
     breakline_defect,
@@ -114,9 +115,8 @@ def test_c04_classification_threshold():
             params = ProblemParams(n=n, k=k, gamma=0.5 * k)
             for l, expected in ((2 * k - 0.5, LARGE), (2.0 * k, LARGE),
                                 (2 * k + 0.5, BOUNDED)):
-                verdict = classify_existence(
-                    RadialProfile.power_tail(l), params, r_max=100.0
-                )
+                verdict = classify_existence(EnvelopeTables(
+                    params, triple_from_radial(RadialProfile.power_tail(l)), 100.0))
                 assert verdict.verdict == expected, (k, n, l)
 
         params = ProblemParams(n=3, k=1, gamma=0.5)
@@ -152,7 +152,7 @@ def test_c05_oscillation_threshold_grid():
                         triple = RadializedTriple(
                             star, RadialProfile.power_tail(l, m=m, A=0.5),
                             RadialProfile.power_tail(m, scale=0.5))
-                        report = oscillation_condition(triple, params, r_max=500.0)
+                        report = oscillation_condition(EnvelopeTables(params, triple, 500.0))
                         assert report.status == expected, (k, gamma, l, m)
 
 

@@ -309,8 +309,15 @@ class TestProblemSpec:
         ({"r_max": 10.000000000000002},
          "spec.grid: r_max = 10.000000000000002 is too close above r_lin = 10.0: its 2 "
          "log-spaced nodes would round onto r_lin or r_max"),
+        # subnormal spans: the linear nodes round onto each other
+        ({"r_lin": 5e-324, "r_max": 1e-320, "nodes_per_decade": 4},
+         "spec.grid: r_lin = 5e-324 is too small: the 8 linear cells on [0, r_lin] would "
+         "round onto each other"),
+        ({"r_lin": 3.5e-323, "r_max": 3e-323},
+         "spec.grid: r_max = 3e-323 is too small: the 48 linear cells on [0, r_max] would "
+         "round onto each other"),
     ], ids=["dense", "beyond-float", "wide", "widest", "decade-dense", "dimension",
-            "onto-r_lin"])
+            "onto-r_lin", "subnormal-r_lin", "subnormal-r_max"])
     def test_grid_beyond_the_budget_is_rejected_unbuilt(self, monkeypatch, tmp_path, capsys,
                                                         grid, fragment):
         class NoArrays:
@@ -940,6 +947,7 @@ class TestSweepCommand:
         for module in (criteria, envelope):
             for name in ("growth_primitive", "oscillation_integral"):
                 monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(envelope, "linear_growth_tables", forbidden)  # classify's J table
         radial = self._template(tmp_path, coefficient={"kind": "power_tail", "l": 0.0},
                                 grid={"r_max": 1e3, "nodes_per_decade": 16})
         field = _write(tmp_path, "field.json", {

@@ -213,6 +213,9 @@ class TestRadialGrid:
         # a few ulps clear of r_lin: one log node strictly between r_lin and r_max
         (10.00000000000005, 10.0, 48), (1e300 * (1 + 1e-13), 1e300, 48),
         (math.nextafter(math.nextafter(10.0, math.inf), math.inf), 10.0, 48),
+        # subnormal spans of 8 and 9 units of 5e-324: 8 linear cells still
+        # lay distinct nodes
+        (4e-323, 1.0, 4), (1e-320, 4e-323, 4), (4.4e-323, 1.0, 4),
     ])
     def test_count_held_to_the_cap_is_the_count_laid(self, monkeypatch, r_max, r_lin, npd):
         monkeypatch.setattr(core, "MAX_GRID_NODES", 10**9)
@@ -236,6 +239,11 @@ class TestRadialGrid:
         (math.nextafter(1e-300, 1.0), 1e-300, 1000, "r_max"),
         # two ulps above r_lin = 1.5 the one inner log node rounds onto r_max
         (math.nextafter(math.nextafter(1.5, math.inf), math.inf), 1.5, 48, "r_max"),
+        # subnormal spans whose linear nodes round onto each other (they read
+        # "grid nodes must be strictly increasing"): the field ending [0, span]
+        (1e-320, 5e-324, 4, "r_lin"), (1e-320, 3.5e-323, 4, "r_lin"),
+        (3e-323, 3.5e-323, 48, "r_max"), (3.5e-323, 1.0, 4, "r_max"),
+        (1e-300, 2e-322, 48, "r_lin"),
     ])
     def test_beyond_the_cap_refused_before_any_array(self, monkeypatch, r_max, r_lin, npd,
                                                      field):

@@ -1,5 +1,6 @@
 """Existence classification, oscillation smallness, moment conditions."""
 
+import json
 import math
 
 import mpmath
@@ -31,7 +32,7 @@ from hessianls.criteria import (
     oscillation_verdict,
     tail_exponent_of,
 )
-from hessianls.envelope import compute_b_tilde
+from hessianls.envelope import EnvelopeTables, compute_b_tilde
 from hessianls.errors import ParameterError
 from hessianls.solver import solve_cauchy
 
@@ -43,6 +44,16 @@ def _table_from(profile, r_max=1e4, count=101):
     forcing the fitted-exponent code path."""
     r = np.concatenate([[0.0], np.geomspace(0.1, r_max, count)])
     return RadialProfile.tabulated(r, profile(r))
+
+
+def _tables(triple, params, r_max=1e4):
+    """The envelope tables of one op on [0, r_max], which the criteria read."""
+    return EnvelopeTables(params, triple, r_max)
+
+
+def _existence(b_star, params, r_max=1e4):
+    """classify_existence of the radial coefficient ``b_star`` on [0, r_max]."""
+    return classify_existence(_tables(triple_from_radial(b_star), params, r_max))
 
 
 def _aniso_triple(l, m, amp=0.5):
@@ -224,7 +235,7 @@ class TestClassification:
     )
     def test_threshold_at_declared_tails(self, n, k, l, expected):
         params = ProblemParams(n=n, k=k, gamma=0.5 * k)
-        verdict = classify_existence(RadialProfile.power_tail(l), params, r_max=100.0)
+        verdict = _existence(RadialProfile.power_tail(l), params, 100.0)
         assert verdict.verdict == expected
         assert verdict.threshold == 2 * k
         assert verdict.tail_exponent == l
@@ -232,13 +243,13 @@ class TestClassification:
     def test_dimension_branch(self):
         # n <= 2k: divergence regardless of how fast the coefficient decays.
         params = ProblemParams(n=4, k=2, gamma=1.0)
-        verdict = classify_existence(RadialProfile.power_tail(10.0), params, r_max=50.0)
+        verdict = _existence(RadialProfile.power_tail(10.0), params, 50.0)
         assert verdict.verdict == LARGE
         assert any("dimension branch" in e for e in verdict.evidence)
 
     def test_fitted_tail_verdict(self, laplace_params):
         b = _table_from(RadialProfile.power_tail(2.6).scaled(3.0))
-        verdict = classify_existence(b, laplace_params, r_max=1e3)
+        verdict = _existence(b, laplace_params, 1e3)
         assert verdict.verdict == BOUNDED
         assert verdict.tail_exponent == pytest.approx(2.6, abs=1e-3)
 
@@ -249,12 +260,12 @@ class TestClassification:
         r = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 101)])
         noise = np.exp(0.3 * (-1.0) ** np.arange(r.size))
         b = RadialProfile.tabulated(r, (1 + r**2) ** -1.0 * noise)
-        verdict = classify_existence(b, laplace_params, r_max=1e3)
+        verdict = _existence(b, laplace_params, 1e3)
         assert verdict.verdict == INCONCLUSIVE
 
     def test_no_tail_is_inconclusive(self, laplace_params):
         b = RadialProfile.from_callable(lambda r: 1.0 / (1.0 + np.asarray(r)))
-        verdict = classify_existence(b, laplace_params, r_max=10.0)
+        verdict = _existence(b, laplace_params, 10.0)
         assert verdict.verdict == INCONCLUSIVE
 
     def test_scale_invariance(self, laplace_params):
@@ -262,11 +273,11 @@ class TestClassification:
         for l, expected in ((1.5, LARGE), (2.7, BOUNDED)):
             b = RadialProfile.power_tail(l)
             for c in (0.07, 1.0, 12.3):
-                v = classify_existence(b.scaled(c), laplace_params, r_max=50.0)
+                v = _existence(b.scaled(c), laplace_params, 50.0)
                 assert v.verdict == expected
         fitted = _table_from(RadialProfile.power_tail(2.6))
         assert (
-            classify_existence(fitted.scaled(12.3), laplace_params, r_max=1e3).verdict
+            _existence(fitted.scaled(12.3), laplace_params, 1e3).verdict
             == BOUNDED
         )
 
@@ -286,7 +297,7 @@ class TestClassification:
 class TestOscillation:
     def test_radial_triple_trivially_satisfied(self):
         params = ProblemParams(n=3, k=1, gamma=0.5)
-        report = oscillation_condition(triple_from_radial(B_ONE), params)
+        report = oscillation_condition(_tables(triple_from_radial(B_ONE), params))
         assert report.satisfied
         assert report.integral == 0.0
 
@@ -299,14 +310,14 @@ class TestOscillation:
 
     def test_satisfied_above_threshold(self, laplace_params):
         # k = 1, n = 3, gamma = 1/2, l = 1: m* = 3; m = 3.5 passes.
-        report = oscillation_condition(_aniso_triple(1.0, 3.5), laplace_params)
+        report = oscillation_condition(_tables(_aniso_triple(1.0, 3.5), laplace_params))
         assert report.status == "satisfied"
         assert report.m_star == pytest.approx(3.0)
         assert np.isfinite(report.integral) and report.integral > 0.0
         assert report.finite_part < report.integral  # tail estimate added
 
     def test_violated_below_threshold(self, laplace_params):
-        report = oscillation_condition(_aniso_triple(1.0, 2.5), laplace_params)
+        report = oscillation_condition(_tables(_aniso_triple(1.0, 2.5), laplace_params))
         assert report.status == "violated"
         assert report.integral == float("inf")
         assert report.m_star == pytest.approx(3.0)
@@ -314,7 +325,7 @@ class TestOscillation:
     def test_dimension_branch_always_violated(self):
         # n = 4 = 2k: even a very fast-decaying oscillation fails.
         params = ProblemParams(n=4, k=2, gamma=1.0)
-        report = oscillation_condition(_aniso_triple(1.0, 20.0, amp=1e-3), params)
+        report = oscillation_condition(_tables(_aniso_triple(1.0, 20.0, amp=1e-3), params))
         assert report.status == "violated"
         assert any("dimension branch" in e for e in report.evidence)
 
@@ -334,8 +345,8 @@ class TestOscillation:
         wiggle = np.exp(noise * (-1.0) ** np.arange(r.size))
         osc = RadialProfile.tabulated(r, 0.1 * (1 + r**2) ** (-m / 2) * wiggle)
         star = RadialProfile.power_tail(1.0)
-        report = oscillation_condition(RadializedTriple(star, star, osc),
-                                       ProblemParams(n=n, k=k, gamma=gamma))
+        report = oscillation_condition(_tables(RadializedTriple(star, star, osc),
+                                               ProblemParams(n=n, k=k, gamma=gamma)))
         assert report.m_star == pytest.approx(m_star)
         assert report.status == status
         refused = "fitted tails within one standard error of the threshold" in report.evidence
@@ -345,7 +356,7 @@ class TestOscillation:
         star = RadialProfile.power_tail(1.0)
         osc = RadialProfile.from_callable(lambda r: 0.1 / (1.0 + np.asarray(r) ** 2))
         triple = RadializedTriple(star, star, osc)
-        report = oscillation_condition(triple, laplace_params)
+        report = oscillation_condition(_tables(triple, laplace_params))
         assert report.status == "inconclusive"
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -360,19 +371,17 @@ class TestOscillation:
                             "l": 1.0, "m": 8.0, "amp": 0.5, "dim": 5},
             "grid": {"r_max": 100.0, "nodes_per_decade": 16}})
         triple = spec.triple(sphere_count=64)
-        finite = envelope.oscillation_integral(spec.params, triple.b_star, triple.b_osc,
-                                               100.0)[0]
+        finite = envelope.oscillation_integral(_tables(triple, spec.params, 100.0))[0]
         nodes = envelope.fine_nodes
         monkeypatch.setattr(envelope, "fine_nodes",
                             lambda r_max, extra=(): RadialGrid(nodes(r_max, extra)).refined(4))
-        refined = envelope.oscillation_integral(spec.params, triple.b_star, triple.b_osc,
-                                                100.0)[0]
+        refined = envelope.oscillation_integral(_tables(triple, spec.params, 100.0))[0]
         assert refined == pytest.approx(finite, rel=1e-8)
 
 
 class TestJensenConditions:
     def test_constant_coefficient(self, hessian2_params):
-        report = jensen_conditions(triple_from_radial(B_ONE), hessian2_params, r_max=100.0)
+        report = jensen_conditions(_tables(triple_from_radial(B_ONE), hessian2_params, 100.0))
         assert report.radial_moment["status"] == "divergent"
         # b^(1/k) = 1: the finite part is r_max^2/2.
         assert report.radial_moment["finite_part"] == pytest.approx(5000.0, rel=1e-9)
@@ -382,14 +391,15 @@ class TestJensenConditions:
         # Divergent iff l <= 2k.
         fast = triple_from_radial(RadialProfile.power_tail(4.5))
         slow = triple_from_radial(RadialProfile.power_tail(4.0))
-        assert jensen_conditions(fast, hessian2_params).radial_moment["status"] == "convergent"
-        assert jensen_conditions(slow, hessian2_params).radial_moment["status"] == "divergent"
+        for triple, status in ((fast, "convergent"), (slow, "divergent")):
+            report = jensen_conditions(_tables(triple, hessian2_params))
+            assert report.radial_moment["status"] == status
 
     def test_oscillation_moment_threshold(self, hessian2_params):
         # k = 2, gamma = 1, l = 1: the moment bound flips at the same
         # m* = 7 as the full oscillation condition (no dimension branch).
-        conv = jensen_conditions(_aniso_triple(1.0, 8.0), hessian2_params)
-        div = jensen_conditions(_aniso_triple(1.0, 6.0), hessian2_params)
+        conv = jensen_conditions(_tables(_aniso_triple(1.0, 8.0), hessian2_params))
+        div = jensen_conditions(_tables(_aniso_triple(1.0, 6.0), hessian2_params))
         assert conv.oscillation_moment_bound["status"] == "convergent"
         assert div.oscillation_moment_bound["status"] == "divergent"
 
@@ -402,8 +412,8 @@ class TestJensenConditions:
         wiggle = np.exp(0.3 * (-1.0) ** np.arange(r.size))
         star = RadialProfile.tabulated(r, (1 + r**2) ** -2.0 * wiggle)
         osc = RadialProfile.tabulated(r, 0.1 * (1 + r**2) ** -2.0 * wiggle)
-        assert classify_existence(star, params).verdict == INCONCLUSIVE
-        report = jensen_conditions(RadializedTriple(star, star, osc), params)
+        assert _existence(star, params).verdict == INCONCLUSIVE
+        report = jensen_conditions(_tables(RadializedTriple(star, star, osc), params))
         for entry in (report.radial_moment, report.oscillation_moment_bound):
             assert entry["status"] is None
             assert entry["tail_exponent"] == pytest.approx(4.0, abs=1e-3)
@@ -411,13 +421,13 @@ class TestJensenConditions:
         # the same tails without noise are called: l = m = 3.99998 +- 3e-6
         # lie below 2k and m*
         clean = RadialProfile.tabulated(r, (1 + r**2) ** -2.0)
-        report = jensen_conditions(RadializedTriple(clean, clean, clean), params)
+        report = jensen_conditions(_tables(RadializedTriple(clean, clean, clean), params))
         assert report.radial_moment["status"] == "divergent"
         assert report.oscillation_moment_bound["status"] == "divergent"
         assert "note" not in report.radial_moment
 
     def test_implications_are_one_way(self, hessian2_params):
-        report = jensen_conditions(triple_from_radial(B_ONE), hessian2_params)
+        report = jensen_conditions(_tables(triple_from_radial(B_ONE), hessian2_params))
         assert report.implied_by == {
             "envelope_growth_divergence": "radial_moment_divergence",
             "oscillation_moment_bound": "oscillation_smallness",
@@ -425,6 +435,47 @@ class TestJensenConditions:
         # No reverse directions are ever claimed.
         assert "radial_moment_divergence" not in report.implied_by
         assert "oscillation_smallness" not in report.implied_by
+
+
+class TestEnvelopeTables:
+    def test_one_op_evaluates_each_envelope_once(self, hessian2_params):
+        # The three criteria of one classify read one EnvelopeTables: the
+        # fine nodes are laid once, b_* is evaluated once at the Gauss points
+        # of their cells and once on them, and b_osc once on them.
+        calls = {"star": [], "osc": [], "refined": []}
+
+        def counted(name, exponent):
+            return RadialProfile.from_callable(
+                lambda r: calls[name].append(r.size) or 0.5 * (1.0 + r**2) ** (-exponent / 2),
+                tail_exponent=exponent)
+
+        star, osc = counted("star", 1.0), counted("osc", 8.0)
+        tables = _tables(RadializedTriple(star, star, osc), hessian2_params, 100.0)
+        with pytest.MonkeyPatch.context() as patch:
+            refined = RadialGrid.refined
+            patch.setattr(RadialGrid, "refined", lambda grid, factor: calls["refined"].append(
+                factor) or refined(grid, factor))
+            for criterion in (classify_existence, oscillation_condition, jensen_conditions):
+                criterion(tables)
+        nodes = tables.fine.size
+        assert calls == {"star": [12 * (nodes - 1), nodes], "osc": [nodes], "refined": [4]}
+
+    def test_shared_tables_report_what_tables_of_their_own_do(self):
+        # perfbench's golden classify spec: one op's shared tables and a
+        # fresh table per criterion give the same reports to the bit, and
+        # the existence finite part is growth_primitive at r_max.
+        spec = ProblemSpec.from_dict({
+            "n": 3, "k": 1, "gamma": 0.5, "a": 1.0,
+            "coefficient": {"kind": "builtin_field", "name": "counterexample"},
+            "grid": {"r_max": 100.0, "nodes_per_decade": 16}})
+        triple = spec.triple(sphere_count=256)
+        criteria_ = (classify_existence, oscillation_condition, jensen_conditions)
+        shared = _tables(triple, spec.params, 100.0)
+        together = [criterion(shared).to_dict() for criterion in criteria_]
+        alone = [criterion(_tables(triple, spec.params, 100.0)).to_dict()
+                 for criterion in criteria_]
+        assert json.dumps(together) == json.dumps(alone)
+        assert together[0]["finite_part"] == growth_primitive(spec.params, triple.b_star, 100.0)
 
 
 @st.composite
@@ -447,9 +498,10 @@ class TestOneTailRule:
         params, l, m = case
         n, k = params.n, params.k
         triple = _aniso_triple(l, m)
-        osc = oscillation_condition(triple, params, r_max=20.0)
-        jensen = jensen_conditions(triple, params, r_max=20.0)
-        existence = classify_existence(triple.b_star, params, r_max=20.0)
+        tables = _tables(triple, params, 20.0)  # one op: the three criteria share it
+        osc = oscillation_condition(tables)
+        jensen = jensen_conditions(tables)
+        existence = classify_existence(tables)
         assert (osc.status == "satisfied") == (n > 2 * k and m > osc.m_star)
         assert (jensen.oscillation_moment_bound["status"] == "convergent") == (m > osc.m_star)
         assert (existence.verdict == BOUNDED) == (n > 2 * k and l > 2 * k)
@@ -468,8 +520,9 @@ class TestOneTailRule:
         # decide, from the tails alone
         params, l, m = case
         triple = _aniso_triple(l, m)
-        existence = classify_existence(triple.b_star, params, r_max=20.0)
-        osc = oscillation_condition(triple, params, r_max=20.0)
+        tables = _tables(triple, params, 20.0)
+        existence = classify_existence(tables)
+        osc = oscillation_condition(tables)
         with pytest.MonkeyPatch.context() as patch:
             for name in ("growth_primitive", "oscillation_integral"):
                 patch.setattr(criteria, name, _no_quadrature)

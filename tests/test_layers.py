@@ -120,9 +120,11 @@ def test_one_admissibility_rule(module):
 
 
 # Where a coefficient meets radii: each of these applies the rule, itself or
-# (``criteria.jensen_conditions``) through ``envelope.radial_moment_integral``.
+# (``criteria.jensen_conditions``) through ``envelope.radial_moment_integral``,
+# which reads b_* on the fine nodes from ``EnvelopeTables.star_fine``.
 _CHECKED_AT = {"solver": ("solve_cauchy",),
-               "envelope": ("flux_integral", "euler_polyline", "radial_moment_integral"),
+               "envelope": ("flux_integral", "euler_polyline", "EnvelopeTables._star_at_gauss",
+                            "EnvelopeTables.star_fine"),
                "coefficients": ("radialize",), "criteria": ("jensen_conditions",)}
 _APPLIES_RULE = {"criteria": "radial_moment_integral"}
 

@@ -42,39 +42,62 @@ def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
     assert "Wrote" in out and PRINTED.get(name, "") in out
 
 
-def test_bench_record_stepper_counters():
+@pytest.fixture(scope="module")
+def checkout_counters():
+    """What the child run in this checkout prints, run once for the tests below."""
+    return _load("bench_record.py").checkout_counters(str(SCRIPTS.parent))
+
+
+def test_bench_record_stepper_counters(checkout_counters):
     # The counters the child run in a checkout prints: the six closed-form
     # reference specs, each solve costing 1 + 6 RHS calls per attempted step,
-    # and the wall time per attempted step beside them.
-    counters = _load("bench_record.py").checkout_counters(str(SCRIPTS.parent))
+    # and the least and the median wall time per attempted step beside them.
+    counters = checkout_counters["stepper"]
     reference = json.loads(REFERENCE.read_text())
     assert counters["specs"] == sorted(name for name, entry in reference.items()
                                        if entry["spec"]["coefficient"]["kind"] != "tabulated")
     assert len(counters["specs"]) == 6 and counters["accepted"] > 0
     assert counters["rhs_evals"] == 6 + 6 * (counters["accepted"] + counters["rejected"])
-    assert 0.0 < counters["us_per_step"] < 1e4
+    assert 0.0 < counters["us_per_step"] <= counters["us_per_step_median"] < 1e4
+
+
+def test_bench_record_envelope_counters(checkout_counters, monkeypatch):
+    # The envelope block of a BENCH point: the golden classify op's work,
+    # the same counts in the child as in this process.
+    module = _load("bench_record.py")
+    assert list(checkout_counters["envelope"]) == list(module.ENVELOPE_COUNTS)
+    assert set(checkout_counters) == {"stepper", "envelope"}
+    monkeypatch.chdir(SCRIPTS.parent)
+    assert checkout_counters["envelope"] == module.golden_envelope_counters()
+    assert checkout_counters["envelope"]["refined_calls"] == 1
 
 
 def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):
-    # Repeat 2 of 5 is the fastest: its summed solve time over both specs
-    # sets us_per_step, while the counts come from one repeat only.
+    # Repeat 2 of 15 is the fastest: its summed solve time over both specs
+    # sets us_per_step, the eighth fastest sets us_per_step_median, while
+    # the counts come from one repeat only.
     module = _load("bench_record.py")
     reference = json.loads(REFERENCE.read_text())
     closed = {name: entry for name, entry in sorted(reference.items())
               if entry["spec"]["coefficient"]["kind"] != "tabulated"}
     two = dict(list(closed.items())[:2])
-    assert module.REPEATS == 5
-    clock = iter([0.0, 3.0, 3.0, 5.0,    # repeat 1: 3 s + 2 s
-                  5.0, 6.0, 6.0, 7.5,    # repeat 2: 1 s + 1.5 s
-                  7.5, 9.0, 9.0, 12.0,   # repeat 3: 1.5 s + 3 s
-                  12.0, 14.0, 14.0, 15.0,  # repeat 4: 2 s + 1 s
-                  15.0, 16.0, 16.0, 18.0])  # repeat 5: 1 s + 2 s
+    assert module.REPEATS == 15
+    seconds = [(3.0, 2.0), (1.0, 1.5), (1.5, 3.0), (2.0, 1.0), (1.0, 2.0),
+               (2.5, 2.5), (1.5, 1.25), (2.0, 2.0), (3.0, 2.5), (1.75, 1.5),
+               (2.0, 2.25), (4.0, 3.0), (2.0, 1.75), (1.25, 1.5), (2.5, 2.25)]
+    readings, now = [], 0.0
+    for solve in (solve for repeat in seconds for solve in repeat):
+        readings += [now, now + solve]
+        now += solve
+    clock = iter(readings)
     monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     counters = module.stepper_counters(two)
     steps = counters["accepted"] + counters["rejected"]
     assert counters["specs"] == list(two)
     assert counters["rhs_evals"] == 2 + 6 * steps
+    assert sorted(map(sum, seconds))[7] == 4.0
     assert counters["us_per_step"] == pytest.approx(2.5e6 / steps, rel=1e-15)
+    assert counters["us_per_step_median"] == pytest.approx(4.0e6 / steps, rel=1e-15)
 
 
 def test_bench_record_keeps_raw_and_host_lines(monkeypatch):
@@ -121,17 +144,19 @@ def test_bench_record_file_layout(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "run_workload", lambda root, workload, seconds: runs.append(
         seconds) or {"correct": True, "attempted": 3, "failed": 0, "metrics": {
             "ops_per_s": {"value": float(len(workload)), "unit": "1/s"}}})
-    monkeypatch.setattr(module, "checkout_counters", lambda root: {"rhs_evals": 7})
+    monkeypatch.setattr(module, "checkout_counters", lambda root: {
+        "stepper": {"rhs_evals": 7}, "envelope": {"refined_calls": 1}})
     path = module.record(str(checkout), str(tmp_path))
     assert path == str(tmp_path / "BENCH_def5678.json") and runs == [3.0] * 3
     payload = json.loads((tmp_path / "BENCH_def5678.json").read_text())
     assert set(payload) == {"src_tree", "perfbench_tree", "seed", "seconds", "host",
-                            "workloads", "stepper"}
+                            "workloads", "stepper", "envelope"}
     assert (payload["src_tree"], payload["perfbench_tree"]) == ("def5678", "abc1234")
     assert (payload["seed"], payload["seconds"]) == (0, 3.0)
     assert list(payload["workloads"]) == ["radial-sweep", "field-comparison", "cli-cold"]
     assert payload["workloads"]["cli-cold"]["metrics"]["ops_per_s"]["value"] == 8.0
     assert payload["stepper"] == {"rhs_evals": 7}
+    assert payload["envelope"] == {"refined_calls": 1}
     answers[("status", "--porcelain", "--untracked-files=no")] = " M src/hessianls/core.py"
     with pytest.raises(SystemExit, match="uncommitted changes"):
         module.record(str(checkout), str(tmp_path))

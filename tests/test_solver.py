@@ -1,12 +1,15 @@
 """Cauchy solver, break-line construction and growth quadrature."""
 
 import math
+import os
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE
+from conftest import PERFBENCH, REFERENCE
 from hessianls.cli import ProblemSpec
 from hessianls.coefficients import RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
@@ -37,6 +40,7 @@ from hessianls.solver import (
 )
 
 B_ONE = RadialProfile.constant(1.0)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 class TestSolveCauchy:
@@ -473,6 +477,33 @@ class TestStepperKernel:
             for key in totals:
                 totals[key] += getattr(dense, key)
         assert totals == {"accepted": 1442, "rejected": 21, "rhs_evals": 8784}
+
+
+# The golden classify and sandwich ops of perfbench/golden.py, with the
+# arguments it runs them with.
+_GOLDEN_OPS = {"classify": (["classify", "{spec}"], "classify-spec.json"),
+               "sandwich": (["sandwich", "{spec}", "--sphere-count", "64", "--out", "{out}"],
+                            "sandwich-spec.json")}
+
+
+class TestWorkLedger:
+    @pytest.mark.parametrize("op, ledger", [
+        # one classify tabulates b_* at the Gauss points of fine_nodes(100)
+        # (384 cells of 12) once, for the J table and the oscillation
+        # moment, and b_* and b_osc on its 385 nodes once each
+        ("classify", {"gauss_points": 9216, "tabulated_b_points": 5378,
+                      "simpson_nodes": 2310, "refined_calls": 1}),
+        ("sandwich", {"gauss_points": 9216, "tabulated_b_points": 9737,
+                      "simpson_nodes": 1540, "refined_calls": 2}),
+    ])
+    def test_envelope_ledger_of_the_golden_specs(self, op, ledger):
+        # Exact envelope work of one golden op, counted where the package
+        # binds each operation: a change that moves a count does more or
+        # less work, and says so by changing the row.
+        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+        argv, spec_name = _GOLDEN_OPS[op]
+        spec = runpy.run_path(os.path.join(PERFBENCH, "golden.py"))["SPECS"][spec_name]
+        assert bench["envelope_counters"](argv, spec) == ledger
 
 
 class TestEulerPolyline:
