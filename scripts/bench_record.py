@@ -91,13 +91,14 @@ def stepper_counters(reference: dict) -> dict:
     return totals
 
 
-def envelope_counters(argv: list, spec: dict) -> dict:
+def envelope_counters(argv: list, spec: dict, exit_code: int = 0) -> dict:
     """The envelope work of one ``hessianls`` op, ``argv`` with ``spec``
     written to a file in place of ``{spec}`` and an output directory in
     place of ``{out}``, run in this process on the package it imports:
     Gauss points laid by ``panel_points``, points at which a tabulated b is
     evaluated, Simpson nodes (``cumulative_values``) and
-    ``RadialGrid.refined`` calls, each counted where the package binds it."""
+    ``RadialGrid.refined`` calls, each counted where the package binds it.
+    The op must exit with ``exit_code`` (a refusal counts its work too)."""
     import numpy as np
 
     from hessianls import _integrate, cli, envelope
@@ -135,12 +136,13 @@ def envelope_counters(argv: list, spec: dict) -> dict:
         try:
             for owner, name, replacement in patches:
                 setattr(owner, name, replacement)
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
         finally:
             for owner, name, original in originals:
                 setattr(owner, name, original)
-    if code:
+    if code != exit_code:
         raise RuntimeError(f"hessianls {' '.join(argv)} exited {code}")
     return counts
 

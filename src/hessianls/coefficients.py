@@ -709,12 +709,19 @@ class AnisotropicPowerField:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r2 = np.sum(pts ** 2, axis=1)
+        # 1 + |x|^2 with |x|^2 summed over the coordinates in order, one
+        # column pass each: numpy's row reduction runs a loop per point.
+        x1 = pts[:, 0] * pts[:, 0]
+        q = x1.copy()
+        for j in range(1, pts.shape[1]):
+            col = pts[:, j]
+            q += col * col
+        q += 1.0
         # overflow (and 0 * inf) is quiet: check_coefficient reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            base = (1.0 + r2) ** (-self.l / 2.0)
+            base = q ** (-self.l / 2.0)
             return base if self.amp == 0.0 else \
-                base + self.amp * pts[:, 0] ** 2 * (1.0 + r2) ** (-(self.m + 2.0) / 2.0)
+                base + self.amp * x1 * q ** (-(self.m + 2.0) / 2.0)
 
     __call__ = eval
 

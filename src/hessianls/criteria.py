@@ -226,45 +226,63 @@ def oscillation_verdict(triple: RadializedTriple, params: ProblemParams):
     return status, m_star, est_star, est_osc
 
 
-def oscillation_condition(tables: EnvelopeTables) -> OscillationReport:
-    """Decide whether the oscillation b^* - b_* of ``tables``' triple is
-    small enough for the sandwich construction (finite I_osc):
-    :func:`oscillation_verdict`'s status, with the [0, r_max] part of I_osc
-    and its tail as evidence."""
-    params, r_max = tables.params, tables.r_max
-    k, n = params.k, params.n
-    status, m_star, est_star, est_osc = oscillation_verdict(tables.triple, params)
+def _outer_gap(params: ProblemParams, m_star: float, tail_osc: float) -> float:
+    """The outer integrand of I_osc scales like r^(-1 - gap/k); gap > 0
+    when the oscillation test is satisfied."""
+    return min(tail_osc - m_star, params.n - 2.0 * params.k)
+
+
+def oscillation_evidence(params: ProblemParams, status, m_star, est_star, est_osc) -> list:
+    """The evidence lines of :func:`oscillation_verdict`'s outcome (its four
+    values after ``params``) that need no quadrature: a refusal shows
+    these alone, and :func:`oscillation_condition` adds the finite part of
+    I_osc to a satisfied test."""
     if m_star is None and status == "satisfied":
-        return OscillationReport(
-            "satisfied", 0.0, 0.0, None, None, None,
-            ["oscillation is zero to relative tolerance "
-             f"{OSC_NEGLIGIBLE_REL_TOL:g}: coefficient is radial"])
+        return ["oscillation is zero to relative tolerance "
+                f"{OSC_NEGLIGIBLE_REL_TOL:g}: coefficient is radial"]
     if m_star is None:
-        return OscillationReport(
-            "inconclusive", float("nan"), float("nan"), None,
-            None if est_star is None else est_star.exponent,
-            None if est_osc is None else est_osc.exponent,
-            ["tail exponents unavailable for the envelopes"])
+        return ["tail exponents unavailable for the envelopes"]
+    k, n = params.k, params.n
     l, m = est_star.exponent, est_osc.exponent
-    # the outer integrand scales like r^(-1 - gap/k); gap > 0 when satisfied
-    gap = min(m - m_star, n - 2.0 * k)
-    finite, tail_value = oscillation_integral(tables)
     evidence = [f"envelope tail l = {l:.6g} ({est_star.source}), "
                 f"oscillation tail m = {m:.6g} ({est_osc.source})",
                 f"threshold m* = {m_star:.6g}",
-                f"outer integrand scales like r^{-1.0 - gap / k:.6g}"]
+                f"outer integrand scales like r^{-1.0 - _outer_gap(params, m_star, m) / k:.6g}"]
     if status == "inconclusive":
-        evidence.append(_REFUSED)
-        return OscillationReport("inconclusive", float("nan"), finite, m_star,
-                                 l, m, evidence)
+        return evidence + [_REFUSED]
     if n <= 2 * k:
         evidence.append(f"dimension branch: n = {n} <= 2k, outer integrand cannot "
                         f"decay faster than r^((k-n)/k) >= r^-1")
     if status == "violated":
         evidence.append("oscillation integral diverges")
+    return evidence
+
+
+def oscillation_condition(tables: EnvelopeTables) -> OscillationReport:
+    """Decide whether the oscillation b^* - b_* of ``tables``' triple is
+    small enough for the sandwich construction (finite I_osc):
+    :func:`oscillation_verdict`'s status, with the [0, r_max] part of I_osc
+    and its tail as evidence."""
+    params = tables.params
+    verdict = oscillation_verdict(tables.triple, params)
+    status, m_star, est_star, est_osc = verdict
+    evidence = oscillation_evidence(params, *verdict)
+    if m_star is None and status == "satisfied":
+        return OscillationReport("satisfied", 0.0, 0.0, None, None, None, evidence)
+    if m_star is None:
+        return OscillationReport(
+            "inconclusive", float("nan"), float("nan"), None,
+            None if est_star is None else est_star.exponent,
+            None if est_osc is None else est_osc.exponent, evidence)
+    l, m = est_star.exponent, est_osc.exponent
+    finite, tail_value = oscillation_integral(tables)
+    if status == "inconclusive":
+        return OscillationReport("inconclusive", float("nan"), finite, m_star,
+                                 l, m, evidence)
+    if status == "violated":
         return OscillationReport("violated", float("inf"), finite, m_star,
                                  l, m, evidence)
-    tail_part = tail_value * r_max * k / gap
+    tail_part = tail_value * tables.r_max * params.k / _outer_gap(params, m_star, m)
     total = finite + tail_part
     evidence.append(f"finite part {finite:.6g} + tail estimate {tail_part:.6g}")
     return OscillationReport("satisfied", total, finite, m_star, l, m, evidence)

@@ -84,8 +84,11 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
     """Integration nodes on [0, r_max]: the default grid refined four times,
     with the positive radii of ``extra`` merged in."""
     nodes = RadialGrid.build(r_max).refined(4)
-    extra = np.unique(np.asarray(extra, dtype=float))
+    extra = np.asarray(extra, dtype=float)
     extra = extra[extra > 0]
+    if extra.size:
+        # a radius that already is a node evicts no neighbour
+        extra = np.setdiff1d(extra, nodes)
     if not extra.size:
         return nodes
     right = np.minimum(np.searchsorted(extra, nodes), extra.size - 1)

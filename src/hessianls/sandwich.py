@@ -25,7 +25,8 @@ import numpy as np
 
 from .coefficients import RadializedTriple
 from .core import ProblemParams, RadialCurve, RadialGrid
-from .criteria import OscillationReport, oscillation_condition
+from .criteria import (OscillationReport, oscillation_condition, oscillation_evidence,
+                       oscillation_verdict)
 from .envelope import EnvelopeTables, bounded_solution_bound, growth_primitive
 from .errors import OrderingError, OscillationError, ParameterError
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, solve_cauchy,
@@ -109,13 +110,16 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
         raise ParameterError(f"beta must be a finite number, got {beta}")
     if margin is not None and not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be a finite number >= 0, got {margin}")
+    if beta is None:
+        # a refusal is decided from the tails: no quadrature runs
+        verdict = oscillation_verdict(triple, params)
+        if verdict[0] != "satisfied":
+            raise OscillationError(
+                f"oscillation-smallness check is {verdict[0]}; cannot derive a "
+                f"starting height automatically (pass beta explicitly to force "
+                f"a construction): {'; '.join(oscillation_evidence(params, *verdict))}")
     osc = oscillation_condition(EnvelopeTables(params, triple, grid.r_max))
     if beta is None:
-        if not osc.satisfied:
-            raise OscillationError(
-                f"oscillation-smallness check is {osc.status}; cannot derive a "
-                f"starting height automatically (pass beta explicitly to force "
-                f"a construction): {'; '.join(osc.evidence)}")
         if margin is None:
             margin = max(1.0, 0.1 * osc.integral)
         beta = 1.0 + osc.integral + margin

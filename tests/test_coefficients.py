@@ -438,6 +438,34 @@ class TestFields:
         with pytest.raises(CoefficientError):
             make_builtin_field("no_such_field")
 
+    @staticmethod
+    def _points(dim, rows=4000):
+        # seeded directions at radii spanning 1e-3 to 1e3
+        rng = np.random.default_rng(dim)
+        return rng.standard_normal((rows, dim)) * np.geomspace(1e-3, 1e3, rows)[:, None]
+
+    @pytest.mark.parametrize("amp", [0.0, 0.5])
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_anisotropic_eval_is_the_row_sum_formula(self, dim, amp):
+        # Below 8 coordinates numpy's row sum adds them left to right, as
+        # the column pass does, so b is the closed form with
+        # np.sum(pts ** 2, axis=1) to the bit.
+        field = AnisotropicPowerField(l=1.3, m=7.0, amp=amp, dim=dim)
+        pts = self._points(dim)
+        r2 = np.sum(pts ** 2, axis=1)
+        expected = (1.0 + r2) ** (-field.l / 2.0)
+        if amp:
+            expected = expected + amp * pts[:, 0] ** 2 * (1.0 + r2) ** (-(field.m + 2.0) / 2.0)
+        np.testing.assert_array_equal(field(pts), expected)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_anisotropic_eval_ignores_memory_layout(self, dim):
+        # numpy's own row sum differs between C- and F-ordered points from
+        # 8 coordinates on; the column pass reads both alike.
+        field = AnisotropicPowerField(l=1.3, m=7.0, amp=0.5, dim=dim)
+        pts = self._points(dim)
+        np.testing.assert_array_equal(field(pts), field(np.asfortranarray(pts)))
+
 
 def _per_radius_sphere_points(dim, count, i):
     """The sampler one radius at a time: per-lane phases from Python floats,

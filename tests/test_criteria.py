@@ -170,6 +170,16 @@ class TestGrowthIntegrand:
             growth_primitive(laplace_params, B_ONE, grid.nodes), grid.nodes**2 / 6.0,
             rtol=1e-12, atol=1e-14)
 
+    def test_primitive_at_r_max_is_the_table_on_fine_nodes(self, hessian2_params):
+        # r is the last of fine_nodes(r), so merging it in as a requested
+        # radius evicts no neighbour: the primitive reads the J table's last
+        # entry to the bit, also where refined nodes lie within the merge
+        # gap of r (just above r_lin = 10)
+        b = RadialProfile.power_tail(1.0)
+        for r in np.linspace(10.0, 10.08, 82)[1:-1]:
+            table = envelope.linear_growth_tables(hessian2_params, b, envelope.fine_nodes(r))
+            assert growth_primitive(hessian2_params, b, r) == table[2][-1]
+
 
 class TestBTilde:
     def test_unit_at_origin(self, laplace_params, hessian2_params):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import PERFBENCH, REFERENCE
-from hessianls.cli import ProblemSpec
+from hessianls.cli import EXIT_INCONCLUSIVE, ProblemSpec
 from hessianls.coefficients import RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import envelope, solver
@@ -504,6 +504,16 @@ class TestWorkLedger:
         argv, spec_name = _GOLDEN_OPS[op]
         spec = runpy.run_path(os.path.join(PERFBENCH, "golden.py"))["SPECS"][spec_name]
         assert bench["envelope_counters"](argv, spec) == ledger
+
+    def test_envelope_ledger_of_a_refused_sandwich(self):
+        # The golden sandwich spec with m = 6, below m* = 7: the refusal is
+        # decided from the tails, so no J table and no I_osc is built.
+        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+        argv, spec_name = _GOLDEN_OPS["sandwich"]
+        spec = runpy.run_path(os.path.join(PERFBENCH, "golden.py"))["SPECS"][spec_name]
+        spec = {**spec, "coefficient": {**spec["coefficient"], "m": 6.0}}
+        assert bench["envelope_counters"](argv, spec, exit_code=EXIT_INCONCLUSIVE) == {
+            "gauss_points": 0, "tabulated_b_points": 0, "simpson_nodes": 0, "refined_calls": 0}
 
 
 class TestEulerPolyline:
