@@ -11,10 +11,12 @@ envelope integral converges).  The script tabulates m* on a grid of
 (l, gamma), records the Large/Bounded classification that the radial tail
 alone dictates, and optionally verifies the flip empirically by
 radializing an anisotropic field with oscillation tails just above and
-just below the threshold.  The probe verdicts use the reported m* itself:
-every criterion compares a tail exponent with its threshold by one rule,
-and refuses ("inconclusive") only a fitted tail within its standard
-error of the threshold; the probes' tails are declared, so they are
+just below the threshold.  The classification and probe columns are
+verdicts, so they come from the tails alone (existence_verdict,
+oscillation_verdict): no envelope table is built.  The probe verdicts use the reported m* itself: every
+criterion compares a tail exponent with its threshold by one rule, and
+refuses ("inconclusive") only a fitted tail within its standard error of
+the threshold; the probes' radialized tails are declared, so they are
 never refused.
 
 Usage examples:
@@ -32,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hessianls import (AnisotropicPowerField, EnvelopeTables, ProblemParams, RadialGrid,
-                       RadialProfile, classify_existence, oscillation_condition,
-                       oscillation_threshold, radialize, triple_from_radial)
+from hessianls import (AnisotropicPowerField, ProblemParams, RadialGrid, RadialProfile,
+                       existence_verdict, oscillation_threshold, oscillation_verdict,
+                       radialize)
 
 
 def probe_flip(params: ProblemParams, l: float, m_star: float,
@@ -45,8 +47,7 @@ def probe_flip(params: ProblemParams, l: float, m_star: float,
     for side, m in (("above", m_star + 0.5), ("below", m_star - 0.5)):
         field = AnisotropicPowerField(l=l, m=m, amp=0.5, dim=params.n)
         triple = radialize(field, grid, sphere_count=64)
-        report = oscillation_condition(EnvelopeTables(params, triple, r_max))
-        out[side] = {"m": m, "status": report.status}
+        out[side] = {"m": m, "status": oscillation_verdict(triple, params)[0]}
     return out
 
 
@@ -76,10 +77,9 @@ def main() -> int:
         params = ProblemParams(n=args.n, k=k, gamma=float(gamma))
         for l in l_values:
             m_star = oscillation_threshold(params, float(l))
-            tail = triple_from_radial(RadialProfile.power_tail(float(l)))
-            verdict = classify_existence(EnvelopeTables(params, tail, 100.0))
+            verdict, _ = existence_verdict(RadialProfile.power_tail(float(l)), params)
             row = {"gamma": float(gamma), "l": float(l), "m_star": m_star,
-                   "classification": verdict.verdict}
+                   "classification": verdict}
             if args.probe:
                 flips = probe_flip(params, float(l), m_star, args.r_max)
                 row["probe_above"] = flips["above"]["status"]

@@ -205,6 +205,9 @@ class ProblemSpec:
             built = (_RADIAL_KINDS.get(kind) or _BUILTIN_FIELDS[kwargs.pop("name")])[0](**kwargs)
         except CoefficientError as exc:
             raise CoefficientError(f"spec.coefficient: {exc}") from None
+        if kind == "tabulated" and built.radii[0] > 0.0:  # every subcommand needs b(0)
+            raise CoefficientError(f"spec.coefficient.path: profile CSV {kwargs['path']} "
+                                   f"starts at r = {built.radii[0]:g}; b is needed from r = 0")
         if kind == "builtin_field" and built.dim != params.n:
             raise ParameterError(f"spec.coefficient: field dimension {built.dim} "
                                  f"does not match n = {params.n}")
@@ -584,6 +587,9 @@ def main(argv=None) -> int:
     except OrderingError as exc:
         print(f"ordering failure: {exc}", file=sys.stderr)
         return EXIT_ORDERING
+    except OSError as exc:  # a spec or output path that cannot be opened as asked
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def console_main() -> None:

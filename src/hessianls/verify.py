@@ -155,16 +155,11 @@ def _classification_thresholds():
     for l, expect in ((3.5, criteria.LARGE), (4.0, criteria.LARGE),
                       (4.5, criteria.BOUNDED)):
         prof = coefficients.RadialProfile.power_tail(l=l)
-        verdict = _existence(params, prof)
+        verdict, _ = criteria.existence_verdict(prof, params)
         assert verdict == expect, (l, verdict)
-        scaled = _existence(params, prof.scaled(7.0))
+        scaled, _ = criteria.existence_verdict(prof.scaled(7.0), params)
         assert scaled == expect, "verdict not scale invariant"
     return "power tails flip Large -> Bounded across l = 2k, scale invariant"
-
-
-def _existence(params, profile) -> str:
-    tables = envelope.EnvelopeTables(params, coefficients.triple_from_radial(profile), 1e4)
-    return criteria.classify_existence(tables).verdict
 
 
 def _oscillation_threshold():
@@ -182,9 +177,8 @@ def _oscillation_threshold():
                         b_upper=coefficients.RadialProfile.power_tail(l=l),
                         b_osc=coefficients.RadialProfile.power_tail(l=m_star + delta),
                     )
-                    rep = criteria.oscillation_condition(
-                        envelope.EnvelopeTables(params, triple, 100.0))
-                    assert rep.status == want, (k, n, l, delta, rep.status)
+                    status = criteria.oscillation_verdict(triple, params)[0]
+                    assert status == want, (k, n, l, delta, status)
     return "m* matches (2k^2 - l gamma)/(k - gamma); +-0.5 flips the verdict"
 
 

@@ -1150,3 +1150,40 @@ class TestTopLevelErrors:
         spec_path = _write(tmp_path, "spec.json", _constant_spec(gamma=1.0))
         assert cli.main(["solve", spec_path]) == EXIT_INVALID
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, target", [
+        (["classify", "{dir}"], "{dir}"),
+        (["classify", "{spec}", "--out", "{dir}"], "{dir}"),
+        (["solve", "{spec}", "--curve", "{dir}"], "{dir}"),
+        (["solve", "{spec}", "--summary", "{dir}"], "{dir}"),
+        (["sweep", "{spec}", "--out", "{dir}"], "{dir}"),
+        (["verify", "--json", "{dir}"], "{dir}"),
+        (["sandwich", "{spec}", "--out", "{file}"], "{file}"),
+    ], ids=["classify-spec", "classify-out", "solve-curve", "solve-summary", "sweep-out",
+            "verify-json", "sandwich-out"])
+    def test_unopenable_path_exits_invalid(self, tmp_path, capsys, argv, target):
+        # A directory where a file is read or written, or a file where the
+        # sandwich directory goes: one error line naming the path, no traceback.
+        paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
+                 "spec": _write(tmp_path, "spec.json", _constant_spec(
+                     grid={"r_max": 50.0, "nodes_per_decade": 16}))}
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken.txt").write_text("")
+        assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.format(**paths) in err
+
+    @pytest.mark.parametrize("command", ["classify", "solve", "sandwich", "sweep"])
+    @pytest.mark.parametrize("tail", [{"tail_exponent": 1.0}, {}], ids=["tail", "no-tail"])
+    def test_table_above_zero_refused_by_name(self, tmp_path, capsys, command, tail):
+        # Every subcommand evaluates b from r = 0 (the series start, the J
+        # tables' first cell), so a table that starts later is refused when the
+        # spec is read, naming the field and the first radius.
+        (tmp_path / "b.csv").write_text("r,b\n0.5,1\n1,0.5\n2,0.25\n5,0.1\n10,0.05\n")
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "tabulated", "path": "b.csv", **tail}, grid={"r_max": 10.0}))
+        assert cli.main([command, spec_path]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: spec.coefficient.path: profile CSV {tmp_path / 'b.csv'} starts at "
+            f"r = 0.5; b is needed from r = 0\n")

@@ -515,6 +515,15 @@ class TestWorkLedger:
         assert bench["envelope_counters"](argv, spec, exit_code=EXIT_INCONCLUSIVE) == {
             "gauss_points": 0, "tabulated_b_points": 0, "simpson_nodes": 0, "refined_calls": 0}
 
+    def test_envelope_ledger_of_verify(self):
+        # The invariant suite: its threshold invariants decide from the tails,
+        # so only the quadrature invariants (linear_growth_oracle,
+        # btilde_oracle, bounded_bound, dominance, sandwich_radial) count.
+        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+        assert bench["envelope_counters"](["verify", "--json", "{out}"], {}) == {
+            "gauss_points": 46296, "tabulated_b_points": 10071, "simpson_nodes": 2810,
+            "refined_calls": 8}
+
 
 class TestEulerPolyline:
     def test_flat_head_and_defect(self, laplace_params):

@@ -4,7 +4,11 @@ deliberate mutation."""
 import numpy as np
 
 import hessianls.core
-from hessianls import verify
+from hessianls import criteria, verify
+
+
+def _failed(results):
+    return {r.name for r in results if not r.passed}
 
 
 def test_all_invariants_pass():
@@ -44,3 +48,24 @@ def test_detects_binomial_mutation(monkeypatch):
     monkeypatch.setattr(hessianls.core, "binomial", lambda n, k: 1 if k <= n else 0)
     results = verify.run_all()
     assert any(not r.passed for r in results)
+
+
+def test_detects_inverted_threshold_rule(monkeypatch):
+    # Both threshold invariants decide from the tails through the one rule
+    # every verdict shares; inverting it must turn both red.
+    original = criteria._exceeds
+
+    def inverted(*args):
+        above = original(*args)
+        return None if above is None else not above
+
+    monkeypatch.setattr(criteria, "_exceeds", inverted)
+    failed = _failed(verify.run_all())
+    assert {"classification_thresholds", "oscillation_threshold"} <= failed
+
+
+def test_detects_oscillation_threshold_mutation(monkeypatch):
+    # m* collapsed to 2k for every envelope tail.
+    monkeypatch.setattr(criteria, "oscillation_threshold",
+                        lambda params, tail_star: 2.0 * params.k)
+    assert "oscillation_threshold" in _failed(verify.run_all())
