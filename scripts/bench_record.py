@@ -18,7 +18,9 @@ step, so the trajectory shows the stepper's cost next to its counts (only
 the counts compare across recordings: the times move with the host's
 load).  Under ``envelope`` it adds the envelope work of the golden classify
 op of ``perfbench/golden.py``: Gauss points, tabulated b points, Simpson
-nodes and ``RadialGrid.refined`` calls.  The file is named after the git tree of
+nodes and ``RadialGrid.refined`` calls; under ``breakline`` the work of one
+break line (n = 4, k = 2, gamma = 1, b = 1 on [0, 0.5], epsilon = 1e-3): Gauss
+points, b points and ``breakline_defect`` calls.  The file is named after the git tree of
 the checkout's ``src`` directory, which names the measured code whichever
 commit carries it; the tree of ``perfbench`` inside names the benchmark
 that measured it.  One run per workload is a single sample: compare wall
@@ -50,12 +52,14 @@ GOLDEN = os.path.join("perfbench", "golden.py")
 # the median.
 REPEATS = 15
 ENVELOPE_COUNTS = ("gauss_points", "tabulated_b_points", "simpson_nodes", "refined_calls")
-# Run in the measured checkout, this file's counters print the stepper's and
-# the golden classify's.
+BREAKLINE_COUNTS = ("gauss_points", "b_points", "defect_calls")
+# Run in the measured checkout, this file's counters print the stepper's, the
+# golden classify's and the break line's.
 _COUNTERS_CHILD = ("import json, runpy, sys; script = runpy.run_path(sys.argv[1]); "
                    "stepper = script['stepper_counters'](json.load(open(sys.argv[2]))); "
                    "print(json.dumps({'stepper': stepper, "
-                   "'envelope': script['golden_envelope_counters']()}))")
+                   "'envelope': script['golden_envelope_counters'](), "
+                   "'breakline': script['breakline_counters']()}))")
 
 
 def stepper_counters(reference: dict) -> dict:
@@ -106,45 +110,87 @@ def envelope_counters(argv: list, spec: dict, exit_code: int = 0) -> dict:
     from hessianls.core import RadialGrid
 
     counts = dict.fromkeys(ENVELOPE_COUNTS, 0)
-
-    def counted(key, function, amount):
-        def wrapper(*args, **kwargs):
-            result = function(*args, **kwargs)
-            counts[key] += amount(args, result)
-            return result
-        return wrapper
+    counted = _counter(counts)
 
     def tabulated(args, result):
         return int(np.size(args[1])) if args[0].kind == "tabulated" else 0
 
     profile_eval = counted("tabulated_b_points", RadialProfile.__dict__["eval"], tabulated)
-    patches = [(module, "panel_points", counted("gauss_points", _integrate.panel_points,
-                                                lambda args, result: result[1].size))
-               for module in (_integrate, envelope)]
+    patches = _gauss_point_patches(counted)
     patches += [(envelope, "cumulative_values", counted(
                     "simpson_nodes", _integrate.cumulative_values,
                     lambda args, result: result.size)),
                 (RadialProfile, "eval", profile_eval), (RadialProfile, "__call__", profile_eval),
                 (RadialGrid, "refined", counted("refined_calls", RadialGrid.__dict__["refined"],
                                                 lambda args, result: 1))]
-    originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
     with tempfile.TemporaryDirectory() as work:
         spec_path = os.path.join(work, "spec.json")
         with open(spec_path, "w") as handle:
             json.dump(spec, handle)
         argv = [arg.format(spec=spec_path, out=os.path.join(work, "out")) for arg in argv]
-        try:
-            for owner, name, replacement in patches:
-                setattr(owner, name, replacement)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
-        finally:
-            for owner, name, original in originals:
-                setattr(owner, name, original)
+        with _patched(patches), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
     if code != exit_code:
         raise RuntimeError(f"hessianls {' '.join(argv)} exited {code}")
     return counts
+
+
+def breakline_counters() -> dict:
+    """The work of one break line, n = 4, k = 2, gamma = 1, b = 1 on [0, 0.5]
+    at epsilon = 1e-3, built in this process on the package it imports:
+    Gauss points laid by ``panel_points``, points at which b is evaluated
+    and ``breakline_defect`` calls (one per doubling round)."""
+    import numpy as np
+
+    from hessianls import envelope
+    from hessianls.coefficients import RadialProfile
+    from hessianls.core import ProblemParams
+
+    counts = dict.fromkeys(BREAKLINE_COUNTS, 0)
+    counted = _counter(counts)
+    b = counted("b_points", RadialProfile.constant(1.0),
+                lambda args, result: int(np.size(args[0])))
+    patches = _gauss_point_patches(counted)
+    patches.append((envelope, "breakline_defect", counted(
+        "defect_calls", envelope.breakline_defect, lambda args, result: 1)))
+    with _patched(patches):
+        envelope.euler_polyline(ProblemParams(n=4, k=2, gamma=1.0), b, 0.5, 1e-3)
+    return counts
+
+
+def _counter(counts: dict):
+    """counted(key, function, amount): ``function`` wrapped to add
+    amount(args, result) to counts[key] on every call."""
+    def counted(key, function, amount):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            counts[key] += amount(args, result)
+            return result
+        return wrapper
+    return counted
+
+
+def _gauss_point_patches(counted) -> list:
+    """``panel_points`` counted into "gauss_points" wherever the package binds it."""
+    from hessianls import _integrate, envelope
+
+    return [(module, "panel_points", counted("gauss_points", _integrate.panel_points,
+                                             lambda args, result: result[1].size))
+            for module in (_integrate, envelope)]
+
+
+@contextlib.contextmanager
+def _patched(patches):
+    """Set each (owner, name, replacement) for the block, then restore them."""
+    originals = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, replacement in patches:
+            setattr(owner, name, replacement)
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
 
 
 def golden_envelope_counters() -> dict:
@@ -175,8 +221,8 @@ def run_workload(root: str, workload: str, seconds: float) -> dict:
 
 
 def checkout_counters(root: str) -> dict:
-    """{"stepper": stepper_counters, "envelope": golden_envelope_counters},
-    run in ``root`` on its own package."""
+    """{"stepper": stepper_counters, "envelope": golden_envelope_counters,
+    "breakline": breakline_counters}, run in ``root`` on its own package."""
     return json.loads(_child(root, ["-c", _COUNTERS_CHILD, os.path.abspath(__file__),
                                     REFERENCE]))
 

@@ -379,14 +379,17 @@ def cmd_sandwich(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all()
-    failed = [r for r in results if not r.passed]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
-    print(f"{len(results) - len(failed)}/{len(results)} invariants passed")
-    if args.json:
-        with open(args.json, "w") as handle:
+    # the summary path is opened first: one that cannot be written is refused
+    # before the suite runs
+    out = open(args.json, "w") if args.json else contextlib.nullcontext()
+    with out as handle:
+        results = verify_mod.run_all()
+        failed = [r for r in results if not r.passed]
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"[{status}] {r.name}: {r.detail}")
+        print(f"{len(results) - len(failed)}/{len(results)} invariants passed")
+        if handle is not None:
             json.dump([r.to_dict() for r in results], handle, indent=2)
     return EXIT_OK if not failed else EXIT_VERIFY
 
@@ -499,13 +502,15 @@ def cmd_sweep(args) -> int:
         payloads.append((cell, base_dir, not args.no_rates))
     # the pool forks all its workers at once: no more than cells or cores
     workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, payloads))
-    else:
-        rows = [_sweep_cell(p) for p in payloads]
+    # the arguments are checked; an output that cannot be written is refused
+    # before any cell is solved
     out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with out as handle:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_cell, payloads))
+        else:
+            rows = [_sweep_cell(p) for p in payloads]
         writer = csv.DictWriter(handle, _SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,68 @@ def _one_per_point(values, count: int, source: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
+
+def _positive_log(value: float, s: float) -> float:
+    if not value > 0.0:
+        raise CoefficientError(f"coefficient must be positive, got {value:g} "
+                               f"at r = {math.exp(s):g}")
+    return math.log(value)
+
+
+class _CellTable(NamedTuple):
+    """A table's radii ``r`` and values ``b``, their logs, and per cell
+    (r[i], r[i + 1]) the differences of r, b, log r and log b, the slope
+    in (log r, log b) and the flag that picks the cell's rule: log-log
+    where r[i] and both values are positive, else linear in r."""
+
+    r: np.ndarray
+    b: np.ndarray
+    log_r: np.ndarray
+    log_b: np.ndarray
+    dr: np.ndarray
+    db: np.ndarray
+    dlog_r: np.ndarray
+    dlog_b: np.ndarray
+    slopes: np.ndarray
+    loggable: np.ndarray
+
+    def loglog(self, r: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """b at radii ``r`` by the log-log rule of their cells ``cell``."""
+        return np.exp(self.log_b[cell]
+                      + (np.log(r) - self.log_r[cell]) / self.dlog_r[cell] * self.dlog_b[cell])
+
+    def linear(self, r: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """b at radii ``r`` by the linear rule of their cells ``cell``."""
+        return self.b[cell] + (r - self.r[cell]) / self.dr[cell] * self.db[cell]
+
+
+# The float rules of one table cell in s = ln r, each exact where the table's
+# bisection would pick that cell (bottom <= s < top) and handing any other s
+# to ``other``, the bisection itself.  A table makes one per cell, so their
+# constants are bound as defaults: fewer objects to build than closure cells.
+
+def _loglog_rule(lb: float, lr: float, slope: float, top: float, other):
+    def log_cell(s, lb=lb, lr=lr, slope=slope, top=top, other=other):
+        return lb + (s - lr) * slope if lr <= s < top else other(s)
+    return log_cell
+
+
+def _linear_rule(r: float, b: float, dr: float, db: float, bottom: float, top: float,
+                 other):
+    def log_cell(s, r=r, b=b, dr=dr, db=db, bottom=bottom, top=top, other=other,
+                 exp=math.exp, log=math.log):
+        if bottom <= s < top:
+            value = b + (exp(s) - r) / dr * db
+            return log(value) if value > 0.0 else _positive_log(value, s)
+        return other(s)
+    return log_cell
+
+
+def _tail_rule(lb: float, lr: float, tail: float, other):
+    def log_tail(s, lb=lb, lr=lr, tail=tail, other=other):
+        return lb - tail * (s - lr) if s > lr else other(s)
+    return log_tail
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -195,35 +257,45 @@ class RadialProfile:
     __call__ = eval
 
     @cached_property
-    def _log_table(self):
-        """log r, log b and the per-cell log-log flag of a tabulated profile."""
+    def _cells(self) -> "_CellTable":
+        """The per-cell table of a tabulated profile, built once."""
         r_tab, b_tab = self.radii, self.values
-        with np.errstate(divide="ignore"):
+        # log 0 = -inf: the differences of a cell from r = 0 or a zero value
+        # are inf or nan, and its flag sends it to the linear rule
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_r, log_b = np.log(r_tab), np.log(b_tab)
+            dlog_r, dlog_b = np.diff(log_r), np.diff(log_b)
+            slopes = dlog_b / dlog_r
         loggable = (r_tab[:-1] > 0) & (b_tab[:-1] > 0) & (b_tab[1:] > 0)
-        return log_r, log_b, loggable
+        return _CellTable(r_tab, b_tab, log_r, log_b, np.diff(r_tab), np.diff(b_tab),
+                          dlog_r, dlog_b, slopes, loggable)
 
     def _eval_table(self, rr: np.ndarray) -> np.ndarray:
+        """The table at ``rr``: each point's cell is found once and only its
+        rule is computed, from the cached per-cell table."""
         r_tab, b_tab = self.radii, self.values
-        log_r, log_b, loggable = self._log_table
         beyond = rr > r_tab[-1]
-        if self.tail_exponent is None and np.any(beyond):
+        outside = bool(beyond.any())
+        if self.tail_exponent is None and outside:
             raise ProfileRangeError(
                 f"radius {float(rr[beyond][0]):g} beyond tabulated range "
                 f"{r_tab[-1]:g} and no tail exponent declared")
         if np.any(rr < r_tab[0]):
             raise ProfileRangeError(
                 f"radius {float(rr.min()):g} below tabulated range {r_tab[0]:g}")
-        lo = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
-        hi = lo + 1
-        # Non-log-log cells and points beyond the table give inf/nan here; both are replaced.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = (rr - r_tab[lo]) / (r_tab[hi] - r_tab[lo])
-            linear = b_tab[lo] + w * (b_tab[hi] - b_tab[lo])
-            lw = (np.log(rr) - log_r[lo]) / (log_r[hi] - log_r[lo])
-            loglog = np.exp(log_b[lo] + lw * (log_b[hi] - log_b[lo]))
-        out = np.where(loggable[lo], loglog, linear)
-        if np.any(beyond):
+        cells = self._cells
+        cell = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
+        loglog = cells.loggable[cell]
+        if outside:
+            loglog &= ~beyond
+        if loglog.all():
+            return cells.loglog(rr, cell)
+        out = np.empty_like(rr)
+        at = np.flatnonzero(loglog)
+        out[at] = cells.loglog(rr[at], cell[at])
+        at = np.flatnonzero(~(loglog | beyond) if outside else ~loglog)
+        out[at] = cells.linear(rr[at], cell[at])
+        if outside:
             out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-self.tail_exponent)
         return out
 
@@ -237,13 +309,6 @@ class RadialProfile:
         with ``log(eval(r))`` to rounding; a non-positive value raises
         CoefficientError, a radius outside a table ProfileRangeError."""
         exp, log = math.exp, math.log
-
-        def positive_log(value: float, s: float) -> float:
-            if not value > 0.0:
-                raise CoefficientError(f"coefficient must be positive, got {value:g} "
-                                       f"at r = {exp(s):g}")
-            return log(value)
-
         if self.kind == "constant":
             log_value = log(self.value)
             return lambda s: log_value
@@ -258,50 +323,86 @@ class RadialProfile:
                 q = r0_sq + r * r
                 if amp == 0.0:
                     return log_scale - half_l * log(q)
-                return positive_log(scale * (q ** -half_l + amp * q ** -half_m), s)
+                return _positive_log(scale * (q ** -half_l + amp * q ** -half_m), s)
             return log_power
         if self.kind == "tabulated":
-            log_r, log_b, loggable = self._log_table
-            lr, lb, flags = log_r.tolist(), log_b.tolist(), loggable.tolist()
-            rt, bt = self.radii.tolist(), self.values.tolist()
-            last, tail = len(rt) - 1, self.tail_exponent
-            slopes = [(lb[i + 1] - lb[i]) / (lr[i + 1] - lr[i]) if flags[i] else 0.0
-                      for i in range(last)]
-
-            def log_table(s):
-                i = bisect_right(lr, s) - 1
-                if i >= last:
-                    if s > lr[last]:
-                        if tail is None:
-                            raise ProfileRangeError(
-                                f"radius {exp(s):g} beyond tabulated range {rt[last]:g} "
-                                f"and no tail exponent declared")
-                        return lb[last] - tail * (s - lr[last])
-                    i = last - 1
-                elif i < 0:
-                    raise ProfileRangeError(
-                        f"radius {exp(s):g} below tabulated range {rt[0]:g}")
-                if flags[i]:
-                    return lb[i] + (s - lr[i]) * slopes[i]
-                w = (exp(s) - rt[i]) / (rt[i + 1] - rt[i])
-                return positive_log(bt[i] + w * (bt[i + 1] - bt[i]), s)
-            return log_table
+            return self._log_rules[0]
         if self.kind == "callable":
             func = self.func
 
             def log_callable(s):
                 value = _one_per_point(func(np.array([exp(s)])), 1, "callable profile")[0]
-                return positive_log(float(value), s)
+                return _positive_log(float(value), s)
             return log_callable
         raise CoefficientError(f"profile of kind {self.kind!r} has no logarithm")
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Positive radii where the profile may have a kink: the radii of a
-        table (its last one starts the tail), none for closed forms."""
-        if self.kind == "tabulated":
-            return self.radii[self.radii > 0.0]
-        return np.empty(0)
+    @cached_property
+    def _log_rules(self):
+        """(log_table, stops) of a tabulated profile.
+
+        ``log_table`` is :meth:`log_in_log_radius`: it finds the cell of s by
+        bisection and applies its rule.  Each cell's rule is also a float
+        function of its own, taken where log_table would take that cell
+        (lr[i] <= s < lr[i + 1], the last cell up to and including the last
+        radius, the tail beyond it) and handing any other s to log_table, so
+        a rule gives log_table's value wherever it is called.  ``stops[j]``
+        is the piece of :meth:`log_pieces` that ends at radius j:
+        (math.log(r_j), the rule of the cell below r_j, the rule of the cell
+        above it), the last being the one log_table takes at math.log(r_j)
+        unless that is an ulp below the table's log r_j."""
+        cells = self._cells
+        lr, lb = cells.log_r.tolist(), cells.log_b.tolist()
+        rt, bt = self.radii.tolist(), self.values.tolist()
+        last, tail, exp = len(rt) - 1, self.tail_exponent, math.exp
+
+        def log_table(s):
+            if s != s:   # NaN lies in no cell
+                raise ProfileRangeError("radius nan outside the tabulated range")
+            i = bisect_right(lr, s) - 1
+            if i >= last:
+                if s > lr[last] and tail is None:
+                    raise ProfileRangeError(
+                        f"radius {exp(s):g} beyond tabulated range {rt[last]:g} "
+                        f"and no tail exponent declared")
+                return rules[last if s > lr[last] else last - 1](s)
+            if i < 0:
+                raise ProfileRangeError(f"radius {exp(s):g} below tabulated range {rt[0]:g}")
+            return rules[i](s)
+
+        # the last cell's bound admits s = lr[last] itself and nothing above it
+        tops = lr[1:last] + [math.nextafter(lr[last], math.inf)]
+        rules = [_loglog_rule(lb[i], lr[i], slope, tops[i], log_table) if flag else
+                 _linear_rule(rt[i], bt[i], dr, db, lr[i], tops[i], log_table)
+                 for i, (flag, slope, dr, db) in enumerate(zip(
+                     cells.loggable.tolist(), cells.slopes.tolist(), cells.dr.tolist(),
+                     cells.db.tolist()))]
+        rules.append(log_table if tail is None else _tail_rule(lb[last], lr[last], tail, log_table))
+        stops = list(zip([math.log(r) if r > 0.0 else -math.inf for r in rt],
+                         [log_table] + rules[:-1], rules))
+        return log_table, stops
+
+    def log_pieces(self, r_start: float, r_end: float) -> list:
+        """The pieces :func:`~hessianls.solver.solve_cauchy` steps ln b by
+        from r_start to r_end, in order: (stop, log_b, stop_log_b), stop =
+        math.log(r), with ``log_b`` the float function s -> ln b(e^s) up to
+        the stop and ``stop_log_b`` the one that gives the profile's value
+        at the stop itself.  A closed form is one piece ending at r_end, its
+        :meth:`log_in_log_radius` in both places.  A table has one piece per
+        cell between them, ending at each radius r_start < r < r_end, and a
+        last one at r_end, each with its cell's own rule and the next cell's
+        at the stop: no step straddles a kink, and none bisects the table
+        but at an ulp from a radius, where math.log(r) and the table's log r
+        differ and the rules defer to :meth:`log_in_log_radius`."""
+        log_end = math.log(r_end)
+        if self.kind != "tabulated":
+            log_b = self.log_in_log_radius()
+            return [(log_end, log_b, log_b)]
+        _, stops = self._log_rules
+        first = int(np.searchsorted(self.radii, r_start, side="right"))
+        end = int(np.searchsorted(self.radii, r_end, side="left"))
+        # the cell below r_end, the tail past the last radius
+        rule = stops[end][1] if end < len(stops) else stops[-1][2]
+        return stops[first:end] + [(log_end, rule, rule)]
 
     def is_zero(self) -> bool:
         if self.kind == "zero":

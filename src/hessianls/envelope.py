@@ -48,6 +48,9 @@ _MAX_BREAKLINE_SEGMENTS = 1 << 18
 # most this many segments, so a line near _MAX_BREAKLINE_SEGMENTS keeps its
 # transient arrays at a few MB.
 _BLOCK_SEGMENTS = 1024
+# A defect against epsilon takes its first block this small: a failing
+# round's largest sample is its first segments'.
+_FIRST_BLOCK_SEGMENTS = 16
 
 
 def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
@@ -85,16 +88,20 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
     with the positive radii of ``extra`` merged in."""
     nodes = RadialGrid.build(r_max).refined(4)
     extra = np.asarray(extra, dtype=float)
-    extra = extra[extra > 0]
+    extra = np.sort(extra[extra > 0])
     if extra.size:
-        # a radius that already is a node evicts no neighbour
-        extra = np.setdiff1d(extra, nodes)
+        # each radius once, and one that already is a node evicts no neighbour
+        at = np.minimum(np.searchsorted(nodes, extra), nodes.size - 1)
+        fresh = nodes[at] != extra
+        fresh[1:] &= extra[1:] != extra[:-1]
+        extra = extra[fresh]
     if not extra.size:
         return nodes
     right = np.minimum(np.searchsorted(extra, nodes), extra.size - 1)
     gap = np.minimum(np.abs(extra[right] - nodes),
                      np.abs(extra[np.maximum(right - 1, 0)] - nodes))
-    return np.union1d(nodes[gap > _MERGE_GAP * nodes], extra)
+    # the kept nodes and the extra radii are disjoint: one sort merges them
+    return np.sort(np.concatenate([nodes[gap > _MERGE_GAP * nodes], extra]))
 
 
 def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):
@@ -282,8 +289,11 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
 
     The construction doubles the uniform partition until the sampled
     defect |dpsi/dr - F[r, psi]| is below epsilon on every segment.  The
-    line must stay inside the box [a, 2a]; leaving it raises
-    DomainTooLargeError (the box is only guaranteed for small r_end).
+    flat head's integral is taken once and shared by the rounds, and each
+    round's defect stops at its first block that reaches epsilon (a failing
+    round usually fails on its first segments); the line itself is always
+    built whole.  The line must stay inside the box [a, 2a]; leaving it
+    raises DomainTooLargeError (the box is only guaranteed for small r_end).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -296,11 +306,14 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
     # bound F <= r (b_max (2a)^gamma / C(n,k))^(1/k)
     r_flat = params.cnk ** (1.0 / k) * epsilon / (b_max ** (1.0 / k) * (2.0 * a) ** (gam / k))
     r_flat = min(r_flat, r_end)
+    # integral_0^r_flat s^(n-1) b a^gamma, where the first segment's slope starts
+    head = math.exp(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
+                                  lambda s: np.full_like(s, a))[-1]) if r_flat < r_end else 0.0
 
     segments = 16
     while True:
-        line = _build_line(params, b, r_end, epsilon, r_flat, segments)
-        if breakline_defect(line, params, b) < epsilon:
+        line = _build_line(params, b, r_end, epsilon, r_flat, segments, head)
+        if breakline_defect(line, params, b, epsilon) < epsilon:
             return line
         segments *= 2
         if segments > _MAX_BREAKLINE_SEGMENTS:
@@ -310,12 +323,13 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
 
 
 def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
-                r_flat: float, segments: int) -> BreakLine:
-    """One doubling round: b is evaluated once per block of segments, then
-    the Euler recurrence runs in plain floats over each segment's 24 Gauss
-    points (slope from the inner integral, box check, inner += the
-    segment's integral).  The slope is F in flux_slope's order of
-    operations, with libm's log and exp in place of numpy's."""
+                r_flat: float, segments: int, head: float) -> BreakLine:
+    """One doubling round from the flat head's integral ``head``: b is
+    evaluated once per block of segments, then the Euler recurrence runs in
+    plain floats over each segment's 24 Gauss points (slope from the inner
+    integral, box check, inner += the segment's integral).  The slope is F
+    in flux_slope's order of operations, with libm's log and exp in place of
+    numpy's."""
     a = params.a
     if r_flat >= r_end:
         radii = np.array([0.0, r_end])
@@ -326,8 +340,7 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     if r_flat == 0.0:
         radii = radii[1:]
     k, gam, box = params.k, params.gamma, 2.0 * a
-    inner = math.exp(flux_integral(params, b, np.linspace(0.0, r_flat, 33),
-                                   lambda s: np.full_like(s, a))[-1])
+    inner = head
     # the terms of log F that do not depend on inner, at every segment start
     log_heads = (params.log_n_over_cnk + (k - params.n) * np.log(radii[1:-1])).tolist()
     steps = np.diff(radii).tolist()
@@ -370,22 +383,27 @@ def _segment_rows(params: ProblemParams, b, radii: np.ndarray):
     return (pts.reshape(rows) - lo[:, None]).tolist(), weights.reshape(rows).tolist()
 
 
-def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
-    """Largest sampled |dpsi/dr - F[r, psi]| over the line.
+def breakline_defect(line: BreakLine, params: ProblemParams, b,
+                     epsilon: float | None = None) -> float:
+    """Largest sampled |dpsi/dr - F[r, psi]| over the line, or with
+    ``epsilon`` the largest up to the first block of segments where it is
+    not below epsilon (so the verdict ``< epsilon`` is the same).
 
     Samples interior points of every segment (the defect vanishes at the
     left endpoints by construction) including the flat head.  The flux
-    integral runs over two cells per sample, in blocks of segments, each
-    block's running integral started from the last one's; psi at a Gauss
-    point is taken from the segment the cell lies in.
+    integral runs over two cells per sample, in blocks of segments (the
+    first of at most _FIRST_BLOCK_SEGMENTS), each block's running integral
+    started from the last one's; psi at a Gauss point is taken from the
+    segment the cell lies in.  The blocks change no bit of the samples.
     """
     cells = 2 * _DEFECT_SAMPLES_PER_SEGMENT
     fractions = np.arange(1, cells + 1) / cells
     radii, values, slopes = line.radii, line.values, line.slopes
     points = cells * GAUSS_WEIGHTS.size  # Gauss points per segment
     log_inner, worst = -math.inf, []
-    for first in range(0, slopes.size, _BLOCK_SEGMENTS):
-        stop = min(first + _BLOCK_SEGMENTS, slopes.size)
+    first, size = 0, min(_FIRST_BLOCK_SEGMENTS, _BLOCK_SEGMENTS)
+    while first < slopes.size:
+        stop = min(first + size, slopes.size)
         lo = radii[first:stop, None]
         sub = lo + np.diff(radii[first:stop + 1])[:, None] * fractions
         sub[:, -1] = radii[first + 1:stop + 1]
@@ -396,4 +414,7 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b) -> float:
         log_inner = float(block[-1])
         sampled = np.repeat(slopes[first:stop], _DEFECT_SAMPLES_PER_SEGMENT)
         worst.append(np.max(np.abs(sampled - flux_slope(params, nodes[2::2], block[2::2]))))
+        if epsilon is not None and not worst[-1] < epsilon:
+            break
+        first, size = stop, _BLOCK_SEGMENTS
     return float(np.max(worst))

@@ -18,8 +18,12 @@ it the system is stepped in logarithmic variables against s = ln r,
     d ln u / ds = r u'(r) / u,    d ln M / ds = r^n b(r) u^gamma / M,
 
 by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
-from the profile's float closure; a tabulated profile is integrated node
-to node, so no step straddles a kink.  One kernel steps this system alone:
+from the profile's pieces (:meth:`RadialProfile.log_pieces`): a closed form
+is one piece holding its float closure, a tabulated profile one piece per
+table cell, ending at the cell's radius with the cell's own rule, so no
+step straddles a kink and none searches the table for its cell (at an ulp
+from a radius the rule defers to the table's bisection, the single closure
+:meth:`RadialProfile.log_in_log_radius`).  One kernel steps this system alone:
 it evaluates each stage's right-hand side in place, and ln b once at a
 step's end, which its last two stages share.  Each accepted step leaves one
 flat record, from which the pair's continuous extension (the solve's dense
@@ -206,19 +210,21 @@ class _DenseOutput:
         return uu, log_m
 
 
-def _dopri5(log_b, c_u: float, p_u: float, k: int, n: int, gam: float, s: float, y,
-            stops, tol: float, abs_u: float):
-    """Integrate y = (x, z) = (ln u, ln M) against s = ln r up to each of
-    ``stops`` in turn (increasing; the last one is the end); no step
-    crosses a stop.
+def _dopri5(pieces, c_u: float, p_u: float, k: int, n: int, gam: float, s: float, y,
+            tol: float, abs_u: float):
+    """Integrate y = (x, z) = (ln u, ln M) against s = ln r through
+    ``pieces`` in turn, each (stop, log_b, stop_log_b) as
+    :meth:`~hessianls.coefficients.RadialProfile.log_pieces` gives them
+    (stops increasing; the last one is the end); no step crosses a stop.
 
     The right-hand side is evaluated stage by stage in place:
 
         x' = exp(c_u + p_u s + z / k - x),   z' = exp(n s + log_b(s) + gam x - z),
 
-    with ``log_b`` the float function s -> ln b(e^s).  The sixth stage and
-    the seventh (the next step's first) both sit at the step's end, where
-    ln b is evaluated once, after the sixth stage's x'.  The error of a step
+    with ``log_b`` the piece's float function s -> ln b(e^s), and
+    ``stop_log_b`` at the stop itself.  The sixth stage and the seventh (the
+    next step's first) both sit at the step's end, where ln b is evaluated
+    once, after the sixth stage's x'.  The error of a step
     is the RMS over both components of its embedded estimate, each scaled by
     ``tol`` (a relative error in u and M), plus ``abs_u``/u for ln u: an
     absolute floor of ``abs_u`` on u.  A stage that leaves the float range
@@ -230,13 +236,14 @@ def _dopri5(log_b, c_u: float, p_u: float, k: int, n: int, gam: float, s: float,
     exp, sqrt, inf = math.exp, math.sqrt, math.inf
     k, n = float(k), float(n)   # the same quotients and products, without int operands
     x, z = y
+    s_last = pieces[-1][0]
     fx = exp(c_u + p_u * s + z / k - x)
-    fz = exp(n * s + log_b(s) + gam * x - z)
+    fz = exp(n * s + pieces[0][1](s) + gam * x - z)
     rejected = 0
     scale = math.hypot(fx, fz) / (tol * sqrt(2.0))
-    h = (0.01 / scale) ** 0.2 if scale > 0.0 else stops[-1] - s
+    h = (0.01 / scale) ** 0.2 if scale > 0.0 else s_last - s
     records = []
-    for stop in stops:
+    for stop, log_b, stop_log_b in pieces:
         while s < stop:
             if h < _MIN_STEP * (s if s > 1.0 else -s if s < -1.0 else 1.0):
                 raise IntegrationError(
@@ -271,7 +278,7 @@ def _dopri5(log_b, c_u: float, p_u: float, k: int, n: int, gam: float, s: float,
                 # stages 6 and 7 share the s terms of both exponents at s_end
                 x_at_end = c_u + p_u * s_end
                 x6 = exp(x_at_end + zs / k - xs)
-                z_at_end = n * s_end + log_b(s_end)
+                z_at_end = n * s_end + (stop_log_b if last else log_b)(s_end)
                 z6 = exp(z_at_end + gam * xs - zs)
                 x_new = x + step * (_B1 * fx + _B3 * x3 + _B4 * x4 + _B5 * x5 + _B6 * x6)
                 z_new = z + step * (_B1 * fz + _B3 * z3 + _B4 * z4 + _B5 * z5 + _B6 * z6)
@@ -295,7 +302,7 @@ def _dopri5(log_b, c_u: float, p_u: float, k: int, n: int, gam: float, s: float,
             if x > _LOG_GUARD:
                 raise BlowupGuardError(
                     f"solution exceeded the overflow guard {OVERFLOW_GUARD:g} at r = "
-                    f"{exp(s):g}; the requested r_max = {exp(stops[-1]):g} is too large "
+                    f"{exp(s):g}; the requested r_max = {exp(s_last):g} is too large "
                     f"for this coefficient", r=exp(s), u=_exp(x))
             grow = 0.9 * err ** -0.2 if err > 0.0 else 10.0
             if grow > 10.0:
@@ -379,11 +386,8 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     # d ln M / ds = r^n b u^gamma / M with s = ln r
     c_u = params.log_n_over_cnk / k
     p_u = (2 * k - n) / k
-    s_end = math.log(grid.r_max)
-    kinks = [math.log(r) for r in b.breakpoints.tolist() if r_s < r < grid.r_max]
-    records, rejected = _dopri5(b.log_in_log_radius(), c_u, p_u, k, n, gam, s_s, y0,
-                                kinks + [s_end], rel_tol / 10.0,
-                                abs_tol * max(1.0, params.a))
+    records, rejected = _dopri5(b.log_pieces(r_s, grid.r_max), c_u, p_u, k, n, gam, s_s,
+                                y0, rel_tol / 10.0, abs_tol * max(1.0, params.a))
     dense = _DenseOutput(series, r_s, records, rejected)
 
     # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.

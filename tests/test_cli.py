@@ -1161,15 +1161,28 @@ class TestTopLevelErrors:
         (["sandwich", "{spec}", "--out", "{file}"], "{file}"),
     ], ids=["classify-spec", "classify-out", "solve-curve", "solve-summary", "sweep-out",
             "verify-json", "sandwich-out"])
-    def test_unopenable_path_exits_invalid(self, tmp_path, capsys, argv, target):
+    def test_unopenable_path_exits_invalid(self, monkeypatch, tmp_path, capsys, argv, target):
         # A directory where a file is read or written, or a file where the
         # sandwich directory goes: one error line naming the path, no traceback.
+        # sweep and verify refuse their output before any work: no cell is
+        # solved and the suite does not run.
         paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
                  "spec": _write(tmp_path, "spec.json", _constant_spec(
                      grid={"r_max": 50.0, "nodes_per_decade": 16}))}
         (tmp_path / "taken").mkdir()
         (tmp_path / "taken.txt").write_text("")
+
+        worked = []
+
+        def refused(*args, **kwargs):   # a sweep cell keeps its error in its row
+            worked.append(args)
+            raise AssertionError("work done before the output path was opened")
+
+        if argv[0] in ("sweep", "verify"):
+            monkeypatch.setattr(cli, "solve_cauchy", refused)
+            monkeypatch.setattr(cli.verify_mod, "run_all", refused)
         assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+        assert not worked
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert target.format(**paths) in err

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hessianls import coefficients
 from hessianls.coefficients import (
@@ -283,6 +283,112 @@ class TestTabulatedProfile:
     def test_csv_rejects_non_tabulated(self, tmp_path):
         with pytest.raises(CoefficientError):
             save_profile_csv(RadialProfile.constant(1.0), tmp_path / "x.csv")
+
+
+def _two_rule_eval(profile, rr):
+    """Table evaluation as it computed both cell rules at every point and
+    kept the one the cell's flag picks: the reference for the per-cell eval."""
+    r_tab, b_tab = profile.radii, profile.values
+    with np.errstate(divide="ignore"):
+        log_r, log_b = np.log(r_tab), np.log(b_tab)
+    loggable = (r_tab[:-1] > 0) & (b_tab[:-1] > 0) & (b_tab[1:] > 0)
+    beyond = rr > r_tab[-1]
+    lo = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
+    hi = lo + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = (rr - r_tab[lo]) / (r_tab[hi] - r_tab[lo])
+        linear = b_tab[lo] + w * (b_tab[hi] - b_tab[lo])
+        lw = (np.log(rr) - log_r[lo]) / (log_r[hi] - log_r[lo])
+        loglog = np.exp(log_b[lo] + lw * (log_b[hi] - log_b[lo]))
+    out = np.where(loggable[lo], loglog, linear)
+    if np.any(beyond):
+        out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-profile.tail_exponent)
+    return out
+
+
+def _outcome(log_b, s):
+    """log_b(s), or the type and message of what it raised."""
+    try:
+        return log_b(s)
+    except CoefficientError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _tables(draw):
+    """A table from r = 0 or above it, with zero values (linear cells beside
+    log-log ones) and a declared tail or none."""
+    size = draw(st.integers(2, 12))
+    start = draw(st.sampled_from([0.0, draw(st.floats(1e-3, 10.0))]))
+    gaps = draw(st.lists(st.floats(1e-3, 50.0), min_size=size - 1, max_size=size - 1))
+    radii = np.concatenate([[start], start + np.cumsum(gaps)])
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+                           min_size=size, max_size=size))
+    tail = draw(st.one_of(st.none(), st.floats(0.0, 4.0)))
+    return RadialProfile.tabulated(radii, values, tail_exponent=tail, strictly_positive=False)
+
+
+class TestCellRules:
+    """The table's per-cell eval and its stepper pieces against the rules
+    they replaced: both rules at every point, and the bisecting log_table."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_eval_equals_the_two_rule_formula(self, profile, fractions):
+        r_tab = profile.radii
+        top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
+        rr = np.concatenate([r_tab, r_tab[0] + np.array(fractions) * (top - r_tab[0])])
+        got = profile(rr)
+        np.testing.assert_array_equal(got, _two_rule_eval(profile, rr))
+        assert np.array_equal(np.signbit(got), np.signbit(_two_rule_eval(profile, rr)))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_tables(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_pieces_equal_log_table(self, profile, start, end):
+        # Each piece's rule equals log_table inside it, the ulp below its stop
+        # included, and its stop rule equals log_table at the stop.
+        r_tab = profile.radii
+        top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
+        r_start = max(r_tab[0], 1e-9) + start * (top - r_tab[0])
+        r_end = r_start + max(end * (top - r_start), 1e-6)
+        log_table = profile.log_in_log_radius()
+        pieces = profile.log_pieces(r_start, r_end)
+        assert [stop for stop, _, _ in pieces] == [math.log(r) for r in r_tab.tolist()
+                                                   if r_start < r < r_end] + [math.log(r_end)]
+        below = math.log(r_start)
+        for stop, rule, stop_rule in pieces:
+            points = [below + f * (stop - below) for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
+            for s in points + [math.nextafter(stop, -math.inf), stop]:
+                assert _outcome(rule, s) == _outcome(log_table, s)
+            assert _outcome(stop_rule, stop) == _outcome(log_table, stop)
+            below = stop
+
+    def test_pieces_at_an_ulp_from_the_table_log(self):
+        # math.log and numpy's log differ by an ulp at some radii: the stop
+        # there is math.log(r), the table's cells split at np.log(r), and the
+        # piece must still give log_table's value at and around it.
+        candidates = np.geomspace(0.5, 2.0, 4001)
+        logs = np.log(candidates).tolist()
+        split = {math.log(r) > lg: r for r, lg in zip(candidates.tolist(), logs)
+                 if math.log(r) != lg}
+        assert split, "no radius where math.log and numpy's log differ"
+        for r in split.values():
+            for values in ([3.0, 2.0, 1.0, 0.5], [3.0, 2.0, 0.0, 0.5]):
+                profile = RadialProfile.tabulated([0.0, 0.25, r, 4.0], values,
+                                                  tail_exponent=1.0, strictly_positive=False)
+                log_table = profile.log_in_log_radius()
+                for stop, rule, stop_rule in profile.log_pieces(0.1, 8.0):
+                    for s in (math.nextafter(stop, -math.inf), stop,
+                              math.nextafter(stop, math.inf)):
+                        assert _outcome(rule, s) == _outcome(log_table, s)
+                        assert _outcome(stop_rule, s) == _outcome(log_table, s)
+
+    def test_closed_forms_step_in_one_piece(self):
+        for profile in (RadialProfile.constant(2.5), RadialProfile.power_tail(1.3),
+                        RadialProfile.from_callable(lambda r: 1.0 + np.asarray(r))):
+            (stop, rule, stop_rule), = profile.log_pieces(1e-3, 40.0)
+            assert stop == math.log(40.0) and stop_rule is rule
+            assert rule(0.5) == profile.log_in_log_radius()(0.5)
 
 
 class TestAdmissibilityRule:

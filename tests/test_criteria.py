@@ -181,6 +181,48 @@ class TestGrowthIntegrand:
             assert growth_primitive(hessian2_params, b, r) == table[2][-1]
 
 
+def _set_fine_nodes(r_max, extra):
+    """fine_nodes as it merged with numpy's set routines: the reference."""
+    nodes = RadialGrid.build(r_max).refined(4)
+    extra = np.asarray(extra, dtype=float)
+    extra = extra[extra > 0]
+    if extra.size:
+        extra = np.setdiff1d(extra, nodes)
+    if not extra.size:
+        return nodes
+    right = np.minimum(np.searchsorted(extra, nodes), extra.size - 1)
+    gap = np.minimum(np.abs(extra[right] - nodes),
+                     np.abs(extra[np.maximum(right - 1, 0)] - nodes))
+    return np.union1d(nodes[gap > envelope._MERGE_GAP * nodes], extra)
+
+
+class TestFineNodes:
+    def test_merge_matches_the_set_routines(self):
+        # Random radii with duplicates, radii that already are nodes, radii
+        # within the merge gap of one, beyond r_max, zero and negative.
+        rng = np.random.default_rng(20251019)
+        for _ in range(300):
+            r_max = 10.0 ** rng.uniform(-1.0, 4.0)
+            nodes = RadialGrid.build(r_max).refined(4)
+            drawn = r_max * rng.random(rng.integers(0, 30))
+            picked = rng.choice(nodes, rng.integers(0, 6))
+            extra = np.concatenate([
+                drawn, picked, rng.choice(drawn, 3) if drawn.size else [],
+                picked * (1.0 + envelope._MERGE_GAP * rng.uniform(-2.0, 2.0, picked.size)),
+                r_max * rng.uniform(1.0, 2.0, rng.integers(0, 3)),
+                [0.0, -1.0][:rng.integers(0, 3)]])
+            rng.shuffle(extra)
+            got = envelope.fine_nodes(r_max, extra)
+            want = _set_fine_nodes(r_max, extra)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_without_extra_radii_the_refined_grid(self):
+        nodes = RadialGrid.build(50.0).refined(4)
+        for extra in ((), [0.0, -2.0], nodes[[3, 3, 7]]):
+            np.testing.assert_array_equal(envelope.fine_nodes(50.0, extra), nodes)
+
+
 class TestBTilde:
     def test_unit_at_origin(self, laplace_params, hessian2_params):
         for params in (laplace_params, hessian2_params):

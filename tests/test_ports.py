@@ -1,5 +1,5 @@
 """The numpy ports of scipy routines match scipy bit for bit, and the
-package runs without importing scipy.
+package runs without importing scipy, nor numpy.ma where it need not.
 
 scipy stays a test dependency: it is the independent oracle here.
 """
@@ -63,3 +63,19 @@ def test_cold_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_growth_primitive_loads_no_numpy_ma():
+    # numpy's set routines (np.union1d, np.setdiff1d) import numpy.ma on first
+    # use, 6 to 7 ms of a cold sandwich or verify child; fine_nodes merges
+    # its radii without them
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; import numpy as np; "
+         "from hessianls.coefficients import RadialProfile; "
+         "from hessianls.core import ProblemParams; "
+         "from hessianls.envelope import growth_primitive; "
+         "growth_primitive(ProblemParams(n=4, k=2, gamma=1.0), RadialProfile.power_tail(1.0), "
+         "np.array([0.5, 3.0, 3.0, 10.0])); print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -62,14 +62,18 @@ def test_bench_record_stepper_counters(checkout_counters):
 
 
 def test_bench_record_envelope_counters(checkout_counters, monkeypatch):
-    # The envelope block of a BENCH point: the golden classify op's work,
-    # the same counts in the child as in this process.
+    # The envelope and break-line blocks of a BENCH point: the golden classify
+    # op's work and one break line's, the same counts in the child as in this
+    # process.
     module = _load("bench_record.py")
     assert list(checkout_counters["envelope"]) == list(module.ENVELOPE_COUNTS)
-    assert set(checkout_counters) == {"stepper", "envelope"}
+    assert list(checkout_counters["breakline"]) == list(module.BREAKLINE_COUNTS)
+    assert set(checkout_counters) == {"stepper", "envelope", "breakline"}
     monkeypatch.chdir(SCRIPTS.parent)
     assert checkout_counters["envelope"] == module.golden_envelope_counters()
     assert checkout_counters["envelope"]["refined_calls"] == 1
+    assert checkout_counters["breakline"] == module.breakline_counters()
+    assert checkout_counters["breakline"]["defect_calls"] == 5
 
 
 def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):

@@ -409,21 +409,25 @@ class TestStepperKernel:
     def test_bit_identical_to_the_generic_stepper(self, monkeypatch, table_dir, name):
         # The kernel evaluates the log system in place, ln b once for the
         # last two stages, and lays the dense coefficients after the solve;
-        # the generic stepper, fed the right-hand side as a closure, must
-        # take the same steps to the bit and fail with the same message.
+        # it steps ln b by the profile's pieces, one per table cell.  The
+        # generic stepper, fed the right-hand side as a closure on the
+        # profile's single ln b (the bisecting one for a table) and stopped
+        # at the same radii, must take the same steps to the bit and fail
+        # with the same message.
         params, profile, grid, rel_tol, abs_tol = _kernel_case(name, table_dir)
         kernel, seen = solver._dopri5, {"overflows": 0, "generic_s": [], "kernel_s": []}
+        log_b = profile.log_in_log_radius()
 
         def noted(log_b, calls):
             return lambda s: calls.append(s) or log_b(s)
 
-        def both(log_b, c_u, p_u, k, n, gam, s, y, stops, tol, abs_u):
-            kernel_log_b = noted(log_b, seen["kernel_s"])
-            log_b = noted(log_b, seen["generic_s"])
+        def both(pieces, c_u, p_u, k, n, gam, s, y, tol, abs_u):
+            seen["pieces"] = pieces
+            generic_log_b = noted(log_b, seen["generic_s"])
             exp = math.exp
 
             def rhs(s, x, z):
-                return exp(c_u + p_u * s + z / k - x), exp(n * s + log_b(s) + gam * x - z)
+                return exp(c_u + p_u * s + z / k - x), exp(n * s + generic_log_b(s) + gam * x - z)
 
             def noted_rhs(s, x, z):
                 try:
@@ -433,10 +437,14 @@ class TestStepperKernel:
                     raise
 
             try:
-                seen["generic"] = _generic_dopri5(noted_rhs, s, y, stops, tol, abs_u)
+                seen["generic"] = _generic_dopri5(noted_rhs, s, y, [p[0] for p in pieces],
+                                                  tol, abs_u)
             except (BlowupGuardError, IntegrationError) as exc:
                 seen["generic"] = exc
-            return kernel(kernel_log_b, c_u, p_u, k, n, gam, s, y, stops, tol, abs_u)
+            kernel_pieces = [(stop, noted(rule, seen["kernel_s"]),
+                              noted(stop_rule, seen["kernel_s"]))
+                             for stop, rule, stop_rule in pieces]
+            return kernel(kernel_pieces, c_u, p_u, k, n, gam, s, y, tol, abs_u)
 
         monkeypatch.setattr(solver, "_dopri5", both)
         try:
@@ -445,6 +453,8 @@ class TestStepperKernel:
             dense, generic = None, seen["generic"]
             assert (type(exc), str(exc), exc.r, exc.u) == (type(generic), str(generic),
                                                            generic.r, generic.u)
+        # a table is stepped cell by cell, a closed form in one piece
+        assert (len(seen["pieces"]) > 1) == (profile.kind == "tabulated")
         # ln b at the same radii in the same order, but once where the sixth
         # and seventh stages share the step's end
         calls = seen["generic_s"]
@@ -521,8 +531,17 @@ class TestWorkLedger:
         # btilde_oracle, bounded_bound, dominance, sandwich_radial) count.
         bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
         assert bench["envelope_counters"](["verify", "--json", "{out}"], {}) == {
-            "gauss_points": 46296, "tabulated_b_points": 10071, "simpson_nodes": 2810,
+            "gauss_points": 45720, "tabulated_b_points": 10071, "simpson_nodes": 2810,
             "refined_calls": 8}
+
+    def test_breakline_ledger(self):
+        # One break line (n = 4, k = 2, gamma = 1, b = 1 on [0, 0.5], epsilon
+        # 1e-3; 257 segments, five rounds): the flat head is integrated once
+        # and each failing round's defect stops at its first block of 16
+        # segments, so only the accepted round's defect covers the line.
+        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+        assert bench["breakline_counters"]() == {
+            "gauss_points": 73920, "b_points": 74945, "defect_calls": 5}
 
 
 class TestEulerPolyline:
@@ -725,9 +744,29 @@ class TestPrecomputedBreakLine:
         segments = line.radii.size - 2  # the uniform part; the flat head is one more
         rounds = int(np.log2(segments // 16)) + 1
         assert 16 * 2 ** (rounds - 1) == segments
-        # the positivity probe, then per round the flat head, the Gauss rows
-        # and the defect table (the per-segment loop made two per segment)
-        assert len(calls) <= 1 + 3 * rounds
+        # the positivity probe and the flat head once, then per round the
+        # Gauss rows and the defect's first block of 16 segments, where each
+        # failing round fails, and the accepted round's second block (the
+        # per-segment loop made two per segment)
+        assert len(calls) == 3 + 2 * rounds
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_defect_against_epsilon_keeps_the_verdict(self, monkeypatch, laplace_params,
+                                                      epsilon):
+        # Every round of the doubling, rebuilt: the defect against epsilon
+        # stops early only on a line the full defect fails, and equals it on
+        # a line that passes.
+        rounds = []
+        build = envelope._build_line
+        monkeypatch.setattr(envelope, "_build_line",
+                            lambda *args: rounds.append(build(*args)) or rounds[-1])
+        euler_polyline(laplace_params, B_ONE, r_end=0.5, epsilon=epsilon)
+        assert len(rounds) > 1
+        for line in rounds:
+            full = breakline_defect(line, laplace_params, B_ONE)
+            early = breakline_defect(line, laplace_params, B_ONE, epsilon)
+            assert (early < epsilon) == (full < epsilon) == (line is rounds[-1])
+            assert early == full if full < epsilon else epsilon <= early <= full
 
 
 class TestFluxIntegralRule:
