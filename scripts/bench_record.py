@@ -16,11 +16,13 @@ package, and beside them ``us_per_step`` and ``us_per_step_median``, the
 least and the median of 15 summed solve times of those specs per attempted
 step, so the trajectory shows the stepper's cost next to its counts (only
 the counts compare across recordings: the times move with the host's
-load).  Under ``envelope`` it adds the envelope work of the golden classify
-op of ``perfbench/golden.py``: Gauss points, tabulated b points, Simpson
-nodes and ``RadialGrid.refined`` calls; under ``breakline`` the work of one
-break line (n = 4, k = 2, gamma = 1, b = 1 on [0, 0.5], epsilon = 1e-3): Gauss
-points, b points and ``breakline_defect`` calls.  The file is named after the git tree of
+load); under ``stepper_tabulated`` the same fields for the tabulated specs,
+their tables written by ``perfbench/workloads.py``.  Under ``envelope`` it
+adds the envelope work of the golden classify op of ``perfbench/golden.py``:
+Gauss points, tabulated b points, Simpson nodes and ``RadialGrid.refined``
+calls; under ``breakline`` the work of one break line (n = 4, k = 2, gamma =
+1, b = 1 on [0, 0.5], epsilon = 1e-3): Gauss points, b points and
+``breakline_defect`` calls.  The file is named after the git tree of
 the checkout's ``src`` directory, which names the measured code whichever
 commit carries it; the tree of ``perfbench`` inside names the benchmark
 that measured it.  One run per workload is a single sample: compare wall
@@ -48,33 +50,44 @@ WORKLOADS = ("radial-sweep", "field-comparison", "cli-cold")
 REFERENCE = os.path.join("perfbench", "data", "reference.json")
 SEED = 0  # perfbench/run.py's default
 GOLDEN = os.path.join("perfbench", "golden.py")
+# The benchmark's generator of the tabulated specs' tables.
+TABLES = os.path.join("perfbench", "workloads.py")
 # Timed passes over the specs: us_per_step takes the least, us_per_step_median
 # the median.
 REPEATS = 15
 ENVELOPE_COUNTS = ("gauss_points", "tabulated_b_points", "simpson_nodes", "refined_calls")
 BREAKLINE_COUNTS = ("gauss_points", "b_points", "defect_calls")
-# Run in the measured checkout, this file's counters print the stepper's, the
-# golden classify's and the break line's.
+# Run in the measured checkout, this file's counters print the stepper's (on
+# closed forms and on tables), the golden classify's and the break line's.
 _COUNTERS_CHILD = ("import json, runpy, sys; script = runpy.run_path(sys.argv[1]); "
-                   "stepper = script['stepper_counters'](json.load(open(sys.argv[2]))); "
-                   "print(json.dumps({'stepper': stepper, "
+                   "reference = json.load(open(sys.argv[2])); "
+                   "print(json.dumps({'stepper': script['stepper_counters'](reference), "
+                   "'stepper_tabulated': script['stepper_counters'](reference, True), "
                    "'envelope': script['golden_envelope_counters'](), "
                    "'breakline': script['breakline_counters']()}))")
 
 
-def stepper_counters(reference: dict) -> dict:
+def stepper_counters(reference: dict, tabulated: bool = False) -> dict:
     """rhs_evals, accepted and rejected summed over the reference specs with
-    a closed-form coefficient, each solved as ``hessianls solve`` would, and
-    us_per_step and us_per_step_median: the least and the median summed
-    solve time over REPEATS runs of them, in microseconds per attempted
-    (accepted or rejected) step.  Only the step counts compare across
-    recordings; the times move with the host's load."""
+    a closed-form coefficient (``tabulated``: with a table, written by
+    TABLES), each solved as ``hessianls solve`` would, and us_per_step and
+    us_per_step_median: the least and the median summed solve time over
+    REPEATS runs of them, in microseconds per attempted (accepted or
+    rejected) step.  Only the step counts compare across recordings; the
+    times move with the host's load."""
     from hessianls.cli import ProblemSpec
     from hessianls.solver import solve_cauchy
 
-    specs = {name: ProblemSpec.from_dict(entry["spec"])
-             for name, entry in sorted(reference.items())
-             if entry["spec"]["coefficient"]["kind"] != "tabulated"}
+    chosen = {name: entry["spec"] for name, entry in sorted(reference.items())
+              if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated}
+    with tempfile.TemporaryDirectory() as tables:  # a spec reads its table when built
+        if tabulated:
+            write_table = runpy.run_path(TABLES)["write_table"]
+            for spec in chosen.values():
+                path = spec["coefficient"]["path"]
+                write_table(path, os.path.join(tables, path))
+        specs = {name: ProblemSpec.from_dict(spec, base_dir=tables)
+                 for name, spec in chosen.items()}
     totals = {"specs": list(specs), "rhs_evals": 0, "accepted": 0, "rejected": 0}
     passes = []
     for repeat in range(REPEATS):
@@ -221,8 +234,9 @@ def run_workload(root: str, workload: str, seconds: float) -> dict:
 
 
 def checkout_counters(root: str) -> dict:
-    """{"stepper": stepper_counters, "envelope": golden_envelope_counters,
-    "breakline": breakline_counters}, run in ``root`` on its own package."""
+    """{"stepper": stepper_counters, "stepper_tabulated": the same on the
+    tables, "envelope": golden_envelope_counters, "breakline":
+    breakline_counters}, run in ``root`` on its own package."""
     return json.loads(_child(root, ["-c", _COUNTERS_CHILD, os.path.abspath(__file__),
                                     REFERENCE]))
 

@@ -208,6 +208,11 @@ class ProblemSpec:
         if kind == "tabulated" and built.radii[0] > 0.0:  # every subcommand needs b(0)
             raise CoefficientError(f"spec.coefficient.path: profile CSV {kwargs['path']} "
                                    f"starts at r = {built.radii[0]:g}; b is needed from r = 0")
+        if (kind == "tabulated" and built.tail_exponent is None
+                and built.radii[-1] < grid_cfg["r_max"]):  # and up to r_max
+            raise CoefficientError(f"spec.coefficient.tail_exponent: none declared, and profile "
+                                   f"CSV {kwargs['path']} ends at r = {built.radii[-1]:g} "
+                                   f"< spec.grid.r_max = {grid_cfg['r_max']:g}")
         if kind == "builtin_field" and built.dim != params.n:
             raise ParameterError(f"spec.coefficient: field dimension {built.dim} "
                                  f"does not match n = {params.n}")

@@ -95,31 +95,27 @@ class _CellTable(NamedTuple):
         return self.b[cell] + (r - self.r[cell]) / self.dr[cell] * self.db[cell]
 
 
-# The float rules of one table cell in s = ln r, each exact where the table's
-# bisection would pick that cell (bottom <= s < top) and handing any other s
-# to ``other``, the bisection itself.  A table makes one per cell, so their
-# constants are bound as defaults: fewer objects to build than closure cells.
+# The float rules of one table cell in s = ln r, plain formulas in the cell's
+# constants: the table's bisection and the stepper's pieces call each only
+# inside its own cell.  A table makes one per cell, so their constants are
+# bound as defaults: fewer objects to build than closure cells.
 
-def _loglog_rule(lb: float, lr: float, slope: float, top: float, other):
-    def log_cell(s, lb=lb, lr=lr, slope=slope, top=top, other=other):
-        return lb + (s - lr) * slope if lr <= s < top else other(s)
+def _loglog_rule(lb: float, lr: float, slope: float):
+    def log_cell(s, lb=lb, lr=lr, slope=slope):
+        return lb + (s - lr) * slope
     return log_cell
 
 
-def _linear_rule(r: float, b: float, dr: float, db: float, bottom: float, top: float,
-                 other):
-    def log_cell(s, r=r, b=b, dr=dr, db=db, bottom=bottom, top=top, other=other,
-                 exp=math.exp, log=math.log):
-        if bottom <= s < top:
-            value = b + (exp(s) - r) / dr * db
-            return log(value) if value > 0.0 else _positive_log(value, s)
-        return other(s)
+def _linear_rule(r: float, b: float, dr: float, db: float):
+    def log_cell(s, r=r, b=b, dr=dr, db=db, exp=math.exp, log=math.log):
+        value = b + (exp(s) - r) / dr * db
+        return log(value) if value > 0.0 else _positive_log(value, s)
     return log_cell
 
 
-def _tail_rule(lb: float, lr: float, tail: float, other):
-    def log_tail(s, lb=lb, lr=lr, tail=tail, other=other):
-        return lb - tail * (s - lr) if s > lr else other(s)
+def _tail_rule(lb: float, lr: float, tail: float):
+    def log_tail(s, lb=lb, lr=lr, tail=tail):
+        return lb - tail * (s - lr)
     return log_tail
 
 
@@ -270,19 +266,26 @@ class RadialProfile:
         return _CellTable(r_tab, b_tab, log_r, log_b, np.diff(r_tab), np.diff(b_tab),
                           dlog_r, dlog_b, slopes, loggable)
 
-    def _eval_table(self, rr: np.ndarray) -> np.ndarray:
-        """The table at ``rr``: each point's cell is found once and only its
-        rule is computed, from the cached per-cell table."""
-        r_tab, b_tab = self.radii, self.values
+    def _beyond(self, rr: np.ndarray) -> np.ndarray:
+        """The mask of the radii ``rr`` past the table, where only a tail
+        holds; ProfileRangeError for one below it, or past it without one."""
+        r_tab = self.radii
         beyond = rr > r_tab[-1]
-        outside = bool(beyond.any())
-        if self.tail_exponent is None and outside:
+        if self.tail_exponent is None and beyond.any():
             raise ProfileRangeError(
                 f"radius {float(rr[beyond][0]):g} beyond tabulated range "
                 f"{r_tab[-1]:g} and no tail exponent declared")
         if np.any(rr < r_tab[0]):
             raise ProfileRangeError(
                 f"radius {float(rr.min()):g} below tabulated range {r_tab[0]:g}")
+        return beyond
+
+    def _eval_table(self, rr: np.ndarray) -> np.ndarray:
+        """The table at ``rr``: each point's cell is found once and only its
+        rule is computed, from the cached per-cell table."""
+        r_tab, b_tab = self.radii, self.values
+        beyond = self._beyond(rr)
+        outside = bool(beyond.any())
         cells = self._cells
         cell = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
         loglog = cells.loggable[cell]
@@ -338,22 +341,25 @@ class RadialProfile:
 
     @cached_property
     def _log_rules(self):
-        """(log_table, stops) of a tabulated profile.
+        """(log_table, rules, stops) of a tabulated profile in s = ln r, with
+        lr = ``_cells.log_r`` the table's only log radii.
 
-        ``log_table`` is :meth:`log_in_log_radius`: it finds the cell of s by
-        bisection and applies its rule.  Each cell's rule is also a float
-        function of its own, taken where log_table would take that cell
-        (lr[i] <= s < lr[i + 1], the last cell up to and including the last
-        radius, the tail beyond it) and handing any other s to log_table, so
-        a rule gives log_table's value wherever it is called.  ``stops[j]``
-        is the piece of :meth:`log_pieces` that ends at radius j:
-        (math.log(r_j), the rule of the cell below r_j, the rule of the cell
-        above it), the last being the one log_table takes at math.log(r_j)
-        unless that is an ulp below the table's log r_j."""
+        ``rules[i]`` is cell i's rule, ``rules[-1]`` the tail's (None without
+        one).  ``log_table`` is :meth:`log_in_log_radius`: it bisects lr for
+        the rule of s (cell i on lr[i] <= s < lr[i + 1], the last cell up to
+        the last radius, the tail beyond) or raises the range errors.
+        ``stops[j - 1]`` is the :meth:`log_pieces` piece ending at radius j:
+        (lr[j], the cell below's rule, the rule log_table takes at lr[j])."""
         cells = self._cells
         lr, lb = cells.log_r.tolist(), cells.log_b.tolist()
         rt, bt = self.radii.tolist(), self.values.tolist()
         last, tail, exp = len(rt) - 1, self.tail_exponent, math.exp
+        rules = [_loglog_rule(lb[i], lr[i], slope) if flag else
+                 _linear_rule(rt[i], bt[i], dr, db)
+                 for i, (flag, slope, dr, db) in enumerate(zip(
+                     cells.loggable.tolist(), cells.slopes.tolist(), cells.dr.tolist(),
+                     cells.db.tolist()))]
+        rules.append(None if tail is None else _tail_rule(lb[last], lr[last], tail))
 
         def log_table(s):
             if s != s:   # NaN lies in no cell
@@ -369,40 +375,32 @@ class RadialProfile:
                 raise ProfileRangeError(f"radius {exp(s):g} below tabulated range {rt[0]:g}")
             return rules[i](s)
 
-        # the last cell's bound admits s = lr[last] itself and nothing above it
-        tops = lr[1:last] + [math.nextafter(lr[last], math.inf)]
-        rules = [_loglog_rule(lb[i], lr[i], slope, tops[i], log_table) if flag else
-                 _linear_rule(rt[i], bt[i], dr, db, lr[i], tops[i], log_table)
-                 for i, (flag, slope, dr, db) in enumerate(zip(
-                     cells.loggable.tolist(), cells.slopes.tolist(), cells.dr.tolist(),
-                     cells.db.tolist()))]
-        rules.append(log_table if tail is None else _tail_rule(lb[last], lr[last], tail, log_table))
-        stops = list(zip([math.log(r) if r > 0.0 else -math.inf for r in rt],
-                         [log_table] + rules[:-1], rules))
-        return log_table, stops
+        stops = [(lr[j], rules[j - 1], rules[min(j, last - 1)]) for j in range(1, last + 1)]
+        return log_table, rules, stops
 
     def log_pieces(self, r_start: float, r_end: float) -> list:
         """The pieces :func:`~hessianls.solver.solve_cauchy` steps ln b by
-        from r_start to r_end, in order: (stop, log_b, stop_log_b), stop =
-        math.log(r), with ``log_b`` the float function s -> ln b(e^s) up to
-        the stop and ``stop_log_b`` the one that gives the profile's value
-        at the stop itself.  A closed form is one piece ending at r_end, its
-        :meth:`log_in_log_radius` in both places.  A table has one piece per
-        cell between them, ending at each radius r_start < r < r_end, and a
-        last one at r_end, each with its cell's own rule and the next cell's
-        at the stop: no step straddles a kink, and none bisects the table
-        but at an ulp from a radius, where math.log(r) and the table's log r
-        differ and the rules defer to :meth:`log_in_log_radius`."""
-        log_end = math.log(r_end)
+        from r_start to r_end > r_start, in order: (stop, log_b, stop_log_b),
+        ``log_b`` the float function s -> ln b(e^s) up to the stop and
+        ``stop_log_b`` the one at the stop itself.  A closed form is one piece
+        ending at math.log(r_end), its :meth:`log_in_log_radius` in both
+        places.  A table has one piece per cell between them, ending at the
+        table's own log radius with the cell's rule and, at the stop, the rule
+        :meth:`log_in_log_radius` takes there: no step straddles a kink or
+        searches the table.  An r_end inside a cell or in the tail ends the
+        last piece at math.log(r_end); a radius outside the table raises the
+        ProfileRangeError of :meth:`eval`."""
         if self.kind != "tabulated":
             log_b = self.log_in_log_radius()
-            return [(log_end, log_b, log_b)]
-        _, stops = self._log_rules
+            return [(math.log(r_end), log_b, log_b)]
+        self._beyond(np.array([r_start, r_end]))
+        _, rules, stops = self._log_rules
         first = int(np.searchsorted(self.radii, r_start, side="right"))
-        end = int(np.searchsorted(self.radii, r_end, side="left"))
-        # the cell below r_end, the tail past the last radius
-        rule = stops[end][1] if end < len(stops) else stops[-1][2]
-        return stops[first:end] + [(log_end, rule, rule)]
+        end = int(np.searchsorted(self.radii, r_end, side="right"))
+        if self.radii[end - 1] == r_end:
+            return stops[first - 1:end - 1]
+        rule = rules[end - 1]   # the cell of r_end, or the tail past the last radius
+        return stops[first - 1:end - 1] + [(math.log(r_end), rule, rule)]
 
     def is_zero(self) -> bool:
         if self.kind == "zero":

@@ -20,10 +20,10 @@ it the system is stepped in logarithmic variables against s = ln r,
 by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
 from the profile's pieces (:meth:`RadialProfile.log_pieces`): a closed form
 is one piece holding its float closure, a tabulated profile one piece per
-table cell, ending at the cell's radius with the cell's own rule, so no
-step straddles a kink and none searches the table for its cell (at an ulp
-from a radius the rule defers to the table's bisection, the single closure
-:meth:`RadialProfile.log_in_log_radius`).  One kernel steps this system alone:
+table cell, ending at the table's own log radius with the cell's own rule,
+so no step straddles a kink and none searches the table for its cell; the
+stops are the logs the table's cells split at, so a piece's rule is the
+one the table's bisection takes there.  One kernel steps this system alone:
 it evaluates each stage's right-hand side in place, and ln b once at a
 step's end, which its last two stages share.  Each accepted step leaves one
 flat record, from which the pair's continuous extension (the solve's dense

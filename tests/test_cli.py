@@ -1200,3 +1200,27 @@ class TestTopLevelErrors:
         assert capsys.readouterr().err == (
             f"error: spec.coefficient.path: profile CSV {tmp_path / 'b.csv'} starts at "
             f"r = 0.5; b is needed from r = 0\n")
+
+    @pytest.mark.parametrize("command", ["classify", "solve", "sandwich", "sweep"])
+    def test_tail_less_table_short_of_r_max_refused_by_name(self, tmp_path, capsys, command):
+        # Every subcommand evaluates b up to r_max, so a table without a tail
+        # that ends before it is refused when the spec is read, naming the
+        # tail exponent and r_max; a sweep cell says so in its row, beside a
+        # cell whose r_max is the table's end.
+        (tmp_path / "b.csv").write_text("r,b\n0,1\n2,0.5\n5,0.2\n")
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            coefficient={"kind": "tabulated", "path": "b.csv"},
+            grid={"r_max": 5.0 if command == "sweep" else 10.0}))
+        message = (f"spec.coefficient.tail_exponent: none declared, and profile CSV "
+                   f"{tmp_path / 'b.csv'} ends at r = 5 < spec.grid.r_max = 10")
+        if command == "sweep":
+            out_path = tmp_path / "sweep.csv"
+            assert cli.main(["sweep", spec_path, "--vary", "r_max=5,10", "--no-rates",
+                             "--out", str(out_path)]) == EXIT_OK
+            with open(out_path) as handle:
+                at_end, beyond = csv.DictReader(handle)
+            assert (at_end["verdict"], at_end["error"]) == ("Inconclusive", "")
+            assert (beyond["verdict"], beyond["error"]) == ("", f"CoefficientError: {message}")
+            return
+        assert cli.main([command, spec_path]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"

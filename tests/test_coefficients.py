@@ -343,45 +343,45 @@ class TestCellRules:
         assert np.array_equal(np.signbit(got), np.signbit(_two_rule_eval(profile, rr)))
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @given(_tables(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @given(_tables(), st.floats(0.0, 1.0), st.one_of(st.floats(0.0, 1.0), st.integers(1, 12)))
     def test_pieces_equal_log_table(self, profile, start, end):
-        # Each piece's rule equals log_table inside it, the ulp below its stop
-        # included, and its stop rule equals log_table at the stop.
-        r_tab = profile.radii
-        top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
-        r_start = max(r_tab[0], 1e-9) + start * (top - r_tab[0])
-        r_end = r_start + max(end * (top - r_start), 1e-6)
+        # The stops are the table's own log radii, r_end's too when it is one
+        # (an integer ``end`` picks it, the last one included), else
+        # math.log(r_end).  Each piece's rule equals log_table inside it, the
+        # ulp below its stop included, and its stop rule at the stop.
+        r_tab, log_r = profile.radii, profile._cells.log_r.tolist()
+        bottom = max(r_tab[0], 1e-9)
+        at_radius = isinstance(end, int)
+        if at_radius:
+            j = min(end, r_tab.size - 1)
+            r_end = float(r_tab[j])
+            r_start = bottom + 0.99 * start * (r_end - bottom)
+        else:
+            top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
+            r_start = bottom + start * (top - r_tab[0])
+            r_end = r_start + max(end * (top - r_start), 1e-6)
         log_table = profile.log_in_log_radius()
         pieces = profile.log_pieces(r_start, r_end)
-        assert [stop for stop, _, _ in pieces] == [math.log(r) for r in r_tab.tolist()
-                                                   if r_start < r < r_end] + [math.log(r_end)]
+        assert [stop for stop, _, _ in pieces] == [
+            lg for r, lg in zip(r_tab.tolist(), log_r) if r_start < r < r_end] + (
+            [log_r[j]] if at_radius else [math.log(r_end)])
         below = math.log(r_start)
         for stop, rule, stop_rule in pieces:
             points = [below + f * (stop - below) for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
-            for s in points + [math.nextafter(stop, -math.inf), stop]:
+            for s in points + [math.nextafter(stop, -math.inf)]:
                 assert _outcome(rule, s) == _outcome(log_table, s)
             assert _outcome(stop_rule, stop) == _outcome(log_table, stop)
             below = stop
 
-    def test_pieces_at_an_ulp_from_the_table_log(self):
-        # math.log and numpy's log differ by an ulp at some radii: the stop
-        # there is math.log(r), the table's cells split at np.log(r), and the
-        # piece must still give log_table's value at and around it.
-        candidates = np.geomspace(0.5, 2.0, 4001)
-        logs = np.log(candidates).tolist()
-        split = {math.log(r) > lg: r for r, lg in zip(candidates.tolist(), logs)
-                 if math.log(r) != lg}
-        assert split, "no radius where math.log and numpy's log differ"
-        for r in split.values():
-            for values in ([3.0, 2.0, 1.0, 0.5], [3.0, 2.0, 0.0, 0.5]):
-                profile = RadialProfile.tabulated([0.0, 0.25, r, 4.0], values,
-                                                  tail_exponent=1.0, strictly_positive=False)
-                log_table = profile.log_in_log_radius()
-                for stop, rule, stop_rule in profile.log_pieces(0.1, 8.0):
-                    for s in (math.nextafter(stop, -math.inf), stop,
-                              math.nextafter(stop, math.inf)):
-                        assert _outcome(rule, s) == _outcome(log_table, s)
-                        assert _outcome(stop_rule, s) == _outcome(log_table, s)
+    def test_pieces_refuse_radii_outside_the_table(self):
+        # the array path's range errors, never an index past the table
+        table = RadialProfile.tabulated([0.5, 1.0, 2.0], [1.0, 0.5, 0.25])
+        with pytest.raises(ProfileRangeError, match="radius 0.25 below tabulated range 0.5"):
+            table.log_pieces(0.25, 2.0)
+        with pytest.raises(ProfileRangeError, match="radius 3 beyond tabulated range 2 and"):
+            table.log_pieces(0.75, 3.0)
+        with pytest.raises(ProfileRangeError, match="radius 3 beyond tabulated range 2 and"):
+            table.log_pieces(2.0, 3.0)
 
     def test_closed_forms_step_in_one_piece(self):
         for profile in (RadialProfile.constant(2.5), RadialProfile.power_tail(1.3),

@@ -50,15 +50,18 @@ def checkout_counters():
 
 def test_bench_record_stepper_counters(checkout_counters):
     # The counters the child run in a checkout prints: the six closed-form
-    # reference specs, each solve costing 1 + 6 RHS calls per attempted step,
-    # and the least and the median wall time per attempted step beside them.
-    counters = checkout_counters["stepper"]
+    # reference specs, and in their own block the two tabulated ones, each
+    # solve costing 1 + 6 RHS calls per attempted step, and the least and the
+    # median wall time per attempted step beside them.
     reference = json.loads(REFERENCE.read_text())
-    assert counters["specs"] == sorted(name for name, entry in reference.items()
-                                       if entry["spec"]["coefficient"]["kind"] != "tabulated")
-    assert len(counters["specs"]) == 6 and counters["accepted"] > 0
-    assert counters["rhs_evals"] == 6 + 6 * (counters["accepted"] + counters["rejected"])
-    assert 0.0 < counters["us_per_step"] <= counters["us_per_step_median"] < 1e4
+    for block, tabulated, count in (("stepper", False, 6), ("stepper_tabulated", True, 2)):
+        counters = checkout_counters[block]
+        assert counters["specs"] == sorted(
+            name for name, entry in reference.items()
+            if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated)
+        assert len(counters["specs"]) == count and counters["accepted"] > 0
+        assert counters["rhs_evals"] == count + 6 * (counters["accepted"] + counters["rejected"])
+        assert 0.0 < counters["us_per_step"] <= counters["us_per_step_median"] < 1e4
 
 
 def test_bench_record_envelope_counters(checkout_counters, monkeypatch):
@@ -68,7 +71,7 @@ def test_bench_record_envelope_counters(checkout_counters, monkeypatch):
     module = _load("bench_record.py")
     assert list(checkout_counters["envelope"]) == list(module.ENVELOPE_COUNTS)
     assert list(checkout_counters["breakline"]) == list(module.BREAKLINE_COUNTS)
-    assert set(checkout_counters) == {"stepper", "envelope", "breakline"}
+    assert set(checkout_counters) == {"stepper", "stepper_tabulated", "envelope", "breakline"}
     monkeypatch.chdir(SCRIPTS.parent)
     assert checkout_counters["envelope"] == module.golden_envelope_counters()
     assert checkout_counters["envelope"]["refined_calls"] == 1

@@ -1,5 +1,6 @@
 """Cauchy solver, break-line construction and growth quadrature."""
 
+import json
 import math
 import os
 import runpy
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import PERFBENCH, REFERENCE
-from hessianls.cli import EXIT_INCONCLUSIVE, ProblemSpec
+from hessianls.cli import EXIT_INCONCLUSIVE, EXIT_OK, ProblemSpec, main
 from hessianls.coefficients import RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import envelope, solver
@@ -52,6 +53,32 @@ class TestSolveCauchy:
         assert np.all(curve.du >= 0.0)
         assert np.all(np.diff(curve.u) > 0.0)
         assert np.all(curve.u > 0.0)
+
+    def test_tail_less_table_solves_to_its_last_radius(self, tmp_path, capsys):
+        # math.log and numpy's log differ by an ulp at some radii, each way: a
+        # table without a tail that ends at such a radius solves up to r_max
+        # = that radius, in process and through ``hessianls solve``.
+        candidates = np.geomspace(0.5, 2.0, 4001)
+        split = {math.log(r) > lg: r for r, lg in zip(candidates.tolist(),
+                                                       np.log(candidates).tolist())
+                 if math.log(r) != lg}
+        assert sorted(split) == [False, True]
+        params = ProblemParams(n=3, k=1, gamma=0.5)
+        for r in split.values():
+            radii, values = [0.0, 0.25, r], [1.0, 0.95, 0.8]
+            curve = solve_cauchy(params, RadialProfile.tabulated(radii, values),
+                                 RadialGrid.build(r, r_lin=r))
+            assert curve.grid.nodes[-1] == r and np.all(np.isfinite(curve.u))
+            (tmp_path / "b.csv").write_text("r,b\n" + "".join(
+                f"{x!r},{y!r}\n" for x, y in zip(radii, values)))
+            (tmp_path / "spec.json").write_text(json.dumps({
+                "n": 3, "k": 1, "gamma": 0.5, "a": 1.0,
+                "coefficient": {"kind": "tabulated", "path": "b.csv"},
+                "grid": {"r_max": r, "r_lin": r}}))
+            assert main(["solve", str(tmp_path / "spec.json"),
+                         "--curve", str(tmp_path / "curve.csv")]) == EXIT_OK, \
+                capsys.readouterr().err
+            assert json.loads(capsys.readouterr().out)["r_max"] == r
 
     def test_pointwise_residual_is_tiny(self, laplace_params):
         # u'' is recovered algebraically from the equation, so the nodewise
@@ -404,6 +431,23 @@ def _kernel_case(name, table_dir):
             solver.DEFAULT_REL_TOL, solver.DEFAULT_ABS_TOL)
 
 
+def _reference_work(tabulated, base_dir="."):
+    """Accepted and rejected steps and RHS evaluations summed over the
+    reference solves with a table (``tabulated``, read from ``base_dir``) or
+    with a closed form."""
+    totals = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
+    for entry in REFERENCE.values():
+        if (entry["spec"]["coefficient"]["kind"] == "tabulated") != tabulated:
+            continue
+        spec = ProblemSpec.from_dict(entry["spec"], base_dir=base_dir)
+        dense = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
+                             rel_tol=spec.tolerances["rel"],
+                             abs_tol=spec.tolerances["abs"]).dense
+        for key in totals:
+            totals[key] += getattr(dense, key)
+    return totals
+
+
 class TestStepperKernel:
     @pytest.mark.parametrize("name", sorted(REFERENCE) + list(_KERNEL_CASES))
     def test_bit_identical_to_the_generic_stepper(self, monkeypatch, table_dir, name):
@@ -476,17 +520,14 @@ class TestStepperKernel:
     def test_ledger_of_the_closed_form_reference_specs(self):
         # Exact work of the six closed-form reference solves: a change that
         # moves a count changes the steps, which is not bookkeeping.
-        totals = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
-        for entry in REFERENCE.values():
-            if entry["spec"]["coefficient"]["kind"] == "tabulated":
-                continue
-            spec = ProblemSpec.from_dict(entry["spec"])
-            dense = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
-                                 rel_tol=spec.tolerances["rel"],
-                                 abs_tol=spec.tolerances["abs"]).dense
-            for key in totals:
-                totals[key] += getattr(dense, key)
-        assert totals == {"accepted": 1442, "rejected": 21, "rhs_evals": 8784}
+        assert _reference_work(tabulated=False) == {
+            "accepted": 1442, "rejected": 21, "rhs_evals": 8784}
+
+    def test_ledger_of_the_tabulated_reference_specs(self, table_dir):
+        # The same for the two tabulated reference solves, stepped cell by
+        # cell on the benchmark's own tables.
+        assert _reference_work(tabulated=True, base_dir=table_dir) == {
+            "accepted": 1202, "rejected": 36, "rhs_evals": 7430}
 
 
 # The golden classify and sandwich ops of perfbench/golden.py, with the
