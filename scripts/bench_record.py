@@ -3,31 +3,17 @@
     python3 scripts/bench_record.py --root . --outdir .
 
 For each workload, runs ``perfbench/run.py --trace 0`` in the checkout at
-``--root`` as a subprocess, with that checkout's ``BENCHMARK.json``
-``run_seconds`` and ``perfbench/run.py``'s default seed, and keeps the JSON
-object it prints last (the end-to-end metrics, scaled to reference host
-speed) and, under ``raw_and_host``, the ``raw.*`` metrics and ``host.*``
-scale factors it prints before it (to the six digits printed), so a point
-tells host drift from a code change.  It adds the stepper's own
-counters, which the benchmark's tracer cannot see: the dense evaluator's
-``rhs_evals``, ``accepted`` and ``rejected``, summed over the closed-form
-specs of ``perfbench/data/reference.json``, solved by the checkout's own
-package, and beside them ``us_per_step`` and ``us_per_step_median``, the
-least and the median of 15 summed solve times of those specs per attempted
-step, so the trajectory shows the stepper's cost next to its counts (only
-the counts compare across recordings: the times move with the host's
-load); under ``stepper_tabulated`` the same fields for the tabulated specs,
-their tables written by ``perfbench/workloads.py``.  Under ``envelope`` it
-adds the envelope work of the golden classify op of ``perfbench/golden.py``:
-Gauss points, tabulated b points, Simpson nodes and ``RadialGrid.refined``
-calls; under ``breakline`` the work of one break line (n = 4, k = 2, gamma =
-1, b = 1 on [0, 0.5], epsilon = 1e-3): Gauss points, b points and
-``breakline_defect`` calls.  The file is named after the git tree of
-the checkout's ``src`` directory, which names the measured code whichever
-commit carries it; the tree of ``perfbench`` inside names the benchmark
-that measured it.  One run per workload is a single sample: compare wall
-times only between files recorded on one host in one session, and only by
-more than the spread of repeated runs.
+``--root``, for its ``BENCHMARK.json`` ``run_seconds`` and ``run.py``'s
+default seed, and keeps the JSON object it prints last (the end-to-end
+metrics, scaled to reference host speed) and, under ``raw_and_host``, the
+``raw.*`` and ``host.*`` lines printed before it, so a point tells host drift
+from a code change.  It adds the work the benchmark's tracer cannot see,
+counted by this file on the checkout's own package: every row of the work
+ledger ``tests/data/work_ledger.json`` (see :func:`counters`).  The file is
+named after the git tree of the checkout's ``src``, which names the measured
+code whichever commit carries it.  One run per workload is a single sample:
+compare wall times only within one host and session, and only by more than
+the spread of repeated runs.
 """
 
 from __future__ import annotations
@@ -52,100 +38,143 @@ SEED = 0  # perfbench/run.py's default
 GOLDEN = os.path.join("perfbench", "golden.py")
 # The benchmark's generator of the tabulated specs' tables.
 TABLES = os.path.join("perfbench", "workloads.py")
+# What each ledger row runs and its exact counts, beside this script's checkout.
+LEDGER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "tests", "data", "work_ledger.json")
 # Timed passes over the specs: us_per_step takes the least, us_per_step_median
 # the median.
 REPEATS = 15
 ENVELOPE_COUNTS = ("gauss_points", "tabulated_b_points", "simpson_nodes", "refined_calls")
+STEP_COUNTS = ("rhs_evals", "accepted", "rejected")
+OP_COUNTS = (*ENVELOPE_COUNTS, "sphere_rows", "solves", *STEP_COUNTS)
 BREAKLINE_COUNTS = ("gauss_points", "b_points", "defect_calls")
-# Run in the measured checkout, this file's counters print the stepper's (on
-# closed forms and on tables), the golden classify's and the break line's.
-_COUNTERS_CHILD = ("import json, runpy, sys; script = runpy.run_path(sys.argv[1]); "
-                   "reference = json.load(open(sys.argv[2])); "
-                   "print(json.dumps({'stepper': script['stepper_counters'](reference), "
-                   "'stepper_tabulated': script['stepper_counters'](reference, True), "
-                   "'envelope': script['golden_envelope_counters'](), "
-                   "'breakline': script['breakline_counters']()}))")
+# Run in the measured checkout, this file's counters print every block of a point.
+_COUNTERS_CHILD = ("import json, runpy, sys; "
+                   "print(json.dumps(runpy.run_path(sys.argv[1])['counters']()))")
 
 
-def stepper_counters(reference: dict, tabulated: bool = False) -> dict:
-    """rhs_evals, accepted and rejected summed over the reference specs with
-    a closed-form coefficient (``tabulated``: with a table, written by
-    TABLES), each solved as ``hessianls solve`` would, and us_per_step and
-    us_per_step_median: the least and the median summed solve time over
-    REPEATS runs of them, in microseconds per attempted (accepted or
-    rejected) step.  Only the step counts compare across recordings; the
-    times move with the host's load."""
-    from hessianls.cli import ProblemSpec
+def counters() -> dict:
+    """Every counted block of a point, run in this process on the package it
+    imports: ``ledger``, each LEDGER row's :func:`row_counts` by name;
+    ``stepper`` and ``stepper_tabulated``, STEP_COUNTS summed over the
+    ``solve-<name>`` rows of the REFERENCE specs with a closed form and with a
+    table, with :func:`stepper_counters` of those specs; ``envelope``, the
+    golden classify row's ENVELOPE_COUNTS; ``breakline``, the break-line row."""
+    with open(LEDGER) as handle:
+        ledger = {row["name"]: row_counts(row) for row in json.load(handle)}
+    with open(REFERENCE) as handle:
+        reference = json.load(handle)
+    blocks = {}
+    for block, tabulated in (("stepper", False), ("stepper_tabulated", True)):
+        names = sorted(name for name, entry in reference.items()
+                       if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated)
+        totals = {key: sum(ledger[f"solve-{name}"][key] for name in names)
+                  for key in STEP_COUNTS}
+        blocks[block] = {"specs": names, **totals, **stepper_counters(
+            [reference[name]["spec"] for name in names], totals["accepted"] + totals["rejected"])}
+    return {**blocks,
+            "envelope": {key: ledger["golden-classify"][key] for key in ENVELOPE_COUNTS},
+            "breakline": ledger["break-line"], "ledger": ledger}
+
+
+def row_counts(row: dict) -> dict:
+    """The counts of one ledger row: the break line's, or :func:`op_counters`
+    of its argv on its spec, {"golden": name} from ``perfbench/golden.py``'s
+    SPECS or {"reference": name} from REFERENCE, each further key's value
+    merged into the spec's entry of that key."""
+    if row["run"] == "breakline":
+        return breakline_counters()
+    source, spec = dict(row.get("spec", {})), {}
+    if "golden" in source:
+        spec = runpy.run_path(GOLDEN)["SPECS"][source.pop("golden")]
+    elif "reference" in source:
+        with open(REFERENCE) as handle:
+            spec = json.load(handle)[source.pop("reference")]["spec"]
+    spec = {**spec, **{key: {**spec[key], **value} for key, value in source.items()}}
+    return op_counters(row["run"], spec, row.get("exit", 0), row.get("warm", False))
+
+
+def _write_spec(work: str, spec: dict) -> str:
+    """Write ``spec`` to ``work``/spec.json, and the table its coefficient
+    names beside it by TABLES; returns the spec's path."""
+    coefficient = spec.get("coefficient", {})
+    if coefficient.get("kind") == "tabulated":
+        runpy.run_path(TABLES)["write_table"](coefficient["path"],
+                                              os.path.join(work, coefficient["path"]))
+    path = os.path.join(work, "spec.json")
+    with open(path, "w") as handle:
+        json.dump(spec, handle)
+    return path
+
+
+def stepper_counters(specs: list, steps: int) -> dict:
+    """us_per_step and us_per_step_median: the least and the median summed
+    time of solving ``specs`` as ``hessianls solve`` would, over REPEATS
+    runs, per attempted step in microseconds, ``steps`` (the ledger's) per
+    run.  The times move with the host's load: they do not compare across
+    recordings."""
+    from hessianls.cli import load_spec
     from hessianls.solver import solve_cauchy
 
-    chosen = {name: entry["spec"] for name, entry in sorted(reference.items())
-              if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated}
-    with tempfile.TemporaryDirectory() as tables:  # a spec reads its table when built
-        if tabulated:
-            write_table = runpy.run_path(TABLES)["write_table"]
-            for spec in chosen.values():
-                path = spec["coefficient"]["path"]
-                write_table(path, os.path.join(tables, path))
-        specs = {name: ProblemSpec.from_dict(spec, base_dir=tables)
-                 for name, spec in chosen.items()}
-    totals = {"specs": list(specs), "rhs_evals": 0, "accepted": 0, "rejected": 0}
+    with tempfile.TemporaryDirectory() as work:  # a spec reads its table when built
+        specs = [load_spec(_write_spec(work, spec)) for spec in specs]
+    problems = [(spec.params, spec.radial_profile(), spec.grid(), spec.tolerances["rel"],
+                 spec.tolerances["abs"]) for spec in specs]
     passes = []
-    for repeat in range(REPEATS):
+    for _ in range(REPEATS):
         elapsed = 0.0
-        for spec in specs.values():
-            problem = (spec.params, spec.radial_profile(), spec.grid(),
-                       spec.tolerances["rel"], spec.tolerances["abs"])
+        for problem in problems:
             start = time.perf_counter()
-            dense = solve_cauchy(*problem).dense
+            solve_cauchy(*problem)
             elapsed += time.perf_counter() - start
-            if not repeat:
-                for key in ("rhs_evals", "accepted", "rejected"):
-                    totals[key] += getattr(dense, key)
         passes.append(elapsed)
-    steps = totals["accepted"] + totals["rejected"]
-    totals["us_per_step"] = 1e6 * min(passes) / steps
-    totals["us_per_step_median"] = 1e6 * statistics.median(passes) / steps
-    return totals
+    return {"us_per_step": 1e6 * min(passes) / steps,
+            "us_per_step_median": 1e6 * statistics.median(passes) / steps}
 
 
-def envelope_counters(argv: list, spec: dict, exit_code: int = 0) -> dict:
-    """The envelope work of one ``hessianls`` op, ``argv`` with ``spec``
-    written to a file in place of ``{spec}`` and an output directory in
-    place of ``{out}``, run in this process on the package it imports:
-    Gauss points laid by ``panel_points``, points at which a tabulated b is
-    evaluated, Simpson nodes (``cumulative_values``) and
-    ``RadialGrid.refined`` calls, each counted where the package binds it.
-    The op must exit with ``exit_code`` (a refusal counts its work too)."""
+def op_counters(argv: list, spec: dict, exit_code: int = 0, warm: bool = False) -> dict:
+    """OP_COUNTS of one ``hessianls`` op, ``argv`` with ``spec`` written by
+    :func:`_write_spec` in place of ``{spec}`` and an output path in place of
+    ``{out}``, run in this process on the package it imports, each counted
+    where the package binds it: Gauss points laid by ``panel_points``, points
+    at which a tabulated b is evaluated, Simpson nodes
+    (``cumulative_values``), ``RadialGrid.refined`` calls, unit-sphere rows
+    drawn by ``_sphere_table``, and the solves with their steps and RHS
+    evaluations.  The op runs cold, with the unit-sphere blocks ``radialize``
+    keeps cleared (``warm``: after one uncounted run), and must exit with
+    ``exit_code`` (a refusal counts its work too)."""
     import numpy as np
 
-    from hessianls import _integrate, cli, envelope
+    from hessianls import _integrate, cli, coefficients, envelope, solver
     from hessianls.coefficients import RadialProfile
     from hessianls.core import RadialGrid
 
-    counts = dict.fromkeys(ENVELOPE_COUNTS, 0)
+    counts = dict.fromkeys(OP_COUNTS, 0)
     counted = _counter(counts)
-
-    def tabulated(args, result):
-        return int(np.size(args[1])) if args[0].kind == "tabulated" else 0
-
-    profile_eval = counted("tabulated_b_points", RadialProfile.__dict__["eval"], tabulated)
+    profile_eval = counted("tabulated_b_points", RadialProfile.__dict__["eval"],
+                           lambda args, _: np.size(args[1]) if args[0].kind == "tabulated" else 0)
+    dense = counted("solves", solver._DenseOutput)
+    for key in STEP_COUNTS:
+        dense = counted(key, dense, lambda args, result, key=key: getattr(result, key))
     patches = _gauss_point_patches(counted)
     patches += [(envelope, "cumulative_values", counted(
                     "simpson_nodes", _integrate.cumulative_values,
                     lambda args, result: result.size)),
                 (RadialProfile, "eval", profile_eval), (RadialProfile, "__call__", profile_eval),
-                (RadialGrid, "refined", counted("refined_calls", RadialGrid.__dict__["refined"],
-                                                lambda args, result: 1))]
+                (RadialGrid, "refined", counted("refined_calls", RadialGrid.__dict__["refined"])),
+                (coefficients, "_sphere_table", counted(
+                    "sphere_rows", coefficients._sphere_table, lambda args, result: len(result))),
+                (solver, "_DenseOutput", dense)]
+    coefficients._unit_block.cache_clear()
     with tempfile.TemporaryDirectory() as work:
-        spec_path = os.path.join(work, "spec.json")
-        with open(spec_path, "w") as handle:
-            json.dump(spec, handle)
-        argv = [arg.format(spec=spec_path, out=os.path.join(work, "out")) for arg in argv]
-        with _patched(patches), contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-    if code != exit_code:
-        raise RuntimeError(f"hessianls {' '.join(argv)} exited {code}")
+        paths = {"spec": _write_spec(work, spec), "out": os.path.join(work, "out")}
+        argv = [arg.format(**paths) for arg in argv]
+        for patches in ([[], patches] if warm else [patches]):  # the last run counts
+            with _patched(patches), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            if code != exit_code:
+                raise RuntimeError(f"hessianls {' '.join(argv)} exited {code}")
     return counts
 
 
@@ -165,8 +194,8 @@ def breakline_counters() -> dict:
     b = counted("b_points", RadialProfile.constant(1.0),
                 lambda args, result: int(np.size(args[0])))
     patches = _gauss_point_patches(counted)
-    patches.append((envelope, "breakline_defect", counted(
-        "defect_calls", envelope.breakline_defect, lambda args, result: 1)))
+    patches.append((envelope, "breakline_defect",
+                    counted("defect_calls", envelope.breakline_defect)))
     with _patched(patches):
         envelope.euler_polyline(ProblemParams(n=4, k=2, gamma=1.0), b, 0.5, 1e-3)
     return counts
@@ -174,8 +203,8 @@ def breakline_counters() -> dict:
 
 def _counter(counts: dict):
     """counted(key, function, amount): ``function`` wrapped to add
-    amount(args, result) to counts[key] on every call."""
-    def counted(key, function, amount):
+    amount(args, result), by default 1, to counts[key] on every call."""
+    def counted(key, function, amount=lambda args, result: 1):
         def wrapper(*args, **kwargs):
             result = function(*args, **kwargs)
             counts[key] += amount(args, result)
@@ -206,13 +235,6 @@ def _patched(patches):
             setattr(owner, name, original)
 
 
-def golden_envelope_counters() -> dict:
-    """:func:`envelope_counters` of the golden classify op of
-    ``perfbench/golden.py``, run as that file runs it."""
-    return envelope_counters(["classify", "{spec}"],
-                             runpy.run_path(GOLDEN)["SPECS"]["classify-spec.json"])
-
-
 def _child(root: str, argv: list) -> str:
     """Standard output of ``python argv`` run in ``root`` on its own package."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -234,11 +256,8 @@ def run_workload(root: str, workload: str, seconds: float) -> dict:
 
 
 def checkout_counters(root: str) -> dict:
-    """{"stepper": stepper_counters, "stepper_tabulated": the same on the
-    tables, "envelope": golden_envelope_counters, "breakline":
-    breakline_counters}, run in ``root`` on its own package."""
-    return json.loads(_child(root, ["-c", _COUNTERS_CHILD, os.path.abspath(__file__),
-                                    REFERENCE]))
+    """:func:`counters`, run in ``root`` on its own package."""
+    return json.loads(_child(root, ["-c", _COUNTERS_CHILD, os.path.abspath(__file__)]))
 
 
 def git(root: str, *args: str) -> str:

@@ -360,10 +360,10 @@ def cmd_classify(args) -> int:
         "moment_conditions": jensen.to_dict(),
     }
     text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
+    if args.out:  # written first: a path that cannot be opened prints no verdict
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
+    print(text)
     if args.strict and (verdict.verdict == INCONCLUSIVE or osc.status == "inconclusive"):
         return EXIT_INCONCLUSIVE
     return EXIT_OK

@@ -15,8 +15,8 @@ The criteria read I_osc, the moment integrals and the existence finite part
 from one :class:`EnvelopeTables` per op, so one classify tabulates once:
 the fine nodes, b_* at their Gauss points, the J table, and b_* and b_osc
 on the nodes.  The exact counts of that work (Gauss points, tabulated b
-points, Simpson nodes, refined grids) are the envelope rows of the work
-ledger, ``tests/test_solver.py::TestWorkLedger``.
+points, Simpson nodes, refined grids) are in the work ledger,
+``tests/data/work_ledger.json``.
 Tables use no ODE stepping, so they are an independent oracle for the
 solver, and so are the two comparison routes built here: the explicit
 break line (:func:`euler_polyline`) and the frozen right-hand side

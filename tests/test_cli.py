@@ -1163,7 +1163,8 @@ class TestTopLevelErrors:
             "verify-json", "sandwich-out"])
     def test_unopenable_path_exits_invalid(self, monkeypatch, tmp_path, capsys, argv, target):
         # A directory where a file is read or written, or a file where the
-        # sandwich directory goes: one error line naming the path, no traceback.
+        # sandwich directory goes: one error line naming the path, no traceback,
+        # and nothing on stdout (classify writes --out before it prints).
         # sweep and verify refuse their output before any work: no cell is
         # solved and the suite does not run.
         paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
@@ -1183,8 +1184,8 @@ class TestTopLevelErrors:
             monkeypatch.setattr(cli.verify_mod, "run_all", refused)
         assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
         assert not worked
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert target.format(**paths) in err
 
     @pytest.mark.parametrize("command", ["classify", "solve", "sandwich", "sweep"])

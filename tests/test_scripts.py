@@ -10,6 +10,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 REFERENCE = SCRIPTS.parent / "perfbench" / "data" / "reference.json"
+LEDGER = SCRIPTS.parent / "tests" / "data" / "work_ledger.json"
 # What a script's run below must print besides "Wrote".  The threshold map
 # probes l = 5 > 2k, where m* = 2k.
 PRINTED = {"threshold_map.py": "3/3 grid points flip as predicted\n"}
@@ -49,45 +50,47 @@ def checkout_counters():
 
 
 def test_bench_record_stepper_counters(checkout_counters):
-    # The counters the child run in a checkout prints: the six closed-form
-    # reference specs, and in their own block the two tabulated ones, each
-    # solve costing 1 + 6 RHS calls per attempted step, and the least and the
-    # median wall time per attempted step beside them.
+    # The child run in a checkout sums the ledger's solve rows of the six
+    # closed-form reference specs, and in their own block of the two
+    # tabulated ones, each solve costing 1 + 6 RHS calls per attempted step,
+    # with the least and the median wall time per attempted step beside them.
     reference = json.loads(REFERENCE.read_text())
     for block, tabulated, count in (("stepper", False, 6), ("stepper_tabulated", True, 2)):
         counters = checkout_counters[block]
         assert counters["specs"] == sorted(
             name for name, entry in reference.items()
             if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated)
-        assert len(counters["specs"]) == count and counters["accepted"] > 0
+        rows = [checkout_counters["ledger"][f"solve-{name}"] for name in counters["specs"]]
+        assert len(rows) == count and counters["accepted"] > 0
+        for key in ("rhs_evals", "accepted", "rejected"):
+            assert counters[key] == sum(row[key] for row in rows)
         assert counters["rhs_evals"] == count + 6 * (counters["accepted"] + counters["rejected"])
         assert 0.0 < counters["us_per_step"] <= counters["us_per_step_median"] < 1e4
 
 
-def test_bench_record_envelope_counters(checkout_counters, monkeypatch):
-    # The envelope and break-line blocks of a BENCH point: the golden classify
-    # op's work and one break line's, the same counts in the child as in this
-    # process.
+def test_bench_record_envelope_counters(checkout_counters):
+    # The child records every ledger row as the file holds it, and beside
+    # them the blocks older points carry: the golden classify row's envelope
+    # counts and the break-line row.
     module = _load("bench_record.py")
-    assert list(checkout_counters["envelope"]) == list(module.ENVELOPE_COUNTS)
+    ledger = checkout_counters["ledger"]
+    assert set(checkout_counters) == {"stepper", "stepper_tabulated", "envelope", "breakline",
+                                      "ledger"}
+    assert ledger == {row["name"]: row["counts"] for row in json.loads(LEDGER.read_text())}
+    assert checkout_counters["envelope"] == {key: ledger["golden-classify"][key]
+                                             for key in module.ENVELOPE_COUNTS}
+    assert checkout_counters["breakline"] == ledger["break-line"]
     assert list(checkout_counters["breakline"]) == list(module.BREAKLINE_COUNTS)
-    assert set(checkout_counters) == {"stepper", "stepper_tabulated", "envelope", "breakline"}
-    monkeypatch.chdir(SCRIPTS.parent)
-    assert checkout_counters["envelope"] == module.golden_envelope_counters()
-    assert checkout_counters["envelope"]["refined_calls"] == 1
-    assert checkout_counters["breakline"] == module.breakline_counters()
-    assert checkout_counters["breakline"]["defect_calls"] == 5
 
 
 def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):
     # Repeat 2 of 15 is the fastest: its summed solve time over both specs
-    # sets us_per_step, the eighth fastest sets us_per_step_median, while
-    # the counts come from one repeat only.
+    # sets us_per_step, the eighth fastest sets us_per_step_median, each per
+    # attempted step of one repeat.
     module = _load("bench_record.py")
     reference = json.loads(REFERENCE.read_text())
-    closed = {name: entry for name, entry in sorted(reference.items())
-              if entry["spec"]["coefficient"]["kind"] != "tabulated"}
-    two = dict(list(closed.items())[:2])
+    two = [entry["spec"] for name, entry in sorted(reference.items())
+           if entry["spec"]["coefficient"]["kind"] != "tabulated"][:2]
     assert module.REPEATS == 15
     seconds = [(3.0, 2.0), (1.0, 1.5), (1.5, 3.0), (2.0, 1.0), (1.0, 2.0),
                (2.5, 2.5), (1.5, 1.25), (2.0, 2.0), (3.0, 2.5), (1.75, 1.5),
@@ -98,13 +101,9 @@ def test_bench_record_us_per_step_is_the_least_summed_time(monkeypatch):
         now += solve
     clock = iter(readings)
     monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    counters = module.stepper_counters(two)
-    steps = counters["accepted"] + counters["rejected"]
-    assert counters["specs"] == list(two)
-    assert counters["rhs_evals"] == 2 + 6 * steps
     assert sorted(map(sum, seconds))[7] == 4.0
-    assert counters["us_per_step"] == pytest.approx(2.5e6 / steps, rel=1e-15)
-    assert counters["us_per_step_median"] == pytest.approx(4.0e6 / steps, rel=1e-15)
+    assert module.stepper_counters(two, steps=500) == {"us_per_step": 2.5e6 / 500,
+                                                       "us_per_step_median": 4.0e6 / 500}
 
 
 def test_bench_record_keeps_raw_and_host_lines(monkeypatch):

@@ -2,16 +2,13 @@
 
 import json
 import math
-import os
-import runpy
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import PERFBENCH, REFERENCE
-from hessianls.cli import EXIT_INCONCLUSIVE, EXIT_OK, ProblemSpec, main
+from conftest import REFERENCE
+from hessianls.cli import EXIT_OK, ProblemSpec, main
 from hessianls.coefficients import RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import envelope, solver
@@ -41,7 +38,6 @@ from hessianls.solver import (
 )
 
 B_ONE = RadialProfile.constant(1.0)
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 class TestSolveCauchy:
@@ -431,23 +427,6 @@ def _kernel_case(name, table_dir):
             solver.DEFAULT_REL_TOL, solver.DEFAULT_ABS_TOL)
 
 
-def _reference_work(tabulated, base_dir="."):
-    """Accepted and rejected steps and RHS evaluations summed over the
-    reference solves with a table (``tabulated``, read from ``base_dir``) or
-    with a closed form."""
-    totals = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
-    for entry in REFERENCE.values():
-        if (entry["spec"]["coefficient"]["kind"] == "tabulated") != tabulated:
-            continue
-        spec = ProblemSpec.from_dict(entry["spec"], base_dir=base_dir)
-        dense = solve_cauchy(spec.params, spec.radial_profile(), spec.grid(),
-                             rel_tol=spec.tolerances["rel"],
-                             abs_tol=spec.tolerances["abs"]).dense
-        for key in totals:
-            totals[key] += getattr(dense, key)
-    return totals
-
-
 class TestStepperKernel:
     @pytest.mark.parametrize("name", sorted(REFERENCE) + list(_KERNEL_CASES))
     def test_bit_identical_to_the_generic_stepper(self, monkeypatch, table_dir, name):
@@ -516,73 +495,6 @@ class TestStepperKernel:
         if not seen["overflows"]:  # six RHS evaluations per attempt, five of ln b
             assert len(calls) == evals
             assert len(seen["kernel_s"]) == 1 + 5 * (dense.accepted + dense.rejected)
-
-    def test_ledger_of_the_closed_form_reference_specs(self):
-        # Exact work of the six closed-form reference solves: a change that
-        # moves a count changes the steps, which is not bookkeeping.
-        assert _reference_work(tabulated=False) == {
-            "accepted": 1442, "rejected": 21, "rhs_evals": 8784}
-
-    def test_ledger_of_the_tabulated_reference_specs(self, table_dir):
-        # The same for the two tabulated reference solves, stepped cell by
-        # cell on the benchmark's own tables.
-        assert _reference_work(tabulated=True, base_dir=table_dir) == {
-            "accepted": 1202, "rejected": 36, "rhs_evals": 7430}
-
-
-# The golden classify and sandwich ops of perfbench/golden.py, with the
-# arguments it runs them with.
-_GOLDEN_OPS = {"classify": (["classify", "{spec}"], "classify-spec.json"),
-               "sandwich": (["sandwich", "{spec}", "--sphere-count", "64", "--out", "{out}"],
-                            "sandwich-spec.json")}
-
-
-class TestWorkLedger:
-    @pytest.mark.parametrize("op, ledger", [
-        # one classify tabulates b_* at the Gauss points of fine_nodes(100)
-        # (384 cells of 12) once, for the J table and the oscillation
-        # moment, and b_* and b_osc on its 385 nodes once each
-        ("classify", {"gauss_points": 9216, "tabulated_b_points": 5378,
-                      "simpson_nodes": 2310, "refined_calls": 1}),
-        ("sandwich", {"gauss_points": 9216, "tabulated_b_points": 9737,
-                      "simpson_nodes": 1540, "refined_calls": 2}),
-    ])
-    def test_envelope_ledger_of_the_golden_specs(self, op, ledger):
-        # Exact envelope work of one golden op, counted where the package
-        # binds each operation: a change that moves a count does more or
-        # less work, and says so by changing the row.
-        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
-        argv, spec_name = _GOLDEN_OPS[op]
-        spec = runpy.run_path(os.path.join(PERFBENCH, "golden.py"))["SPECS"][spec_name]
-        assert bench["envelope_counters"](argv, spec) == ledger
-
-    def test_envelope_ledger_of_a_refused_sandwich(self):
-        # The golden sandwich spec with m = 6, below m* = 7: the refusal is
-        # decided from the tails, so no J table and no I_osc is built.
-        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
-        argv, spec_name = _GOLDEN_OPS["sandwich"]
-        spec = runpy.run_path(os.path.join(PERFBENCH, "golden.py"))["SPECS"][spec_name]
-        spec = {**spec, "coefficient": {**spec["coefficient"], "m": 6.0}}
-        assert bench["envelope_counters"](argv, spec, exit_code=EXIT_INCONCLUSIVE) == {
-            "gauss_points": 0, "tabulated_b_points": 0, "simpson_nodes": 0, "refined_calls": 0}
-
-    def test_envelope_ledger_of_verify(self):
-        # The invariant suite: its threshold invariants decide from the tails,
-        # so only the quadrature invariants (linear_growth_oracle,
-        # btilde_oracle, bounded_bound, dominance, sandwich_radial) count.
-        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
-        assert bench["envelope_counters"](["verify", "--json", "{out}"], {}) == {
-            "gauss_points": 45720, "tabulated_b_points": 10071, "simpson_nodes": 2810,
-            "refined_calls": 8}
-
-    def test_breakline_ledger(self):
-        # One break line (n = 4, k = 2, gamma = 1, b = 1 on [0, 0.5], epsilon
-        # 1e-3; 257 segments, five rounds): the flat head is integrated once
-        # and each failing round's defect stops at its first block of 16
-        # segments, so only the accepted round's defect covers the line.
-        bench = runpy.run_path(str(SCRIPTS / "bench_record.py"))
-        assert bench["breakline_counters"]() == {
-            "gauss_points": 73920, "b_points": 74945, "defect_calls": 5}
 
 
 class TestEulerPolyline:
