@@ -315,7 +315,6 @@ def cmd_solve(args) -> int:
                          rel_tol=spec.tolerances["rel"],
                          abs_tol=spec.tolerances["abs"])
     curve_path = _out_path(args.curve, args.spec, "_curve.csv")
-    write_curve_csv(curve, curve_path, spec.params, profile)
     summary = {
         "r_max": grid.r_max,
         "u_at_rmax": float(curve.u[-1]),
@@ -325,16 +324,21 @@ def cmd_solve(args) -> int:
         "curve_csv": curve_path,
     }
     if args.plot_data:
-        plot_path = _out_path(None, args.spec, "_plotdata.csv")
-        with open(plot_path, "w", newline="") as handle:
-            handle.write("r,series,value\n")
+        summary["plot_data_csv"] = _out_path(None, args.spec, "_plotdata.csv")
+    # every output is opened before any is written: a path that cannot be
+    # opened leaves no file with data in it
+    with contextlib.ExitStack() as files:
+        summary_out = files.enter_context(
+            open(_out_path(args.summary, args.spec, "_summary.json"), "w"))
+        plot_out = (files.enter_context(open(summary["plot_data_csv"], "w", newline=""))
+                    if args.plot_data else None)
+        write_curve_csv(curve, curve_path, spec.params, profile)
+        if plot_out is not None:
+            plot_out.write("r,series,value\n")
             for name, vals in (("u", curve.u), ("du", curve.du), ("d2u", curve.d2u)):
                 for r, v in zip(grid.nodes, vals):
-                    handle.write(f"{r:.17g},{name},{v:.17g}\n")
-        summary["plot_data_csv"] = plot_path
-    summary_path = _out_path(args.summary, args.spec, "_summary.json")
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2)
+                    plot_out.write(f"{r:.17g},{name},{v:.17g}\n")
+        json.dump(summary, summary_out, indent=2)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -372,12 +376,24 @@ def cmd_classify(args) -> int:
 def cmd_sandwich(args) -> int:
     sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
-    triple = spec.triple(sphere_count=sphere_count)
-    report = build_sandwich(triple, spec.params, spec.grid(), beta=args.beta,
-                            margin=args.margin,
-                            rel_tol=spec.tolerances["rel"],
-                            abs_tol=spec.tolerances["abs"])
+    # the directory is made before any work, so a path that cannot be one is
+    # refused at once; a sandwich that fails takes away the directories it made
     out_dir = args.out or _out_path(None, args.spec, "_sandwich")
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        made.append(path)   # deepest first
+        path = os.path.dirname(path)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        triple = spec.triple(sphere_count=sphere_count)
+        report = build_sandwich(triple, spec.params, spec.grid(), beta=args.beta,
+                                margin=args.margin,
+                                rel_tol=spec.tolerances["rel"],
+                                abs_tol=spec.tolerances["abs"])
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
     payload = report.save(out_dir, triple)
     print(json.dumps(payload, indent=2))
     return EXIT_OK

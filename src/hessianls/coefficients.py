@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -96,8 +95,8 @@ class _CellTable(NamedTuple):
 
 
 # The float rules of one table cell in s = ln r, plain formulas in the cell's
-# constants: the table's bisection and the stepper's pieces call each only
-# inside its own cell.  A table makes one per cell, so their constants are
+# constants: the stepper's pieces call each only inside its own cell, up to
+# the cell's end and at it.  A table makes one per cell, so their constants are
 # bound as defaults: fewer objects to build than closure cells.
 
 def _loglog_rule(lb: float, lr: float, slope: float):
@@ -302,15 +301,11 @@ class RadialProfile:
             out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-self.tail_exponent)
         return out
 
-    def log_in_log_radius(self) -> Callable[[float], float]:
-        """The float function s -> ln b(e^s), for stepping in s = ln r.
-
-        Plain floats throughout: constant and power_tail use their formula,
-        a tabulated profile its cell's rule (linear in s inside a log-log
-        cell, linear in r otherwise, the declared tail beyond the last
-        radius), a callable profile calls ``func`` on one point.  Agrees
-        with ``log(eval(r))`` to rounding; a non-positive value raises
-        CoefficientError, a radius outside a table ProfileRangeError."""
+    def _log_formula(self) -> Callable[[float], float]:
+        """The float function s -> ln b(e^s) of a closed form: constant and
+        power_tail use their formula, a callable profile calls ``func`` on
+        one point.  A non-positive value raises CoefficientError, as does a
+        zero profile, which has no logarithm."""
         exp, log = math.exp, math.log
         if self.kind == "constant":
             log_value = log(self.value)
@@ -328,8 +323,6 @@ class RadialProfile:
                     return log_scale - half_l * log(q)
                 return _positive_log(scale * (q ** -half_l + amp * q ** -half_m), s)
             return log_power
-        if self.kind == "tabulated":
-            return self._log_rules[0]
         if self.kind == "callable":
             func = self.func
 
@@ -340,67 +333,42 @@ class RadialProfile:
         raise CoefficientError(f"profile of kind {self.kind!r} has no logarithm")
 
     @cached_property
-    def _log_rules(self):
-        """(log_table, rules, stops) of a tabulated profile in s = ln r, with
-        lr = ``_cells.log_r`` the table's only log radii.
-
-        ``rules[i]`` is cell i's rule, ``rules[-1]`` the tail's (None without
-        one).  ``log_table`` is :meth:`log_in_log_radius`: it bisects lr for
-        the rule of s (cell i on lr[i] <= s < lr[i + 1], the last cell up to
-        the last radius, the tail beyond) or raises the range errors.
-        ``stops[j - 1]`` is the :meth:`log_pieces` piece ending at radius j:
-        (lr[j], the cell below's rule, the rule log_table takes at lr[j])."""
+    def _log_rules(self) -> list:
+        """The float rules of a tabulated profile in s = ln r: entry i is
+        cell i's (log-log or linear, as ``_cells.loggable`` picks), the last
+        entry the tail's (None without one)."""
         cells = self._cells
         lr, lb = cells.log_r.tolist(), cells.log_b.tolist()
-        rt, bt = self.radii.tolist(), self.values.tolist()
-        last, tail, exp = len(rt) - 1, self.tail_exponent, math.exp
-        rules = [_loglog_rule(lb[i], lr[i], slope) if flag else
-                 _linear_rule(rt[i], bt[i], dr, db)
-                 for i, (flag, slope, dr, db) in enumerate(zip(
-                     cells.loggable.tolist(), cells.slopes.tolist(), cells.dr.tolist(),
-                     cells.db.tolist()))]
-        rules.append(None if tail is None else _tail_rule(lb[last], lr[last], tail))
-
-        def log_table(s):
-            if s != s:   # NaN lies in no cell
-                raise ProfileRangeError("radius nan outside the tabulated range")
-            i = bisect_right(lr, s) - 1
-            if i >= last:
-                if s > lr[last] and tail is None:
-                    raise ProfileRangeError(
-                        f"radius {exp(s):g} beyond tabulated range {rt[last]:g} "
-                        f"and no tail exponent declared")
-                return rules[last if s > lr[last] else last - 1](s)
-            if i < 0:
-                raise ProfileRangeError(f"radius {exp(s):g} below tabulated range {rt[0]:g}")
-            return rules[i](s)
-
-        stops = [(lr[j], rules[j - 1], rules[min(j, last - 1)]) for j in range(1, last + 1)]
-        return log_table, rules, stops
+        rules = [_loglog_rule(lb[i], lr[i], slope) if flag else _linear_rule(r, b, dr, db)
+                 for i, (flag, slope, r, b, dr, db) in enumerate(zip(
+                     cells.loggable.tolist(), cells.slopes.tolist(), self.radii.tolist(),
+                     self.values.tolist(), cells.dr.tolist(), cells.db.tolist()))]
+        tail = self.tail_exponent
+        rules.append(None if tail is None else _tail_rule(lb[-1], lr[-1], tail))
+        return rules
 
     def log_pieces(self, r_start: float, r_end: float) -> list:
-        """The pieces :func:`~hessianls.solver.solve_cauchy` steps ln b by
-        from r_start to r_end > r_start, in order: (stop, log_b, stop_log_b),
-        ``log_b`` the float function s -> ln b(e^s) up to the stop and
-        ``stop_log_b`` the one at the stop itself.  A closed form is one piece
-        ending at math.log(r_end), its :meth:`log_in_log_radius` in both
-        places.  A table has one piece per cell between them, ending at the
-        table's own log radius with the cell's rule and, at the stop, the rule
-        :meth:`log_in_log_radius` takes there: no step straddles a kink or
-        searches the table.  An r_end inside a cell or in the tail ends the
-        last piece at math.log(r_end); a radius outside the table raises the
-        ProfileRangeError of :meth:`eval`."""
+        """ln b in s = ln r from r_start to r_end > r_start, as
+        :func:`~hessianls.solver.solve_cauchy` steps it: pieces (stop, log_b)
+        in order, ``log_b`` the float function s -> ln b(e^s) up to the stop
+        and at it.  A closed form is one piece ending at math.log(r_end).  A
+        table has one piece per cell between them, ending at the table's own
+        log radius (``_cells.log_r``) with the cell's rule, so no step
+        straddles a kink or searches the table; an r_end inside a cell or in
+        the tail ends the last piece at math.log(r_end).  Each ``log_b``
+        agrees with ``log(eval(r))`` to rounding; a non-positive value raises
+        CoefficientError, a radius outside the table the ProfileRangeError of
+        :meth:`eval`."""
         if self.kind != "tabulated":
-            log_b = self.log_in_log_radius()
-            return [(math.log(r_end), log_b, log_b)]
+            return [(math.log(r_end), self._log_formula())]
         self._beyond(np.array([r_start, r_end]))
-        _, rules, stops = self._log_rules
+        rules = self._log_rules
         first = int(np.searchsorted(self.radii, r_start, side="right"))
         end = int(np.searchsorted(self.radii, r_end, side="right"))
-        if self.radii[end - 1] == r_end:
-            return stops[first - 1:end - 1]
-        rule = rules[end - 1]   # the cell of r_end, or the tail past the last radius
-        return stops[first - 1:end - 1] + [(math.log(r_end), rule, rule)]
+        pieces = list(zip(self._cells.log_r[first:end].tolist(), rules[first - 1:end - 1]))
+        if self.radii[end - 1] != r_end:   # the cell of r_end, or the tail past the last radius
+            pieces.append((math.log(r_end), rules[end - 1]))
+        return pieces
 
     def is_zero(self) -> bool:
         if self.kind == "zero":
@@ -442,15 +410,19 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfi
     """Read a two-column ``r,b`` CSV written by :func:`save_profile_csv`.
 
     The first line is the header and blank lines are skipped.  A missing or
-    unreadable file, a row without exactly two cells, a cell that is not a
-    number and a table that breaks a rule of :meth:`RadialProfile.tabulated`
-    raise CoefficientError naming the file and the line (counted from 1, the
-    header being line 1; past the end for a missing row), for a cell its column."""
+    unreadable file, a first line of numbers (a table without its header),
+    a row without exactly two cells, a cell that is not a number and
+    a table that breaks a rule of :meth:`RadialProfile.tabulated` raise
+    CoefficientError naming the file and the line (counted from 1, the header
+    being line 1; past the end for a missing row), for a cell its column."""
     rows, lines = [], []
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            next(reader, None)
+            header = next(reader, [])
+            if header and all(map(_is_number, header)):
+                raise CoefficientError(f"profile CSV {path}: line 1: expected the header r,b, "
+                                       f"got a row of numbers")
             for cells in reader:
                 if not any(cell.strip() for cell in cells):
                     continue
@@ -470,6 +442,14 @@ def load_profile_csv(path, tail_exponent: Optional[float] = None) -> RadialProfi
         return RadialProfile.tabulated(data[:, 0], data[:, 1], tail_exponent)
     except TableError as exc:
         raise CoefficientError(f"profile CSV {path}: line {lines[exc.index]}: {exc.rule}") from None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _csv_number(cell: str, where: str) -> float:

@@ -21,9 +21,8 @@ by an embedded Dormand-Prince 5(4) pair in plain floats, with ln b(e^s)
 from the profile's pieces (:meth:`RadialProfile.log_pieces`): a closed form
 is one piece holding its float closure, a tabulated profile one piece per
 table cell, ending at the table's own log radius with the cell's own rule,
-so no step straddles a kink and none searches the table for its cell; the
-stops are the logs the table's cells split at, so a piece's rule is the
-one the table's bisection takes there.  One kernel steps this system alone:
+which also gives ln b at that radius, so no step straddles a kink and none
+searches the table for its cell.  One kernel steps this system alone:
 it evaluates each stage's right-hand side in place, and ln b once at a
 step's end, which its last two stages share.  Each accepted step leaves one
 flat record, from which the pair's continuous extension (the solve's dense
@@ -213,7 +212,7 @@ class _DenseOutput:
 def _dopri5(pieces, c_u: float, p_u: float, k: int, n: int, gam: float, s: float, y,
             tol: float, abs_u: float):
     """Integrate y = (x, z) = (ln u, ln M) against s = ln r through
-    ``pieces`` in turn, each (stop, log_b, stop_log_b) as
+    ``pieces`` in turn, each (stop, log_b) as
     :meth:`~hessianls.coefficients.RadialProfile.log_pieces` gives them
     (stops increasing; the last one is the end); no step crosses a stop.
 
@@ -221,10 +220,10 @@ def _dopri5(pieces, c_u: float, p_u: float, k: int, n: int, gam: float, s: float
 
         x' = exp(c_u + p_u s + z / k - x),   z' = exp(n s + log_b(s) + gam x - z),
 
-    with ``log_b`` the piece's float function s -> ln b(e^s), and
-    ``stop_log_b`` at the stop itself.  The sixth stage and the seventh (the
-    next step's first) both sit at the step's end, where ln b is evaluated
-    once, after the sixth stage's x'.  The error of a step
+    with ``log_b`` the piece's float function s -> ln b(e^s), its stop
+    included.  The sixth stage and the seventh (the next step's first) both
+    sit at the step's end, where ln b is evaluated once, after the sixth
+    stage's x'.  The error of a step
     is the RMS over both components of its embedded estimate, each scaled by
     ``tol`` (a relative error in u and M), plus ``abs_u``/u for ln u: an
     absolute floor of ``abs_u`` on u.  A stage that leaves the float range
@@ -243,7 +242,7 @@ def _dopri5(pieces, c_u: float, p_u: float, k: int, n: int, gam: float, s: float
     scale = math.hypot(fx, fz) / (tol * sqrt(2.0))
     h = (0.01 / scale) ** 0.2 if scale > 0.0 else s_last - s
     records = []
-    for stop, log_b, stop_log_b in pieces:
+    for stop, log_b in pieces:
         while s < stop:
             if h < _MIN_STEP * (s if s > 1.0 else -s if s < -1.0 else 1.0):
                 raise IntegrationError(
@@ -278,7 +277,7 @@ def _dopri5(pieces, c_u: float, p_u: float, k: int, n: int, gam: float, s: float
                 # stages 6 and 7 share the s terms of both exponents at s_end
                 x_at_end = c_u + p_u * s_end
                 x6 = exp(x_at_end + zs / k - xs)
-                z_at_end = n * s_end + (stop_log_b if last else log_b)(s_end)
+                z_at_end = n * s_end + log_b(s_end)
                 z6 = exp(z_at_end + gam * xs - zs)
                 x_new = x + step * (_B1 * fx + _B3 * x3 + _B4 * x4 + _B5 * x5 + _B6 * x6)
                 z_new = z + step * (_B1 * fz + _B3 * z3 + _B4 * z4 + _B5 * z5 + _B6 * z6)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessianls import cli, core
+from hessianls import cli, core, sandwich
 from hessianls.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRATION,
@@ -667,11 +667,12 @@ class TestSandwichCommand:
         (["--margin", "-5"], "margin"),
     ])
     def test_non_finite_option_exits_invalid(self, tmp_path, capsys, args, option):
+        # the output directory, made before the work, goes with its new parent
         spec_path = _write(tmp_path, "spec.json", _constant_spec())
-        out_dir = tmp_path / "sw"
+        out_dir = tmp_path / "runs" / "sw"
         assert cli.main(["sandwich", spec_path, "--out", str(out_dir), *args]) == EXIT_INVALID
         assert f"error: {option} must be a finite number" in capsys.readouterr().err
-        assert not out_dir.exists()
+        assert not out_dir.parent.exists()
 
     def test_anisotropic_auto_build(self, tmp_path, capsys):
         raw = {
@@ -1165,8 +1166,9 @@ class TestTopLevelErrors:
         # A directory where a file is read or written, or a file where the
         # sandwich directory goes: one error line naming the path, no traceback,
         # and nothing on stdout (classify writes --out before it prints).
-        # sweep and verify refuse their output before any work: no cell is
-        # solved and the suite does not run.
+        # sweep, verify and sandwich refuse their output before any work: no
+        # cell is solved, the suite does not run and no envelope is solved;
+        # solve opens its summary before it writes the curve.
         paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
                  "spec": _write(tmp_path, "spec.json", _constant_spec(
                      grid={"r_max": 50.0, "nodes_per_decade": 16}))}
@@ -1179,11 +1181,13 @@ class TestTopLevelErrors:
             worked.append(args)
             raise AssertionError("work done before the output path was opened")
 
-        if argv[0] in ("sweep", "verify"):
+        if argv[0] in ("sweep", "verify", "sandwich"):
             monkeypatch.setattr(cli, "solve_cauchy", refused)
             monkeypatch.setattr(cli.verify_mod, "run_all", refused)
+            monkeypatch.setattr(sandwich, "solve_cauchy", refused)
         assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
         assert not worked
+        assert not (tmp_path / "spec_curve.csv").exists()
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert target.format(**paths) in err

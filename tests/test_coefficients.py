@@ -124,25 +124,29 @@ class TestRadialProfile:
                                 tail_exponent=1.5),
     ], ids=["constant", "power_tail", "power_tail-perturbed", "callable", "tabulated"])
     def test_log_closure_matches_log_of_eval(self, profile):
-        # The solver's float closure s -> ln b(e^s) against the array path,
-        # nodes of the table included.
+        # The solver's float pieces s -> ln b(e^s) against the array path,
+        # nodes of the table included: each point in the piece whose stop
+        # is the first at or above it.
         r = np.unique(np.concatenate([np.geomspace(1e-3, 1e5, 400), [0.5, 2.0, 9.0, 40.0]]))
-        log_b = profile.log_in_log_radius()
-        got = np.array([log_b(math.log(x)) for x in r])
+        pieces = profile.log_pieces(r[0], r[-1])
+        stops = [stop for stop, _ in pieces]
+        got = np.array([pieces[bisect.bisect_left(stops, math.log(x))][1](math.log(x))
+                        for x in r])
         want = np.log(profile(r))
         np.testing.assert_array_less(np.abs(got - want), 1e-14 * np.maximum(1.0, np.abs(want)))
 
     def test_log_closure_rejects_what_eval_rejects(self):
         table = RadialProfile.tabulated([1.0, 2.0], [1.0, 0.5])
         with pytest.raises(ProfileRangeError, match="beyond tabulated range"):
-            table.log_in_log_radius()(math.log(3.0))
+            table.log_pieces(1.5, 3.0)
         with pytest.raises(ProfileRangeError, match="below tabulated range"):
-            table.log_in_log_radius()(math.log(0.5))
+            table.log_pieces(0.5, 1.5)
         dip = RadialProfile.from_callable(lambda r: 1.0 - np.asarray(r))
+        (_, log_dip), = dip.log_pieces(0.5, 3.0)
         with pytest.raises(CoefficientError, match="must be positive"):
-            dip.log_in_log_radius()(math.log(2.0))
-        with pytest.raises(CoefficientError):
-            RadialProfile.zero().log_in_log_radius()
+            log_dip(math.log(2.0))
+        with pytest.raises(CoefficientError, match="has no logarithm"):
+            RadialProfile.zero().log_pieces(0.5, 3.0)
 
 
 class TestTabulatedProfile:
@@ -226,7 +230,10 @@ class TestTabulatedProfile:
         ("r,b\n0,1\n\n1,2\nx,3\n", "line 5, column 1: 'x' is not a number"),
         ("r,b\n0,1\n1,2,3\n", "line 3: expected 2 columns, got 3"),
         ("r,b\n0,1\n \n1\n", "line 4: expected 2 columns, got 1"),
-    ], ids=["cell", "after-blank-line", "long-row", "short-row"])
+        ("0.5,1\n1,0.5\n2,0.25\n4,0.1\n", "line 1: expected the header r,b, got a row of numbers"),
+        ("0.5,1,7\n1,0.5\n2,0.25\n", "line 1: expected the header r,b, got a row of numbers"),
+    ], ids=["cell", "after-blank-line", "long-row", "short-row", "no-header",
+            "no-header-long-row"])
     def test_csv_errors_name_the_file_line(self, tmp_path, content, message):
         # lines count from 1 with the header as line 1; blank lines count too
         path = tmp_path / "b.csv"
@@ -314,6 +321,23 @@ def _outcome(log_b, s):
         return type(exc), str(exc)
 
 
+def _cell_formula(profile, cell, s):
+    """ln b(e^s) by the rule of table cell ``cell`` written out from the
+    per-cell table: log-log, linear in r, or past the last radius the tail;
+    for a linear value that is not positive, the refusal as _outcome gives it."""
+    cells = profile._cells
+    lr, lb = float(cells.log_r[cell]), float(cells.log_b[cell])
+    if cell == cells.dr.size:
+        return lb - profile.tail_exponent * (s - lr)
+    if cells.loggable[cell]:
+        return lb + (s - lr) * float(cells.slopes[cell])
+    value = (float(cells.b[cell])
+             + (math.exp(s) - float(cells.r[cell])) / float(cells.dr[cell]) * float(cells.db[cell]))
+    if value > 0.0:
+        return math.log(value)
+    return CoefficientError, f"coefficient must be positive, got {value:g} at r = {math.exp(s):g}"
+
+
 @st.composite
 def _tables(draw):
     """A table from r = 0 or above it, with zero values (linear cells beside
@@ -329,8 +353,9 @@ def _tables(draw):
 
 
 class TestCellRules:
-    """The table's per-cell eval and its stepper pieces against the rules
-    they replaced: both rules at every point, and the bisecting log_table."""
+    """The table's per-cell eval and its stepper pieces against formulas
+    written out here: eval against both rules at every point, each piece
+    against its cell's rule recomputed from the per-cell table."""
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
@@ -347,8 +372,9 @@ class TestCellRules:
     def test_pieces_equal_log_table(self, profile, start, end):
         # The stops are the table's own log radii, r_end's too when it is one
         # (an integer ``end`` picks it, the last one included), else
-        # math.log(r_end).  Each piece's rule equals log_table inside it, the
-        # ulp below its stop included, and its stop rule at the stop.
+        # math.log(r_end).  Each piece's rule equals, bit for bit, the formula
+        # of the cell its midpoint lies in (the tail past the last radius)
+        # inside the piece, the ulp below its stop and at the stop itself.
         r_tab, log_r = profile.radii, profile._cells.log_r.tolist()
         bottom = max(r_tab[0], 1e-9)
         at_radius = isinstance(end, int)
@@ -360,17 +386,16 @@ class TestCellRules:
             top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
             r_start = bottom + start * (top - r_tab[0])
             r_end = r_start + max(end * (top - r_start), 1e-6)
-        log_table = profile.log_in_log_radius()
         pieces = profile.log_pieces(r_start, r_end)
-        assert [stop for stop, _, _ in pieces] == [
+        assert [stop for stop, _ in pieces] == [
             lg for r, lg in zip(r_tab.tolist(), log_r) if r_start < r < r_end] + (
             [log_r[j]] if at_radius else [math.log(r_end)])
         below = math.log(r_start)
-        for stop, rule, stop_rule in pieces:
+        for stop, rule in pieces:
+            cell = bisect.bisect_right(log_r, 0.5 * (below + stop)) - 1
             points = [below + f * (stop - below) for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
-            for s in points + [math.nextafter(stop, -math.inf)]:
-                assert _outcome(rule, s) == _outcome(log_table, s)
-            assert _outcome(stop_rule, stop) == _outcome(log_table, stop)
+            for s in points + [math.nextafter(stop, -math.inf), stop]:
+                assert _outcome(rule, s) == _cell_formula(profile, cell, s)
             below = stop
 
     def test_pieces_refuse_radii_outside_the_table(self):
@@ -386,9 +411,9 @@ class TestCellRules:
     def test_closed_forms_step_in_one_piece(self):
         for profile in (RadialProfile.constant(2.5), RadialProfile.power_tail(1.3),
                         RadialProfile.from_callable(lambda r: 1.0 + np.asarray(r))):
-            (stop, rule, stop_rule), = profile.log_pieces(1e-3, 40.0)
-            assert stop == math.log(40.0) and stop_rule is rule
-            assert rule(0.5) == profile.log_in_log_radius()(0.5)
+            (stop, rule), = profile.log_pieces(1e-3, 40.0)
+            assert stop == math.log(40.0)
+            assert rule(0.5) == pytest.approx(math.log(profile(math.exp(0.5))), rel=1e-14)
 
 
 class TestAdmissibilityRule:

@@ -12,8 +12,10 @@ quadrature at all.  The float bound ln(max float) is defined once, in
 ``core``, next to the one binomial and ln(n / C(n, k)); a spec's coefficient
 is built in one place, ``ProblemSpec.from_dict``; and one function,
 ``coefficients.check_coefficient``, decides whether a coefficient's values
-are admissible, wherever b meets radii.  ``radialize`` draws its unit-sphere
-rows from one per-process store in ``coefficients``.  Each size bound lives
+are admissible, wherever b meets radii.  A table's float ln b in ln r has one
+form, the per-cell pieces of ``RadialProfile.log_pieces``, and only ``solver``
+steps by them.  ``radialize`` draws its unit-sphere rows from one
+per-process store in ``coefficients``.  Each size bound lives
 where its arrays are laid: the grid cap in ``core``, the conservation
 check's refinement in ``solver`` and both sphere-count bounds in
 ``coefficients``; ``cli`` only names the spec field.
@@ -177,6 +179,23 @@ def test_one_store_of_sphere_rows(module):
     assert [ast.unparse(node) for node in functions["_unit_block"].decorator_list] == [
         "lru_cache(maxsize=_STORE_COORDS // _BLOCK_COORDS)"]
     assert not re.search(r"\bthreading\b|OrderedDict", source)
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_one_float_log_of_b(module):
+    # ln b in s = ln r has one float view, RadialProfile.log_pieces: the
+    # coefficients module bisects no table for it and keeps no whole-range
+    # closure, and only the solver steps by it
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "log_pieces"]
+    assert bool(calls) == (module == "solver")
+    if module == "coefficients":
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "bisect" not in imported
+        assert "RadialProfile.log_in_log_radius" not in dict(_functions(tree))
 
 
 def test_spec_coefficient_built_only_when_read():

@@ -1,5 +1,6 @@
 """Cauchy solver, break-line construction and growth quadrature."""
 
+import bisect
 import json
 import math
 import warnings
@@ -414,6 +415,9 @@ _KERNEL_CASES = {
     "guard": (3, 1, 0.5, _bump(1e200), 100.0),  # BlowupGuardError after overflows
     "step-floor": (3, 1, 0.5, RadialProfile.from_callable(  # IntegrationError
         lambda r: 1.0 / np.abs(np.asarray(r) - 4.9999) ** 2), 10.0),
+    # a table without a tail, solved to its last radius: the last piece has no tail rule
+    "tail-less": (3, 1, 0.5, RadialProfile.tabulated([0.0, 0.5, 1.013397900012232],
+                                                     [1.0, 0.95, 0.8]), 1.013397900012232),
 }
 
 
@@ -433,20 +437,21 @@ class TestStepperKernel:
         # The kernel evaluates the log system in place, ln b once for the
         # last two stages, and lays the dense coefficients after the solve;
         # it steps ln b by the profile's pieces, one per table cell.  The
-        # generic stepper, fed the right-hand side as a closure on the
-        # profile's single ln b (the bisecting one for a table) and stopped
-        # at the same radii, must take the same steps to the bit and fail
-        # with the same message.
+        # generic stepper, fed the right-hand side as a closure that looks
+        # up the piece of s (the first whose stop is at or above s) and
+        # stopped at the same radii, must take the same steps to the bit and
+        # fail with the same message.
         params, profile, grid, rel_tol, abs_tol = _kernel_case(name, table_dir)
         kernel, seen = solver._dopri5, {"overflows": 0, "generic_s": [], "kernel_s": []}
-        log_b = profile.log_in_log_radius()
 
         def noted(log_b, calls):
             return lambda s: calls.append(s) or log_b(s)
 
         def both(pieces, c_u, p_u, k, n, gam, s, y, tol, abs_u):
             seen["pieces"] = pieces
-            generic_log_b = noted(log_b, seen["generic_s"])
+            stops, rules = [p[0] for p in pieces], [p[1] for p in pieces]
+            generic_log_b = noted(lambda s: rules[bisect.bisect_left(stops, s)](s),
+                                  seen["generic_s"])
             exp = math.exp
 
             def rhs(s, x, z):
@@ -460,13 +465,10 @@ class TestStepperKernel:
                     raise
 
             try:
-                seen["generic"] = _generic_dopri5(noted_rhs, s, y, [p[0] for p in pieces],
-                                                  tol, abs_u)
+                seen["generic"] = _generic_dopri5(noted_rhs, s, y, stops, tol, abs_u)
             except (BlowupGuardError, IntegrationError) as exc:
                 seen["generic"] = exc
-            kernel_pieces = [(stop, noted(rule, seen["kernel_s"]),
-                              noted(stop_rule, seen["kernel_s"]))
-                             for stop, rule, stop_rule in pieces]
+            kernel_pieces = [(stop, noted(rule, seen["kernel_s"])) for stop, rule in pieces]
             return kernel(kernel_pieces, c_u, p_u, k, n, gam, s, y, tol, abs_u)
 
         monkeypatch.setattr(solver, "_dopri5", both)
