@@ -124,12 +124,14 @@ _VARY_SECTIONS = {key: section for section, tables in (
 # Size budget.  RadialGrid.build holds a spec's grid to MAX_GRID_NODES and
 # radialize the sphere count to MAX_SPHERE_COUNT; the spec reader holds the
 # conservation check's refinement of the grid (solver.conservation_refinement)
-# to twice MAX_GRID_NODES, naming spec.n.  The J tables (envelope.fine_nodes)
-# do not refine the spec grid: they refine the default grid for r_max 4x (at
-# most 59,185 nodes, at r_max near the float maximum) and merge in the radii
-# asked for, the spec grid's nodes where sandwich asks.  That is at most
-# about 110,000 nodes, 10 MB per (cells, 12) array of Gauss points.  The
-# goldens and benchmarks ask for at most about 250 nodes and 256 points.
+# to twice MAX_GRID_NODES, naming spec.n.  The check merges a table's radii
+# into those nodes: at most one extra cell per radius the table already holds.
+# The J tables (envelope.fine_nodes) do not refine the spec grid: they refine
+# the default grid for r_max 4x (at most 59,185 nodes, at r_max near the float
+# maximum) and merge in the radii asked for, the spec grid's nodes where
+# sandwich asks.  That is at most about 110,000 nodes, 10 MB per (cells, 12)
+# array of Gauss points.  The goldens and benchmarks ask for at most about
+# 250 nodes and 256 points.
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -346,26 +348,29 @@ def cmd_solve(args) -> int:
 def cmd_classify(args) -> int:
     sphere_count = _sphere_count(args)
     spec = load_spec(args.spec)
-    triple = spec.triple(sphere_count=sphere_count)
-    tables = EnvelopeTables(spec.params, triple, spec.grid_cfg["r_max"])
-    verdict = classify_existence(tables)
-    osc = oscillation_condition(tables)
-    jensen = jensen_conditions(tables)
-    thresholds = {
-        "l": verdict.tail_exponent,
-        "m": osc.tail_osc,
-        "m_star": osc.m_star,
-        "existence_threshold": verdict.threshold,
-    }
-    payload = {
-        "existence_verdict": verdict.to_dict(),
-        "osc_condition": osc.to_dict(),
-        "thresholds": thresholds,
-        "moment_conditions": jensen.to_dict(),
-    }
-    text = json.dumps(payload, indent=2)
-    if args.out:  # written first: a path that cannot be opened prints no verdict
-        with open(args.out, "w") as handle:
+    # the output is opened before any work: a path that cannot be opened is
+    # refused before the criteria run, and prints no verdict
+    out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    with out as handle:
+        triple = spec.triple(sphere_count=sphere_count)
+        tables = EnvelopeTables(spec.params, triple, spec.grid_cfg["r_max"])
+        verdict = classify_existence(tables)
+        osc = oscillation_condition(tables)
+        jensen = jensen_conditions(tables)
+        thresholds = {
+            "l": verdict.tail_exponent,
+            "m": osc.tail_osc,
+            "m_star": osc.m_star,
+            "existence_threshold": verdict.threshold,
+        }
+        payload = {
+            "existence_verdict": verdict.to_dict(),
+            "osc_condition": osc.to_dict(),
+            "thresholds": thresholds,
+            "moment_conditions": jensen.to_dict(),
+        }
+        text = json.dumps(payload, indent=2)
+        if handle is not None:
             handle.write(text + "\n")
     print(text)
     if args.strict and (verdict.verdict == INCONCLUSIVE or osc.status == "inconclusive"):

@@ -68,10 +68,11 @@ def _positive_log(value: float, s: float) -> float:
 
 
 class _CellTable(NamedTuple):
-    """A table's radii ``r`` and values ``b``, their logs, and per cell
-    (r[i], r[i + 1]) the differences of r, b, log r and log b, the slope
-    in (log r, log b) and the flag that picks the cell's rule: log-log
-    where r[i] and both values are positive, else linear in r."""
+    """A table's radii ``r`` and values ``b``, their logs, and per cell i,
+    from r[i] on, the slope in (log r, log b) and the flag that picks its
+    rule: log-log where r[i] and both values are positive, else linear in r
+    by the differences ``dr`` and ``db``.  A declared tail is the last cell,
+    log-log of slope -tail_exponent."""
 
     r: np.ndarray
     b: np.ndarray
@@ -79,15 +80,12 @@ class _CellTable(NamedTuple):
     log_b: np.ndarray
     dr: np.ndarray
     db: np.ndarray
-    dlog_r: np.ndarray
-    dlog_b: np.ndarray
     slopes: np.ndarray
     loggable: np.ndarray
 
     def loglog(self, r: np.ndarray, cell: np.ndarray) -> np.ndarray:
-        """b at radii ``r`` by the log-log rule of their cells ``cell``."""
-        return np.exp(self.log_b[cell]
-                      + (np.log(r) - self.log_r[cell]) / self.dlog_r[cell] * self.dlog_b[cell])
+        """b at radii ``r`` by the log-log rule of their cells ``cell``, exp of _loglog_rule."""
+        return np.exp(self.log_b[cell] + (np.log(r) - self.log_r[cell]) * self.slopes[cell])
 
     def linear(self, r: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """b at radii ``r`` by the linear rule of their cells ``cell``."""
@@ -112,12 +110,6 @@ def _linear_rule(r: float, b: float, dr: float, db: float):
     return log_cell
 
 
-def _tail_rule(lb: float, lr: float, tail: float):
-    def log_tail(s, lb=lb, lr=lr, tail=tail):
-        return lb - tail * (s - lr)
-    return log_tail
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """A nonnegative coefficient profile b(r) on [0, infinity).
@@ -131,7 +123,9 @@ class RadialProfile:
     Tabulated profiles interpolate linearly in (log r, log b) between
     positive samples and linearly in r near zero samples or the origin;
     beyond the last radius they extrapolate with the declared tail
-    exponent, or raise ProfileRangeError if none was declared.
+    exponent, a last log-log cell of slope -tail_exponent, or raise
+    ProfileRangeError if none was declared.  :meth:`eval` and the stepper's
+    :meth:`log_pieces` compute each cell by the same formula.
     """
 
     kind: str
@@ -255,50 +249,45 @@ class RadialProfile:
     def _cells(self) -> "_CellTable":
         """The per-cell table of a tabulated profile, built once."""
         r_tab, b_tab = self.radii, self.values
-        # log 0 = -inf: the differences of a cell from r = 0 or a zero value
-        # are inf or nan, and its flag sends it to the linear rule
+        # log 0 = -inf: the slope of a cell from r = 0 or a zero value is
+        # inf or nan, and its flag sends it to the linear rule
         with np.errstate(divide="ignore", invalid="ignore"):
             log_r, log_b = np.log(r_tab), np.log(b_tab)
-            dlog_r, dlog_b = np.diff(log_r), np.diff(log_b)
-            slopes = dlog_b / dlog_r
+            slopes = np.diff(log_b) / np.diff(log_r)
         loggable = (r_tab[:-1] > 0) & (b_tab[:-1] > 0) & (b_tab[1:] > 0)
+        if self.tail_exponent is not None:  # the tail: one more log-log cell
+            slopes = np.append(slopes, -self.tail_exponent)
+            loggable = np.append(loggable, True)
         return _CellTable(r_tab, b_tab, log_r, log_b, np.diff(r_tab), np.diff(b_tab),
-                          dlog_r, dlog_b, slopes, loggable)
+                          slopes, loggable)
 
-    def _beyond(self, rr: np.ndarray) -> np.ndarray:
-        """The mask of the radii ``rr`` past the table, where only a tail
-        holds; ProfileRangeError for one below it, or past it without one."""
+    def _check_range(self, rr: np.ndarray) -> None:
+        """ProfileRangeError for a radius of ``rr`` below the table, or past
+        it without a tail."""
         r_tab = self.radii
-        beyond = rr > r_tab[-1]
-        if self.tail_exponent is None and beyond.any():
+        if self.tail_exponent is None and np.any(rr > r_tab[-1]):
             raise ProfileRangeError(
-                f"radius {float(rr[beyond][0]):g} beyond tabulated range "
+                f"radius {float(rr[rr > r_tab[-1]][0]):g} beyond tabulated range "
                 f"{r_tab[-1]:g} and no tail exponent declared")
         if np.any(rr < r_tab[0]):
             raise ProfileRangeError(
                 f"radius {float(rr.min()):g} below tabulated range {r_tab[0]:g}")
-        return beyond
 
     def _eval_table(self, rr: np.ndarray) -> np.ndarray:
-        """The table at ``rr``: each point's cell is found once and only its
-        rule is computed, from the cached per-cell table."""
-        r_tab, b_tab = self.radii, self.values
-        beyond = self._beyond(rr)
-        outside = bool(beyond.any())
+        """The table at ``rr``: each point's cell, the tail past the last radius,
+        is found once and only its rule is computed, from the cached per-cell table."""
+        self._check_range(rr)
         cells = self._cells
-        cell = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
+        cell = np.minimum(np.searchsorted(self.radii, rr, side="right") - 1,
+                          cells.slopes.size - 1)
         loglog = cells.loggable[cell]
-        if outside:
-            loglog &= ~beyond
         if loglog.all():
             return cells.loglog(rr, cell)
         out = np.empty_like(rr)
         at = np.flatnonzero(loglog)
         out[at] = cells.loglog(rr[at], cell[at])
-        at = np.flatnonzero(~(loglog | beyond) if outside else ~loglog)
+        at = np.flatnonzero(~loglog)
         out[at] = cells.linear(rr[at], cell[at])
-        if outside:
-            out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-self.tail_exponent)
         return out
 
     def _log_formula(self) -> Callable[[float], float]:
@@ -335,17 +324,16 @@ class RadialProfile:
     @cached_property
     def _log_rules(self) -> list:
         """The float rules of a tabulated profile in s = ln r: entry i is
-        cell i's (log-log or linear, as ``_cells.loggable`` picks), the last
-        entry the tail's (None without one)."""
+        cell i's, log-log or linear as ``_cells.loggable`` picks, the tail
+        cell's included."""
         cells = self._cells
-        lr, lb = cells.log_r.tolist(), cells.log_b.tolist()
-        rules = [_loglog_rule(lb[i], lr[i], slope) if flag else _linear_rule(r, b, dr, db)
-                 for i, (flag, slope, r, b, dr, db) in enumerate(zip(
-                     cells.loggable.tolist(), cells.slopes.tolist(), self.radii.tolist(),
-                     self.values.tolist(), cells.dr.tolist(), cells.db.tolist()))]
-        tail = self.tail_exponent
-        rules.append(None if tail is None else _tail_rule(lb[-1], lr[-1], tail))
-        return rules
+        lr, lb, r, b = (cells.log_r.tolist(), cells.log_b.tolist(),
+                        cells.r.tolist(), cells.b.tolist())
+        dr, db = cells.dr.tolist(), cells.db.tolist()
+        return [_loglog_rule(lb[i], lr[i], slope) if flag
+                else _linear_rule(r[i], b[i], dr[i], db[i])
+                for i, (flag, slope) in enumerate(zip(cells.loggable.tolist(),
+                                                      cells.slopes.tolist()))]
 
     def log_pieces(self, r_start: float, r_end: float) -> list:
         """ln b in s = ln r from r_start to r_end > r_start, as
@@ -355,13 +343,14 @@ class RadialProfile:
         table has one piece per cell between them, ending at the table's own
         log radius (``_cells.log_r``) with the cell's rule, so no step
         straddles a kink or searches the table; an r_end inside a cell or in
-        the tail ends the last piece at math.log(r_end).  Each ``log_b``
-        agrees with ``log(eval(r))`` to rounding; a non-positive value raises
+        the tail, the last cell, ends the last piece at math.log(r_end).  On
+        a log-log cell ``eval(r)`` is exp of ``log_b(log r)`` bit for bit, on
+        a linear one to rounding; a non-positive value raises
         CoefficientError, a radius outside the table the ProfileRangeError of
         :meth:`eval`."""
         if self.kind != "tabulated":
             return [(math.log(r_end), self._log_formula())]
-        self._beyond(np.array([r_start, r_end]))
+        self._check_range(np.array([r_start, r_end]))
         rules = self._log_rules
         first = int(np.searchsorted(self.radii, r_start, side="right"))
         end = int(np.searchsorted(self.radii, r_end, side="right"))

@@ -110,6 +110,9 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
         raise ParameterError(f"beta must be a finite number, got {beta}")
     if margin is not None and not 0.0 <= margin < np.inf:
         raise ParameterError(f"margin must be a finite number >= 0, got {margin}")
+    if beta is not None and beta <= 1.0:  # refused before the J table and I_osc are built
+        raise OrderingError(f"beta must exceed the subsolution center 1, got {beta}",
+                            radius=0.0)
     if beta is None:
         # a refusal is decided from the tails: no quadrature runs
         verdict = oscillation_verdict(triple, params)
@@ -124,9 +127,6 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
             margin = max(1.0, 0.1 * osc.integral)
         beta = 1.0 + osc.integral + margin
     else:
-        if beta <= 1.0:
-            raise OrderingError(f"beta must exceed the subsolution center 1, got {beta}",
-                                radius=0.0)
         margin = beta - 1.0 if margin is None else margin
     v = solve_cauchy(params.with_center(1.0), triple.b_upper, grid,
                      rel_tol=rel_tol, abs_tol=abs_tol)

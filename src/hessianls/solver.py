@@ -461,11 +461,16 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     equation), whereas M ties u' to the history of u.  The quadrature
     evaluates u through the curve's dense output inside Gauss panels, so
     its own discretization error is negligible against the integrator
-    tolerance being measured.
+    tolerance being measured.  A table's radii inside the grid are merged
+    into the refined nodes, each once, so no panel straddles a kink of b.
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
     fine = curve.grid.refined(conservation_refinement(params.n))
+    if b.radii is not None:
+        # sort and drop exact repeats: numpy's set routines import numpy.ma
+        fine = np.sort(np.concatenate([fine, b.radii[(b.radii > 0.0) & (b.radii < fine[-1])]]))
+        fine = fine[np.concatenate([[True], fine[1:] != fine[:-1]])]
     log_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
     pos = np.searchsorted(fine, curve.grid.nodes[1:])
     _, log_curve = curve.dense(curve.grid.nodes[1:])

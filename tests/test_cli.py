@@ -659,6 +659,19 @@ class TestSandwichCommand:
         assert cli.main(["sandwich", spec_path, "--beta", "1.5"]) == EXIT_ORDERING
         assert "ordering" in capsys.readouterr().err
 
+    def test_beta_at_most_one_refused_before_any_work(self, monkeypatch, tmp_path, capsys):
+        # beta <= 1 cannot lie above the subsolution's center: it is refused
+        # before the J table, I_osc or either solve is built
+        def refused(*args, **kwargs):
+            raise AssertionError("work done before beta was checked")
+
+        monkeypatch.setattr(sandwich, "oscillation_condition", refused)
+        monkeypatch.setattr(sandwich, "solve_cauchy", refused)
+        spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
+        assert cli.main(["sandwich", spec_path, "--beta", "0.5"]) == EXIT_ORDERING
+        assert capsys.readouterr().err == (
+            "ordering failure: beta must exceed the subsolution center 1, got 0.5\n")
+
     @pytest.mark.parametrize("args, option", [
         (["--beta", "nan"], "beta"),
         (["--beta", "inf"], "beta"),
@@ -1165,10 +1178,10 @@ class TestTopLevelErrors:
     def test_unopenable_path_exits_invalid(self, monkeypatch, tmp_path, capsys, argv, target):
         # A directory where a file is read or written, or a file where the
         # sandwich directory goes: one error line naming the path, no traceback,
-        # and nothing on stdout (classify writes --out before it prints).
-        # sweep, verify and sandwich refuse their output before any work: no
-        # cell is solved, the suite does not run and no envelope is solved;
-        # solve opens its summary before it writes the curve.
+        # and nothing on stdout.  classify, sweep, verify and sandwich refuse
+        # their output before any work: no criterion runs, no cell is solved,
+        # the suite does not run and no envelope is solved; solve opens its
+        # summary before it writes the curve.
         paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
                  "spec": _write(tmp_path, "spec.json", _constant_spec(
                      grid={"r_max": 50.0, "nodes_per_decade": 16}))}
@@ -1181,6 +1194,8 @@ class TestTopLevelErrors:
             worked.append(args)
             raise AssertionError("work done before the output path was opened")
 
+        for criterion in ("classify_existence", "oscillation_condition", "jensen_conditions"):
+            monkeypatch.setattr(cli, criterion, refused)
         if argv[0] in ("sweep", "verify", "sandwich"):
             monkeypatch.setattr(cli, "solve_cauchy", refused)
             monkeypatch.setattr(cli.verify_mod, "run_all", refused)

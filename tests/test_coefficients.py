@@ -292,27 +292,6 @@ class TestTabulatedProfile:
             save_profile_csv(RadialProfile.constant(1.0), tmp_path / "x.csv")
 
 
-def _two_rule_eval(profile, rr):
-    """Table evaluation as it computed both cell rules at every point and
-    kept the one the cell's flag picks: the reference for the per-cell eval."""
-    r_tab, b_tab = profile.radii, profile.values
-    with np.errstate(divide="ignore"):
-        log_r, log_b = np.log(r_tab), np.log(b_tab)
-    loggable = (r_tab[:-1] > 0) & (b_tab[:-1] > 0) & (b_tab[1:] > 0)
-    beyond = rr > r_tab[-1]
-    lo = np.minimum(np.searchsorted(r_tab, rr, side="right") - 1, r_tab.size - 2)
-    hi = lo + 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = (rr - r_tab[lo]) / (r_tab[hi] - r_tab[lo])
-        linear = b_tab[lo] + w * (b_tab[hi] - b_tab[lo])
-        lw = (np.log(rr) - log_r[lo]) / (log_r[hi] - log_r[lo])
-        loglog = np.exp(log_b[lo] + lw * (log_b[hi] - log_b[lo]))
-    out = np.where(loggable[lo], loglog, linear)
-    if np.any(beyond):
-        out[beyond] = b_tab[-1] * (rr[beyond] / r_tab[-1]) ** (-profile.tail_exponent)
-    return out
-
-
 def _outcome(log_b, s):
     """log_b(s), or the type and message of what it raised."""
     try:
@@ -327,7 +306,7 @@ def _cell_formula(profile, cell, s):
     for a linear value that is not positive, the refusal as _outcome gives it."""
     cells = profile._cells
     lr, lb = float(cells.log_r[cell]), float(cells.log_b[cell])
-    if cell == cells.dr.size:
+    if cell == profile.radii.size - 1:
         return lb - profile.tail_exponent * (s - lr)
     if cells.loggable[cell]:
         return lb + (s - lr) * float(cells.slopes[cell])
@@ -353,19 +332,39 @@ def _tables(draw):
 
 
 class TestCellRules:
-    """The table's per-cell eval and its stepper pieces against formulas
-    written out here: eval against both rules at every point, each piece
-    against its cell's rule recomputed from the per-cell table."""
+    """The table's per-cell eval and its stepper pieces share one formula per
+    cell: eval on a log-log cell, the tail included, is exp of the cell's
+    piece rule and elsewhere the linear formula written out here; each piece
+    equals its cell's rule recomputed from the per-cell table."""
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    def test_eval_equals_the_two_rule_formula(self, profile, fractions):
-        r_tab = profile.radii
-        top = r_tab[-1] * (3.0 if profile.tail_exponent is not None else 1.0)
+    def test_eval_is_exp_of_the_piece_rule(self, profile, fractions):
+        # A radius's cell starts at the last table radius at or below it;
+        # past the last radius that is the tail cell, without a tail the
+        # last radius itself stays in the last cell between radii.
+        r_tab, cells, rules = profile.radii, profile._cells, profile._log_rules
+        tailed = profile.tail_exponent is not None
+        top = r_tab[-1] * (3.0 if tailed else 1.0)
         rr = np.concatenate([r_tab, r_tab[0] + np.array(fractions) * (top - r_tab[0])])
+        with np.errstate(divide="ignore"):
+            log_rr = np.log(rr).tolist()
+        radii, last = r_tab.tolist(), r_tab.size - (1 if tailed else 2)
+        want = np.empty_like(rr)
+        logs, at = [], []
+        for i, r in enumerate(rr.tolist()):
+            cell = min(bisect.bisect_right(radii, r) - 1, last)
+            if cell == r_tab.size - 1 or cells.loggable[cell]:
+                logs.append(rules[cell](log_rr[i]))
+                at.append(i)
+            else:
+                b, r_i, dr, db = (float(column[cell]) for column in
+                                  (cells.b, cells.r, cells.dr, cells.db))
+                want[i] = b + (r - r_i) / dr * db
+        want[at] = np.exp(np.array(logs))
         got = profile(rr)
-        np.testing.assert_array_equal(got, _two_rule_eval(profile, rr))
-        assert np.array_equal(np.signbit(got), np.signbit(_two_rule_eval(profile, rr)))
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_tables(), st.floats(0.0, 1.0), st.one_of(st.floats(0.0, 1.0), st.integers(1, 12)))

@@ -14,7 +14,8 @@ is built in one place, ``ProblemSpec.from_dict``; and one function,
 ``coefficients.check_coefficient``, decides whether a coefficient's values
 are admissible, wherever b meets radii.  A table's float ln b in ln r has one
 form, the per-cell pieces of ``RadialProfile.log_pieces``, and only ``solver``
-steps by them.  ``radialize`` draws its unit-sphere rows from one
+steps by them; a declared tail is the table's last log-log cell, so each
+cell has one rule, log-log or linear.  ``radialize`` draws its unit-sphere rows from one
 per-process store in ``coefficients``.  Each size bound lives
 where its arrays are laid: the grid cap in ``core``, the conservation
 check's refinement in ``solver`` and both sphere-count bounds in
@@ -196,6 +197,23 @@ def test_one_float_log_of_b(module):
         imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert "bisect" not in imported
         assert "RadialProfile.log_in_log_radius" not in dict(_functions(tree))
+
+
+def test_one_formula_per_table_cell():
+    # the tail has no rule, log differences or list entry of its own: every
+    # table rule is a log-log or a linear cell's
+    tree = ast.parse((PACKAGE / "coefficients.py").read_text())
+    functions = dict(_functions(tree))
+    assert "_tail_rule" not in functions
+    cell_table, = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_CellTable"]
+    fields = {node.target.id for node in cell_table.body if isinstance(node, ast.AnnAssign)}
+    assert "slopes" in fields and not fields & {"dlog_r", "dlog_b"}
+    returned, = [node.value for node in ast.walk(functions["RadialProfile._log_rules"])
+                 if isinstance(node, ast.Return)]
+    assert isinstance(returned, ast.ListComp) and isinstance(returned.elt, ast.IfExp)
+    assert sorted(ast.unparse(branch.func) for branch in (returned.elt.body, returned.elt.orelse)
+                  if isinstance(branch, ast.Call)) == ["_linear_rule", "_loglog_rule"]
 
 
 def test_spec_coefficient_built_only_when_read():

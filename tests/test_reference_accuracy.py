@@ -5,17 +5,32 @@ without ``hessianls.solver`` (log-variable DOP853 at rtol 1e-13, tables
 node to node, own error about 1e-10).  At the default tolerance the solver
 must land within ten times ``rel`` of it on every spec, and tightening
 ``rel`` must tighten the error, so a solver that stops converging fails
-here even while its curves still look smooth.
+here even while its curves still look smooth.  Random specs from a box of
+(n, k, gamma, power_tail b, r_max), drawn the same way on every run, are
+solved by the reference's solver (``perfbench/reference.py``) too, and the
+solver must land within ``rel`` of it on each.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import PERFBENCH, REFERENCE
 from hessianls.cli import ProblemSpec
+from hessianls.errors import CoefficientError, ParameterError
 from hessianls.solver import solve_cauchy
 
 RELS = (1e-6, 1e-7, 1e-8)
+
+
+def _reference_u(raw, radii):
+    """u of the spec ``raw`` at ``radii`` by the benchmark's reference solver,
+    imported from the checkout's perfbench."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(PERFBENCH)
+        import reference
+
+    return reference.reference_u(raw, raw["coefficient"], radii)
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE))
@@ -40,10 +55,38 @@ def test_flux_beyond_the_float_range_matches_the_reference(n, k, gamma, r_max):
            "grid": {"r_max": r_max}}
     spec = ProblemSpec.from_dict(raw)
     grid = spec.grid()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(PERFBENCH)
-        import reference
-
-        ref_u = reference.reference_u(raw, raw["coefficient"], grid.nodes)
+    ref_u = _reference_u(raw, grid.nodes)
     u = solve_cauchy(spec.params, spec.radial_profile(), grid).u
     assert np.max(np.abs(u / ref_u - 1.0)) <= 10.0 * spec.tolerances["rel"]
+
+
+@st.composite
+def _box_specs(draw):
+    """A spec of the random accuracy box: k in {1, 2, 3, 5, 10}, n from k to
+    25, gamma / k in [0.05, 0.97], r_max in [10, 1e5] and b power_tail with
+    l in [0, 2k + 2], in half the draws perturbed by A q^(-m/2) with A in
+    [-0.9, 2] and m in [0, 2k + 2]."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 10]))
+    coefficient = {"kind": "power_tail", "l": draw(st.floats(0.0, 2.0 * k + 2.0))}
+    if draw(st.booleans()):
+        coefficient.update(A=draw(st.floats(-0.9, 2.0)), m=draw(st.floats(0.0, 2.0 * k + 2.0)))
+    return {"n": draw(st.integers(k, 25)), "k": k, "gamma": draw(st.floats(0.05, 0.97)) * k,
+            "coefficient": coefficient, "grid": {"r_max": 10.0 ** draw(st.floats(1.0, 5.0))},
+            "tolerances": {"rel": 1e-6}}
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_box_specs())
+def test_random_specs_within_rel_of_the_reference(raw):
+    # max |u / u_ref - 1| <= rel, with C = 1, at rel 1e-6: the reference errs
+    # by about 1e-8 at some points of the box, so rel 1e-8 needs a sharper
+    # one.  A spec the reader refuses (n < 3, a b that turns negative) is
+    # no draw of the box.
+    try:
+        spec = ProblemSpec.from_dict(raw)
+    except (ParameterError, CoefficientError):
+        reject()
+    grid = spec.grid()
+    rel = spec.tolerances["rel"]
+    u = solve_cauchy(spec.params, spec.radial_profile(), grid, rel_tol=rel).u
+    assert np.max(np.abs(u / _reference_u(raw, grid.nodes) - 1.0)) <= rel
