@@ -21,12 +21,14 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import errno
 import functools
 import itertools
 import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -309,6 +311,33 @@ def _out_path(args_out, spec_path, suffix):
     return stem + suffix
 
 
+@contextlib.contextmanager
+def _output(path, newline=None):
+    """A text handle on a new file beside ``path`` that replaces ``path`` once
+    the block completes and is removed if it raises, so a failing command
+    leaves an existing file as it was.  The file is made at once: a ``path``
+    that is a directory, or in one that cannot hold a file, is refused
+    before any work."""
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        handle = tempfile.NamedTemporaryFile("w", newline=newline, dir=directory,
+                                             prefix=f".{name}.", delete=False)
+    except OSError as exc:   # named by the target, not the new file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(handle.name, 0o666 & ~umask)   # as open(path, "w") would make it
+            yield handle
+        os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
+
+
 def cmd_solve(args) -> int:
     spec = load_spec(args.spec)
     profile = spec.radial_profile()
@@ -328,11 +357,11 @@ def cmd_solve(args) -> int:
     if args.plot_data:
         summary["plot_data_csv"] = _out_path(None, args.spec, "_plotdata.csv")
     # every output is opened before any is written: a path that cannot be
-    # opened leaves no file with data in it
+    # opened leaves no file with data in it, and a failed write the old ones
     with contextlib.ExitStack() as files:
         summary_out = files.enter_context(
-            open(_out_path(args.summary, args.spec, "_summary.json"), "w"))
-        plot_out = (files.enter_context(open(summary["plot_data_csv"], "w", newline=""))
+            _output(_out_path(args.summary, args.spec, "_summary.json")))
+        plot_out = (files.enter_context(_output(summary["plot_data_csv"], newline=""))
                     if args.plot_data else None)
         write_curve_csv(curve, curve_path, spec.params, profile)
         if plot_out is not None:
@@ -350,7 +379,7 @@ def cmd_classify(args) -> int:
     spec = load_spec(args.spec)
     # the output is opened before any work: a path that cannot be opened is
     # refused before the criteria run, and prints no verdict
-    out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    out = _output(args.out) if args.out else contextlib.nullcontext()
     with out as handle:
         triple = spec.triple(sphere_count=sphere_count)
         tables = EnvelopeTables(spec.params, triple, spec.grid_cfg["r_max"])
@@ -407,7 +436,7 @@ def cmd_sandwich(args) -> int:
 def cmd_verify(args) -> int:
     # the summary path is opened first: one that cannot be written is refused
     # before the suite runs
-    out = open(args.json, "w") if args.json else contextlib.nullcontext()
+    out = _output(args.json) if args.json else contextlib.nullcontext()
     with out as handle:
         results = verify_mod.run_all()
         failed = [r for r in results if not r.passed]
@@ -530,7 +559,7 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     # the arguments are checked; an output that cannot be written is refused
     # before any cell is solved
-    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    out = _output(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with out as handle:
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -110,6 +110,32 @@ def _linear_rule(r: float, b: float, dr: float, db: float):
     return log_cell
 
 
+def _power_rule(scale: float, terms: tuple):
+    """The float rule s -> ln b(e^s) of a power sum.  One term is one straight
+    line, ln(scale c) + 2 j s - (p/2) ln(rho^2 + e^(2s)), each factor of
+    exponent 0 dropped; a longer sum adds its terms as eval does, then logs."""
+    exp, log = math.exp, math.log
+    if len(terms) > 1:
+        floats = [(c, j, rho ** 2, -p / 2.0) for c, j, rho, p in terms]
+
+        def log_sum(s):
+            r = exp(s)
+            r2, total = r * r, 0.0
+            for c, j, rho_sq, power in floats:
+                total += c * r2 ** j * (rho_sq + r2) ** power
+            return _positive_log(scale * total, s)
+        return log_sum
+    (c, j, rho, p), = terms
+    lead, twice_j, rho_sq, half_p = log(scale * c), 2.0 * j, rho ** 2, p / 2.0
+    if not p:
+        return (lambda s: lead + twice_j * s) if j else (lambda s: lead)
+
+    def log_term(s):
+        r = exp(s)
+        return lead - half_p * log(rho_sq + r * r)
+    return (lambda s: log_term(s) + twice_j * s) if j else log_term
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A nonnegative coefficient profile b(r) on [0, infinity).
@@ -118,7 +144,13 @@ class RadialProfile:
     "zero".  Use the class-method constructors rather than the raw
     dataclass constructor.
 
-    power_tail evaluates  scale * ((r0^2 + r^2)^(-l/2) + A (r0^2 + r^2)^(-m/2)).
+    A closed form, the fields' envelopes included, is a power sum
+    scale * sum_i c_i r^(2 j_i) (rho_i^2 + r^2)^(-p_i/2) over ``terms``
+    (c_i, j_i, rho_i, p_i), c_i != 0, integer j_i >= 0, rho_i > 0: constant(v)
+    is (1, 0, 1, 0) with scale v, power_tail(l, m, A, r0, scale) is (1, 0, r0,
+    l) and (A, 0, r0, m).  Its tail exponent is the smallest p_i - 2 j_i; its
+    Taylor coefficients at 0 and correction exponents are to come from the
+    terms too.  :meth:`eval` and :meth:`log_pieces` have one formula each.
 
     Tabulated profiles interpolate linearly in (log r, log b) between
     positive samples and linearly in r near zero samples or the origin;
@@ -129,11 +161,7 @@ class RadialProfile:
     """
 
     kind: str
-    value: float = 1.0
-    l: Optional[float] = None
-    m: Optional[float] = None
-    A: float = 0.0
-    r0: float = 1.0
+    terms: Optional[tuple] = None
     scale: float = 1.0
     radii: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
@@ -144,10 +172,21 @@ class RadialProfile:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def power_sum(cls, terms: Sequence[tuple], scale: float = 1.0,
+                  kind: str = "power_tail") -> "RadialProfile":
+        """scale * sum of c r^(2j) (rho^2 + r^2)^(-p/2) over ``terms``
+        (c, j, rho, p); its tail exponent is the smallest p - 2j."""
+        terms = tuple((float(c), int(j), float(rho), float(p)) for c, j, rho, p in terms)
+        if not terms or not all(c != 0.0 and j >= 0 and rho > 0.0 for c, j, rho, _ in terms):
+            raise CoefficientError(f"power sum terms need c != 0, j >= 0, rho > 0: {terms}")
+        return cls(kind=kind, terms=terms, scale=float(scale),
+                   tail_exponent=min(p - 2 * j for _, j, _, p in terms))
+
+    @classmethod
     def constant(cls, value: float = 1.0) -> "RadialProfile":
         if value <= 0:
             raise CoefficientError(f"constant profile must be positive, got {value}")
-        return cls(kind="constant", value=float(value), tail_exponent=0.0)
+        return cls.power_sum([(1.0, 0, 1.0, 0.0)], value, kind="constant")
 
     @classmethod
     def power_tail(cls, l: float, m: Optional[float] = None, A: float = 0.0,
@@ -161,12 +200,7 @@ class RadialProfile:
             raise CoefficientError(f"power_tail needs scale > 0, got {scale}")
         if A != 0.0 and m is None:
             raise CoefficientError("power_tail with A != 0 needs the second exponent m")
-        if A == 0.0:
-            tail = float(l)
-        else:
-            tail = float(min(l, m))
-        prof = cls(kind="power_tail", l=float(l), m=None if m is None else float(m),
-                   A=float(A), r0=float(r0), scale=float(scale), tail_exponent=tail)
+        prof = cls.power_sum([(1.0, 0, r0, l)] + ([(A, 0, r0, m)] if A != 0.0 else []), scale)
         probe = prof.eval(_POSITIVITY_PROBES)
         # Reject genuinely negative profiles (possible when A < 0).  Very
         # steep tails may underflow to float zero at extreme radii; that is
@@ -223,16 +257,17 @@ class RadialProfile:
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(rr < 0):
             raise CoefficientError("profiles are defined for r >= 0 only")
-        if self.kind == "constant":
-            out = np.full_like(rr, self.value)
-        elif self.kind == "power_tail":
-            q = self.r0 ** 2 + rr ** 2
-            # overflow (also 0 ** -l, inf - inf) is quiet: check_coefficient reports it
+        if self.terms:   # each term from the left, factors of exponent 0 dropped
+            r2, out = rr ** 2, None
+            # overflow (also 0 ** -p, inf - inf) is quiet: check_coefficient reports it
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                out = q ** (-self.l / 2.0)
-                if self.A != 0.0:
-                    out = out + self.A * q ** (-self.m / 2.0)
-                out = self.scale * out
+                for c, j, rho, p in self.terms:
+                    term = c * r2 ** j if j else c
+                    if p:
+                        term = term * (rho ** 2 + r2) ** (-p / 2.0)
+                    out = term if out is None else out + term
+                # a sum of constants broadcasts to every radius
+                out = np.multiply(self.scale, out, out=np.empty_like(rr))
         elif self.kind == "tabulated":
             out = self._eval_table(rr)
         elif self.kind == "callable":
@@ -291,29 +326,14 @@ class RadialProfile:
         return out
 
     def _log_formula(self) -> Callable[[float], float]:
-        """The float function s -> ln b(e^s) of a closed form: constant and
-        power_tail use their formula, a callable profile calls ``func`` on
-        one point.  A non-positive value raises CoefficientError, as does a
-        zero profile, which has no logarithm."""
-        exp, log = math.exp, math.log
-        if self.kind == "constant":
-            log_value = log(self.value)
-            return lambda s: log_value
-        if self.kind == "power_tail":
-            r0_sq, scale, amp = self.r0 ** 2, self.scale, self.A
-            half_l = self.l / 2.0
-            half_m = half_l if self.m is None else self.m / 2.0
-            log_scale = log(scale)
-
-            def log_power(s):
-                r = exp(s)
-                q = r0_sq + r * r
-                if amp == 0.0:
-                    return log_scale - half_l * log(q)
-                return _positive_log(scale * (q ** -half_l + amp * q ** -half_m), s)
-            return log_power
+        """The float function s -> ln b(e^s) of a closed form: a power sum's
+        rule, or a callable profile's ``func`` on one point.  A non-positive
+        value raises CoefficientError, as does a zero profile, which has no
+        logarithm."""
+        if self.terms:
+            return _power_rule(self.scale, self.terms)
         if self.kind == "callable":
-            func = self.func
+            func, exp = self.func, math.exp
 
             def log_callable(s):
                 value = _one_per_point(func(np.array([exp(s)])), 1, "callable profile")[0]
@@ -370,10 +390,8 @@ class RadialProfile:
         """The profile multiplied by a positive constant."""
         if c <= 0:
             raise CoefficientError("scaling constant must be positive")
-        if self.kind == "constant":
-            return RadialProfile.constant(self.value * c)
-        if self.kind == "power_tail":
-            return RadialProfile.power_tail(self.l, self.m, self.A, self.r0, self.scale * c)
+        if self.terms:
+            return RadialProfile.power_sum(self.terms, self.scale * c, self.kind)
         if self.kind == "tabulated":
             return RadialProfile.tabulated(self.radii, self.values * c, self.tail_exponent,
                                            self.strictly_positive)
@@ -702,17 +720,7 @@ class QuadraticRootField:
         return len(self.weights)
 
     # all three envelopes decay like 1/r
-    @property
-    def tail_star(self) -> float:
-        return 1.0
-
-    @property
-    def tail_upper(self) -> float:
-        return 1.0
-
-    @property
-    def tail_osc(self) -> float:
-        return 1.0
+    tail_star = tail_upper = tail_osc = 1.0
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -722,15 +730,11 @@ class QuadraticRootField:
     __call__ = eval
 
     def envelope_profiles(self):
-        """Closed-form (b_*, b^*) as callable profiles."""
-        w_max = max(self.weights)
-        w_min = min(self.weights)
-        amp, shift = self.amp, self.shift
-        star = RadialProfile.from_callable(
-            lambda r: amp / np.sqrt(w_max * np.asarray(r) ** 2 + shift), tail_exponent=1.0)
-        upper = RadialProfile.from_callable(
-            lambda r: amp / np.sqrt(w_min * np.asarray(r) ** 2 + shift), tail_exponent=1.0)
-        return star, upper
+        """Closed-form (b_*, b^*): amp (w r^2 + shift)^(-1/2) is the power term
+        (amp / sqrt(w), 0, sqrt(shift / w), 1), for w = max(w) and min(w)."""
+        return tuple(RadialProfile.power_sum([(self.amp / math.sqrt(w), 0,
+                                               math.sqrt(self.shift / w), 1.0)])
+                     for w in (max(self.weights), min(self.weights)))
 
     def exact_solution(self, points: np.ndarray) -> np.ndarray:
         """u(x) = q(x) + shift, exact when amp equals sigma_k of the
@@ -794,13 +798,11 @@ class AnisotropicPowerField:
     __call__ = eval
 
     def envelope_profiles(self):
-        l, m, amp = self.l, self.m, self.amp
-        star = RadialProfile.power_tail(l)
-        upper = RadialProfile.from_callable(
-            lambda r: (1.0 + np.asarray(r) ** 2) ** (-l / 2.0)
-            + amp * np.asarray(r) ** 2 * (1.0 + np.asarray(r) ** 2) ** (-(m + 2.0) / 2.0),
-            tail_exponent=min(l, m) if amp > 0 else l)
-        return star, upper
+        """Closed-form (b_*, b^*): b along e_2 and along e_1, the power terms
+        (1, 0, 1, l) and, for amp > 0, (amp, 1, 1, m + 2)."""
+        star = [(1.0, 0, 1.0, self.l)]
+        upper = star + ([(self.amp, 1, 1.0, self.m + 2.0)] if self.amp > 0 else [])
+        return RadialProfile.power_sum(star), RadialProfile.power_sum(upper)
 
 
 BUILTIN_FIELDS = {

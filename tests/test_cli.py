@@ -1207,6 +1207,45 @@ class TestTopLevelErrors:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert target.format(**paths) in err
 
+    @pytest.mark.parametrize("argv, target, failing", [
+        (["classify", "{spec}", "--out", "{old}"], "old", "classify_existence"),
+        (["verify", "--json", "{old}"], "old", "verify_mod.run_all"),
+        (["sweep", "{spec}", "--out", "{old}", "--jobs", "1"], "old", "_sweep_cell"),
+        (["solve", "{spec}", "--summary", "{old}"], "old", "write_curve_csv"),
+        (["solve", "{spec}", "--plot-data"], "spec_plotdata.csv", "write_curve_csv"),
+    ], ids=["classify-out", "verify-json", "sweep-out", "solve-summary", "solve-plot-data"])
+    def test_failing_command_leaves_an_existing_output_as_it_was(
+            self, monkeypatch, tmp_path, capsys, argv, target, failing):
+        # each output is written beside its path and moved onto it only when
+        # the command's work completes: a failure leaves the old file, and no
+        # new file, in its directory
+        paths = {"old": str(tmp_path / "old"), "spec": _write(tmp_path, "spec.json", _constant_spec(
+            grid={"r_max": 50.0, "nodes_per_decade": 16}))}
+        (tmp_path / target).write_text("old contents\n")
+        before = sorted(tmp_path.iterdir())
+
+        def fail(*args, **kwargs):
+            raise CoefficientError("failed on purpose")
+
+        owner, _, name = failing.rpartition(".")
+        monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, fail)
+        assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: failed on purpose\n"
+        assert (tmp_path / target).read_text() == "old contents\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_output_replaces_the_file_as_open_would_write_it(self, tmp_path, capsys):
+        old = tmp_path / "verdict.json"
+        old.write_text("old contents\n")
+        spec = _write(tmp_path, "spec.json", _constant_spec(grid={"r_max": 50.0}))
+        assert cli.main(["classify", spec, "--out", str(old)]) == EXIT_OK
+        assert json.loads(old.read_text()) == json.loads(capsys.readouterr().out)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json", "verdict.json"]
+        fresh = tmp_path / "fresh"
+        with open(fresh, "w"):
+            pass
+        assert old.stat().st_mode == fresh.stat().st_mode
+
     @pytest.mark.parametrize("command", ["classify", "solve", "sandwich", "sweep"])
     @pytest.mark.parametrize("tail", [{"tail_exponent": 1.0}, {}], ids=["tail", "no-tail"])
     def test_table_above_zero_refused_by_name(self, tmp_path, capsys, command, tail):

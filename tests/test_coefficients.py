@@ -105,10 +105,13 @@ class TestRadialProfile:
         RadialProfile.constant(2.5),
         RadialProfile.power_tail(1.3),
         RadialProfile.power_tail(1.3, m=4.7, A=0.6, r0=0.8, scale=2.0),
+        AnisotropicPowerField(l=1.3, m=7.0, amp=0.5).envelope_profiles()[1],
+        QuadraticRootField(weights=(2.0, 1.0, 1.0)).envelope_profiles()[0],
         RadialProfile.from_callable(lambda r: 3.0 * (1.0 + r * r) ** -0.65),
         RadialProfile.tabulated([0.0, 0.5, 2.0, 9.0, 40.0], [2.0, 1.5, 0.4, 0.1, 0.02],
                                 tail_exponent=1.5),
-    ], ids=["constant", "power_tail", "power_tail-perturbed", "callable", "tabulated"])
+    ], ids=["constant", "power_tail", "power_tail-perturbed", "anisotropic-upper",
+            "counterexample-star", "callable", "tabulated"])
     def test_scalar_call_equals_array_call(self, profile):
         # Bit for bit: numpy's scalar power can differ by an ulp from its
         # array loop, so a scalar fast path must still take the array route.
@@ -119,10 +122,13 @@ class TestRadialProfile:
         RadialProfile.constant(2.5),
         RadialProfile.power_tail(1.3),
         RadialProfile.power_tail(1.3, m=4.7, A=0.6, r0=0.8, scale=2.0),
+        AnisotropicPowerField(l=1.3, m=7.0, amp=0.5).envelope_profiles()[1],
+        QuadraticRootField(weights=(2.0, 1.0, 1.0)).envelope_profiles()[0],
         RadialProfile.from_callable(lambda r: 3.0 * (1.0 + r * r) ** -0.65),
         RadialProfile.tabulated([0.0, 0.5, 2.0, 9.0, 40.0], [2.0, 1.5, 0.4, 0.1, 0.02],
                                 tail_exponent=1.5),
-    ], ids=["constant", "power_tail", "power_tail-perturbed", "callable", "tabulated"])
+    ], ids=["constant", "power_tail", "power_tail-perturbed", "anisotropic-upper",
+            "counterexample-star", "callable", "tabulated"])
     def test_log_closure_matches_log_of_eval(self, profile):
         # The solver's float pieces s -> ln b(e^s) against the array path,
         # nodes of the table included: each point in the piece whose stop
@@ -413,6 +419,81 @@ class TestCellRules:
             (stop, rule), = profile.log_pieces(1e-3, 40.0)
             assert stop == math.log(40.0)
             assert rule(0.5) == pytest.approx(math.log(profile(math.exp(0.5))), rel=1e-14)
+
+
+@st.composite
+def _power_sums(draw):
+    """A sum of one to three positive power terms with a common scale: each
+    exponent 0 at times, so factors are dropped, and j up to 2."""
+    terms = draw(st.lists(st.tuples(st.floats(0.05, 20.0), st.integers(0, 2),
+                                    st.floats(0.1, 10.0),
+                                    st.one_of(st.just(0.0), st.floats(-3.0, 12.0))),
+                          min_size=1, max_size=3))
+    return RadialProfile.power_sum(terms, draw(st.floats(1e-3, 1e3)))
+
+
+class TestClosedForms:
+    """Every closed form is a power sum, computed by one array formula in
+    eval and one float rule in its stepper piece; the built-in fields'
+    envelopes are such sums."""
+
+    # eval(r) and exp of the rule at ln r agree to this many ulps per unit of
+    # the largest log a term's factors take (at least 1): exp turns an ulp of
+    # ln b into a relative error of that size.  Measured worst: 3.7.
+    ULPS_PER_LOG = 8.0
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_power_sums(), st.lists(st.floats(-7.0, 12.0), min_size=1, max_size=40))
+    def test_eval_is_exp_of_the_piece_rule(self, profile, logs):
+        (_, rule), = profile.log_pieces(1e-4, 1e6)
+        s = np.array(logs)
+        r = np.exp(s)
+        want = np.exp([rule(x) for x in logs])
+        size = np.max([abs(math.log(c)) + 2 * j * np.abs(s)
+                       + abs(p) / 2.0 * np.abs(np.log(rho ** 2 + r * r))
+                       for c, j, rho, p in profile.terms], axis=0)
+        size = np.maximum(1.0, size + abs(math.log(profile.scale)))
+        got = profile(r)
+        assert np.all(np.abs(got - want) <= self.ULPS_PER_LOG * size * np.spacing(got))
+
+    def test_one_term_rules_drop_the_zero_exponents(self):
+        # constant: a stored log; one power_tail term: today's straight line
+        assert RadialProfile.constant(2.5).log_pieces(1.0, 2.0)[0][1](7.0) == math.log(2.5)
+        (_, rule), = RadialProfile.power_tail(1.3, r0=0.8, scale=2.0).log_pieces(1.0, 2.0)
+        r = math.exp(0.7)
+        assert rule(0.7) == math.log(2.0) - 0.65 * math.log(0.8 ** 2 + r * r)
+
+    @pytest.mark.parametrize("l, m, amp, dim", [
+        (1.0, 8.0, 0.5, 3), (1.3, 7.0, 0.37, 5), (9.0, 7.3, 2.0, 2), (0.0, 0.5, 1.0, 4),
+        (2.5, 1.1, 0.0, 3), (-0.5, 3.0, 0.8, 6)])
+    def test_anisotropic_envelopes_are_the_field_on_its_axes(self, l, m, amp, dim):
+        # b_* is b along e_2 and b^* along e_1, to the bit; both tails are the
+        # field's.  The term's p is m + 2 rounded, so its tail p - 2 is m to
+        # within the rounding of m + 2 (m = 7.3 reads 7.300000000000001).
+        field = AnisotropicPowerField(l=l, m=m, amp=amp, dim=dim)
+        star, upper = field.envelope_profiles()
+        r = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+        for profile, axis in ((star, 1), (upper, 0)):
+            points = np.zeros((r.size, dim))
+            points[:, axis] = r
+            np.testing.assert_array_equal(profile(r), field(points))
+        assert star.tail_exponent == field.tail_star
+        assert abs(upper.tail_exponent - field.tail_upper) <= math.ulp(m + 2.0) / 2.0
+
+    @pytest.mark.parametrize("weights, shift, amp", [
+        ((2.0, 1.0, 1.0), 1.0, 8.0), ((3.7, 0.2, 1.1, 5.0), 0.3, 0.37), ((1.0, 1.0), 7.9, 8.0)])
+    def test_counterexample_envelopes_are_the_field_on_its_axes(self, weights, shift, amp):
+        # b_* is b along the axis of the largest weight and b^* along the
+        # smallest, to 4 ulps: amp / sqrt(w) and shift / w round once each
+        field = QuadraticRootField(weights=weights, shift=shift, amp=amp)
+        r = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+        for profile, axis in zip(field.envelope_profiles(),
+                                 (np.argmax(weights), np.argmin(weights))):
+            points = np.zeros((r.size, len(weights)))
+            points[:, axis] = r
+            want = field(points)
+            assert np.all(np.abs(profile(r) - want) <= 4.0 * np.spacing(want))
+            assert profile.tail_exponent == field.tail_star == field.tail_upper
 
 
 class TestAdmissibilityRule:

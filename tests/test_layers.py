@@ -15,7 +15,9 @@ is built in one place, ``ProblemSpec.from_dict``; and one function,
 are admissible, wherever b meets radii.  A table's float ln b in ln r has one
 form, the per-cell pieces of ``RadialProfile.log_pieces``, and only ``solver``
 steps by them; a declared tail is the table's last log-log cell, so each
-cell has one rule, log-log or linear.  ``radialize`` draws its unit-sphere rows from one
+cell has one rule, log-log or linear.  Every closed form is a sum of power
+terms, computed by one array formula and one float rule, the built-in
+fields' envelopes included.  ``radialize`` draws its unit-sphere rows from one
 per-process store in ``coefficients``.  Each size bound lives
 where its arrays are laid: the grid cap in ``core``, the conservation
 check's refinement in ``solver`` and both sphere-count bounds in
@@ -214,6 +216,25 @@ def test_one_formula_per_table_cell():
     assert isinstance(returned, ast.ListComp) and isinstance(returned.elt, ast.IfExp)
     assert sorted(ast.unparse(branch.func) for branch in (returned.elt.body, returned.elt.orelse)
                   if isinstance(branch, ast.Call)) == ["_linear_rule", "_loglog_rule"]
+
+
+def test_one_closed_form():
+    # every closed form is a power sum: eval, the float rule and scaled never
+    # branch on the constant or power_tail kind, no field envelope is a
+    # callable profile, and power_tail leaves its tail to the one derivation
+    functions = dict(_functions(ast.parse((PACKAGE / "coefficients.py").read_text())))
+    for name in ("RadialProfile.eval", "RadialProfile._log_formula", "RadialProfile.scaled"):
+        compared = {node.value for compare in ast.walk(functions[name])
+                    if isinstance(compare, ast.Compare) and "kind" in ast.unparse(compare)
+                    for node in ast.walk(compare) if isinstance(node, ast.Constant)}
+        assert not compared & {"constant", "power_tail"}, name
+    envelopes = [function for name, function in functions.items()
+                 if name.endswith(".envelope_profiles")]
+    assert len(envelopes) == 2
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "from_callable"
+                   for function in envelopes for node in ast.walk(function))
+    assert not any(isinstance(node, ast.Call) and ast.unparse(node.func) == "min"
+                   for node in ast.walk(functions["RadialProfile.power_tail"]))
 
 
 def test_spec_coefficient_built_only_when_read():
