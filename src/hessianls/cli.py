@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -319,22 +318,20 @@ def _output(path, newline=None):
     that is a directory, or in one that cannot hold a file, is refused
     before any work."""
     directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
     try:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        handle = tempfile.NamedTemporaryFile("w", newline=newline, dir=directory,
-                                             prefix=f".{name}.", delete=False)
+        # "x" never opens an existing file, and makes one as open(path, "w") would
+        handle = open(temporary, "x", newline=newline)
     except OSError as exc:   # named by the target, not the new file
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(handle.name, 0o666 & ~umask)   # as open(path, "w") would make it
             yield handle
-        os.replace(handle.name, path)
+        os.replace(temporary, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temporary)
         raise
 
 
