@@ -457,7 +457,7 @@ class TestClosedForms:
         assert np.all(np.abs(got - want) <= self.ULPS_PER_LOG * size * np.spacing(got))
 
     def test_one_term_rules_drop_the_zero_exponents(self):
-        # constant: a stored log; one power_tail term: today's straight line
+        # constant: a stored log; one power_tail term: ln scale - (l/2) ln(r0^2 + r^2)
         assert RadialProfile.constant(2.5).log_pieces(1.0, 2.0)[0][1](7.0) == math.log(2.5)
         (_, rule), = RadialProfile.power_tail(1.3, r0=0.8, scale=2.0).log_pieces(1.0, 2.0)
         r = math.exp(0.7)
