@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import csv
-import errno
 import functools
 import itertools
 import json
@@ -38,7 +36,7 @@ from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_COUNT, MAX_SPHERE_DIM, MIN
                            RadialProfile, check_coefficient, load_profile_csv, radialize,
                            triple_from_radial)
 from .core import (LOG_FLOAT_MAX, MAX_GRID_NODES, ProblemParams, RadialGrid,
-                   gamma_k_membership)
+                   gamma_k_membership, output_file)
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
                        jensen_conditions, oscillation_condition, oscillation_verdict)
 from .envelope import EnvelopeTables
@@ -310,31 +308,6 @@ def _out_path(args_out, spec_path, suffix):
     return stem + suffix
 
 
-@contextlib.contextmanager
-def _output(path, newline=None):
-    """A text handle on a new file beside ``path`` that replaces ``path`` once
-    the block completes and is removed if it raises, so a failing command
-    leaves an existing file as it was.  The file is made at once: a ``path``
-    that is a directory, or in one that cannot hold a file, is refused
-    before any work."""
-    directory, name = os.path.split(os.path.abspath(path))
-    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
-    try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        # "x" never opens an existing file, and makes one as open(path, "w") would
-        handle = open(temporary, "x", newline=newline)
-    except OSError as exc:   # named by the target, not the new file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with handle:
-            yield handle
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
-
-
 def cmd_solve(args) -> int:
     spec = load_spec(args.spec)
     profile = spec.radial_profile()
@@ -353,13 +326,10 @@ def cmd_solve(args) -> int:
     }
     if args.plot_data:
         summary["plot_data_csv"] = _out_path(None, args.spec, "_plotdata.csv")
-    # every output is opened before any is written: a path that cannot be
-    # opened leaves no file with data in it, and a failed write the old ones
-    with contextlib.ExitStack() as files:
-        summary_out = files.enter_context(
-            _output(_out_path(args.summary, args.spec, "_summary.json")))
-        plot_out = (files.enter_context(_output(summary["plot_data_csv"], newline=""))
-                    if args.plot_data else None)
+    # the summary and plot data are opened before the curve is written: a path
+    # that cannot be opened leaves no file with data in it; each lands by replace
+    with (output_file(_out_path(args.summary, args.spec, "_summary.json")) as summary_out,
+          output_file(summary.get("plot_data_csv"), newline="") as plot_out):
         write_curve_csv(curve, curve_path, spec.params, profile)
         if plot_out is not None:
             plot_out.write("r,series,value\n")
@@ -376,8 +346,7 @@ def cmd_classify(args) -> int:
     spec = load_spec(args.spec)
     # the output is opened before any work: a path that cannot be opened is
     # refused before the criteria run, and prints no verdict
-    out = _output(args.out) if args.out else contextlib.nullcontext()
-    with out as handle:
+    with output_file(args.out) as handle:
         triple = spec.triple(sphere_count=sphere_count)
         tables = EnvelopeTables(spec.params, triple, spec.grid_cfg["r_max"])
         verdict = classify_existence(tables)
@@ -433,8 +402,7 @@ def cmd_sandwich(args) -> int:
 def cmd_verify(args) -> int:
     # the summary path is opened first: one that cannot be written is refused
     # before the suite runs
-    out = _output(args.json) if args.json else contextlib.nullcontext()
-    with out as handle:
+    with output_file(args.json) as handle:
         results = verify_mod.run_all()
         failed = [r for r in results if not r.passed]
         for r in results:
@@ -556,14 +524,13 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     # the arguments are checked; an output that cannot be written is refused
     # before any cell is solved
-    out = _output(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as handle:
+    with output_file(args.out, newline="") as handle:
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_cell, payloads))
         else:
             rows = [_sweep_cell(p) for p in payloads]
-        writer = csv.DictWriter(handle, _SWEEP_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(handle or sys.stdout, _SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     return EXIT_OK

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import RadialGrid
+from .core import RadialGrid, output_file
 from .errors import CoefficientError, ProfileRangeError, TableError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -403,10 +403,10 @@ class RadialProfile:
 
 
 def save_profile_csv(profile: RadialProfile, path) -> None:
-    """Write a tabulated profile as two-column CSV with an ``r,b`` header."""
+    """Write a tabulated profile by replace, as two-column CSV with an ``r,b`` header."""
     if profile.kind != "tabulated":
         raise CoefficientError("only tabulated profiles round-trip through CSV")
-    with open(path, "w", newline="") as handle:
+    with output_file(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["r", "b"])
         for r, b in zip(profile.radii, profile.values):

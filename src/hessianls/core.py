@@ -13,7 +13,10 @@ direction and sigma_j has the limit C(n, j) * u''(0)^j.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -270,3 +273,32 @@ def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
     for j in range(1, params.k + 1):
         ok &= np.asarray(sigma_j_radial(j, ratio, 1.0, params.n)) > 0.0
     return ok
+
+
+@contextlib.contextmanager
+def output_file(path, newline=None):
+    """A text handle (None for a ``path`` of None) on a new file beside ``path``, which
+    replaces it when the block completes and is removed if it raises; made at once, so a
+    path that cannot be written is refused before any work.  Every output goes through it."""
+    if path is None:
+        yield None
+        return
+    target = os.path.realpath(path)   # a link is written through, as by open(path, "w")
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+    try:
+        if not os.fspath(path):   # as open("") refuses it
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # "x" never opens an existing file, and makes one as open(path, "w") would
+        handle = open(temporary, "x", newline=newline)
+    except OSError as exc:   # named by the target, not the new file
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import RadializedTriple
-from .core import ProblemParams, RadialCurve, RadialGrid
+from .core import ProblemParams, RadialCurve, RadialGrid, output_file
 from .criteria import (OscillationReport, oscillation_condition, oscillation_evidence,
                        oscillation_verdict)
 from .envelope import EnvelopeTables, bounded_solution_bound, growth_primitive
@@ -80,14 +80,14 @@ class SandwichReport:
         }
 
     def save(self, directory, triple: RadializedTriple) -> dict:
-        """Write v.csv, w.csv and report.json into ``directory``."""
+        """Write v.csv, w.csv and report.json (opened first, landing last) into ``directory``."""
         os.makedirs(directory, exist_ok=True)
-        v_path = os.path.join(directory, "v.csv")
-        w_path = os.path.join(directory, "w.csv")
-        write_curve_csv(self.v, v_path, self.params.with_center(1.0), triple.b_upper)
-        write_curve_csv(self.w, w_path, self.params.with_center(self.beta), triple.b_star)
         payload = self.to_dict(v_csv="v.csv", w_csv="w.csv")
-        with open(os.path.join(directory, "report.json"), "w") as handle:
+        with output_file(os.path.join(directory, "report.json")) as handle:
+            write_curve_csv(self.v, os.path.join(directory, "v.csv"),
+                            self.params.with_center(1.0), triple.b_upper)
+            write_curve_csv(self.w, os.path.join(directory, "w.csv"),
+                            self.params.with_center(self.beta), triple.b_star)
             json.dump(payload, handle, indent=2)
         return payload
 

@@ -481,11 +481,12 @@ def write_curve_csv(curve: RadialCurve, path, params: ProblemParams, b) -> None:
     """Write the curve as CSV with header r,u,du,d2u,sigma_k_residual, the
     last column the relative defect sigma_k / (b u^gamma) - 1.
 
-    Floats carry 17 significant digits so the file round-trips exactly.
+    Floats carry 17 significant digits so the file round-trips exactly.  It
+    lands by replace (:func:`core.output_file`) before this returns.
     """
     columns = (curve.grid.nodes, curve.u, curve.du, curve.d2u,
                _sigma_k_defect(curve, params, b))
-    with open(path, "w", newline="") as handle:
+    with core.output_file(path, newline="") as handle:
         handle.write("r,u,du,d2u,sigma_k_residual\n")
         # Python floats format faster than numpy scalars, to the same digits
         handle.writelines(f"{r:.17g},{u:.17g},{du:.17g},{d2u:.17g},{resid:.17g}\n"

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -1173,15 +1174,16 @@ class TestTopLevelErrors:
         (["sweep", "{spec}", "--out", "{dir}"], "{dir}"),
         (["verify", "--json", "{dir}"], "{dir}"),
         (["sandwich", "{spec}", "--out", "{file}"], "{file}"),
+        (["classify", "{spec}", "--out", ""], "No such file or directory: ''"),
     ], ids=["classify-spec", "classify-out", "solve-curve", "solve-summary", "sweep-out",
-            "verify-json", "sandwich-out"])
+            "verify-json", "sandwich-out", "classify-out-empty"])
     def test_unopenable_path_exits_invalid(self, monkeypatch, tmp_path, capsys, argv, target):
-        # A directory where a file is read or written, or a file where the
-        # sandwich directory goes: one error line naming the path, no traceback,
-        # and nothing on stdout.  classify, sweep, verify and sandwich refuse
-        # their output before any work: no criterion runs, no cell is solved,
-        # the suite does not run and no envelope is solved; solve opens its
-        # summary before it writes the curve.
+        # A directory where a file is read or written, an empty output path, or
+        # a file where the sandwich directory goes: one error line naming the
+        # path, no traceback, and nothing on stdout.  classify, sweep, verify
+        # and sandwich refuse their output before any work: no criterion runs,
+        # no cell is solved, the suite does not run and no envelope is solved;
+        # solve opens its summary before it writes the curve.
         paths = {"dir": str(tmp_path / "taken"), "file": str(tmp_path / "taken.txt"),
                  "spec": _write(tmp_path, "spec.json", _constant_spec(
                      grid={"r_max": 50.0, "nodes_per_decade": 16}))}
@@ -1207,44 +1209,70 @@ class TestTopLevelErrors:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert target.format(**paths) in err
 
-    @pytest.mark.parametrize("argv, target, failing", [
-        (["classify", "{spec}", "--out", "{old}"], "old", "classify_existence"),
-        (["verify", "--json", "{old}"], "old", "verify_mod.run_all"),
-        (["sweep", "{spec}", "--out", "{old}", "--jobs", "1"], "old", "_sweep_cell"),
-        (["solve", "{spec}", "--summary", "{old}"], "old", "write_curve_csv"),
-        (["solve", "{spec}", "--plot-data"], "spec_plotdata.csv", "write_curve_csv"),
-    ], ids=["classify-out", "verify-json", "sweep-out", "solve-summary", "solve-plot-data"])
+    @pytest.mark.parametrize("argv, targets, failing", [
+        (["classify", "{spec}", "--out", "{old}"], ["old"], "classify_existence"),
+        (["verify", "--json", "{old}"], ["old"], "verify.run_all"),
+        (["sweep", "{spec}", "--out", "{old}", "--jobs", "1"], ["old"], "_sweep_cell"),
+        (["solve", "{spec}", "--summary", "{old}"], ["old"], "write_curve_csv"),
+        (["solve", "{spec}", "--plot-data"], ["spec_plotdata.csv"], "write_curve_csv"),
+        # zip runs once the curve file is open: the write fails part way
+        (["solve", "{spec}", "--curve", "{old}"], ["old"], "solver.zip"),
+        (["sandwich", "{spec}", "--out", "{old}"], ["old/v.csv", "old/w.csv", "old/report.json"],
+         "solver.zip"),
+    ], ids=["classify-out", "verify-json", "sweep-out", "solve-summary", "solve-plot-data",
+            "solve-curve", "sandwich-out"])
     def test_failing_command_leaves_an_existing_output_as_it_was(
-            self, monkeypatch, tmp_path, capsys, argv, target, failing):
+            self, monkeypatch, tmp_path, capsys, argv, targets, failing):
         # each output is written beside its path and moved onto it only when
-        # the command's work completes: a failure leaves the old file, and no
-        # new file, in its directory
+        # its writing completes: a failure leaves the old files, and no new
+        # file, in their directory
         paths = {"old": str(tmp_path / "old"), "spec": _write(tmp_path, "spec.json", _constant_spec(
             grid={"r_max": 50.0, "nodes_per_decade": 16}))}
-        (tmp_path / target).write_text("old contents\n")
-        before = sorted(tmp_path.iterdir())
+        for target in targets:
+            (tmp_path / target).parent.mkdir(exist_ok=True)
+            (tmp_path / target).write_text("old contents\n")
+        before = sorted(tmp_path.rglob("*"))
 
         def fail(*args, **kwargs):
             raise CoefficientError("failed on purpose")
 
         owner, _, name = failing.rpartition(".")
-        monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, fail)
+        # raising=False: a builtin such as zip is shadowed in the module
+        monkeypatch.setattr(importlib.import_module(f"hessianls.{owner}") if owner else cli,
+                            name, fail, raising=False)
         assert cli.main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
         assert capsys.readouterr().err == "error: failed on purpose\n"
-        assert (tmp_path / target).read_text() == "old contents\n"
-        assert sorted(tmp_path.iterdir()) == before
+        for target in targets:
+            assert (tmp_path / target).read_text() == "old contents\n", target
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_output_replaces_the_file_as_open_would_write_it(self, tmp_path, capsys):
-        old = tmp_path / "verdict.json"
-        old.write_text("old contents\n")
+        # classify --out, solve --curve and the three sandwich files each
+        # replace an old file, leave nothing beside it, and take the mode a
+        # fresh open(path, "w") gives
         spec = _write(tmp_path, "spec.json", _constant_spec(grid={"r_max": 50.0}))
-        assert cli.main(["classify", spec, "--out", str(old)]) == EXIT_OK
-        assert json.loads(old.read_text()) == json.loads(capsys.readouterr().out)
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json", "verdict.json"]
+        names = ["curve.csv", "sandwich/report.json", "sandwich/v.csv", "sandwich/w.csv",
+                 "verdict.json"]
+        (tmp_path / "sandwich").mkdir()
+        for name in names:
+            (tmp_path / name).write_text("old contents\n")
+        assert cli.main(["classify", spec, "--out", str(tmp_path / "verdict.json")]) == EXIT_OK
+        assert json.loads((tmp_path / "verdict.json").read_text()) == json.loads(
+            capsys.readouterr().out)
+        assert cli.main(["solve", spec, "--curve", str(tmp_path / "curve.csv")]) == EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["sandwich", spec, "--out", str(tmp_path / "sandwich")]) == EXIT_OK
+        assert json.loads((tmp_path / "sandwich" / "report.json").read_text()) == json.loads(
+            capsys.readouterr().out)
+        for name in ("curve.csv", "sandwich/v.csv", "sandwich/w.csv"):
+            assert (tmp_path / name).read_text().startswith("r,u,du,d2u,sigma_k_residual\n")
+        assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == \
+            sorted(names + ["sandwich", "spec.json", "spec_summary.json"])
         fresh = tmp_path / "fresh"
         with open(fresh, "w"):
             pass
-        assert old.stat().st_mode == fresh.stat().st_mode
+        for name in names:
+            assert (tmp_path / name).stat().st_mode == fresh.stat().st_mode, name
 
     @pytest.mark.parametrize("command", ["classify", "solve", "sandwich", "sweep"])
     @pytest.mark.parametrize("tail", [{"tail_exponent": 1.0}, {}], ids=["tail", "no-tail"])

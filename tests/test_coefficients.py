@@ -231,6 +231,22 @@ class TestTabulatedProfile:
         np.testing.assert_array_equal(back.radii, r_tab)
         np.testing.assert_array_equal(back.values, vals)
 
+    def test_failed_csv_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # zip runs once the file is open, so the write fails part way; the
+        # file lands by replace only when the write completes
+        b = RadialProfile.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.25], tail_exponent=1.0)
+        path = tmp_path / "profile.csv"
+        path.write_text("old contents\n")
+
+        def fail(*args):
+            raise OSError("failed on purpose")
+
+        monkeypatch.setattr(coefficients, "zip", fail, raising=False)
+        with pytest.raises(OSError, match="failed on purpose"):
+            save_profile_csv(b, path)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("content, message", [
         ("r,b\n0,1\n1,2\n2,x\n", "line 4, column 2: 'x' is not a number"),
         ("r,b\n0,1\n\n1,2\nx,3\n", "line 5, column 1: 'x' is not a number"),

@@ -18,10 +18,11 @@ steps by them; a declared tail is the table's last log-log cell, so each
 cell has one rule, log-log or linear.  Every closed form is a sum of power
 terms, computed by one array formula and one float rule, the built-in
 fields' envelopes included.  ``radialize`` draws its unit-sphere rows from one
-per-process store in ``coefficients``.  Each size bound lives
-where its arrays are laid: the grid cap in ``core``, the conservation
-check's refinement in ``solver`` and both sphere-count bounds in
-``coefficients``; ``cli`` only names the spec field.
+per-process store in ``coefficients``.  Every file the package writes is
+opened by one helper, ``core.output_file``, and lands by replace.  Each
+size bound lives where its arrays are laid: the grid cap in ``core``, the
+conservation check's refinement in ``solver`` and both sphere-count bounds
+in ``coefficients``; ``cli`` only names the spec field.
 """
 
 import ast
@@ -235,6 +236,27 @@ def test_one_closed_form():
                    for function in envelopes for node in ast.walk(function))
     assert not any(isinstance(node, ast.Call) and ast.unparse(node.func) == "min"
                    for node in ast.walk(functions["RadialProfile.power_tail"]))
+
+
+def _opens_for_writing(tree):
+    """Every call of ``open`` whose mode holds w, a or x, or is not a literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(not isinstance(mode, ast.Constant) or set(mode.value) & set("wax")
+                   for mode in modes):
+                yield node
+
+
+def test_one_file_writer():
+    # every file the package writes is made by core.output_file beside its
+    # target and moved onto it by replace: no other code opens a file to write
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text())
+             for module in ("__init__",) + LAYERS}
+    writers = {module: list(_opens_for_writing(tree)) for module, tree in trees.items()}
+    assert [module for module, calls in writers.items() if calls] == ["core"]
+    helper = dict(_functions(trees["core"]))["output_file"]
+    assert writers["core"] == list(_opens_for_writing(helper)) and len(writers["core"]) == 1
 
 
 def test_spec_coefficient_built_only_when_read():

@@ -338,6 +338,33 @@ class TestSolveCauchy:
         np.testing.assert_array_equal(back.du, curve.du)
         np.testing.assert_array_equal(back.d2u, curve.d2u)
 
+    def test_failed_curve_write_leaves_the_old_file(self, laplace_params, tmp_path,
+                                                    monkeypatch):
+        # zip runs once the file is open, so the write fails part way; the
+        # file lands by replace only when the write completes
+        curve = solve_cauchy(laplace_params, B_ONE, RadialGrid.build(50.0, nodes_per_decade=12))
+        path = tmp_path / "curve.csv"
+        path.write_text("old contents\n")
+
+        def fail(*args):
+            raise OSError("failed on purpose")
+
+        monkeypatch.setattr(solver, "zip", fail, raising=False)
+        with pytest.raises(OSError, match="failed on purpose"):
+            write_curve_csv(curve, path, laplace_params, B_ONE)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_curve_write_goes_through_a_link(self, laplace_params, tmp_path):
+        # as open(path, "w") would: the linked file is replaced, not the link
+        curve = solve_cauchy(laplace_params, B_ONE, RadialGrid.build(50.0, nodes_per_decade=12))
+        (tmp_path / "curve.csv").write_text("old contents\n")
+        (tmp_path / "link.csv").symlink_to("curve.csv")
+        write_curve_csv(curve, tmp_path / "link.csv", laplace_params, B_ONE)
+        assert (tmp_path / "link.csv").is_symlink()
+        np.testing.assert_array_equal(read_curve_csv(tmp_path / "curve.csv").u, curve.u)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["curve.csv", "link.csv"]
+
 
 # ---------------------------------------------------------------------------
 # the stepper kernel against the generic stepper it replaced
