@@ -39,12 +39,12 @@ from .core import (LOG_FLOAT_MAX, MAX_GRID_NODES, ProblemParams, RadialGrid,
                    gamma_k_membership, output_file)
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
                        jensen_conditions, oscillation_condition, oscillation_verdict)
-from .envelope import EnvelopeTables
+from .envelope import EnvelopeTables, flux_panels
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, conservation_defect,
-                     conservation_refinement, residual_max, solve_cauchy, write_curve_csv)
+                     residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,16 +121,19 @@ _VARY_SECTIONS = {key: section for section, tables in (
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
 # Size budget.  RadialGrid.build holds a spec's grid to MAX_GRID_NODES and
-# radialize the sphere count to MAX_SPHERE_COUNT; the spec reader holds the
-# conservation check's refinement of the grid (solver.conservation_refinement)
-# to twice MAX_GRID_NODES, naming spec.n.  The check merges a table's radii
-# into those nodes: at most one extra cell per radius the table already holds.
-# The J tables (envelope.fine_nodes) do not refine the spec grid: they refine
-# the default grid for r_max 4x (at most 59,185 nodes, at r_max near the float
-# maximum) and merge in the radii asked for, the spec grid's nodes where
-# sandwich asks.  That is at most about 110,000 nodes, 10 MB per (cells, 12)
-# array of Gauss points.  The goldens and benchmarks ask for at most about
-# 250 nodes and 256 points.
+# radialize the sphere count to MAX_SPHERE_COUNT.  envelope.flux_integral cuts
+# each cell it is given into envelope.flux_panels(n) Gauss panels and refuses,
+# naming n, more than envelope.MAX_ADDED_PANELS added ones, before it lays
+# them.  The spec reader holds the conservation check's grid, cut that way, to
+# twice MAX_GRID_NODES nodes, naming spec.n; the check merges a table's radii
+# into the grid's nodes: at most one extra cell per radius the table already
+# holds.  The J tables (envelope.fine_nodes) do not refine the spec grid: they
+# refine the default grid for r_max 4x (at most 59,185 nodes, at r_max near
+# the float maximum) and merge in the radii asked for, the spec grid's nodes
+# where sandwich asks, and lay those fine cells times flux_panels(n) panels,
+# bounded where they are laid.  At n <= 16, one panel per cell, that is at most
+# about 110,000 cells, 10 MB per (cells, 12) array of Gauss points.  The goldens
+# and benchmarks ask for at most about 250 nodes and 256 points.
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -187,7 +190,7 @@ class ProblemSpec:
             grid = RadialGrid.build(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
-        fine = (len(grid) - 1) * conservation_refinement(params.n) + 1
+        fine = (len(grid) - 1) * flux_panels(params.n) + 1
         if fine > 2 * MAX_GRID_NODES:
             raise ParameterError(f"spec.n: the conservation check refines the grid to {fine} "
                                  f"nodes at n = {params.n}; at most {2 * MAX_GRID_NODES}")

@@ -769,11 +769,11 @@ class AnisotropicPowerField:
 
     @property
     def tail_star(self) -> float:
-        return float(self.l)
+        return self.envelope_profiles()[0].tail_exponent
 
     @property
     def tail_upper(self) -> float:
-        return float(min(self.l, self.m)) if self.amp > 0 else float(self.l)
+        return self.envelope_profiles()[1].tail_exponent
 
     @property
     def tail_osc(self) -> float:

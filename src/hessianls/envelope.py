@@ -33,7 +33,7 @@ import numpy as np
 
 from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
 from .coefficients import RadializedTriple, check_coefficient
-from .core import ProblemParams, RadialGrid
+from .core import MAX_GRID_NODES, ProblemParams, RadialGrid
 from .errors import DomainTooLargeError, IntegrationError, ParameterError
 
 # A node this close (relative) to a requested radius gives way to it: the
@@ -51,6 +51,17 @@ _BLOCK_SEGMENTS = 1024
 # A defect against epsilon takes its first block this small: a failing
 # round's largest sample is its first segments'.
 _FIRST_BLOCK_SEGMENTS = 16
+# The most Gauss panels flux_integral lays beyond the cells it is given (it
+# refuses more, naming n, before it lays any): 20 MB per (panels, 12) array.
+MAX_ADDED_PANELS = 2 * MAX_GRID_NODES
+
+
+# A 12-point panel on [0, h] is exact for s^(n-1) only up to n = 24, and one on
+# [a, c] resolves it while (n - 1) ln(c / a) <= 16, as the last of ceil(n / 16)
+# even panels of a cell from 0 does.  One panel, the cell itself, for n <= 16.
+def flux_panels(n: int) -> int:
+    """ceil(n / 16): the Gauss panels :func:`flux_integral` lays per cell."""
+    return -(-n // 16)
 
 
 def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
@@ -67,9 +78,16 @@ def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
 def flux_integral(params: ProblemParams, b, nodes, psi=None,
                   start: float = -math.inf) -> np.ndarray:
     """ln(e^start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma) at every
-    node r (``psi`` None: psi = 1), one 12-point Gauss panel per cell scaled by
-    s^(n-1) psi^gamma at its last, largest Gauss point, so no power overflows."""
-    n, gam = params.n, params.gamma
+    node r (``psi`` None: psi = 1): flux_panels(n) even 12-point Gauss panels per
+    cell, scaled by s^(n-1) psi^gamma at their largest point, so no power overflows."""
+    n, gam, cut = params.n, params.gamma, flux_panels(params.n)
+    if cut > 1:
+        nodes = np.asarray(nodes, dtype=float)
+        added = (nodes.size - 1) * (cut - 1)
+        if added > MAX_ADDED_PANELS:
+            raise ParameterError(f"n = {n}: {added} added flux panels, at most {MAX_ADDED_PANELS}")
+        lo = nodes[:-1, None]
+        nodes = np.append(lo + (nodes[1:, None] - lo) * (np.arange(cut) / cut), nodes[-1])
 
     def weighted(pts):  # b may underflow to 0 here: a steep tail still integrates
         s, top = pts.ravel(), pts[:, -1:]
@@ -80,7 +98,7 @@ def flux_integral(params: ProblemParams, b, nodes, psi=None,
         psi_top = psi_vals[:, -1:]
         return ((n - 1) * np.log(top[:, 0]) + gam * np.log(psi_top[:, 0]),
                 vals * (psi_vals / psi_top) ** gam)
-    return panel_cumulative(weighted, nodes, start)
+    return panel_cumulative(weighted, nodes, start)[::cut]
 
 
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
@@ -172,7 +190,7 @@ class EnvelopeTables:
     """What the finite parts of one op share on [0, r_max] for ``triple``.
 
     Each member is computed the first time it is read: the fine nodes, b_*
-    at the Gauss points of their cells (checked once), the J table
+    at the Gauss points of their cells' flux panels (checked once), the J table
     (ln inner, J, integral_0^r J) on them, and b_* and b_osc on the nodes.
     So one classify tabulates b_* and J once for the existence, oscillation
     and moment criteria.  Build one per op; nothing here outlives it.
@@ -187,9 +205,9 @@ class EnvelopeTables:
         return fine_nodes(self.r_max)
 
     def _star_at_gauss(self, s) -> np.ndarray:
-        """b_* at ``s``, the Gauss points of the cells of :attr:`fine`: every
-        flux integral here runs on those nodes, so b_* is evaluated and
-        checked on the first call only."""
+        """b_* at ``s``, the Gauss points of the flux panels of :attr:`fine`:
+        every flux integral here runs on those nodes at one n, so b_* is
+        evaluated and checked on the first call only."""
         if self._star_gauss is None:
             self._star_gauss = check_coefficient(self.triple.b_star(s), s, nonnegative=True)
         return self._star_gauss
@@ -369,7 +387,9 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
 def _segment_rows(params: ProblemParams, b, radii: np.ndarray):
     """Per segment of ``radii``, split at its midpoint into two Gauss panels:
     the offsets s - lo of its 24 points from the segment start and their
-    weights w half s^(n-1) b(s), as lists of 24-element rows."""
+    weights w half s^(n-1) b(s), as lists of 24-element rows.  Two panels per
+    segment resolve s^(n-1) only while (n - 1) ln 2 <= 16; the defect, which
+    runs through :func:`flux_integral`, still decides each round."""
     lo = radii[:-1]
     nodes = np.empty(2 * lo.size + 1)
     nodes[:-1:2] = lo
@@ -396,12 +416,13 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b,
     started from the last one's; psi at a Gauss point is taken from the
     segment the cell lies in.  The blocks change no bit of the samples.
     """
-    cells = 2 * _DEFECT_SAMPLES_PER_SEGMENT
+    cells, cut = 2 * _DEFECT_SAMPLES_PER_SEGMENT, flux_panels(params.n)
     fractions = np.arange(1, cells + 1) / cells
     radii, values, slopes = line.radii, line.values, line.slopes
-    points = cells * GAUSS_WEIGHTS.size  # Gauss points per segment
-    log_inner, worst = -math.inf, []
-    first, size = 0, min(_FIRST_BLOCK_SEGMENTS, _BLOCK_SEGMENTS)
+    points = cells * cut * GAUSS_WEIGHTS.size  # Gauss points per segment
+    # a block lays as many Gauss points at every n, within the panel budget
+    log_inner, worst, per_block = -math.inf, [], max(_BLOCK_SEGMENTS // cut, 1)
+    first, size = 0, min(_FIRST_BLOCK_SEGMENTS, per_block)
     while first < slopes.size:
         stop = min(first + size, slopes.size)
         lo = radii[first:stop, None]
@@ -416,5 +437,5 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b,
         worst.append(np.max(np.abs(sampled - flux_slope(params, nodes[2::2], block[2::2]))))
         if epsilon is not None and not worst[-1] < epsilon:
             break
-        first, size = stop, _BLOCK_SEGMENTS
+        first, size = stop, per_block
     return float(np.max(worst))

@@ -446,12 +446,6 @@ def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
     return float(np.max(np.abs(_sigma_k_defect(curve, params, b))))
 
 
-def conservation_refinement(n: int) -> int:
-    """max(2, ceil(n / 16)): :func:`conservation_defect`'s 12-point panels resolve
-    s^(n-1) on the grid's first linear cells once each is cut that many times."""
-    return max(2, -(-n // 16))
-
-
 def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """Relative mismatch between the propagated moment M and its defining
     integral recomputed from the solution by quadrature, from their logs.
@@ -461,18 +455,18 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     equation), whereas M ties u' to the history of u.  The quadrature
     evaluates u through the curve's dense output inside Gauss panels, so
     its own discretization error is negligible against the integrator
-    tolerance being measured.  A table's radii inside the grid are merged
-    into the refined nodes, each once, so no panel straddles a kink of b.
+    tolerance being measured.  It runs on the grid's own nodes, a table's
+    radii inside merged in once each, so no panel straddles a kink of b.
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    fine = curve.grid.refined(conservation_refinement(params.n))
+    nodes = curve.grid.nodes
     if b.radii is not None:
         # sort and drop exact repeats: numpy's set routines import numpy.ma
-        fine = np.sort(np.concatenate([fine, b.radii[(b.radii > 0.0) & (b.radii < fine[-1])]]))
-        fine = fine[np.concatenate([[True], fine[1:] != fine[:-1]])]
-    log_quad = flux_integral(params, b, fine, lambda s: curve.dense(s)[0])
-    pos = np.searchsorted(fine, curve.grid.nodes[1:])
+        nodes = np.sort(np.concatenate([nodes, b.radii[(b.radii > 0.0) & (b.radii < nodes[-1])]]))
+        nodes = nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
+    log_quad = flux_integral(params, b, nodes, lambda s: curve.dense(s)[0])
+    pos = np.searchsorted(nodes, curve.grid.nodes[1:])
     _, log_curve = curve.dense(curve.grid.nodes[1:])
     return float(np.max(np.abs(np.expm1(log_quad[pos] - log_curve))))
 

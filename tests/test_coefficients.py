@@ -484,8 +484,8 @@ class TestClosedForms:
         (2.5, 1.1, 0.0, 3), (-0.5, 3.0, 0.8, 6)])
     def test_anisotropic_envelopes_are_the_field_on_its_axes(self, l, m, amp, dim):
         # b_* is b along e_2 and b^* along e_1, to the bit; both tails are the
-        # field's.  The term's p is m + 2 rounded, so its tail p - 2 is m to
-        # within the rounding of m + 2 (m = 7.3 reads 7.300000000000001).
+        # field's, which reads them off these term sums (m = 7.3 reads
+        # 7.300000000000001: the term's p is m + 2 rounded).
         field = AnisotropicPowerField(l=l, m=m, amp=amp, dim=dim)
         star, upper = field.envelope_profiles()
         r = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
@@ -494,7 +494,8 @@ class TestClosedForms:
             points[:, axis] = r
             np.testing.assert_array_equal(profile(r), field(points))
         assert star.tail_exponent == field.tail_star
-        assert abs(upper.tail_exponent - field.tail_upper) <= math.ulp(m + 2.0) / 2.0
+        assert upper.tail_exponent == field.tail_upper
+        assert field.tail_upper == (min(l, (m + 2.0) - 2.0) if amp > 0 else l)
 
     @pytest.mark.parametrize("weights, shift, amp", [
         ((2.0, 1.0, 1.0), 1.0, 8.0), ((3.7, 0.2, 1.1, 5.0), 0.3, 0.37), ((1.0, 1.0), 7.9, 8.0)])

@@ -286,7 +286,8 @@ def test_spec_coefficient_built_only_when_read():
 
 # Each size bound and the one module that defines it.
 _SIZE_BOUNDS = {"MAX_GRID_NODES": "core", "MIN_SPHERE_COUNT": "coefficients",
-                "MAX_SPHERE_COUNT": "coefficients", "conservation_refinement": "solver"}
+                "MAX_SPHERE_COUNT": "coefficients", "flux_panels": "envelope",
+                "MAX_ADDED_PANELS": "envelope"}
 
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)
@@ -300,8 +301,8 @@ def test_one_home_per_size_bound(module):
         assert (name in defined) == (module == home), name
     assert bool(re.search(r"50_?000\b", source)) == (module == "core")
     assert bool(re.search(r"1 << 14|16384", source)) == (module == "coefficients")
-    # f(n) = max(2, ceil(n / 16)) is written once
-    assert bool(re.search(r"n\s*//?\s*16\b", source)) == (module == "solver")
+    # the flux panel rule ceil(n / 16) is written once
+    assert bool(re.search(r"n\s*//?\s*16\b", source)) == (module == "envelope")
 
 
 def test_cli_holds_no_node_arithmetic():
@@ -312,6 +313,6 @@ def test_cli_holds_no_node_arithmetic():
     functions = dict(_functions(ast.parse(source)))
     calls = {ast.unparse(node.func) for node in ast.walk(functions["ProblemSpec.from_dict"])
              if isinstance(node, ast.Call)}
-    assert {"RadialGrid.build", "conservation_refinement"} <= calls
+    assert {"RadialGrid.build", "flux_panels"} <= calls
     grid = functions["ProblemSpec.grid"]
     assert [ast.unparse(node) for node in grid.body] == ["return self.built_grid"]

@@ -12,7 +12,7 @@ from conftest import REFERENCE
 from hessianls.cli import EXIT_OK, ProblemSpec, main
 from hessianls.coefficients import RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
-from hessianls import envelope, solver
+from hessianls import _integrate, envelope, solver
 from hessianls.envelope import BreakLine, flux_integral, flux_slope
 from hessianls.errors import (
     BlowupGuardError,
@@ -608,6 +608,14 @@ class TestEulerPolyline:
         with pytest.raises(CoefficientError, match=rf"got {bad} at r = {radius:g}$"):
             euler_polyline(laplace_params, b, r_end=0.5, epsilon=1e-2)
 
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_builds_where_flux_panels_are_cut(self, n):
+        # beyond n = 16 the defect's cells are cut into flux panels, so its
+        # Gauss points per segment come from the same rule
+        params = ProblemParams(n=n, k=2, gamma=1.0)
+        line = euler_polyline(params, B_ONE, r_end=0.5, epsilon=1e-3)
+        assert breakline_defect(line, params, B_ONE) < 1e-3
+
     def test_segment_cap(self, laplace_params, monkeypatch):
         # epsilon = 1e-3 needs 257 segments (test_segment_counts_pinned);
         # under a cap of 64 the doubling gives up instead.
@@ -779,6 +787,62 @@ class TestFluxIntegralRule:
         assert steep(nodes[-1]) == 0.0
         log_inner = flux_integral(laplace_params, steep, np.concatenate([[0.0], nodes]))
         assert log_inner[0] == -np.inf and np.all(np.isfinite(log_inner[1:]))
+
+
+    @pytest.mark.parametrize("n", [40, 78, 150])
+    def test_constant_b_is_the_closed_form_at_large_n(self, n):
+        # integral_0^r s^(n-1) ds = r^n / n at every node of fine_nodes(100);
+        # one plain panel per cell once missed it by 0.105 at n = 150
+        nodes = envelope.fine_nodes(100.0)
+        log_inner = flux_integral(ProblemParams(n=n, k=2, gamma=1.0), B_ONE, nodes)
+        want = n * np.log(nodes[1:]) - math.log(n)
+        assert np.max(np.abs(log_inner[1:] - want)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_small_n_lays_the_given_nodes(self, n, monkeypatch):
+        given, seen = envelope.fine_nodes(100.0), []
+
+        def spy(f, nodes, start=-np.inf):
+            seen.append(nodes)
+            return _integrate.panel_cumulative(f, nodes, start)
+        monkeypatch.setattr(envelope, "panel_cumulative", spy)
+        flux_integral(ProblemParams(n=n, k=1, gamma=0.5), B_ONE, given)
+        assert len(seen) == 1 and seen[0] is given
+
+    def test_panel_budget_refuses_by_name_before_any_panel(self, monkeypatch):
+        def no_panels(*args, **kwargs):
+            raise AssertionError("Gauss panels were laid")
+        monkeypatch.setattr(_integrate, "panel_points", no_panels)
+        monkeypatch.setattr(envelope, "panel_points", no_panels)
+        # the J tables at r_max 1 cut 192 cells 62500-fold
+        params = ProblemParams(n=10**6, k=1, gamma=0.5)
+        with pytest.raises(ParameterError,
+                           match=r"^n = 1000000: 11999808 added flux panels, at most 100000$"):
+            flux_integral(params, B_ONE, envelope.fine_nodes(1.0))
+
+    def test_panel_budget_counts_added_panels(self, monkeypatch):
+        # n = 17 cuts each cell in two: 30 cells add 30 panels, 31 add 31
+        monkeypatch.setattr(envelope, "MAX_ADDED_PANELS", 30)
+        params = ProblemParams(n=17, k=2, gamma=1.0)
+        assert np.isfinite(flux_integral(params, B_ONE, np.linspace(0.0, 1.0, 31))[-1])
+        with pytest.raises(ParameterError, match="31 added flux panels, at most 30$"):
+            flux_integral(params, B_ONE, np.linspace(0.0, 1.0, 32))
+
+    @pytest.mark.parametrize("n, k, r_max", [(150, 5, 100.0), (1029, 514, 1.0)])
+    def test_conservation_on_the_grid_own_nodes(self, n, k, r_max, monkeypatch):
+        # no grid of the conservation check's own: flux_integral gets the
+        # grid's nodes and cuts their cells for s^(n-1) itself
+        params = ProblemParams(n=n, k=k, gamma=1.0)
+        grid = RadialGrid.build(r_max)
+        curve = solve_cauchy(params, B_ONE, grid)
+        seen = []
+
+        def spy(params, b, nodes, psi=None, start=-np.inf):
+            seen.append(nodes)
+            return flux_integral(params, b, nodes, psi, start)
+        monkeypatch.setattr(solver, "flux_integral", spy)
+        assert conservation_defect(curve, params, B_ONE) < 1e-6
+        assert len(seen) == 1 and np.array_equal(seen[0], grid.nodes)
 
 
 class TestLinearGrowth:
