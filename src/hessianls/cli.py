@@ -35,16 +35,15 @@ from .asymptotics import expected_rate, verify_rates
 from .coefficients import (BUILTIN_FIELDS, MAX_SPHERE_COUNT, MAX_SPHERE_DIM, MIN_SPHERE_COUNT,
                            RadialProfile, check_coefficient, load_profile_csv, radialize,
                            triple_from_radial)
-from .core import (LOG_FLOAT_MAX, MAX_GRID_NODES, ProblemParams, RadialGrid,
-                   gamma_k_membership, output_file)
+from .core import LOG_FLOAT_MAX, ProblemParams, RadialGrid, gamma_k_membership, output_file
 from .criteria import (INCONCLUSIVE, LARGE, classify_existence, existence_verdict,
                        jensen_conditions, oscillation_condition, oscillation_verdict)
-from .envelope import EnvelopeTables, flux_panels
+from .envelope import EnvelopeTables, check_flux_budget
 from .errors import (BlowupGuardError, CoefficientError, IntegrationError,
                      OrderingError, OscillationError, ParameterError)
 from .sandwich import build_sandwich
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, conservation_defect,
-                     residual_max, solve_cauchy, write_curve_csv)
+                     conservation_nodes, residual_max, solve_cauchy, write_curve_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -120,20 +119,9 @@ _VARY_SECTIONS = {key: section for section, tables in (
     (None, [_TOP_LEVEL]), ("grid", [_GRID]), ("tolerances", [_TOLERANCES]),
     ("coefficient", [t for _, t in (*_RADIAL_KINDS.values(), *_BUILTIN_FIELDS.values())]))
     for table in tables for key, (coerce, _) in table.items() if coerce is not _as_str}
-# Size budget.  RadialGrid.build holds a spec's grid to MAX_GRID_NODES and
-# radialize the sphere count to MAX_SPHERE_COUNT.  envelope.flux_integral cuts
-# each cell it is given into envelope.flux_panels(n) Gauss panels and refuses,
-# naming n, more than envelope.MAX_ADDED_PANELS added ones, before it lays
-# them.  The spec reader holds the conservation check's grid, cut that way, to
-# twice MAX_GRID_NODES nodes, naming spec.n; the check merges a table's radii
-# into the grid's nodes: at most one extra cell per radius the table already
-# holds.  The J tables (envelope.fine_nodes) do not refine the spec grid: they
-# refine the default grid for r_max 4x (at most 59,185 nodes, at r_max near
-# the float maximum) and merge in the radii asked for, the spec grid's nodes
-# where sandwich asks, and lay those fine cells times flux_panels(n) panels,
-# bounded where they are laid.  At n <= 16, one panel per cell, that is at most
-# about 110,000 cells, 10 MB per (cells, 12) array of Gauss points.  The goldens
-# and benchmarks ask for at most about 250 nodes and 256 points.
+# Size budget.  RadialGrid.build bounds a spec's grid and radialize the sphere
+# count; envelope.check_flux_budget bounds the Gauss panels of every flux
+# integral, and the spec reader applies it to the conservation check's nodes.
 
 
 def _read_section(raw, table: dict, path: str, owner: str, fixed=()) -> dict:
@@ -190,10 +178,6 @@ class ProblemSpec:
             grid = RadialGrid.build(**grid_cfg)
         except ParameterError as exc:
             raise ParameterError(f"spec.grid: {exc}") from None
-        fine = (len(grid) - 1) * flux_panels(params.n) + 1
-        if fine > 2 * MAX_GRID_NODES:
-            raise ParameterError(f"spec.n: the conservation check refines the grid to {fine} "
-                                 f"nodes at n = {params.n}; at most {2 * MAX_GRID_NODES}")
         if (params.n - 1) * math.log(max(grid_cfg["r_max"], 1.0)) > LOG_FLOAT_MAX:
             raise ParameterError(f"spec.n: s^(n-1) overflows the float range on [0, r_max] "
                                  f"for n = {params.n}, r_max = {grid_cfg['r_max']:g}")
@@ -223,6 +207,11 @@ class ProblemSpec:
         if kind == "builtin_field" and built.dim > MAX_SPHERE_DIM:
             raise CoefficientError(f"spec.coefficient.dim: sphere sampling supports "
                                    f"dim <= {MAX_SPHERE_DIM}, got {built.dim}")
+        radii = built.radii if kind == "tabulated" else None
+        try:  # the flux panels of the conservation check, on the nodes it lays
+            check_flux_budget(params.n, len(conservation_nodes(grid, radii)) - 1)
+        except ParameterError as exc:
+            raise ParameterError(f"spec.n: {exc}") from None
         return cls(params=params, coefficient=coefficient, grid_cfg=grid_cfg,
                    tolerances=tolerances, built=built, built_grid=grid, base_dir=base_dir)
 

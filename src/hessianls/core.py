@@ -261,18 +261,14 @@ class RadialCurve:
 
 
 def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
-    """Node-wise test that the Hessian spectrum lies in the Garding cone
-    of order k (sigma_j > 0 for every j <= k).
-
-    sigma_j being homogeneous of degree j, the spectrum is divided by t =
-    u'/r; t <= 0 counts as outside, and at r = 0 (t = u''(0)) as u''(0) > 0.
-    """
+    """Node-wise test that the Hessian spectrum lies in the Garding cone of
+    order k: sigma_j(u'', t, ..., t) / t^j = C(n-1, j) + C(n-1, j-1) u''/t,
+    t = u'/r, is positive for every j <= k exactly when u''/t > -(n-k)/k, as
+    (n-j)/j falls in j.  t <= 0 counts as outside, and at r = 0 (t = u''(0)) as u''(0) > 0."""
     t = curve.du_over_r()
     ok = t > 0.0
     ratio = np.divide(curve.d2u, t, out=np.zeros_like(t), where=ok)
-    for j in range(1, params.k + 1):
-        ok &= np.asarray(sigma_j_radial(j, ratio, 1.0, params.n)) > 0.0
-    return ok
+    return ok & (ratio > -(params.n - params.k) / params.k)
 
 
 @contextlib.contextmanager

@@ -51,8 +51,9 @@ _BLOCK_SEGMENTS = 1024
 # A defect against epsilon takes its first block this small: a failing
 # round's largest sample is its first segments'.
 _FIRST_BLOCK_SEGMENTS = 16
-# The most Gauss panels flux_integral lays beyond the cells it is given (it
-# refuses more, naming n, before it lays any): 20 MB per (panels, 12) array.
+# The most Gauss panels flux_integral lays beyond the cells it is given
+# (check_flux_budget refuses more, naming n, before any is laid): 20 MB per
+# (panels, 12) array.
 MAX_ADDED_PANELS = 2 * MAX_GRID_NODES
 
 
@@ -62,6 +63,15 @@ MAX_ADDED_PANELS = 2 * MAX_GRID_NODES
 def flux_panels(n: int) -> int:
     """ceil(n / 16): the Gauss panels :func:`flux_integral` lays per cell."""
     return -(-n // 16)
+
+
+def check_flux_budget(n: int, cells: int) -> int:
+    """flux_panels(n), the cut of each of ``cells`` cells; more than MAX_ADDED_PANELS
+    added panels, cells * (flux_panels(n) - 1), are refused, naming n."""
+    added = cells * (flux_panels(n) - 1)
+    if added > MAX_ADDED_PANELS:
+        raise ParameterError(f"n = {n}: {added} added flux panels, at most {MAX_ADDED_PANELS}")
+    return flux_panels(n)
 
 
 def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
@@ -80,12 +90,9 @@ def flux_integral(params: ProblemParams, b, nodes, psi=None,
     """ln(e^start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma) at every
     node r (``psi`` None: psi = 1): flux_panels(n) even 12-point Gauss panels per
     cell, scaled by s^(n-1) psi^gamma at their largest point, so no power overflows."""
-    n, gam, cut = params.n, params.gamma, flux_panels(params.n)
+    n, gam, cut = params.n, params.gamma, check_flux_budget(params.n, len(nodes) - 1)
     if cut > 1:
         nodes = np.asarray(nodes, dtype=float)
-        added = (nodes.size - 1) * (cut - 1)
-        if added > MAX_ADDED_PANELS:
-            raise ParameterError(f"n = {n}: {added} added flux panels, at most {MAX_ADDED_PANELS}")
         lo = nodes[:-1, None]
         nodes = np.append(lo + (nodes[1:, None] - lo) * (np.arange(cut) / cut), nodes[-1])
 
@@ -104,7 +111,13 @@ def flux_integral(params: ProblemParams, b, nodes, psi=None,
 def fine_nodes(r_max: float, extra=()) -> np.ndarray:
     """Integration nodes on [0, r_max]: the default grid refined four times,
     with the positive radii of ``extra`` merged in."""
-    nodes = RadialGrid.build(r_max).refined(4)
+    return merge_nodes(RadialGrid.build(r_max).refined(4), extra, _MERGE_GAP)
+
+
+def merge_nodes(nodes: np.ndarray, extra, gap: float = 0.0) -> np.ndarray:
+    """Sorted ``nodes`` and the positive radii of ``extra`` in one sorted set, each radius
+    once; a node within relative ``gap`` of a merged radius gives way to it."""
+    # sort and search: numpy's set routines import numpy.ma on first use
     extra = np.asarray(extra, dtype=float)
     extra = np.sort(extra[extra > 0])
     if extra.size:
@@ -116,10 +129,10 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
     if not extra.size:
         return nodes
     right = np.minimum(np.searchsorted(extra, nodes), extra.size - 1)
-    gap = np.minimum(np.abs(extra[right] - nodes),
-                     np.abs(extra[np.maximum(right - 1, 0)] - nodes))
+    near = np.minimum(np.abs(extra[right] - nodes),
+                      np.abs(extra[np.maximum(right - 1, 0)] - nodes))
     # the kept nodes and the extra radii are disjoint: one sort merges them
-    return np.sort(np.concatenate([nodes[gap > _MERGE_GAP * nodes], extra]))
+    return np.sort(np.concatenate([nodes[near > gap * nodes], extra]))
 
 
 def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):

@@ -128,6 +128,8 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
         beta = 1.0 + osc.integral + margin
     else:
         margin = beta - 1.0 if margin is None else margin
+    # the ceiling's J table is laid, and held to the panel budget, before any solve
+    env = supersolution_envelope(params, triple.b_star, beta, grid.nodes)
     v = solve_cauchy(params.with_center(1.0), triple.b_upper, grid,
                      rel_tol=rel_tol, abs_tol=abs_tol)
     w = solve_cauchy(params.with_center(beta), triple.b_star, grid,
@@ -141,7 +143,6 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
             f"supersolution fell below the subsolution at r = {radius:g} "
             f"(beta = {beta:g}); retry with a larger margin",
             radius=radius, suggested_margin=(margin or 1.0) + 2.0 * abs(min_margin))
-    env = supersolution_envelope(params, triple.b_star, beta, grid.nodes)
     envelope_excess = float(np.max(w.u / env - 1.0))
     return SandwichReport(params=params, beta=float(beta), margin=float(margin),
                           v=v, w=w, min_margin=min_margin,

@@ -58,7 +58,8 @@ from .core import LOG_FLOAT_MAX, OVERFLOW_GUARD, ProblemParams, RadialCurve, Rad
 # namespace, verify, and perfbench/tracing.py, which also wraps
 # ``solver.linear_growth_tables``).
 from .envelope import (BreakLine, breakline_defect, euler_polyline,  # noqa: F401
-                       flux_integral, flux_slope, linear_growth_tables, solve_linear_rhs)
+                       flux_integral, flux_slope, linear_growth_tables, merge_nodes,
+                       solve_linear_rhs)
 from .errors import BlowupGuardError, IntegrationError, ParameterError
 
 DEFAULT_REL_TOL = 1e-8
@@ -446,6 +447,11 @@ def residual_max(curve: RadialCurve, params: ProblemParams, b) -> float:
     return float(np.max(np.abs(_sigma_k_defect(curve, params, b))))
 
 
+def conservation_nodes(grid: RadialGrid, radii) -> np.ndarray:
+    """The nodes :func:`conservation_defect` lays: the grid's and the table ``radii`` inside."""
+    return grid.nodes if radii is None else merge_nodes(grid.nodes, radii[radii < grid.r_max])
+
+
 def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """Relative mismatch between the propagated moment M and its defining
     integral recomputed from the solution by quadrature, from their logs.
@@ -460,11 +466,7 @@ def conservation_defect(curve: RadialCurve, params: ProblemParams, b) -> float:
     """
     if curve.dense is None:
         raise ValueError("conservation check needs a curve with a dense evaluator")
-    nodes = curve.grid.nodes
-    if b.radii is not None:
-        # sort and drop exact repeats: numpy's set routines import numpy.ma
-        nodes = np.sort(np.concatenate([nodes, b.radii[(b.radii > 0.0) & (b.radii < nodes[-1])]]))
-        nodes = nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
+    nodes = conservation_nodes(curve.grid, b.radii)
     log_quad = flux_integral(params, b, nodes, lambda s: curve.dense(s)[0])
     pos = np.searchsorted(nodes, curve.grid.nodes[1:])
     _, log_curve = curve.dense(curve.grid.nodes[1:])

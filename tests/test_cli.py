@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessianls import cli, core, sandwich
+from hessianls import cli, core, envelope, sandwich
 from hessianls.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRATION,
@@ -304,8 +304,7 @@ class TestProblemSpec:
          "spec.grid: nodes_per_decade = 50000 lays 50001 nodes on [0, r_lin] alone"),
         # n = 10^6 cuts the 48 cells of the grid at r_max = 1 62500-fold
         ({"r_max": 1.0, "nodes_per_decade": 48, "n": 10**6},
-         "spec.n: the conservation check refines the grid to 3000001 nodes at n = 1000000; "
-         "at most 100000"),
+         "spec.n: n = 1000000: 2999952 added flux panels, at most 100000"),
         # one ulp above r_lin: both log10 read 1.0 and the log nodes fall onto r_lin
         ({"r_max": 10.000000000000002},
          "spec.grid: r_max = 10.000000000000002 is too close above r_lin = 10.0: its 2 "
@@ -368,6 +367,42 @@ class TestProblemSpec:
             assert cli.main(argv) == EXIT_INVALID
             assert capsys.readouterr().err == f"error: --sphere-count: {bound}, got {count}\n"
 
+    @pytest.mark.parametrize("n, cells, added", [
+        (200000, 8, 99992), (200016, 8, 100000), (145472, 11, 100001)])
+    def test_flux_budget_read_as_the_kernel_lays_it(self, n, cells, added):
+        # r_max = 1 lays `cells` linear cells; the reader refuses, as spec.n,
+        # exactly where flux_integral refuses the same nodes
+        raw = _constant_spec(n=n, grid={"r_max": 1.0, "nodes_per_decade": cells})
+        params = core.ProblemParams(n=n, k=1, gamma=0.5)
+        nodes = core.RadialGrid.build(1.0, nodes_per_decade=cells).nodes
+        assert len(nodes) == cells + 1
+        if added <= 100_000:
+            assert ProblemSpec.from_dict(raw).params.n == n
+            assert np.isfinite(envelope.flux_integral(params, lambda s: np.ones_like(s),
+                                                      nodes)[-1])
+            return
+        with pytest.raises(ParameterError) as kernel:
+            envelope.flux_integral(params, lambda s: np.ones_like(s), nodes)
+        assert str(kernel.value) == f"n = {n}: {added} added flux panels, at most 100000"
+        with pytest.raises(ParameterError) as reader:
+            ProblemSpec.from_dict(raw)
+        assert str(reader.value) == f"spec.n: {kernel.value}"
+
+    def test_flux_budget_counts_a_table_radii(self, monkeypatch, tmp_path, capsys):
+        # 50,001 radii on [0, 10]: 49,984 inside the grid's 48 cells and off
+        # its nodes make 50,032 cells, cut three-fold at n = 33
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(cli, "solve_cauchy", no_solve)
+        r = np.linspace(0.0, 10.0, 50_001)
+        (tmp_path / "b.csv").write_text(
+            "r,b\n" + "".join(f"{x!r},{1.0 / (1.0 + x)!r}\n" for x in r.tolist()))
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            n=33, coefficient={"kind": "tabulated", "path": "b.csv"}, grid={"r_max": 10.0}))
+        assert cli.main(["solve", spec_path]) == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            "error: spec.n: n = 33: 100064 added flux panels, at most 100000\n"
+
     def test_field_dimension_must_match_n(self):
         raw = _counterexample_spec()
         raw["n"] = 4  # counterexample field lives in dimension 3
@@ -391,6 +426,16 @@ class TestSolveCommand:
         assert len(curve_rows) > 50
         out = capsys.readouterr().out
         assert json.loads(out)["u_at_rmax"] == summary["u_at_rmax"]
+
+    def test_cone_test_past_the_float_binomials(self, tmp_path, capsys):
+        # C(1099, 549) is beyond the float range; the cone test forms no binomial
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            n=1100, k=1090, gamma=1.0, grid={"r_max": 1.0}))
+        assert cli.main(["solve", spec_path]) == EXIT_OK
+        summary = json.loads((tmp_path / "spec_summary.json").read_text())
+        assert summary["gamma_k_ok"] is True
+        assert summary["conservation_defect"] < 1e-6
+        capsys.readouterr()
 
     def test_table_read_once_per_solve(self, monkeypatch, tmp_path, capsys):
         # The spec builds its coefficient when it is read; nothing builds it again.
@@ -637,6 +682,20 @@ class TestInadmissibleCoefficient:
 
 
 class TestSandwichCommand:
+    def test_flux_budget_refused_before_either_solve(self, monkeypatch, tmp_path, capsys):
+        # the spec grid's 8 cells pass the budget at n = 190000; the
+        # supersolution ceiling's J table, on 192 fine cells, does not
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(sandwich, "solve_cauchy", no_solve)
+        spec_path = _write(tmp_path, "spec.json", _constant_spec(
+            n=190000, coefficient={"kind": "power_tail", "l": 1.0},
+            grid={"r_max": 1.0, "nodes_per_decade": 8}))
+        assert cli.main(["sandwich", spec_path, "--out", str(tmp_path / "sw")]) == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            "error: n = 190000: 2279808 added flux panels, at most 100000\n"
+        assert not (tmp_path / "sw").exists()
+
     def test_counterexample_precondition_exit(self, tmp_path, capsys):
         spec_path = _write(tmp_path, "spec.json", _counterexample_spec())
         assert cli.main(["sandwich", spec_path]) == EXIT_INCONCLUSIVE

@@ -333,6 +333,27 @@ class TestRadialCurve:
         assert not ok.all()
         assert ok[0]  # positive at the center
 
+    @given(st.integers(3, 59), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_membership_is_every_sigma_j_off_the_boundary(self, n, k_share, seed):
+        # one inequality at j = k against sigma_j > 0 for every j <= k
+        k = max(1, round(k_share * n))
+        rng = np.random.default_rng(seed)
+        r = np.arange(51.0)
+        t = rng.uniform(-0.2, 1.0, r.size) * 10.0 ** rng.uniform(-3.0, 3.0, r.size)
+        ratio = np.where(rng.random(r.size) < 0.5, rng.uniform(-1.5 * n, 2.0, r.size),
+                         -(n - rng.integers(1, k + 1, r.size)) / rng.integers(1, k + 1, r.size)
+                         * (1.0 + rng.uniform(-1e-6, 1e-6, r.size)))
+        c = RadialCurve(RadialGrid(r), u=np.ones_like(r), du=t * r, d2u=ratio * t)
+        params = ProblemParams(n=n, k=k, gamma=0.5 * k)
+        t = c.du_over_r()
+        scaled = np.divide(c.d2u, t, out=np.zeros_like(t), where=t > 0.0)
+        want = t > 0.0
+        for j in range(1, k + 1):
+            want &= np.asarray(sigma_j_radial(j, scaled, 1.0, n)) > 0.0
+        bounds = np.array([(n - j) / j for j in range(1, k + 1)])
+        off = np.all(np.abs(scaled[:, None] + bounds) > 1e-9 * np.maximum(bounds, 1.0), axis=1)
+        np.testing.assert_array_equal(gamma_k_membership(c, params)[off], want[off])
+
     def test_membership_monotone_in_k(self):
         # Cone order k membership implies membership for every j <= k, so
         # failing at small k means failing at larger k too.

@@ -21,8 +21,10 @@ fields' envelopes included.  ``radialize`` draws its unit-sphere rows from one
 per-process store in ``coefficients``.  Every file the package writes is
 opened by one helper, ``core.output_file``, and lands by replace.  Each
 size bound lives where its arrays are laid: the grid cap in ``core``, the
-conservation check's refinement in ``solver`` and both sphere-count bounds
-in ``coefficients``; ``cli`` only names the spec field.
+flux-panel budget in ``envelope`` and both sphere-count bounds in
+``coefficients``; ``cli`` only names the spec field.  One helper,
+``envelope.merge_nodes``, merges radii into a node set, for the J tables'
+fine nodes and the conservation check's nodes alike.
 """
 
 import ast
@@ -287,7 +289,7 @@ def test_spec_coefficient_built_only_when_read():
 # Each size bound and the one module that defines it.
 _SIZE_BOUNDS = {"MAX_GRID_NODES": "core", "MIN_SPHERE_COUNT": "coefficients",
                 "MAX_SPHERE_COUNT": "coefficients", "flux_panels": "envelope",
-                "MAX_ADDED_PANELS": "envelope"}
+                "MAX_ADDED_PANELS": "envelope", "check_flux_budget": "envelope"}
 
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)
@@ -305,14 +307,30 @@ def test_one_home_per_size_bound(module):
     assert bool(re.search(r"n\s*//?\s*16\b", source)) == (module == "envelope")
 
 
+def test_one_node_merge():
+    envelope = dict(_functions(ast.parse((PACKAGE / "envelope.py").read_text())))
+    solver = dict(_functions(ast.parse((PACKAGE / "solver.py").read_text())))
+
+    def calls(function):
+        return {ast.unparse(node.func) for node in ast.walk(function)
+                if isinstance(node, ast.Call)}
+    assert "merge_nodes" in calls(envelope["fine_nodes"])
+    assert "merge_nodes" in calls(solver["conservation_nodes"])
+    assert "conservation_nodes" in calls(solver["conservation_defect"])
+    for function in (envelope["fine_nodes"], solver["conservation_nodes"],
+                     solver["conservation_defect"]):
+        assert calls(function).isdisjoint({"np.sort", "np.unique", "np.concatenate"})
+
+
 def test_cli_holds_no_node_arithmetic():
     source = (PACKAGE / "cli.py").read_text()
-    for fragment in ("decades", "// 32", "/ 16", "_MAX_GRID_NODES", "_MAX_SPHERE_COUNT",
-                     "_check_grid_budget", "refined("):
+    for fragment in ("decades", "// 32", "/ 16", "MAX_GRID_NODES", "_MAX_SPHERE_COUNT",
+                     "_check_grid_budget", "refined(", "flux_panels", "MAX_ADDED_PANELS", "2 *"):
         assert fragment not in source, fragment
     functions = dict(_functions(ast.parse(source)))
     calls = {ast.unparse(node.func) for node in ast.walk(functions["ProblemSpec.from_dict"])
              if isinstance(node, ast.Call)}
-    assert {"RadialGrid.build", "flux_panels"} <= calls
+    # the reader holds the kernel's own budget to the conservation check's own nodes
+    assert {"RadialGrid.build", "check_flux_budget", "conservation_nodes"} <= calls
     grid = functions["ProblemSpec.grid"]
     assert [ast.unparse(node) for node in grid.body] == ["return self.built_grid"]

@@ -102,6 +102,31 @@ class TestSolveCauchy:
         curve = solve_cauchy(spec.params, b, spec.grid(), rel_tol=1e-8)
         assert conservation_defect(curve, spec.params, b) < 1e-8
 
+    @pytest.mark.parametrize("key", ["tab-k1", "tab-k2"])
+    def test_conservation_nodes_are_the_grid_and_table_union(self, key, table_dir):
+        # the grid's nodes and the table's radii inside, each once, as sorting
+        # them together and dropping repeats laid them
+        spec = ProblemSpec.from_dict(REFERENCE[key]["spec"], base_dir=table_dir)
+        radii, grid = spec.radial_profile().radii, spec.grid()
+        inner = radii[(radii > 0.0) & (radii < grid.r_max)]
+        np.testing.assert_array_equal(solver.conservation_nodes(grid, radii),
+                                      np.union1d(grid.nodes, inner))
+        assert solver.conservation_nodes(grid, None) is grid.nodes
+
+    def test_merge_without_gap_is_the_set_union(self):
+        # repeats, radii that already are nodes, radii a rounding error off one,
+        # zero and negative radii
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            nodes = RadialGrid.build(10.0 ** rng.uniform(-1.0, 4.0)).nodes
+            drawn = nodes[-1] * rng.random(rng.integers(0, 30))
+            picked = rng.choice(nodes, rng.integers(0, 6))
+            extra = np.concatenate([drawn, picked, np.nextafter(picked, np.inf),
+                                    rng.choice(drawn, 3) if drawn.size else [], [0.0, -1.0]])
+            rng.shuffle(extra)
+            np.testing.assert_array_equal(envelope.merge_nodes(nodes, extra),
+                                          np.union1d(nodes, extra[extra > 0.0]))
+
     def test_cone_membership_along_curve(self, hessian2_params):
         grid = RadialGrid.build(1e4)
         b = RadialProfile.power_tail(1.0)
