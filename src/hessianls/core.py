@@ -272,6 +272,31 @@ def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
 
 
 @contextlib.contextmanager
+def output_paths(*paths):
+    """New paths beside ``paths``, one each, for the block to write: when it completes
+    they replace ``paths`` in turn, and if it raises they are removed, so the outputs land
+    together or not at all.  An empty path or a directory is refused before the block."""
+    staged = []
+    for path in paths:
+        if not os.fspath(path):   # as open("") refuses it
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.fspath(path))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        target = os.path.realpath(path)   # a link is written through, as by open(path, "w")
+        directory, name = os.path.split(target)
+        staged.append((target, os.path.join(directory, f".{name}.{os.urandom(6).hex()}")))
+    try:
+        yield [temporary for _, temporary in staged]
+        for target, temporary in staged:
+            os.replace(temporary, target)
+    except BaseException:
+        for _, temporary in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+        raise
+
+
+@contextlib.contextmanager
 def output_file(path, newline=None):
     """A text handle (None for a ``path`` of None) on a new file beside ``path``, which
     replaces it when the block completes and is removed if it raises; made at once, so a
@@ -279,22 +304,10 @@ def output_file(path, newline=None):
     if path is None:
         yield None
         return
-    target = os.path.realpath(path)   # a link is written through, as by open(path, "w")
-    directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
-    try:
-        if not os.fspath(path):   # as open("") refuses it
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        # "x" never opens an existing file, and makes one as open(path, "w") would
-        handle = open(temporary, "x", newline=newline)
-    except OSError as exc:   # named by the target, not the new file
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
+    with output_paths(path) as (temporary,):
+        try:   # "x" never opens an existing file, and makes one as open(path, "w") would
+            handle = open(temporary, "x", newline=newline)
+        except OSError as exc:   # named by the target, not the new file
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         with handle:
             yield handle
-        os.replace(temporary, target)
-    except BaseException:
-        os.unlink(temporary)
-        raise

@@ -11,11 +11,11 @@ the next segment, sums the same panel points in plain floats.  Every
 envelope integral lives here: J, its primitive, btilde, I_osc and the two
 moment integrals, whose outer integrals (and I_osc's inner one, pinned by
 the golden sandwich report) are composite Simpson on :func:`fine_nodes`.
-The criteria read I_osc, the moment integrals and the existence finite part
-from one :class:`EnvelopeTables` per op, so one classify tabulates once:
-the fine nodes, b_* at their Gauss points, the J table, and b_* and b_osc
-on the nodes.  The exact counts of that work (Gauss points, tabulated b
-points, Simpson nodes, refined grids) are in the work ledger,
+Only :class:`EnvelopeTables` lays a J table: a classify reads I_osc, the
+moment integrals and the existence finite part from one, a sandwich I_osc
+and its ceiling from one on its grid's nodes, and :func:`growth_primitive`
+is one read of one.  The exact counts of that work (Gauss points, tabulated
+b points, Simpson nodes, refined grids) are in the work ledger,
 ``tests/data/work_ledger.json``.
 Tables use no ODE stepping, so they are an independent oracle for the
 solver, and so are the two comparison routes built here: the explicit
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import GAUSS_WEIGHTS, cumulative_values, panel_cumulative, panel_points
-from .coefficients import RadializedTriple, check_coefficient
+from .coefficients import RadializedTriple, check_coefficient, triple_from_radial
 from .core import MAX_GRID_NODES, ProblemParams, RadialGrid
 from .errors import DomainTooLargeError, IntegrationError, ParameterError
 
@@ -144,18 +144,12 @@ def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):
 
 
 def growth_primitive(params: ProblemParams, b_star, r):
-    """integral_0^r J(s) ds for scalar or array r.
-
-    The requested radii are merged into the integration nodes, so the
-    primitive is evaluated exactly where asked rather than interpolated.
-    """
+    """integral_0^r J(s) ds for scalar or array r, read from an :class:`EnvelopeTables`
+    laid with r among its nodes: exact where asked, not interpolated."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     r_top = float(rr.max())
-    if r_top == 0.0:
-        out = np.zeros_like(rr)
-    else:
-        nodes = fine_nodes(r_top, rr)
-        out = np.interp(rr, nodes, linear_growth_tables(params, b_star, nodes)[2])
+    out = np.zeros_like(rr) if r_top == 0.0 else EnvelopeTables(
+        params, triple_from_radial(b_star), r_top, rr).primitive(rr)
     return float(out[0]) if np.isscalar(r) else out
 
 
@@ -194,28 +188,39 @@ def bounded_solution_bound(params: ProblemParams, b_star, r):
     Valid for every radial solve with coefficient below b_star; reduces to
     a at r = 0.
     """
+    return solution_ceiling(params, growth_primitive(params, b_star, r))
+
+
+def solution_ceiling(params: ProblemParams, primitive):
+    """(a^((k-gamma)/k) + (k-gamma)/k * primitive)^(k/(k-gamma)), ``primitive`` integral_0^r J."""
     sub = params.sub_power
-    prim = growth_primitive(params, b_star, r)
-    return (params.a ** sub + sub * prim) ** (1.0 / sub)
+    return (params.a ** sub + sub * primitive) ** (1.0 / sub)
 
 
 class EnvelopeTables:
     """What the finite parts of one op share on [0, r_max] for ``triple``.
 
-    Each member is computed the first time it is read: the fine nodes, b_*
-    at the Gauss points of their cells' flux panels (checked once), the J table
-    (ln inner, J, integral_0^r J) on them, and b_* and b_osc on the nodes.
-    So one classify tabulates b_* and J once for the existence, oscillation
-    and moment criteria.  Build one per op; nothing here outlives it.
+    Each member is computed the first time it is read: the fine nodes (with
+    ``radii`` merged in), b_* at the Gauss points of their cells' flux panels
+    (checked once), the J table (ln inner, J, integral_0^r J) on them, and b_*
+    and b_osc on the nodes.  So one classify tabulates b_* and J once for the
+    existence, oscillation and moment criteria, and one sandwich once for I_osc
+    and its supersolution ceiling.  This is the only J table builder: build one
+    per op; nothing here outlives it.
     """
 
-    def __init__(self, params: ProblemParams, triple: RadializedTriple, r_max: float):
-        self.params, self.triple, self.r_max = params, triple, r_max
+    def __init__(self, params: ProblemParams, triple: RadializedTriple, r_max: float,
+                 radii=()):
+        self.params, self.triple, self.r_max, self.radii = params, triple, r_max, radii
         self._star_gauss = None
 
     @cached_property
     def fine(self) -> np.ndarray:
-        return fine_nodes(self.r_max)
+        return fine_nodes(self.r_max, self.radii)
+
+    def primitive(self, r) -> np.ndarray:
+        """integral_0^r J, exactly, at radii ``r`` of :attr:`fine` (the constructor's ``radii``)."""
+        return self.growth[2][np.searchsorted(self.fine, r)]
 
     def _star_at_gauss(self, s) -> np.ndarray:
         """b_* at ``s``, the Gauss points of the flux panels of :attr:`fine`:
@@ -245,8 +250,8 @@ def oscillation_integral(tables: EnvelopeTables):
     btilde) dr and the outer integrand at r_max (for the tail estimate)."""
     params, fine = tables.params, tables.fine
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # compute_b_tilde on ``fine`` would merge it into a rebuilt copy of
-        # itself; its primitive is the J table's last column on ``fine``.
+        # compute_b_tilde on ``fine`` would lay a second J table on a merged
+        # copy of it; its primitive is this table's last column on ``fine``.
         btilde = _growth_factor(params, tables.growth[2])
         osc_vals = tables.osc_fine
         # In extreme-exponent regimes the oscillation underflows to zero

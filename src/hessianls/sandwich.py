@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import RadializedTriple
-from .core import ProblemParams, RadialCurve, RadialGrid, output_file
+from .core import ProblemParams, RadialCurve, RadialGrid, output_file, output_paths
 from .criteria import (OscillationReport, oscillation_condition, oscillation_evidence,
                        oscillation_verdict)
-from .envelope import EnvelopeTables, bounded_solution_bound, growth_primitive
+from .envelope import EnvelopeTables, bounded_solution_bound, growth_primitive, solution_ceiling
 from .errors import OrderingError, OscillationError, ParameterError
 from .solver import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_tolerances, solve_cauchy,
                      write_curve_csv)
@@ -80,15 +80,16 @@ class SandwichReport:
         }
 
     def save(self, directory, triple: RadializedTriple) -> dict:
-        """Write v.csv, w.csv and report.json (opened first, landing last) into ``directory``."""
+        """Write v.csv, w.csv and report.json into ``directory``: each beside its file
+        first, and the three land together once all are written (:func:`output_paths`)."""
         os.makedirs(directory, exist_ok=True)
         payload = self.to_dict(v_csv="v.csv", w_csv="w.csv")
-        with output_file(os.path.join(directory, "report.json")) as handle:
-            write_curve_csv(self.v, os.path.join(directory, "v.csv"),
-                            self.params.with_center(1.0), triple.b_upper)
-            write_curve_csv(self.w, os.path.join(directory, "w.csv"),
-                            self.params.with_center(self.beta), triple.b_star)
-            json.dump(payload, handle, indent=2)
+        with output_paths(*(os.path.join(directory, name)
+                            for name in ("v.csv", "w.csv", "report.json"))) as staged:
+            write_curve_csv(self.v, staged[0], self.params.with_center(1.0), triple.b_upper)
+            write_curve_csv(self.w, staged[1], self.params.with_center(self.beta), triple.b_star)
+            with output_file(staged[2]) as handle:
+                json.dump(payload, handle, indent=2)
         return payload
 
 
@@ -121,15 +122,17 @@ def build_sandwich(triple: RadializedTriple, params: ProblemParams,
                 f"oscillation-smallness check is {verdict[0]}; cannot derive a "
                 f"starting height automatically (pass beta explicitly to force "
                 f"a construction): {'; '.join(oscillation_evidence(params, *verdict))}")
-    osc = oscillation_condition(EnvelopeTables(params, triple, grid.r_max))
+    # one J table, on the grid's nodes, gives I_osc and the supersolution ceiling
+    tables = EnvelopeTables(params, triple, grid.r_max, grid.nodes)
+    osc = oscillation_condition(tables)
     if beta is None:
         if margin is None:
             margin = max(1.0, 0.1 * osc.integral)
         beta = 1.0 + osc.integral + margin
     else:
         margin = beta - 1.0 if margin is None else margin
-    # the ceiling's J table is laid, and held to the panel budget, before any solve
-    env = supersolution_envelope(params, triple.b_star, beta, grid.nodes)
+    # the J table is laid, and held to the panel budget, before either solve
+    env = solution_ceiling(params.with_center(beta), tables.primitive(grid.nodes))
     v = solve_cauchy(params.with_center(1.0), triple.b_upper, grid,
                      rel_tol=rel_tol, abs_tol=abs_tol)
     w = solve_cauchy(params.with_center(beta), triple.b_star, grid,

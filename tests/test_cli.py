@@ -1305,6 +1305,28 @@ class TestTopLevelErrors:
             assert (tmp_path / target).read_text() == "old contents\n", target
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_sandwich_files_land_together(self, monkeypatch, tmp_path, capsys):
+        # v.csv is written before w.csv fails: none of the three new files
+        # lands, the old ones stay byte for byte and nothing is left beside them
+        spec = _write(tmp_path, "spec.json", _constant_spec(
+            grid={"r_max": 50.0, "nodes_per_decade": 16}))
+        old = {name: f"old {name}\n".encode() for name in ("v.csv", "w.csv", "report.json")}
+        (tmp_path / "sw").mkdir()
+        for name, contents in old.items():
+            (tmp_path / "sw" / name).write_bytes(contents)
+        write, written = sandwich.write_curve_csv, []
+
+        def second_fails(curve, path, *args):
+            if written:
+                raise CoefficientError("failed on purpose")
+            write(curve, path, *args)
+            written.append(path)
+        monkeypatch.setattr(sandwich, "write_curve_csv", second_fails)
+        assert cli.main(["sandwich", spec, "--out", str(tmp_path / "sw")]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: failed on purpose\n"
+        assert len(written) == 1
+        assert {path.name: path.read_bytes() for path in (tmp_path / "sw").iterdir()} == old
+
     def test_output_replaces_the_file_as_open_would_write_it(self, tmp_path, capsys):
         # classify --out, solve --curve and the three sandwich files each
         # replace an old file, leave nothing beside it, and take the mode a

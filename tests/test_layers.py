@@ -24,7 +24,9 @@ size bound lives where its arrays are laid: the grid cap in ``core``, the
 flux-panel budget in ``envelope`` and both sphere-count bounds in
 ``coefficients``; ``cli`` only names the spec field.  One helper,
 ``envelope.merge_nodes``, merges radii into a node set, for the J tables'
-fine nodes and the conservation check's nodes alike.
+fine nodes and the conservation check's nodes alike.  One builder lays a J
+table, ``EnvelopeTables.growth``: ``growth_primitive`` reads such a table at
+radii merged into its nodes, and interpolates nothing.
 """
 
 import ast
@@ -82,6 +84,20 @@ def test_only_envelope_calls_fine_nodes(module):
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and ast.unparse(node.func) == "fine_nodes"]
     assert bool(calls) == (module == "envelope")
+
+
+def test_one_j_table_builder():
+    # every J table is EnvelopeTables.growth's; growth_primitive reads one at
+    # radii among its nodes, so it neither lays nodes nor interpolates
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in LAYERS}
+    callers = {f"{module}.{name}" for module, tree in trees.items()
+               for name, function in _functions(tree)
+               if any(isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                   "linear_growth_tables") for node in ast.walk(function))}
+    assert callers == {"envelope.EnvelopeTables.growth"}
+    primitive = dict(_functions(trees["envelope"]))["growth_primitive"]
+    calls = {ast.unparse(node.func) for node in ast.walk(primitive) if isinstance(node, ast.Call)}
+    assert calls.isdisjoint({"fine_nodes", "np.interp"}) and "EnvelopeTables" in calls
 
 
 def test_criteria_imports_no_quadrature():

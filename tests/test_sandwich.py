@@ -13,7 +13,7 @@ from hessianls.coefficients import (
     triple_from_radial,
 )
 from hessianls.core import ProblemParams, RadialGrid
-from hessianls import sandwich
+from hessianls import envelope, sandwich
 from hessianls.errors import OrderingError, OscillationError, ParameterError
 from hessianls.sandwich import (
     bounded_dominance_bound,
@@ -103,6 +103,34 @@ class TestBuildSandwich:
         high = build_sandwich(triple, hessian2_params, grid, beta=5.0)
         assert np.all(high.w.u >= low.w.u)
         np.testing.assert_array_equal(low.v.u, high.v.u)
+
+    def test_one_j_table_per_sandwich(self, hessian2_params, monkeypatch):
+        # the golden sandwich spec: I_osc and the supersolution ceiling read
+        # one J table of b_*, laid on the grid's nodes
+        field = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
+        grid = RadialGrid.build(100.0, nodes_per_decade=16)
+        triple = radialize(field, grid, sphere_count=64)
+        tables, calls = envelope.linear_growth_tables, []
+
+        def counted(*args):
+            calls.append(args)
+            return tables(*args)
+        monkeypatch.setattr(envelope, "linear_growth_tables", counted)
+        report = build_sandwich(triple, hessian2_params, grid)
+        assert report.oscillation.satisfied and report.oscillation.finite_part > 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("nodes_per_decade", [16, 32])
+    def test_envelope_excess_is_the_public_ceilings(self, hessian2_params, nodes_per_decade):
+        # the ceiling the sandwich reads from its table is supersolution_envelope's,
+        # bit for bit, on the golden sandwich spec and on a grid not nested in the
+        # fine nodes
+        field = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
+        grid = RadialGrid.build(100.0, nodes_per_decade=nodes_per_decade)
+        triple = radialize(field, grid, sphere_count=64)
+        report = build_sandwich(triple, hessian2_params, grid)
+        env = supersolution_envelope(hessian2_params, triple.b_star, report.beta, grid.nodes)
+        assert report.envelope_excess == float(np.max(report.w.u / env - 1.0))
 
     def test_oscillation_precondition(self, laplace_params):
         # The stock counterexample field's oscillation decays like 1/r,
