@@ -273,9 +273,9 @@ def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
 
 @contextlib.contextmanager
 def output_paths(*paths):
-    """New paths beside ``paths``, one each, for the block to write: when it completes
-    they replace ``paths`` in turn, and if it raises they are removed, so the outputs land
-    together or not at all.  An empty path or a directory is refused before the block."""
+    """New paths beside ``paths``, one each, for the block to write: once it completes they
+    replace ``paths`` in turn (none before all are written), and if it raises they are removed.
+    An empty path or a directory is refused before the block."""
     staged = []
     for path in paths:
         if not os.fspath(path):   # as open("") refuses it

@@ -115,15 +115,17 @@ def fine_nodes(r_max: float, extra=()) -> np.ndarray:
 
 
 def merge_nodes(nodes: np.ndarray, extra, gap: float = 0.0) -> np.ndarray:
-    """Sorted ``nodes`` and the positive radii of ``extra`` in one sorted set, each radius
-    once; a node within relative ``gap`` of a merged radius gives way to it."""
+    """Sorted ``nodes`` and the positive radii of ``extra`` in one sorted set, each radius once;
+    a node within relative ``gap`` of a merged radius gives way to it, unless last or asked for."""
     # sort and search: numpy's set routines import numpy.ma on first use
     extra = np.asarray(extra, dtype=float)
     extra = np.sort(extra[extra > 0])
+    kept = np.arange(nodes.size) == nodes.size - 1   # the last node and the radii that are nodes
     if extra.size:
         # each radius once, and one that already is a node evicts no neighbour
         at = np.minimum(np.searchsorted(nodes, extra), nodes.size - 1)
         fresh = nodes[at] != extra
+        kept[at[~fresh]] = True
         fresh[1:] &= extra[1:] != extra[:-1]
         extra = extra[fresh]
     if not extra.size:
@@ -132,7 +134,7 @@ def merge_nodes(nodes: np.ndarray, extra, gap: float = 0.0) -> np.ndarray:
     near = np.minimum(np.abs(extra[right] - nodes),
                       np.abs(extra[np.maximum(right - 1, 0)] - nodes))
     # the kept nodes and the extra radii are disjoint: one sort merges them
-    return np.sort(np.concatenate([nodes[near > gap * nodes], extra]))
+    return np.sort(np.concatenate([nodes[kept | (near > gap * nodes)], extra]))
 
 
 def linear_growth_tables(params: ProblemParams, b, nodes: np.ndarray):

@@ -81,7 +81,7 @@ class SandwichReport:
 
     def save(self, directory, triple: RadializedTriple) -> dict:
         """Write v.csv, w.csv and report.json into ``directory``: each beside its file
-        first, and the three land together once all are written (:func:`output_paths`)."""
+        first, and the three land in turn only once all are written (:func:`output_paths`)."""
         os.makedirs(directory, exist_ok=True)
         payload = self.to_dict(v_csv="v.csv", w_csv="w.csv")
         with output_paths(*(os.path.join(directory, name)

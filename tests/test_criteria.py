@@ -170,6 +170,18 @@ class TestGrowthIntegrand:
             growth_primitive(laplace_params, B_ONE, grid.nodes), grid.nodes**2 / 6.0,
             rtol=1e-12, atol=1e-14)
 
+    def test_primitive_where_an_asked_node_is_near_another_radius(self, laplace_params):
+        # 1.0 is a fine node and 1.0005 lies within the merge gap of it; at
+        # 2400 nodes per decade every grid node does, r_max too.  No radius
+        # asked for gives way to another, so each is read where asked.
+        for r in ([1.0, 1.0005], [1.0005, 1.0],
+                  RadialGrid.build(100.0, nodes_per_decade=2400).nodes):
+            r = np.asarray(r)
+            np.testing.assert_allclose(growth_primitive(laplace_params, B_ONE, r),
+                                       r**2 / 6.0, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(bounded_solution_bound(laplace_params, B_ONE, r),
+                                       (1.0 + r**2 / 12.0) ** 2, rtol=1e-12)
+
     def test_primitive_at_r_max_is_the_table_on_fine_nodes(self, hessian2_params):
         # r is the last of fine_nodes(r), so merging it in as a requested
         # radius evicts no neighbour: the primitive reads the J table's last
@@ -182,10 +194,14 @@ class TestGrowthIntegrand:
 
 
 def _set_fine_nodes(r_max, extra):
-    """fine_nodes as it merged with numpy's set routines: the reference."""
+    """fine_nodes as it merged with numpy's set routines: the reference.  A node
+    within the merge gap of a new radius gives way to it, unless it is r_max
+    or itself among the radii."""
     nodes = RadialGrid.build(r_max).refined(4)
     extra = np.asarray(extra, dtype=float)
     extra = extra[extra > 0]
+    asked = np.isin(nodes, extra)
+    asked[-1] = True
     if extra.size:
         extra = np.setdiff1d(extra, nodes)
     if not extra.size:
@@ -193,7 +209,7 @@ def _set_fine_nodes(r_max, extra):
     right = np.minimum(np.searchsorted(extra, nodes), extra.size - 1)
     gap = np.minimum(np.abs(extra[right] - nodes),
                      np.abs(extra[np.maximum(right - 1, 0)] - nodes))
-    return np.union1d(nodes[gap > envelope._MERGE_GAP * nodes], extra)
+    return np.union1d(nodes[asked | (gap > envelope._MERGE_GAP * nodes)], extra)
 
 
 class TestFineNodes:
@@ -216,6 +232,16 @@ class TestFineNodes:
             want = _set_fine_nodes(r_max, extra)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    def test_every_asked_radius_stays_a_node(self):
+        # grid nodes lie within the merge gap of one another from about 2300
+        # nodes per decade; none, and not r_max, gives way to a neighbour
+        for r_max in (100.0, 37.0):
+            radii = RadialGrid.build(r_max, nodes_per_decade=2400).nodes
+            fine = envelope.fine_nodes(r_max, radii)
+            assert np.isin(radii[1:], fine).all() and fine[-1] == r_max
+            assert np.isin([1.0, 1.0005], envelope.fine_nodes(2.0, [1.0, 1.0005])).all()
+        assert envelope.fine_nodes(100.0, [99.95])[-1] == 100.0
 
     def test_without_extra_radii_the_refined_grid(self):
         nodes = RadialGrid.build(50.0).refined(4)

@@ -120,11 +120,11 @@ class TestBuildSandwich:
         assert report.oscillation.satisfied and report.oscillation.finite_part > 0.0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("nodes_per_decade", [16, 32])
+    @pytest.mark.parametrize("nodes_per_decade", [16, 32, 2400])
     def test_envelope_excess_is_the_public_ceilings(self, hessian2_params, nodes_per_decade):
         # the ceiling the sandwich reads from its table is supersolution_envelope's,
-        # bit for bit, on the golden sandwich spec and on a grid not nested in the
-        # fine nodes
+        # bit for bit, on the golden sandwich spec, on a grid not nested in the
+        # fine nodes and on one whose nodes lie within the merge gap of each other
         field = AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
         grid = RadialGrid.build(100.0, nodes_per_decade=nodes_per_decade)
         triple = radialize(field, grid, sphere_count=64)
