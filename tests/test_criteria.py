@@ -240,7 +240,7 @@ class TestFineNodes:
             radii = RadialGrid.build(r_max, nodes_per_decade=2400).nodes
             fine = envelope.fine_nodes(r_max, radii)
             assert np.isin(radii[1:], fine).all() and fine[-1] == r_max
-            assert np.isin([1.0, 1.0005], envelope.fine_nodes(2.0, [1.0, 1.0005])).all()
+        assert np.isin([1.0, 1.0005], envelope.fine_nodes(2.0, [1.0, 1.0005])).all()
         assert envelope.fine_nodes(100.0, [99.95])[-1] == 100.0
 
     def test_without_extra_radii_the_refined_grid(self):
