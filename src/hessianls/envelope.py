@@ -7,10 +7,12 @@ psi = btilde the oscillation integrand, psi = a break line its slope.  The
 package's Gauss-panel integral :func:`flux_integral` returns ln inner,
 finite where inner is not, for :func:`flux_slope`; only the break line's
 Euler recurrence, which needs each segment's integral before it can place
-the next segment, sums the same panel points in plain floats.  Every
-envelope integral lives here: J, its primitive, btilde, I_osc and the two
-moment integrals, whose outer integrals (and I_osc's inner one, pinned by
-the golden sandwich report) are composite Simpson on :func:`fine_nodes`.
+the next segment, sums panel points in plain floats.  Both lay them by
+:func:`flux_cells`, the only code that cuts cells for s^(n-1):
+flux_panels(n) even panels per cell.  Every envelope integral lives here:
+J, its primitive, btilde, I_osc and the two moment integrals, whose outer
+integrals (and I_osc's inner one, pinned by the golden sandwich report) are
+composite Simpson on :func:`fine_nodes`.
 Only :class:`EnvelopeTables` lays a J table: a classify reads I_osc, the
 moment integrals and the existence finite part from one, a sandwich I_osc
 and its ceiling from one on its grid's nodes, and :func:`growth_primitive`
@@ -51,7 +53,7 @@ _BLOCK_SEGMENTS = 1024
 # A defect against epsilon takes its first block this small: a failing
 # round's largest sample is its first segments'.
 _FIRST_BLOCK_SEGMENTS = 16
-# The most Gauss panels flux_integral lays beyond the cells it is given
+# The most Gauss panels flux_cells lays beyond the cells it is given
 # (check_flux_budget refuses more, naming n, before any is laid): 20 MB per
 # (panels, 12) array.
 MAX_ADDED_PANELS = 2 * MAX_GRID_NODES
@@ -74,6 +76,21 @@ def check_flux_budget(n: int, cells: int) -> int:
     return flux_panels(n)
 
 
+def flux_cells(n: int, nodes) -> tuple[np.ndarray, int]:
+    """(cut nodes, cut): each cell of ``nodes`` cut evenly into check_flux_budget's
+    flux_panels(n) panels, the one panel layout of s^(n-1) (flux integral and break line)."""
+    nodes, cut = np.asarray(nodes, dtype=float), check_flux_budget(n, len(nodes) - 1)
+    if cut > 1:
+        lo = nodes[:-1, None]
+        nodes = np.append(lo + (nodes[1:, None] - lo) * (np.arange(cut) / cut), nodes[-1])
+    return nodes, cut
+
+
+def _block_segments(n: int) -> int:
+    """Break-line segments per block of Gauss points: as many points at every n, within budget."""
+    return max(_BLOCK_SEGMENTS // flux_panels(n), 1)
+
+
 def flux_slope(params: ProblemParams, r, log_inner) -> np.ndarray:
     """F(r, e^log_inner) elementwise; 0 where r <= 0."""
     r, log_inner = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -90,11 +107,8 @@ def flux_integral(params: ProblemParams, b, nodes, psi=None,
     """ln(e^start + integral_nodes[0]^r s^(n-1) b(s) psi(s)^gamma) at every
     node r (``psi`` None: psi = 1): flux_panels(n) even 12-point Gauss panels per
     cell, scaled by s^(n-1) psi^gamma at their largest point, so no power overflows."""
-    n, gam, cut = params.n, params.gamma, check_flux_budget(params.n, len(nodes) - 1)
-    if cut > 1:
-        nodes = np.asarray(nodes, dtype=float)
-        lo = nodes[:-1, None]
-        nodes = np.append(lo + (nodes[1:, None] - lo) * (np.arange(cut) / cut), nodes[-1])
+    n, gam = params.n, params.gamma
+    nodes, cut = flux_cells(n, nodes)
 
     def weighted(pts):  # b may underflow to 0 here: a steep tail still integrates
         s, top = pts.ravel(), pts[:, -1:]
@@ -333,10 +347,10 @@ def euler_polyline(params: ProblemParams, b, r_end: float, epsilon: float) -> Br
     built whole.  The line must stay inside the box [a, 2a]; leaving it
     raises DomainTooLargeError (the box is only guaranteed for small r_end).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if r_end <= 0:
-        raise ValueError(f"r_end must be positive, got {r_end}")
+    if not 0 < r_end < math.inf:
+        raise ValueError(f"r_end must be positive and finite, got {r_end}")
     k, gam, a = params.k, params.gamma, params.a
     probe_r = np.linspace(0.0, r_end, 1025)
     b_max = float(check_coefficient(b(probe_r), probe_r).max())
@@ -364,10 +378,10 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
                 r_flat: float, segments: int, head: float) -> BreakLine:
     """One doubling round from the flat head's integral ``head``: b is
     evaluated once per block of segments, then the Euler recurrence runs in
-    plain floats over each segment's 24 Gauss points (slope from the inner
-    integral, box check, inner += the segment's integral).  The slope is F
-    in flux_slope's order of operations, with libm's log and exp in place of
-    numpy's."""
+    plain floats over each segment's Gauss points on the kernel's panels (slope
+    from the inner integral, box check, inner += the segment's integral).  The
+    slope is F in flux_slope's order of operations, with libm's log and exp in
+    place of numpy's."""
     a = params.a
     if r_flat >= r_end:
         radii = np.array([0.0, r_end])
@@ -384,8 +398,9 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
     steps = np.diff(radii).tolist()
     values = [a, a]  # the center and the end of the flat head
     slopes = [0.0]
-    for first in range(1, radii.size - 1, _BLOCK_SEGMENTS):
-        stop = min(first + _BLOCK_SEGMENTS, radii.size - 1)
+    per_block = _block_segments(params.n)
+    for first in range(1, radii.size - 1, per_block):
+        stop = min(first + per_block, radii.size - 1)
         offsets, weights = _segment_rows(params, b, radii[first:stop + 1])
         for i, offset_row, weight_row in zip(range(first, stop), offsets, weights):
             slope = math.exp((log_heads[i - 1] + math.log(inner)) / k) if inner > 0.0 else 0.0
@@ -405,22 +420,16 @@ def _build_line(params: ProblemParams, b, r_end: float, epsilon: float,
 
 
 def _segment_rows(params: ProblemParams, b, radii: np.ndarray):
-    """Per segment of ``radii``, split at its midpoint into two Gauss panels:
-    the offsets s - lo of its 24 points from the segment start and their
-    weights w half s^(n-1) b(s), as lists of 24-element rows.  Two panels per
-    segment resolve s^(n-1) only while (n - 1) ln 2 <= 16; the defect, which
-    runs through :func:`flux_integral`, still decides each round."""
-    lo = radii[:-1]
-    nodes = np.empty(2 * lo.size + 1)
-    nodes[:-1:2] = lo
-    nodes[1::2] = (radii[1:] - lo) / 2 + lo  # the midpoint np.linspace(lo, hi, 3) gives
-    nodes[-1] = radii[-1]
+    """Per segment of ``radii``, on the flux kernel's panels (:func:`flux_cells`):
+    the offsets s - lo of its Gauss points from the segment start and their
+    weights w half s^(n-1) b(s), as lists of rows."""
+    nodes, cut = flux_cells(params.n, radii)
     half, pts = panel_points(nodes)
     s = pts.ravel()
     weights = (s ** (params.n - 1) * np.asarray(b(s))).reshape(pts.shape) \
         * (half[:, None] * GAUSS_WEIGHTS)
-    rows = (lo.size, 2 * GAUSS_WEIGHTS.size)
-    return (pts.reshape(rows) - lo[:, None]).tolist(), weights.reshape(rows).tolist()
+    rows = (radii.size - 1, cut * GAUSS_WEIGHTS.size)
+    return (pts.reshape(rows) - radii[:-1, None]).tolist(), weights.reshape(rows).tolist()
 
 
 def breakline_defect(line: BreakLine, params: ProblemParams, b,
@@ -440,8 +449,7 @@ def breakline_defect(line: BreakLine, params: ProblemParams, b,
     fractions = np.arange(1, cells + 1) / cells
     radii, values, slopes = line.radii, line.values, line.slopes
     points = cells * cut * GAUSS_WEIGHTS.size  # Gauss points per segment
-    # a block lays as many Gauss points at every n, within the panel budget
-    log_inner, worst, per_block = -math.inf, [], max(_BLOCK_SEGMENTS // cut, 1)
+    log_inner, worst, per_block = -math.inf, [], _block_segments(params.n)
     first, size = 0, min(_FIRST_BLOCK_SEGMENTS, per_block)
     while first < slopes.size:
         stop = min(first + size, slopes.size)

@@ -5,7 +5,10 @@ Each module of ``src/hessianls`` may import only modules below it in
 Gauss-panel rule ``panel_cumulative`` is reached only through
 ``envelope.flux_integral``, so only ``envelope`` imports it, and the
 12-point rule itself is built once, in ``_integrate``, as is the one log of
-a running sum (``np.logaddexp``) that carries every flux integral.  Every
+a running sum (``np.logaddexp``) that carries every flux integral.  One
+helper, ``envelope.flux_cells``, cuts cells into panels for s^(n-1): the
+flux integral and the break line's build both lay their Gauss points on its
+panels, and the build's and the defect's blocks have one size rule.  Every
 envelope integral lives in ``envelope``: only it imports the Simpson rule
 ``cumulative_values`` or calls ``fine_nodes``, and ``criteria`` imports no
 quadrature at all.  The float bound ln(max float) is defined once, in
@@ -336,6 +339,27 @@ def test_one_node_merge():
     for function in (envelope["fine_nodes"], solver["conservation_nodes"],
                      solver["conservation_defect"]):
         assert calls(function).isdisjoint({"np.sort", "np.unique", "np.concatenate"})
+
+
+def test_one_panel_layout():
+    # envelope.flux_cells is the only code that cuts cells for s^(n-1): the
+    # flux integral and the break line's build lay their panels through it,
+    # the build alone reads their points, and both break-line loops take
+    # their block size from one expression
+    functions = dict(_functions(ast.parse((PACKAGE / "envelope.py").read_text())))
+
+    def callers(name):
+        return {caller for caller, function in functions.items()
+                if any(isinstance(node, ast.Call) and ast.unparse(node.func) == name
+                       for node in ast.walk(function))}
+
+    assert callers("flux_cells") == {"flux_integral", "_segment_rows"}
+    assert callers("check_flux_budget") == {"flux_cells"}
+    assert callers("panel_points") == {"_segment_rows"}
+    assert callers("_block_segments") == {"_build_line", "breakline_defect"}
+    assert {caller for caller, function in functions.items()
+            if any(isinstance(node, ast.Name) and node.id == "_BLOCK_SEGMENTS"
+                   for node in ast.walk(function))} == {"_block_segments"}
 
 
 def test_cli_holds_no_node_arithmetic():
