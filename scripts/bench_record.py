@@ -58,8 +58,9 @@ def counters() -> dict:
     imports: ``ledger``, each LEDGER row's :func:`row_counts` by name;
     ``stepper`` and ``stepper_tabulated``, STEP_COUNTS summed over the
     ``solve-<name>`` rows of the REFERENCE specs with a closed form and with a
-    table, with :func:`stepper_counters` of those specs; ``envelope``, the
-    golden classify row's ENVELOPE_COUNTS; ``breakline``, the break-line row."""
+    table, with :func:`stepper_counters` and :func:`start_counters` of those
+    specs; ``envelope``, the golden classify row's ENVELOPE_COUNTS;
+    ``breakline``, the break-line row."""
     with open(LEDGER) as handle:
         ledger = {row["name"]: row_counts(row) for row in json.load(handle)}
     with open(REFERENCE) as handle:
@@ -70,8 +71,9 @@ def counters() -> dict:
                        if (entry["spec"]["coefficient"]["kind"] == "tabulated") == tabulated)
         totals = {key: sum(ledger[f"solve-{name}"][key] for name in names)
                   for key in STEP_COUNTS}
-        blocks[block] = {"specs": names, **totals, **stepper_counters(
-            [reference[name]["spec"] for name in names], totals["accepted"] + totals["rejected"])}
+        specs = [reference[name]["spec"] for name in names]
+        blocks[block] = {"specs": names, **totals, **start_counters(specs),
+                         **stepper_counters(specs, totals["accepted"] + totals["rejected"])}
     return {**blocks,
             "envelope": {key: ledger["golden-classify"][key] for key in ENVELOPE_COUNTS},
             "breakline": ledger["break-line"], "ledger": ledger}
@@ -107,19 +109,41 @@ def _write_spec(work: str, spec: dict) -> str:
     return path
 
 
+def _problems(specs: list) -> list:
+    """The arguments of ``solve_cauchy`` for each of ``specs``, as ``hessianls solve`` passes them."""
+    from hessianls.cli import load_spec
+
+    with tempfile.TemporaryDirectory() as work:  # a spec reads its table when built
+        specs = [load_spec(_write_spec(work, spec)) for spec in specs]
+    return [(spec.params, spec.radial_profile(), spec.grid(), spec.tolerances["rel"],
+             spec.tolerances["abs"]) for spec in specs]
+
+
+def start_counters(specs: list) -> dict:
+    """For each of ``specs`` in turn, solved as ``hessianls solve`` would: the
+    series start's handoff radius (``r_handoff``) and the accepted steps that
+    begin below the grid's first positive node (``start_steps``)."""
+    import numpy as np
+
+    from hessianls.solver import solve_cauchy
+
+    radii, steps = [], []
+    for problem in _problems(specs):
+        dense = solve_cauchy(*problem).dense
+        radii.append(dense.r_handoff)
+        steps.append(int(np.count_nonzero(dense._starts < np.log(problem[2].nodes[1]))))
+    return {"r_handoff": radii, "start_steps": steps}
+
+
 def stepper_counters(specs: list, steps: int) -> dict:
     """us_per_step and us_per_step_median: the least and the median summed
     time of solving ``specs`` as ``hessianls solve`` would, over REPEATS
     runs, per attempted step in microseconds, ``steps`` (the ledger's) per
     run.  The times move with the host's load: they do not compare across
     recordings."""
-    from hessianls.cli import load_spec
     from hessianls.solver import solve_cauchy
 
-    with tempfile.TemporaryDirectory() as work:  # a spec reads its table when built
-        specs = [load_spec(_write_spec(work, spec)) for spec in specs]
-    problems = [(spec.params, spec.radial_profile(), spec.grid(), spec.tolerances["rel"],
-                 spec.tolerances["abs"]) for spec in specs]
+    problems = _problems(specs)
     passes = []
     for _ in range(REPEATS):
         elapsed = 0.0

@@ -148,9 +148,10 @@ class RadialProfile:
     scale * sum_i c_i r^(2 j_i) (rho_i^2 + r^2)^(-p_i/2) over ``terms``
     (c_i, j_i, rho_i, p_i), c_i != 0, integer j_i >= 0, rho_i > 0: constant(v)
     is (1, 0, 1, 0) with scale v, power_tail(l, m, A, r0, scale) is (1, 0, r0,
-    l) and (A, 0, r0, m).  Its tail exponent is the smallest p_i - 2 j_i; its
-    Taylor coefficients at 0 and correction exponents are to come from the
-    terms too.  :meth:`eval` and :meth:`log_pieces` have one formula each.
+    l) and (A, 0, r0, m).  Its tail exponent is the smallest p_i - 2 j_i and
+    its Taylor coefficients at 0 the binomial series of its terms
+    (:meth:`taylor`).  :meth:`eval` and :meth:`log_pieces` have one formula
+    each.
 
     Tabulated profiles interpolate linearly in (log r, log b) between
     positive samples and linearly in r near zero samples or the origin;
@@ -378,6 +379,34 @@ class RadialProfile:
         if self.radii[end - 1] != r_end:   # the cell of r_end, or the tail past the last radius
             pieces.append((math.log(r_end), rules[end - 1]))
         return pieces
+
+    def taylor(self, order: int, unit: float = 1.0) -> Optional[tuple]:
+        """b's Taylor coefficients at r = 0 in powers of r / ``unit``, orders 0 to
+        ``order`` as a list, and the radius up to which their series is b; None
+        for a profile without one (a callable or zero profile, a table from r > 0).
+
+        A power sum's term c r^(2j) (rho^2 + r^2)^(-p/2) is c rho^(-p) r^(2j)
+        times the binomial series of (1 + r^2/rho^2)^(-p/2), which converges to
+        it up to rho (everywhere for p = 0); a table's first cell, from r = 0,
+        is b0 + (db/dr) r exactly up to the table's first positive radius."""
+        coeffs = [0.0] * (order + 1)
+        if self.terms:
+            radius = math.inf
+            for c, j, rho, p in self.terms:
+                term = self.scale * c * rho ** -p * unit ** (2 * j)
+                ratio = (unit / rho) * (unit / rho) if p else 0.0
+                for i in range(order // 2 - j + 1):   # binom(-p/2, i) ratio^i from i = 0
+                    coeffs[2 * (j + i)] += term
+                    term *= (-0.5 * p - i) / (i + 1) * ratio
+                if p:
+                    radius = min(radius, rho)
+            return coeffs, radius
+        if self.kind == "tabulated" and self.radii[0] == 0.0:
+            coeffs[0] = float(self.values[0])
+            if order:
+                coeffs[1] = float(self._cells.db[0] / self._cells.dr[0]) * unit
+            return coeffs, float(self.radii[1])
+        return None
 
     def is_zero(self) -> bool:
         if self.kind == "zero":

@@ -234,7 +234,9 @@ class RadialCurve:
     positive.  ``dense`` (optional) evaluates (u, ln M) between nodes, where
     M is the flux integral the solver propagates alongside u; a solver's
     evaluator also carries the stepper's counts (``rhs_evals``,
-    ``accepted``, ``rejected``) and its handoff radius ``r_handoff``.
+    ``accepted``, ``rejected``) and its handoff radius ``r_handoff``, up to
+    which it evaluates the Taylor series of the start and beyond which the
+    stepper's steps.
     """
 
     grid: RadialGrid
@@ -275,7 +277,9 @@ def gamma_k_membership(curve: RadialCurve, params: ProblemParams) -> np.ndarray:
 def output_paths(*paths):
     """New paths beside ``paths``, one each, for the block to write: once it completes they
     replace ``paths`` in turn (none before all are written), and if it raises they are removed.
-    An empty path or a directory is refused before the block."""
+    An empty path or a directory is refused before the block.  A replace that fails after
+    others landed raises its OSError naming the targets already replaced and those left as
+    they were."""
     staged = []
     for path in paths:
         if not os.fspath(path):   # as open("") refuses it
@@ -287,8 +291,16 @@ def output_paths(*paths):
         staged.append((target, os.path.join(directory, f".{name}.{os.urandom(6).hex()}")))
     try:
         yield [temporary for _, temporary in staged]
-        for target, temporary in staged:
-            os.replace(temporary, target)
+        for done, (target, temporary) in enumerate(staged):
+            try:
+                os.replace(temporary, target)
+            except OSError as exc:
+                if not done:
+                    raise
+                raise type(exc)(exc.errno, (
+                    f"{exc.strerror or exc}; already replaced: "
+                    f"{', '.join(landed for landed, _ in staged[:done])}; left as they were: "
+                    f"{', '.join(kept for kept, _ in staged[done:])}"), target) from exc
     except BaseException:
         for _, temporary in staged:
             with contextlib.suppress(FileNotFoundError):

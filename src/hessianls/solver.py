@@ -11,9 +11,15 @@ the equivalent first-order system in (u, M),
     u'(r) = ( n r^(k-n) M(r) / C(n,k) )^(1/k),
     M'(r) = r^(n-1) b(r) u(r)^gamma,
 
-whose right-hand side is smooth for r > 0, and starts from a fourth-order
-series on a short initial interval where the (u, M) form is 0/0.  Beyond
-it the system is stepped in logarithmic variables against s = ln r,
+whose right-hand side is smooth for r > 0, and starts from the Taylor
+series of u and of M / r^n at the origin, where the (u, M) form is 0/0.
+A power sum or a table gives b's series at 0 (:meth:`RadialProfile.taylor`),
+from which the series are built to order 16 by recurrences and handed off at
+the largest radius where their last two terms are below rel_tol / 100, at
+most the grid's first positive node or a table's first positive radius; only
+a callable profile, which has no series, keeps a fourth-order start from a
+probed curvature on a short initial interval.  Beyond the handoff the system
+is stepped in logarithmic variables against s = ln r,
 
     d ln u / ds = r u'(r) / u,    d ln M / ds = r^n b(r) u^gamma / M,
 
@@ -69,58 +75,108 @@ DEFAULT_ABS_TOL = 1e-12
 # arithmetic can give, so specifications below it are refused.
 MIN_REL_TOL = 100 * sys.float_info.epsilon
 
-# The series start hands off at this radius or beyond, and at most a quarter
-# of the way to the grid's first positive node.
+# A callable's series start hands off at this radius or beyond; every start
+# hands off at or before the grid's first positive node.
 _MIN_SERIES_RADIUS = 1e-12
+# A profile with a Taylor series at 0 (RadialProfile.taylor) starts from the
+# series of u to this order, and of m = M / r^n to two orders less, out to the
+# largest radius where the last two terms of each are at most _HANDOFF_SHARE
+# of rel_tol.
+_TAYLOR_ORDER = 16
+_HANDOFF_SHARE = 1e-2
 
 
 # ---------------------------------------------------------------------------
 # series start
 # ---------------------------------------------------------------------------
 
+def _polynomial(coeffs, x):
+    """sum_i coeffs[i] x^i by Horner's rule; x a float or an array."""
+    total = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        total = total * x + c
+    return total
+
+
 @dataclass(frozen=True)
 class _SeriesStart:
-    """Fourth-order expansion of (u, M) about the origin.
+    """The Taylor series of (u, M) about the origin, in powers of rho = r / length.
 
-    u(r) = a + c2 r^2/2 + c2 e r^4/4 + O(r^6) with c2 = (b(0) a^gamma /
-    C(n,k))^(1/k); the r^4 term carries the quadratic variation of b and
-    the feedback of u^gamma.
+    u / a = sum_i u_i rho^i and m / m0 = sum_i m_i rho^i for m = M / r^n,
+    m0 = b(0) a^gamma / n, so u_0 = m_0 = 1, and u''(0) = c2 = (b(0) a^gamma
+    / C(n,k))^(1/k).  :func:`_series_start` builds them; ``length`` keeps
+    every coefficient near 1 where b varies no faster than u.
     """
 
     a: float
     c2: float
-    e: float
     m0: float
-    m2: float
     n: int
+    length: float
+    u_coeffs: tuple
+    m_coeffs: tuple
 
     def u(self, r):
-        r2 = r * r
-        return self.a + 0.5 * self.c2 * r2 + 0.25 * self.c2 * self.e * r2 * r2
+        return self.a * _polynomial(self.u_coeffs, r / self.length)
+
+    def scaled_moment(self, r):
+        """M(r) / r^n, which stays in the float range where M may not."""
+        return self.m0 * _polynomial(self.m_coeffs, r / self.length)
 
     def log_moment(self, r):
         with np.errstate(divide="ignore"):  # ln M(0) = -inf
-            return np.log(self.m0 + self.m2 * (r * r)) + self.n * np.log(r)
+            return np.log(self.scaled_moment(r)) + self.n * np.log(r)
+
+    def radius(self, tol: float) -> float:
+        """The largest r at which each of the last two terms of both series is
+        at most tol / 2 (u / a >= 1 and m / m0 starts at 1), so that each
+        series' truncation, estimated by those terms, is at most tol."""
+        rho = math.inf
+        for coeffs in (self.u_coeffs, self.m_coeffs):
+            for i in (len(coeffs) - 2, len(coeffs) - 1):
+                size = abs(coeffs[i])
+                if not size < math.inf:
+                    return 0.0
+                if size > 0.0:
+                    rho = min(rho, (0.5 * tol / size) ** (1.0 / i))
+        return rho * self.length
 
 
-def _series_start(params: ProblemParams, b, r_probe: float) -> _SeriesStart:
-    n, k, gam, a = params.n, params.k, params.gamma, params.a
-    b0 = float(b(0.0))
-    c2 = (b0 * a ** gam / params.cnk) ** (1.0 / k)
-    # effective quadratic coefficient of b near 0 (exact for even smooth b)
-    b2 = (float(b(r_probe)) - b0) / r_probe ** 2
-    q = (n / (n + 2.0)) * (b2 / b0 + gam * c2 / (2.0 * a))
-    m0 = b0 * a ** gam / n
-    m2 = (b2 * a ** gam + b0 * a ** gam * gam * c2 / (2.0 * a)) / (n + 2.0)
-    return _SeriesStart(a=a, c2=c2, e=q / k, m0=m0, m2=m2, n=n)
+def _series_start(params: ProblemParams, b_coeffs, length: float, c2: float,
+                  order: int) -> _SeriesStart:
+    """The series of u to ``order`` and of m to ``order`` - 2 from b's Taylor
+    coefficients at 0 in powers of rho = r / ``length`` (``b_coeffs``, at least
+    ``order`` - 1 of them, b_0 > 0), in one pass over the orders.
 
-
-def _series_radius(params: ProblemParams, grid: RadialGrid, c2: float) -> float:
-    # keep the handoff radius well inside both the grid and the curvature
-    # length scale sqrt(a/c2) so the truncation error is O(r^6) ~ negligible
-    r = 1e-4 * grid.r_lin
-    r = min(r, 0.05 * math.sqrt(params.a / c2), 0.25 * float(grid.nodes[1]))
-    return max(r, _MIN_SERIES_RADIUS)
+    With U = u / a, G = b U^gamma / b_0 and W = (m / m0)^(1/k), the equations
+    n m + r m' = b u^gamma (M' = r^(n-1) b u^gamma, integrated termwise) and
+    u' = r c2 W read, coefficient by coefficient in rho, m_i = n G_i / (n + i)
+    and U_(i+2) = lam W_i / (i + 2) with lam = length^2 c2 / a.  U^gamma and
+    (m / m0)^(1/k) come from J. C. P. Miller's recurrence for a power of a
+    series with leading coefficient 1: f = h^alpha has f_i = sum_(j=1..i)
+    ((alpha + 1) j / i - 1) h_j f_(i-j) (Knuth, TAOCP vol. 2, sec. 4.7)."""
+    n, k, gam = params.n, params.k, params.gamma
+    lam = length * length * c2 / params.a
+    beta = [c / b_coeffs[0] for c in b_coeffs[:order - 1]]
+    u = [1.0, 0.0, 0.5 * lam] + [0.0] * (order - 2)
+    p, m, w = ([1.0] + [0.0] * (order - 2) for _ in range(3))
+    a_gam, a_root = gam + 1.0, 1.0 / k + 1.0
+    # an even b makes every series even: their odd coefficients stay 0
+    stride = 1 if any(beta[1::2]) else 2
+    for i in range(stride, order - 1, stride):
+        p_i = g_i = w_i = 0.0
+        for j in range(stride, i + 1, stride):
+            p_i += (a_gam * j / i - 1.0) * u[j] * p[i - j]
+        p[i] = p_i
+        for j in range(0, i + 1, stride):
+            g_i += beta[j] * p[i - j]
+        m[i] = n * g_i / (n + i)
+        for j in range(stride, i + 1, stride):
+            w_i += (a_root * j / i - 1.0) * m[j] * w[i - j]
+        w[i] = w_i
+        u[i + 2] = lam * w_i / (i + 2)
+    return _SeriesStart(a=params.a, c2=c2, m0=b_coeffs[0] * params.a ** gam / n, n=n,
+                        length=length, u_coeffs=tuple(u), m_coeffs=tuple(m))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +216,9 @@ _RECORD = 18
 class _DenseOutput:
     """(u, ln M) at any radius of a solve, and what the solve cost.
 
-    Below the handoff radius ``r_handoff`` the series start; beyond it the
-    DOPRI5 continuous extension of each accepted step in s = ln r, whose
+    Up to the handoff radius ``r_handoff`` the Taylor polynomials of the
+    series start (:class:`_SeriesStart`); beyond it the DOPRI5 continuous
+    extension of each accepted step in s = ln r, whose
     coefficients are laid from the stepper's records in one array pass.  The
     counters describe the stepper's work: ``accepted`` and ``rejected``
     steps, and ``rhs_evals``, the right-hand-side evaluations: one to start
@@ -362,19 +419,9 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     b_nodes = check_coefficient(b(nodes), nodes)
     n, k, gam = params.n, params.k, params.gamma
 
-    try:
-        series = _series_start(params, b, r_probe=1e-3 * grid.r_lin)
-    except OverflowError:  # from a ** gamma, the one power there that can raise it
-        raise ParameterError(f"a^gamma overflows the float range (a = {params.a:g}, "
-                             f"gamma = {gam:g}), so the series start at r = 0 cannot be "
-                             f"formed") from None
-    if series.c2 == 0.0:
-        raise ParameterError(f"b(0) a^gamma / C(n, k) underflows to 0 (b(0) = {b(0.0):g}, "
-                             f"a = {params.a:g}, gamma = {gam:g}), so the series start "
-                             f"at r = 0 has no curvature")
-    r_s = _series_radius(params, grid, series.c2)
+    series, r_s = _start(params, b, grid, rel_tol)
     # M(r_s) / r_s^n: M itself may underflow for large n
-    u_s, m_scaled = series.u(r_s), series.m0 + series.m2 * r_s * r_s
+    u_s, m_scaled = series.u(r_s), series.scaled_moment(r_s)
     if not (math.isfinite(u_s) and 0.0 < m_scaled < math.inf):
         raise BlowupGuardError(f"the series start at r = {r_s:g} overflows (u = {u_s:g}, "
                                f"M / r^n = {m_scaled:g}); the coefficient or the center "
@@ -386,15 +433,65 @@ def solve_cauchy(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
     # d ln M / ds = r^n b u^gamma / M with s = ln r
     c_u = params.log_n_over_cnk / k
     p_u = (2 * k - n) / k
-    records, rejected = _dopri5(b.log_pieces(r_s, grid.r_max), c_u, p_u, k, n, gam, s_s,
-                                y0, rel_tol / 10.0, abs_tol * max(1.0, params.a))
+    records, rejected = [], 0
+    if r_s < grid.r_max:
+        records, rejected = _dopri5(b.log_pieces(r_s, grid.r_max), c_u, p_u, k, n, gam, s_s,
+                                    y0, rel_tol / 10.0, abs_tol * max(1.0, params.a))
     dense = _DenseOutput(series, r_s, records, rejected)
 
-    # r_s < nodes[1], so only r = 0 takes the series; there M = 0 and u' = 0.
+    # r_s <= nodes[1]: r = 0 and at most the first positive node take the
+    # series; at r = 0, M = 0 and u' = 0.
     u, log_m = dense(nodes)
     du = flux_slope(params, nodes, log_m)
     d2u = _recover_d2u(params, b_nodes, nodes, u, du, series.c2)
     return RadialCurve(grid=grid, u=u, du=du, d2u=d2u, dense=dense)
+
+
+def _start(params: ProblemParams, b: RadialProfile, grid: RadialGrid,
+           rel_tol: float) -> tuple:
+    """The series start of a solve and its handoff radius r_s, at most the
+    grid's first positive node.
+
+    A profile with a Taylor series at 0 (:meth:`RadialProfile.taylor`: a power
+    sum, a table from r = 0) gives the series of u to _TAYLOR_ORDER, which
+    hands off at the largest radius where its last two terms, and those of m,
+    are at most _HANDOFF_SHARE of ``rel_tol`` (:meth:`_SeriesStart.radius`),
+    however small, and not beyond the radius up to which b's series is b (a
+    table's first positive radius).  Only a callable has none: it keeps the
+    fourth-order start, b's curvature probed as (b(r_p) - b(0)) / r_p^2 at r_p
+    = 1e-3 r_lin, handed off at min(1e-4 r_lin, 0.05 sqrt(a / c2), node / 4)
+    but not below _MIN_SERIES_RADIUS."""
+    node = float(grid.nodes[1])
+    taylor = b.taylor(0)
+    b0 = taylor[0][0] if taylor else float(b(0.0))
+    try:
+        a_gam = params.a ** params.gamma
+    except OverflowError:  # the one power here that can raise it
+        raise ParameterError(f"a^gamma overflows the float range (a = {params.a:g}, "
+                             f"gamma = {params.gamma:g}), so the series start at r = 0 cannot "
+                             f"be formed") from None
+    c2 = (b0 * a_gam / params.cnk) ** (1.0 / params.k)
+    if c2 == 0.0:
+        raise ParameterError(f"b(0) a^gamma / C(n, k) underflows to 0 (b(0) = {b0:g}, "
+                             f"a = {params.a:g}, gamma = {params.gamma:g}), so the series "
+                             f"start at r = 0 has no curvature")
+    # u's own length scale sqrt(a / c2), within the radii the series serves;
+    # an infinite c2 leaves the node, and the start overflows in solve_cauchy
+    length = min(math.sqrt(params.a / c2), node) or node
+    if taylor:
+        exact = taylor[1]
+        length = min(length, exact)
+        series = _series_start(params, b.taylor(_TAYLOR_ORDER - 2, length)[0], length, c2,
+                               _TAYLOR_ORDER)
+        # the smallest normal float only keeps ln r_s finite: a series with a
+        # non-finite coefficient (radius 0) then fails in solve_cauchy
+        return series, max(min(series.radius(_HANDOFF_SHARE * rel_tol), exact, node),
+                           sys.float_info.min)
+    r_probe = 1e-3 * grid.r_lin
+    b2 = (float(b(r_probe)) - b0) / r_probe ** 2
+    series = _series_start(params, [b0, 0.0, b2 * length * length], length, c2, 4)
+    r_s = min(1e-4 * grid.r_lin, 0.05 * math.sqrt(params.a / c2), 0.25 * node)
+    return series, max(r_s, _MIN_SERIES_RADIUS)
 
 
 def _recover_d2u(params: ProblemParams, b_values: np.ndarray, r: np.ndarray,

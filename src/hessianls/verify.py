@@ -121,6 +121,12 @@ def _series_start():
     b = coefficients.RadialProfile.constant(1.0)
     curve = solver.solve_cauchy(params, b, grid)
     c2 = (b(0.0) * params.a ** params.gamma / params.cnk) ** (1.0 / params.k)
+    # k = 1: Laplace's u = a + c2 r^2/2 + gamma a^(gamma-1) c2 r^4 / (8 (n+2)) + ...
+    series = curve.dense.series
+    quadratic, quartic = (series.a * series.u_coeffs[i] / series.length ** i for i in (2, 4))
+    assert math.isclose(quadratic, 0.5 * c2, rel_tol=1e-13), (quadratic, c2)
+    expect = params.gamma * params.a ** (params.gamma - 1.0) * c2 / (8.0 * (params.n + 2))
+    assert math.isclose(quartic, expect, rel_tol=1e-13), (quartic, expect)
     r = grid.nodes[1]
     expect = params.a + 0.5 * c2 * r * r
     got = curve.u[1]

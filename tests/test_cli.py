@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 
@@ -502,9 +504,11 @@ class TestSolveCommand:
 
 
     def test_series_start_overflow_exit_code(self, tmp_path, capsys):
-        # The r^2 term of the series start overflows before any step.
+        # b(0) a^gamma = 1e315 overflows, so the series start cannot be formed
+        # before any step.  (b = 1e305 with a = 1 once overflowed too, from a
+        # handoff held at r >= 1e-12; it now hands off below that and solves.)
         spec_path = _write(tmp_path, "spec.json", _constant_spec(
-            k=3, coefficient={"kind": "constant", "value": 1e305}))
+            k=3, a=1e20, coefficient={"kind": "constant", "value": 1e305}))
         assert cli.main(["solve", spec_path]) == EXIT_INTEGRATION
         assert "series start" in capsys.readouterr().err
 
@@ -1326,6 +1330,33 @@ class TestTopLevelErrors:
         assert capsys.readouterr().err == "error: failed on purpose\n"
         assert len(written) == 1
         assert {path.name: path.read_bytes() for path in (tmp_path / "sw").iterdir()} == old
+
+    def test_failing_replace_names_the_files_that_landed(self, monkeypatch, tmp_path, capsys):
+        # the three files land in turn: when w.csv's replace fails after
+        # v.csv's landed, the error names v.csv as replaced and the other two
+        # as left as they were, and no new file is left beside them
+        spec = _write(tmp_path, "spec.json", _constant_spec(
+            grid={"r_max": 50.0, "nodes_per_decade": 16}))
+        out = pathlib.Path(os.path.realpath(tmp_path / "sw"))
+        out.mkdir()
+        for name in ("v.csv", "w.csv", "report.json"):
+            (out / name).write_text(f"old {name}\n")
+        replace = os.replace
+
+        def fails_on_w(source, target):
+            if os.path.basename(target) == "w.csv":
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(source, target)
+        monkeypatch.setattr(os, "replace", fails_on_w)
+        assert cli.main(["sandwich", spec, "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}; already replaced: "
+            f"{out / 'v.csv'}; left as they were: {out / 'w.csv'}, {out / 'report.json'}: "
+            f"'{out / 'w.csv'}'\n")
+        assert sorted(path.name for path in out.iterdir()) == ["report.json", "v.csv", "w.csv"]
+        assert (out / "v.csv").read_text().startswith("r,u,du,d2u,sigma_k_residual\n")
+        assert [(out / name).read_text() for name in ("w.csv", "report.json")] == [
+            "old w.csv\n", "old report.json\n"]
 
     def test_output_replaces_the_file_as_open_would_write_it(self, tmp_path, capsys):
         # classify --out, solve --curve and the three sandwich files each

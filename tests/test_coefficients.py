@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,6 +512,71 @@ class TestClosedForms:
             want = field(points)
             assert np.all(np.abs(profile(r) - want) <= 4.0 * np.spacing(want))
             assert profile.tail_exponent == field.tail_star == field.tail_upper
+
+
+def _quadratic_root(w, shift, amp):
+    return lambda r: amp * (w * r ** 2 + shift) ** -0.5
+
+
+# Each closed form beside its expression b(r), written out for mpmath, and the
+# radius up to which its series at 0 converges.
+_TAYLOR_CASES = {
+    "constant": (RadialProfile.constant(2.5), lambda r: mpmath.mpf(2.5), math.inf),
+    "power-tail": (RadialProfile.power_tail(1.3), lambda r: (1 + r ** 2) ** -0.65, 1.0),
+    "power-tail-A-m-r0-scale": (
+        RadialProfile.power_tail(0.7, m=3.0, A=0.5, r0=2.0, scale=3.0),
+        lambda r: 3 * ((4 + r ** 2) ** -0.35 + 0.5 * (4 + r ** 2) ** -1.5), 2.0),
+    "power-tail-growing-m": (
+        RadialProfile.power_tail(1.2, m=-2.5, A=0.4, r0=1.5),
+        lambda r: (2.25 + r ** 2) ** -0.6 + 0.4 * (2.25 + r ** 2) ** 1.25, 1.5),
+    "anisotropic-star": (AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
+                         .envelope_profiles()[0], lambda r: (1 + r ** 2) ** -0.5, 1.0),
+    "anisotropic-upper": (AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5)
+                          .envelope_profiles()[1],
+                          lambda r: (1 + r ** 2) ** -0.5 + 0.5 * r ** 2 * (1 + r ** 2) ** -5, 1.0),
+    "counterexample-star": (QuadraticRootField(weights=(2.0, 1.0, 1.0), shift=1.0, amp=8.0)
+                            .envelope_profiles()[0], _quadratic_root(2, 1, 8), math.sqrt(0.5)),
+    "counterexample-upper": (QuadraticRootField(weights=(2.0, 1.0, 1.0), shift=1.0, amp=8.0)
+                             .envelope_profiles()[1], _quadratic_root(1, 1, 8), 1.0),
+}
+
+
+class TestTaylorSeries:
+    """b's Taylor coefficients at 0 and the radius up to which their series is b."""
+
+    @pytest.mark.parametrize("case", sorted(_TAYLOR_CASES))
+    def test_power_sum_coefficients_match_mpmath(self, case):
+        # orders 0-12, odd ones 0, each within 1e-14 of mpmath's at 40 digits
+        profile, expression, radius = _TAYLOR_CASES[case]
+        coeffs, exact_to = profile.taylor(12)
+        with mpmath.workdps(40):
+            want = [float(c) for c in mpmath.taylor(expression, 0, 12)]
+        assert len(coeffs) == 13 and exact_to == radius
+        assert coeffs[1::2] == [0.0] * 6
+        for order in range(0, 13, 2):
+            assert abs(coeffs[order] - want[order]) <= 1e-14 * abs(want[order]), order
+        assert np.all(np.abs(want[1::2]) <= 1e-25)
+
+    def test_unit_scales_each_order(self):
+        profile = RadialProfile.power_tail(0.7, m=3.0, A=0.5, r0=2.0, scale=3.0)
+        coeffs, unit_coeffs = profile.taylor(12)[0], profile.taylor(12, 0.25)[0]
+        np.testing.assert_allclose(unit_coeffs, [c * 0.25 ** i for i, c in enumerate(coeffs)],
+                                   rtol=1e-15, atol=0.0)
+
+    def test_table_is_its_first_cell(self):
+        # b0 + (db/dr) r exactly, up to the first positive radius
+        table = RadialProfile.tabulated([0.0, 0.04, 1.0], [2.0, 2.3, 1.0], tail_exponent=1.0)
+        coeffs, radius = table.taylor(4, 0.5)
+        assert radius == 0.04
+        assert coeffs[0] == 2.0 and coeffs[1] == pytest.approx(0.3 / 0.04 * 0.5, rel=1e-15)
+        assert coeffs[2:] == [0.0] * 3
+        r = np.linspace(0.0, 0.04, 9)
+        np.testing.assert_allclose(table(r), coeffs[0] + coeffs[1] * r / 0.5, rtol=1e-15)
+
+    def test_profiles_without_a_series(self):
+        assert RadialProfile.from_callable(lambda r: 1.0 + r).taylor(12) is None
+        assert RadialProfile.zero().taylor(12) is None
+        assert RadialProfile.tabulated([0.5, 1.0], [1.0, 2.0]).taylor(12) is None
 
 
 class TestAdmissibilityRule:

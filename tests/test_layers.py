@@ -163,9 +163,11 @@ def test_coefficient_checked_where_it_meets_radii(module):
         calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
                  and ast.unparse(node.func) == _APPLIES_RULE.get(module, "check_coefficient")]
         assert calls, f"{module}.{name}"
-    if module == "solver":  # the series start leaves b(0) to the grid probe
-        assert not any(isinstance(node, ast.Raise)
-                       for node in ast.walk(functions["_series_start"]))
+    if module == "solver":  # the series start leaves b's checks to the grid probe
+        series = [function for name, function in functions.items()
+                  if name == "_series_start" or name.startswith("_SeriesStart.")]
+        assert len(series) > 1 and not any(isinstance(node, ast.Raise) for function in series
+                                           for node in ast.walk(function))
 
 
 @pytest.mark.parametrize("module", ("__init__",) + LAYERS)

@@ -53,7 +53,8 @@ def test_bench_record_stepper_counters(checkout_counters):
     # The child run in a checkout sums the ledger's solve rows of the six
     # closed-form reference specs, and in their own block of the two
     # tabulated ones, each solve costing 1 + 6 RHS calls per attempted step,
-    # with the least and the median wall time per attempted step beside them.
+    # with the least and the median wall time per attempted step beside them,
+    # and each spec's handoff radius and steps below its grid's first node.
     reference = json.loads(REFERENCE.read_text())
     for block, tabulated, count in (("stepper", False, 6), ("stepper_tabulated", True, 2)):
         counters = checkout_counters[block]
@@ -66,6 +67,12 @@ def test_bench_record_stepper_counters(checkout_counters):
             assert counters[key] == sum(row[key] for row in rows)
         assert counters["rhs_evals"] == count + 6 * (counters["accepted"] + counters["rejected"])
         assert 0.0 < counters["us_per_step"] <= counters["us_per_step_median"] < 1e4
+        assert set(counters) == {"specs", "rhs_evals", "accepted", "rejected", "r_handoff",
+                                 "start_steps", "us_per_step", "us_per_step_median"}
+        assert len(counters["r_handoff"]) == len(counters["start_steps"]) == count
+        assert all(1e-12 <= r <= 1.0 for r in counters["r_handoff"])
+        assert all(0 <= steps < accepted for steps, accepted in zip(
+            counters["start_steps"], (row["accepted"] for row in rows)))
 
 
 def test_bench_record_envelope_counters(checkout_counters):

@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import REFERENCE
+from conftest import PERFBENCH, REFERENCE
 from hessianls.cli import EXIT_OK, ProblemSpec, main
-from hessianls.coefficients import RadialProfile
+from hessianls.coefficients import AnisotropicPowerField, RadialProfile
 from hessianls.core import OVERFLOW_GUARD, ProblemParams, RadialGrid, gamma_k_membership
 from hessianls import _integrate, envelope, solver
 from hessianls.envelope import BreakLine, flux_integral, flux_slope
@@ -149,14 +149,83 @@ class TestSolveCauchy:
 
     def test_series_start_expansion(self, laplace_params):
         # For k = 1, n = 3, gamma = 1/2, b = 1, a = 1 the center expansion
-        # is u = 1 + r^2/6 + r^4/240 - r^6/30240 + O(r^8): the solver must
-        # match to the r^6 remainder (plus integrator noise ~1e-8).
+        # is u = 1 + r^2/6 + r^4/240 - r^6/30240 + O(r^8): the series start
+        # holds these coefficients, and the solver matches the expansion to its
+        # r^8 remainder (plus integrator noise ~1e-8).
         grid = RadialGrid.build(0.5)
         curve = solve_cauchy(laplace_params, B_ONE, grid)
+        series = curve.dense.series
+        coeffs = [c / series.length ** i for i, c in enumerate(series.u_coeffs)]
+        np.testing.assert_allclose(coeffs[:7], [1.0, 0.0, 1 / 6, 0.0, 1 / 240, 0.0, -1 / 30240],
+                                   rtol=0.0, atol=1e-15)
         r = grid.nodes
-        series = 1.0 + r**2 / 6.0 + r**4 / 240.0
-        assert np.all(np.abs(curve.u - series) <= 1e-4 * r**6 + 5e-8)
+        expansion = 1.0 + r**2 / 6.0 + r**4 / 240.0 - r**6 / 30240.0
+        assert np.all(np.abs(curve.u - expansion) <= 1e-5 * r**8 + 5e-8)
         assert curve.d2u[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("params, b", [
+        (ProblemParams(n=7, k=2, gamma=1.2), RadialProfile.power_tail(5.0, scale=3.0)),
+        (ProblemParams(n=20, k=10, gamma=9.5), RadialProfile.power_tail(8.0, r0=0.3)),
+        (ProblemParams(n=5, k=2, gamma=1.0),
+         AnisotropicPowerField(l=1.0, m=8.0, amp=0.5, dim=5).envelope_profiles()[1])],
+        ids=["k2-bounded", "k10-steep", "anisotropic-upper"])
+    def test_handoff_truncation_within_a_hundredth_of_rel(self, params, b, rel):
+        # The series hands off where its last two terms put its truncation
+        # below rel / 100: there its u and ln M agree with a rel 1e-13 solve,
+        # which hands off sooner and steps past that radius, within rel / 100.
+        grid = RadialGrid.build(100.0)
+        dense = solve_cauchy(params, b, grid, rel_tol=rel).dense
+        tight = solve_cauchy(params, b, grid, rel_tol=1e-13).dense
+        r = dense.r_handoff
+        assert tight.r_handoff < r <= grid.nodes[1]
+        u, log_m = tight(r)
+        assert abs(dense.series.u(r) / u[0] - 1.0) <= rel / 100
+        assert abs(dense.series.log_moment(r) - log_m[0]) <= rel / 100
+
+    @pytest.mark.parametrize("key", ["tab-k1", "tab-k2"])
+    def test_tables_meet_a_tight_rel(self, key, table_dir):
+        # A table's first cell is b0 + b1 r exactly, so its series start holds
+        # at any rel: at rel 1e-10 the solve lands within rel of the reference
+        # solver at rtol 3e-14 (whose own error is below 3e-11 there).  The
+        # probed fourth-order start left 1.19e-10 (tab-k1) and 4.59e-11 (tab-k2)
+        # whatever rel was asked.
+        raw = REFERENCE[key]["spec"]
+        spec = ProblemSpec.from_dict(raw, base_dir=table_dir)
+        grid = spec.grid()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.syspath_prepend(PERFBENCH)
+            import reference
+        ref_u = reference.reference_u(raw, raw["coefficient"], grid.nodes, base_dir=table_dir,
+                                      rtol=3e-14)
+        curve = solve_cauchy(spec.params, spec.radial_profile(), grid, rel_tol=1e-10)
+        assert np.max(np.abs(curve.u / ref_u - 1.0)) <= 1e-10
+
+    def test_series_hands_off_where_it_converges_however_small(self):
+        # b = 1e305 makes u's length scale sqrt(a / c2) about 1e-51: the series
+        # hands off near there, where a handoff held at r >= 1e-12 overflowed.
+        # u_B(r) = u_1(r B^(1/(2k))) for constant b = B, so the solve agrees
+        # with the b = 1 solve on the scaled grid.
+        params = ProblemParams(n=3, k=3, gamma=0.5)
+        grid = RadialGrid.build(1000.0, nodes_per_decade=32)
+        curve = solve_cauchy(params, RadialProfile.constant(1e305), grid)
+        assert curve.dense.r_handoff < 1e-50
+        scaled = solve_cauchy(params, B_ONE, RadialGrid(grid.nodes * 1e305 ** (1 / 6)))
+        np.testing.assert_allclose(curve.u, scaled.u, rtol=1e-8, atol=0.0)
+
+    def test_callable_keeps_the_fourth_order_start(self, laplace_params):
+        # A callable has no series at 0: its start probes b's curvature at
+        # r_p = 1e-3 r_lin and hands off at min(1e-4 r_lin, 0.05 sqrt(a / c2),
+        # node / 4), with u to r^4 and M / r^n to r^2.
+        grid = RadialGrid.build(100.0)
+        b = RadialProfile.from_callable(lambda r: 1.0 + np.asarray(r) ** 2)
+        dense = solve_cauchy(laplace_params, b, grid).dense
+        assert dense.r_handoff == 1e-4 * grid.r_lin
+        series = dense.series
+        assert (len(series.u_coeffs), len(series.m_coeffs)) == (5, 3)
+        # u = 1 + r^2/6 + (b2/b0 + gamma c2 / (2a)) n c2 r^4 / (4 k (n + 2)), b2 = 1
+        quartic = (1.0 + 0.5 / 6.0) * 3.0 / (3.0 * 4.0 * 5.0)
+        assert series.u_coeffs[4] / series.length ** 4 == pytest.approx(quartic, rel=1e-9)
 
     def test_tolerance_self_consistency(self, hessian2_params):
         grid = RadialGrid.build(100.0)
